@@ -9,8 +9,7 @@ from .graph import BLUE, PURPLE, GraphInstance
 from .makeshifts import (
     MakeshiftOptions,
     _block_one_center,
-    makeshift_fairness,
-    makeshift_fairness_ab,
+    makeshift_fairness_for,
     makeshift_kcenter,
     makeshift_rs,
     makeshift_rs_gamma,
@@ -51,10 +50,7 @@ def baseline_b1(H: GraphInstance, spec) -> Clustering:
         else:
             C, _ = makeshift_rs(H, singleton_clustering(H.n))
     else:
-        if (o1.alpha, o1.beta) != (1, 1):
-            C, _ = makeshift_fairness_ab(H, o1.alpha, o1.beta)
-        else:
-            C, _ = makeshift_fairness(H)
+        C, _ = makeshift_fairness_for(H, spec.objectives)
     return consolidate_fragments(H, C, spec.k)
 
 
@@ -256,7 +252,7 @@ def baseline_moc_path(
     if len(spec.objectives) != 2:
         raise ConfigError("the MOC baseline requires exactly two objectives")
     if any(o.kind == F for o in spec.objectives) and pairs is None:
-        pairs = makeshift_fairness(H)[1]
+        pairs = makeshift_fairness_for(H, spec.objectives)[1]
     wanted = sorted(set(ks), reverse=True)
     if not wanted or wanted[-1] < 1 or wanted[0] > H.n:
         raise ConfigError(f"k values must lie in 1..{H.n}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .baselines import baseline_b1, baseline_b2, baseline_moc
 from .errors import ConfigError, ZeusError
 from .graph import GraphInstance, load_instance
-from .makeshifts import MakeshiftOptions, SEEDED_RANDOM, makeshift_fairness
+from .makeshifts import MakeshiftOptions, SEEDED_RANDOM, makeshift_fairness_for
 from .objectives import (
     F,
     Clustering,
@@ -129,7 +129,7 @@ def run_experiment(
         H = load_instance(config.instance_path, config.instance_format, config.fill)
     pairs = None
     if any(o.kind == F for o in config.objectives):
-        pairs = makeshift_fairness(H)[1]
+        pairs = makeshift_fairness_for(H, config.objectives)[1]
 
     records: list[RunRecord] = []
     for slack in config.slacks:

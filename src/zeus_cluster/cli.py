@@ -16,7 +16,7 @@ from .makeshifts import (
     LOWEST_INDEX,
     SEEDED_RANDOM,
     MakeshiftOptions,
-    makeshift_fairness,
+    makeshift_fairness_for,
 )
 from .objectives import (
     F,
@@ -119,7 +119,7 @@ def oracle(input_path, fmt, fill, objectives, k):
     """Brute-force optimal clustering on a tiny instance."""
     H = load_instance(input_path, fmt, fill)
     objs = _parse_objectives(objectives)
-    pairs = makeshift_fairness(H)[1] if any(o.kind == F for o in objs) else None
+    pairs = makeshift_fairness_for(H, objs)[1] if any(o.kind == F for o in objs) else None
     result = oracle_lmoc(H, k, list(objs), pairs)
     doc = {
         "values": {

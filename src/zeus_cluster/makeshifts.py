@@ -18,12 +18,15 @@ from networkx.algorithms.flow import edmonds_karp
 
 from .errors import ConfigError, DegenerateInputError, InfeasibleError
 from .graph import BLUE, PURPLE, GraphInstance
-from .objectives import Clustering, PairStructure
+from .objectives import F, KM, Clustering, ObjectiveSpec, PairStructure
 
 LOWEST_INDEX = "lowest_index"
 SEEDED_RANDOM = "seeded_random"
 CLOSEST_EXPERT = "closest_expert"
 CLOSEST_CENTER = "closest_center"
+
+# a swap must cut the k-median cost by this fraction to count as a gain
+_SWAP_REL_STOP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,49 @@ def _block_one_center(H: GraphInstance, members: list[int]) -> int:
     return members[int(np.flatnonzero(radii == radii.min())[0])]
 
 
+def _settle_centers(
+    H: GraphInstance, assign: dict[int, int], centers: list[int]
+) -> tuple[dict[int, int], list[list[int]]]:
+    """Final centers and member lists of the blocks ``0..len(centers)-1``.
+
+    A Gonzalez center still inside its own block is kept; a block whose
+    center was moved away gets its best 1-center.
+    """
+    members_of: list[list[int]] = [[] for _ in centers]
+    for u, b in assign.items():
+        members_of[b].append(u)
+    final = {
+        b: c if assign[c] == b else _block_one_center(H, members_of[b])
+        for b, c in enumerate(centers)
+    }
+    return final, members_of
+
+
+def _components(nodes, edges) -> list[list[int]]:
+    """Connected components of ``edges`` over ``nodes``, in DFS visiting order."""
+    graph: dict[int, list[int]] = {u: [] for u in nodes}
+    for u, v in sorted(edges):
+        graph[u].append(v)
+        graph[v].append(u)
+    comps = []
+    seen: set[int] = set()
+    for start in nodes:
+        if start in seen:
+            continue
+        comp = []
+        stack = [start]
+        seen.add(start)
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v in graph[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        comps.append(comp)
+    return comps
+
+
 def _block_diameter(H: GraphInstance, members: list[int]) -> float:
     if len(members) < 2:
         return 0.0
@@ -170,18 +216,7 @@ def makeshift_kcenter(
             assign[u] = target
         atom_block[atom] = target
 
-    # Keep Gonzalez centers where they still sit in their block; blocks
-    # whose center was dragged away by repair get their best 1-center.
-    members_of = {}
-    for u, b in assign.items():
-        members_of.setdefault(b, []).append(u)
-    final_centers = {}
-    for b in range(k):
-        if assign.get(centers[b]) == b:
-            final_centers[b] = centers[b]
-        else:
-            final_centers[b] = _block_one_center(H, members_of[b])
-
+    final_centers, _ = _settle_centers(H, assign, centers)
     C = Clustering(
         assignment=assign, k=k, centers=final_centers, atoms=atoms, roots=roots
     )
@@ -278,27 +313,9 @@ def makeshift_rs(
             degree[u] -= 1
             degree[v] -= 1
 
-    graph: dict[int, list[int]] = {u: [] for u in reps}
-    for u, v in sorted(cover):
-        graph[u].append(v)
-        graph[v].append(u)
-
     fragments = []
-    seen: set[int] = set()
-    for start in reps:
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in graph[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        hubs = [u for u in comp if len(graph[u]) >= 2]
+    for comp in _components(reps, cover):
+        hubs = [u for u in comp if degree[u] >= 2]
         star_center = hubs[0] if hubs else min(comp)
         members = [x for u in comp for x in atom_of[u]]
         fragments.append((members, star_center))
@@ -347,27 +364,7 @@ def makeshift_rs_gamma(
         for v in within[:gamma]:
             cover.add((min(u, v), max(u, v)))
 
-    graph: dict[int, list[int]] = {u: [] for u in range(H.n)}
-    for u, v in sorted(cover):
-        graph[u].append(v)
-        graph[v].append(u)
-    fragments = []
-    seen: set[int] = set()
-    for start in range(H.n):
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in graph[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        fragments.append((comp, min(comp)))
-
+    fragments = [(comp, min(comp)) for comp in _components(range(H.n), cover)]
     pairs = PairStructure(
         pairs=frozenset(cover), realized_radius=r_star, kind="gamma_cover"
     )
@@ -448,26 +445,7 @@ def _fairness_core(
 def _matching_fragments(
     H: GraphInstance, matched: set[tuple[int, int]], kind: str
 ) -> tuple[Clustering, PairStructure]:
-    graph: dict[int, list[int]] = {u: [] for u in range(H.n)}
-    for u, v in sorted(matched):
-        graph[u].append(v)
-        graph[v].append(u)
-    fragments = []
-    seen: set[int] = set()
-    for start in range(H.n):
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in graph[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        fragments.append((comp, min(comp)))
+    fragments = [(comp, min(comp)) for comp in _components(range(H.n), matched)]
     radius = max((float(H.dist[u, v]) for u, v in matched), default=0.0)
     pairs = PairStructure(
         pairs=frozenset(matched), realized_radius=radius, kind=kind
@@ -521,6 +499,21 @@ def makeshift_fairness_mincost(
     return _matching_fragments(H, matched, "matching")
 
 
+def makeshift_fairness_for(
+    H: GraphInstance, objectives: tuple[ObjectiveSpec, ...]
+) -> tuple[Clustering, PairStructure]:
+    """The matching that defines ``f`` for this objective list.
+
+    With a ``km`` objective it is the min-cost matching; otherwise the
+    bottleneck alpha:beta matching of the first ``f`` objective. Every
+    algorithm and the oracle score ``f`` against this one matching.
+    """
+    if any(o.kind == KM for o in objectives):
+        return makeshift_fairness_mincost(H)
+    o = next(o for o in objectives if o.kind == F)
+    return makeshift_fairness_ab(H, o.alpha, o.beta)
+
+
 def _feasible_balanced_assignment(
     H: GraphInstance,
     experts: list[int],
@@ -572,27 +565,6 @@ def _bump(G: nx.DiGraph, u, v, amount: int) -> None:
         G.add_edge(u, v, capacity=amount)
 
 
-def _balanced_centers(
-    H: GraphInstance, experts: list[int], k: int, r: float, opts: MakeshiftOptions
-) -> list[int]:
-    """Farthest-first centers in X, preferring pairwise separation > 2r."""
-    if opts.first_center_rule == SEEDED_RANDOM:
-        rng = random.Random(opts.seed)
-        first = experts[rng.randrange(len(experts))]
-    else:
-        first = experts[0]
-    idx = np.asarray(experts)
-    centers = [first]
-    nearest = H.dist[idx, first].copy()
-    while len(centers) < k:
-        far = int(np.flatnonzero(nearest == nearest.max())[0])
-        centers.append(experts[far])
-        np.minimum(nearest, H.dist[idx, experts[far]], out=nearest)
-        # separation > 2r is preferred but padding continues regardless so
-        # that exactly k blocks exist
-    return centers
-
-
 def balanced_kcenter(
     H: GraphInstance, X: set[int], k: int, opts: MakeshiftOptions
 ) -> tuple[list[int], dict[int, int], float]:
@@ -611,32 +583,26 @@ def balanced_kcenter(
     sub = H.dist[np.ix_(experts, experts)]
     radii = sorted({0.0} | {float(x) for x in sub.ravel()})
 
-    best: tuple[float, list[int], dict[int, int]] | None = None
+    centers = greedy_centers(H, k, opts, candidates=experts)
 
-    def attempt(r: float):
-        centers = _balanced_centers(H, experts, k, r, opts)
-        assign = _feasible_balanced_assignment(
+    def attempt(r: float) -> dict[int, int] | None:
+        return _feasible_balanced_assignment(
             H, experts, centers, opts.balance_radius_multiplier * r, low, high
         )
-        if assign is None:
-            return None
-        return centers, assign
 
     lo, hi = 0, len(radii) - 1
-    ok = attempt(radii[hi])
-    if ok is None:
+    best = attempt(radii[hi])
+    if best is None:
         raise InfeasibleError("balanced assignment infeasible even at max radius")
-    best = (radii[hi], *ok)
     while lo < hi:
         mid = (lo + hi) // 2
         got = attempt(radii[mid])
         if got is not None:
             hi = mid
-            best = (radii[mid], *got)
+            best = got
         else:
             lo = mid + 1
-    r_star, centers, assign = best
-    return centers, assign, r_star
+    return centers, best, radii[hi]
 
 
 def makeshift_tf(
@@ -676,15 +642,7 @@ def _extend_tf(
             )
             full[u] = best
 
-    members_of: dict[int, list[int]] = {b: [] for b in range(k)}
-    for u, b in full.items():
-        members_of[b].append(u)
-    final_centers = {}
-    for b in range(k):
-        if full.get(centers[b]) == b:
-            final_centers[b] = centers[b]
-        else:
-            final_centers[b] = _block_one_center(H, members_of[b])
+    final_centers, members_of = _settle_centers(H, full, centers)
     atoms = tuple(tuple(sorted(members_of[b])) for b in range(k))
     roots = tuple(final_centers[b] for b in range(k))
     C = Clustering(
@@ -700,7 +658,6 @@ def _kmedian_swap_centers(
     weights: dict[int, float],
     k: int,
     opts: MakeshiftOptions,
-    rel_stop: float = 1e-6,
 ) -> list[int]:
     """Single-swap local search for weighted k-median over ``reps``."""
     centers = greedy_centers(H, k, opts, candidates=reps)
@@ -723,7 +680,7 @@ def _kmedian_swap_centers(
                     continue
                 trial = centers[:pos] + [r] + centers[pos + 1 :]
                 c = cost(trial)
-                if c < best_cost - rel_stop * max(1.0, current):
+                if c < best_cost - _SWAP_REL_STOP * max(1.0, current):
                     best_cost = c
                     best_swap = (pos, r)
         if best_swap is not None:

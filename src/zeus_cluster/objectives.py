@@ -26,6 +26,8 @@ MAXIMIZE = "maximize"
 _DIRECTIONS = {KC: MINIMIZE, KM: MINIMIZE, RS: MAXIMIZE, F: MAXIMIZE, TF: MINIMIZE}
 
 REL_TOL = 1e-9
+# documented approximation factor of the single-swap k-median heuristic
+KMEDIAN_FACTOR = 5.0
 
 
 @dataclass(frozen=True)
@@ -50,11 +52,11 @@ class Clustering:
             out[self.assignment[u]].append(u)
         return out
 
-    def validate(self, n: int | None = None, finalized: bool = True) -> None:
+    def validate(self, n: int | None = None) -> None:
         if n is not None and sorted(self.assignment) != list(range(n)):
             raise ZeusError("assignment does not cover all nodes exactly once")
         blocks = self.blocks()
-        if finalized and any(not b for b in blocks):
+        if any(not b for b in blocks):
             raise ZeusError("finalized clustering has an empty block")
         if self.centers is not None:
             for b, c in self.centers.items():
@@ -213,12 +215,9 @@ def eval_fairness(
     return ObjectiveValue(happy / len(blue), MAXIMIZE)
 
 
-def eval_team_formation(
-    H: GraphInstance, C: Clustering, X: set[int] | None = None
-) -> ObjectiveValue:
+def eval_team_formation(H: GraphInstance, C: Clustering) -> ObjectiveValue:
     """Ratio of max to min per-block expert count; +inf if a block has none."""
-    if X is None:
-        X = {u for u in range(H.n) if H.experts[u]}
+    X = {u for u in range(H.n) if H.experts[u]}
     if not X:
         raise DegenerateInputError("team formation requires a non-empty expert set")
     counts = [0] * C.k
@@ -299,7 +298,6 @@ class EstimateContext:
     k: int
     makeshift_value: float | None = None
     options: object | None = None
-    kmedian_factor: float = 5.0
 
 
 def estimate_optimal(
@@ -325,7 +323,7 @@ def estimate_optimal(
     if o.kind == KM:
         if ctx.makeshift_value is None:
             raise ConfigError("km estimate needs the swap heuristic's value")
-        return OptimalEstimate("lower_bound", ctx.makeshift_value / ctx.kmedian_factor)
+        return OptimalEstimate("lower_bound", ctx.makeshift_value / KMEDIAN_FACTOR)
     # tf
     experts = sum(H.experts)
     if experts // ctx.k == 0:

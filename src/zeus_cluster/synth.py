@@ -87,9 +87,3 @@ def generate_instance(kind: str, n: int, seed: int) -> GraphInstance:
         edge_threshold=r,
     )
 
-
-def generate_small_metric(
-    n: int, seed: int, kind: str = "rs"
-) -> GraphInstance:
-    """Small Euclidean instance for oracle-scale certification tests."""
-    return generate_instance(kind, n, seed)

@@ -9,9 +9,7 @@ from .errors import ConfigError
 from .graph import GraphInstance
 from .makeshifts import (
     MakeshiftOptions,
-    makeshift_fairness,
-    makeshift_fairness_ab,
-    makeshift_fairness_mincost,
+    makeshift_fairness_for,
     makeshift_kcenter,
     makeshift_kmedian,
     makeshift_rs,
@@ -100,12 +98,7 @@ def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineS
                 C, pairs = makeshift_rs(H, C)
             state.pair_structures[i] = pairs
         elif o.kind == F:
-            if km_mode:
-                C, pairs = makeshift_fairness_mincost(H)
-            elif (o.alpha, o.beta) != (1, 1):
-                C, pairs = makeshift_fairness_ab(H, o.alpha, o.beta)
-            else:
-                C, pairs = makeshift_fairness(H)
+            C, pairs = makeshift_fairness_for(H, spec.objectives)
             state.pair_structures[i] = pairs
         elif o.kind == KC:
             C = makeshift_kcenter(H, C, spec.k, spec.options)
@@ -144,6 +137,15 @@ def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineS
                 "elapsed_ms": (time.perf_counter() - t0) * 1000.0,
             }
         )
+
+    # a later makeshift or repair can break an earlier slack; the last
+    # stage was already checked on the returned clustering
+    fp = state.fairness_pairs
+    *earlier, last = state.trace
+    for entry, (o, _, est, delta) in zip(earlier, state.processed):
+        v = evaluate(H, C, o, pairs=fp)
+        entry["violated_at_end"] = slack_violated(v, delta, est)
+    last["violated_at_end"] = last["violated"]
 
     if C.k != spec.k:
         state.trace.append(

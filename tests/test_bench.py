@@ -12,7 +12,8 @@ from zeus_cluster.bench import (
 )
 from zeus_cluster.errors import ConfigError
 from zeus_cluster.graph import save_instance
-from zeus_cluster.objectives import ObjectiveSpec
+from zeus_cluster.makeshifts import makeshift_fairness_mincost
+from zeus_cluster.objectives import Clustering, ObjectiveSpec, evaluate
 from zeus_cluster.synth import generate_instance
 
 
@@ -159,3 +160,30 @@ class TestReports:
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             emit_report([], ("csv",), str(tmp_path))
+
+
+class TestFairnessReference:
+    def test_f_km_scored_against_the_pipelines_matching(self, tmp_path):
+        # with a km objective the min-cost matching defines f for every
+        # algorithm, not only for the Zeus pipeline
+        H = generate_instance("f", 200, 0)
+        cfg = ExperimentConfig(
+            instance_path="",
+            objectives=(ObjectiveSpec("f"), ObjectiveSpec("km")),
+            slacks=((1.0, 5.0),),
+            ks=(3,),
+            seeds=(0,),
+            algorithms=("zeus", "b1", "moc"),
+            output_dir=str(tmp_path),
+        )
+        zeus, b1, moc = run_experiment(cfg, H)
+        assert zeus.error is None and b1.error is None and moc.error is None
+        assert zeus.values["o1_f"] == zeus.trace[0]["value"]
+        assert b1.values["o1_f"] == 1.0
+        blocks = json.loads(moc.clustering_json)["blocks"]
+        C = Clustering(
+            assignment={int(u): b for b, members in enumerate(blocks) for u in members},
+            k=len(blocks),
+        )
+        pairs = makeshift_fairness_mincost(H)[1]
+        assert moc.values["o1_f"] == evaluate(H, C, ObjectiveSpec("f"), pairs).value

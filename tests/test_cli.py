@@ -5,6 +5,9 @@ import pytest
 
 from zeus_cluster.cli import main
 from zeus_cluster.graph import save_instance
+from zeus_cluster.makeshifts import makeshift_fairness_mincost
+from zeus_cluster.objectives import ObjectiveSpec, clustering_to_json
+from zeus_cluster.oracle import oracle_lmoc
 from zeus_cluster.synth import generate_instance
 
 
@@ -179,6 +182,22 @@ class TestOracle:
         doc = json.loads(capsys.readouterr().out)
         assert doc["enumerated"] == 63  # S(7,2)
         assert "o1_rs" in doc["values"]
+
+    def test_f_km_uses_min_cost_matching(self, tmp_path, capsys):
+        # on this instance the min-cost and bottleneck matchings differ,
+        # and so do the optimal clusterings against them
+        H = generate_instance("f", 8, 0)
+        path = tmp_path / "f.json"
+        save_instance(H, path)
+        rc = main(
+            ["oracle", "--input", str(path), "--objectives", "f,km", "--k", "2"]
+        )
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        objs = [ObjectiveSpec("f"), ObjectiveSpec("km")]
+        ref = oracle_lmoc(H, 2, objs, makeshift_fairness_mincost(H)[1])
+        assert doc["values"] == {"o1_f": ref.best_values[0], "o2_km": ref.best_values[1]}
+        assert doc["clustering"] == json.loads(clustering_to_json(H, ref.best_clustering))
 
     def test_too_large_exit_1(self, rs_instance):
         rc = main(

@@ -1,8 +1,15 @@
 import pytest
 
 from conftest import line_points
+from zeus_cluster.baselines import baseline_b1, consolidate_fragments
 from zeus_cluster.errors import ConfigError
-from zeus_cluster.makeshifts import MakeshiftOptions
+from zeus_cluster.makeshifts import (
+    MakeshiftOptions,
+    makeshift_fairness_ab,
+    makeshift_rs_gamma,
+    makeshift_tf,
+    makeshift_tf_kmedian,
+)
 from zeus_cluster.objectives import (
     Clustering,
     ObjectiveSpec,
@@ -97,6 +104,19 @@ class TestPipeline:
         assert C.k == 3
         assert state.trace[0]["value"] == 1.0
 
+    def test_slack_rechecked_after_last_stage(self):
+        # the k-median stage moves the centers, which breaks the k-center
+        # slack that held when its own stage ended
+        H = generate_instance("rs", 300, 0)
+        C, state = zeus_run(H, spec_of(["kc", "km"], [2.0, 5.0], 5))
+        kc, km = state.trace
+        assert kc["violated"] is False
+        assert kc["violated_at_end"] is True
+        radius = eval_kcenter(H, C).value
+        assert radius == pytest.approx(0.4330, abs=1e-4)
+        assert 2.0 * kc["estimate"]["value"] == pytest.approx(0.4198, abs=1e-4)
+        assert km["violated_at_end"] is km["violated"]
+
     def test_determinism(self):
         H = generate_instance("f", 24, 9)
         spec = spec_of(["f", "kc"], [1.0, 3.0], 4)
@@ -188,3 +208,57 @@ class TestLocalSearch:
         spec = spec_of(["kc"], [2.0], 2)
         C, state = zeus_run(H, spec)
         assert "local_search_moves" in state.trace[0]
+
+
+def _block_sets(C):
+    return sorted(tuple(b) for b in C.blocks())
+
+
+class TestDispatchRoutes:
+    """Each objective variant reaches its own makeshift in Zeus and in B1."""
+
+    def test_rs_gamma_cover(self):
+        # two 4-cycles: the 2-neighbor cover keeps each whole, while the
+        # plain edge cover splits each into two pairs
+        H = line_points(
+            [0, 1, 60, 61, 100, 101, 160, 161],
+            edges=[(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)],
+        )
+        spec = ProblemSpec(
+            objectives=(ObjectiveSpec("rs", gamma=2), ObjectiveSpec("kc")),
+            slacks=SlackVector((1.0, 3.0)),
+            k=2,
+        )
+        _, state = zeus_run(H, spec)
+        assert state.pair_structures[0].kind == "gamma_cover"
+        assert state.pair_structures[0].pairs == makeshift_rs_gamma(H, 2)[1].pairs
+        assert _block_sets(baseline_b1(H, spec)) == [(0, 1, 2, 3), (4, 5, 6, 7)]
+
+    def test_f_b_matching(self):
+        H = generate_instance("f", 30, 1)
+        spec = ProblemSpec(
+            objectives=(ObjectiveSpec("f", alpha=1, beta=2), ObjectiveSpec("kc")),
+            slacks=SlackVector((1.0, 3.0)),
+            k=3,
+        )
+        C_ref, pairs = makeshift_fairness_ab(H, 1, 2)
+        _, state = zeus_run(H, spec)
+        assert state.pair_structures[0].kind == "b_matching"
+        assert state.pair_structures[0].pairs == pairs.pairs
+        B1 = baseline_b1(H, spec)
+        assert B1.assignment == consolidate_fragments(H, C_ref, 3).assignment
+
+    def test_tf_kmedian_companion(self):
+        H = generate_instance("tf", 40, 2)
+        spec = spec_of(["tf", "km"], [1.0, 5.0], 3)
+        X = {u for u in range(H.n) if H.experts[u]}
+        C, _ = zeus_run(H, spec)
+        assert _block_sets(C) == _block_sets(
+            makeshift_tf_kmedian(H, X, 3, spec.options)
+        )
+        # B1 ignores the later km objective: plain balanced k-center teams
+        B1 = baseline_b1(H, spec)
+        assert B1.assignment == makeshift_tf(H, X, 3, spec.options).assignment
+        for out in (C, B1):
+            counts = [sum(1 for u in b if u in X) for b in out.blocks()]
+            assert max(counts) - min(counts) <= 1
