@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 
 from conftest import line_points
@@ -5,13 +8,20 @@ from zeus_cluster.baselines import (
     baseline_b1,
     baseline_b2,
     baseline_moc,
+    baseline_moc_path,
     consolidate_fragments,
 )
-from zeus_cluster.errors import ConfigError, InfeasibleError
-from zeus_cluster.makeshifts import MakeshiftOptions, makeshift_fairness, makeshift_rs
+from zeus_cluster.errors import ConfigError, InfeasibleError, ZeusError
+from zeus_cluster.makeshifts import (
+    MakeshiftOptions,
+    makeshift_fairness,
+    makeshift_fairness_ab,
+    makeshift_rs,
+)
 from zeus_cluster.objectives import (
     ObjectiveSpec,
     SlackVector,
+    clustering_to_json,
     eval_kcenter,
     eval_resource_sharing,
     evaluate,
@@ -134,3 +144,65 @@ class TestMoc:
         H = line_points([0, 2, 5])
         with pytest.raises(ConfigError):
             baseline_moc(H, spec_of(["kc"], [3.0], 2), None)
+
+
+def _moc_digest(cases):
+    """sha256 over each MOC path's clusterings for k = 1..min(n, 12).
+
+    One line per k: the clustering's canonical JSON, or the error class
+    name when the path raises.
+    """
+    lines = []
+    for H, objectives, pairs in cases:
+        ks = range(1, min(H.n, 12) + 1)
+        try:
+            spec = ProblemSpec(
+                objectives=objectives,
+                slacks=SlackVector((1.0,) * len(objectives)),
+                k=1,
+            )
+            path = baseline_moc_path(H, spec, ks, pairs)
+            lines += [clustering_to_json(H, path[k]) for k in ks]
+        except ZeusError as exc:
+            lines += [type(exc).__name__ for _ in ks]
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
+    return digest.hexdigest(), len(lines)
+
+
+def _pinned_cases():
+    for family in ("rs", "f", "tf"):
+        for n in (12, 30):
+            for seed in (0, 1):
+                H = generate_instance(family, n, seed)
+                for a, b in itertools.permutations(("rs", "kc", "km", "f", "tf"), 2):
+                    if "f" in (a, b) and family != "f":
+                        continue
+                    if "tf" in (a, b) and family != "tf":
+                        continue
+                    yield H, (ObjectiveSpec(a), ObjectiveSpec(b)), None
+
+
+class TestMocPinned:
+    """Every MOC clustering on a fixed grid, pinned by digest."""
+
+    def test_objective_pairs_grid(self):
+        assert _moc_digest(_pinned_cases()) == (
+            "9b5347f6d8211a754cc4de657cc63ee9858149c5684ef63413e339f7ac37e924",
+            1440,
+        )
+
+    def test_alpha_beta_fairness(self):
+        cases = []
+        for n in (12, 20):
+            for seed in range(5):
+                H = generate_instance("f", n, seed)
+                try:
+                    pairs = makeshift_fairness_ab(H, 2, 1)[1]
+                except InfeasibleError:
+                    continue
+                cases.append((H, (ObjectiveSpec("f", alpha=2), ObjectiveSpec("kc")), pairs))
+        assert len(cases) == 3
+        assert _moc_digest(cases) == (
+            "bd14cc8b70218702e1cf9e3a5c087a6a85c9822b61b12dd9c399803c2074ce00",
+            36,
+        )
