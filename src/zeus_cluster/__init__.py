@@ -4,7 +4,6 @@ from .graph import GraphInstance, distance, load_instance, neighbors, validate_m
 from .makeshifts import (
     MakeshiftOptions,
     balanced_kcenter,
-    makeshift_fairness,
     makeshift_fairness_ab,
     makeshift_kcenter,
     makeshift_kmedian,
@@ -42,7 +41,6 @@ __all__ = [
     "makeshift_kmedian",
     "makeshift_rs",
     "makeshift_rs_gamma",
-    "makeshift_fairness",
     "makeshift_fairness_ab",
     "makeshift_tf",
     "balanced_kcenter",

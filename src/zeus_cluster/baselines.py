@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError
-from .graph import BLUE, PURPLE, GraphInstance
+from .graph import BLUE, GraphInstance
 from .makeshifts import (
     MakeshiftOptions,
     _block_one_center,
@@ -23,6 +23,7 @@ from .objectives import (
     TF,
     Clustering,
     PairStructure,
+    blue_partners,
     singleton_clustering,
 )
 
@@ -88,230 +89,130 @@ def consolidate_fragments(H: GraphInstance, C: Clustering, k: int) -> Clustering
     return out
 
 
-class _MocState:
-    """Agglomerative state with per-pair value caching."""
-
-    def __init__(self, H: GraphInstance, objectives, pairs: PairStructure | None):
-        self.H = H
-        self.objectives = objectives
-        self.next_id = H.n
-        # block id -> sorted member list; ids are renewed on merge so
-        # cached pair evaluations stay valid
-        self.blocks: dict[int, list[int]] = {u: [u] for u in range(H.n)}
-        self.radius: dict[int, float] = {u: 0.0 for u in range(H.n)}
-        self.kmcost: dict[int, float] = {u: 0.0 for u in range(H.n)}
-        self.block_of: dict[int, int] = {u: u for u in range(H.n)}
-        self.covered: set[int] = set()
-        self.partner: dict[int, int] = {}
-        if pairs is not None:
-            for u, v in pairs.pairs:
-                if H.colors[u] == BLUE and H.colors[v] == PURPLE:
-                    self.partner[u] = v
-                elif H.colors[v] == BLUE and H.colors[u] == PURPLE:
-                    self.partner[v] = u
-        self.blue = [u for u in range(H.n) if H.colors[u] == BLUE]
-        self.matched_home = 0
-        self.expert_count: dict[int, int] = {
-            u: 1 if H.experts[u] else 0 for u in range(H.n)
-        }
-        self.cache: dict[tuple[int, int, str], float] = {}
-
-    def _merged_radius(self, a: int, b: int) -> float:
-        key = (a, b, "rad")
-        if key not in self.cache:
-            members = self.blocks[a] + self.blocks[b]
-            sub = self.H.dist[np.ix_(members, members)]
-            self.cache[key] = float(sub.max(axis=1).min())
-        return self.cache[key]
-
-    def _merged_kmcost(self, a: int, b: int) -> float:
-        key = (a, b, "km")
-        if key not in self.cache:
-            members = self.blocks[a] + self.blocks[b]
-            sub = self.H.dist[np.ix_(members, members)]
-            self.cache[key] = float(sub.sum(axis=1).min())
-        return self.cache[key]
-
-    def _rs_gain(self, a: int, b: int) -> int:
-        key = (a, b, "rs")
-        if key not in self.cache:
-            gain = 0
-            other = set(self.blocks[b])
-            for u in self.blocks[a]:
-                if u not in self.covered and any(
-                    v in other for v in self.H.adjacency[u]
-                ):
-                    gain += 1
-            mine = set(self.blocks[a])
-            for u in self.blocks[b]:
-                if u not in self.covered and any(
-                    v in mine for v in self.H.adjacency[u]
-                ):
-                    gain += 1
-            self.cache[key] = gain
-        return self.cache[key]
-
-    def _f_gain(self, a: int, b: int) -> int:
-        key = (a, b, "f")
-        if key not in self.cache:
-            gain = 0
-            for x, y in ((a, b), (b, a)):
-                other = set(self.blocks[y])
-                for u in self.blocks[x]:
-                    if (
-                        self.H.colors[u] == BLUE
-                        and u in self.partner
-                        and self.partner[u] in other
-                    ):
-                        gain += 1
-            self.cache[key] = gain
-        return self.cache[key]
-
-    def candidate_values(self, a: int, b: int, top_radii, total_km) -> list[float]:
-        """Full-clustering objective values if blocks a and b were merged."""
-        out = []
-        for o in self.objectives:
-            if o.kind == KC:
-                rest = 0.0
-                for bid, r in top_radii:
-                    if bid != a and bid != b:
-                        rest = r
-                        break
-                out.append(max(rest, self._merged_radius(a, b)))
-            elif o.kind == KM:
-                out.append(
-                    total_km
-                    - self.kmcost[a]
-                    - self.kmcost[b]
-                    + self._merged_kmcost(a, b)
-                )
-            elif o.kind == RS:
-                out.append((len(self.covered) + self._rs_gain(a, b)) / self.H.n)
-            elif o.kind == F:
-                out.append(
-                    (self.matched_home + self._f_gain(a, b)) / max(1, len(self.blue))
-                )
-            else:  # tf
-                counts = [
-                    self.expert_count[x]
-                    for x in self.blocks
-                    if x != a and x != b
-                ]
-                counts.append(self.expert_count[a] + self.expert_count[b])
-                out.append(
-                    float("inf")
-                    if min(counts) == 0
-                    else max(counts) / min(counts)
-                )
-        return out
-
-    def merge(self, a: int, b: int) -> None:
-        members = sorted(self.blocks[a] + self.blocks[b])
-        new_id = self.next_id
-        self.next_id += 1
-        self.radius[new_id] = self._merged_radius(a, b)
-        self.kmcost[new_id] = self._merged_kmcost(a, b)
-        self.covered.update(
-            u
-            for u in members
-            if u not in self.covered
-            and any(self.block_of.get(v) in (a, b) for v in self.H.adjacency[u])
-        )
-        self.matched_home += self._f_gain(a, b)
-        self.expert_count[new_id] = self.expert_count[a] + self.expert_count[b]
-        for key in (a, b):
-            del self.blocks[key]
-            del self.radius[key]
-            del self.kmcost[key]
-            del self.expert_count[key]
-        self.blocks[new_id] = members
-        for u in members:
-            self.block_of[u] = new_id
-
-
-def baseline_moc(
-    H: GraphInstance, spec, pairs: PairStructure | None = None
-) -> Clustering:
-    """Equal-weight two-objective agglomerative clustering.
+def baseline_moc_path(
+    H: GraphInstance, objectives, ks, pairs: PairStructure | None = None
+) -> dict[int, Clustering]:
+    """Equal-weight two-objective agglomerative clustering, for every k in ks.
 
     Starts from singletons and repeatedly applies the merge minimizing the
-    sum of both objectives' values, each min-max normalized over the
-    candidate merges of the round (maximization objectives negated).
+    sum of both objectives' full-clustering values, each min-max normalized
+    over the candidate merges of the round (maximization objectives
+    negated); ties go to the first pair in creation order. The merge
+    sequence is nested, so one pass yields the clustering at every
+    requested k.
     """
-    return baseline_moc_path(H, spec, (spec.k,), pairs)[spec.k]
-
-
-def baseline_moc_path(
-    H: GraphInstance, spec, ks, pairs: PairStructure | None = None
-) -> dict[int, Clustering]:
-    """Agglomerative MOC clusterings for every requested k, in one pass.
-
-    The merge sequence is nested, so the clustering at each k along the
-    way is exactly what ``baseline_moc`` would produce for that k.
-    """
-    if len(spec.objectives) != 2:
+    if len(objectives) != 2:
         raise ConfigError("the MOC baseline requires exactly two objectives")
-    if any(o.kind == F for o in spec.objectives) and pairs is None:
-        pairs = makeshift_fairness_for(H, spec.objectives)[1]
-    wanted = sorted(set(ks), reverse=True)
-    if not wanted or wanted[-1] < 1 or wanted[0] > H.n:
+    if any(o.kind == F for o in objectives) and pairs is None:
+        pairs = makeshift_fairness_for(H, objectives)[1]
+    wanted = sorted(set(ks))
+    if not wanted or wanted[0] < 1 or wanted[-1] > H.n:
         raise ConfigError(f"k values must lie in 1..{H.n}")
-    state = _MocState(H, spec.objectives, pairs)
+    n = H.n
+    # live blocks in creation order, each with its sorted members, 1-center
+    # radius, 1-median cost, expert count and node-membership column
+    blocks = [[u] for u in range(n)]
+    radius = np.zeros(n)
+    kmcost = np.zeros(n)
+    experts = np.array(H.experts, dtype=float)
+    member = np.eye(n)
+    # [i, j] for i < j: 1-center radius and 1-median cost of i and j merged
+    merged_radius = H.dist.copy()
+    merged_kmcost = H.dist.copy()
+    # [u, i]: E-neighbours of node u in block i
+    near = np.zeros((n, n))
+    for u in range(n):
+        near[u, list(H.adjacency[u])] = 1.0
+    partner = blue_partners(H, pairs) if pairs is not None else {}
+    blue, purple = list(partner), list(partner.values())
+    n_blue = max(1, sum(1 for c in H.colors if c == BLUE))
     out: dict[int, Clustering] = {}
-    k = wanted[-1]
-    if len(state.blocks) in wanted:
-        out[len(state.blocks)] = _moc_snapshot(H, state)
-    while len(state.blocks) > k:
-        ids = sorted(state.blocks)
-        top_radii = sorted(state.radius.items(), key=lambda kv: -kv[1])[:3]
-        total_km = sum(state.kmcost.values())
-        raw: list[tuple[int, int, list[float]]] = []
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                raw.append(
-                    (
-                        ids[i],
-                        ids[j],
-                        state.candidate_values(ids[i], ids[j], top_radii, total_km),
-                    )
-                )
-        scores = []
-        for dim, o in enumerate(spec.objectives):
-            vals = [r[2][dim] for r in raw]
-            finite = [v for v in vals if v != float("inf")]
-            lo = min(finite) if finite else 0.0
-            hi = max(finite) if finite else 0.0
-            span = hi - lo
-            col = []
-            for v in vals:
-                if v == float("inf"):
-                    norm = 2.0  # off-scale penalty for degenerate ratios
-                elif span == 0:
-                    norm = 0.0  # degenerate normalization
-                else:
-                    norm = (v - lo) / span
-                if o.maximize:
-                    norm = -norm
-                col.append(norm)
-            scores.append(col)
-        best = min(
-            range(len(raw)),
-            key=lambda t: (scores[0][t] + scores[1][t], raw[t][0], raw[t][1]),
-        )
-        state.merge(raw[best][0], raw[best][1])
-        if len(state.blocks) in wanted:
-            out[len(state.blocks)] = _moc_snapshot(H, state)
+    while True:
+        if len(blocks) in wanted:
+            out[len(blocks)] = _moc_snapshot(H, blocks)
+        if len(blocks) == wanted[0]:
+            return out
+        upper = np.triu_indices(len(blocks), 1)
+        score = None
+        # [i, j]: the objective's value for the whole clustering after
+        # merging i and j
+        for o in objectives:
+            if o.kind == KC:
+                value = np.maximum(_others(radius, 0.0, True), merged_radius)
+            elif o.kind == KM:
+                total = sum(kmcost.tolist())
+                value = total - kmcost[:, None] - kmcost[None, :] + merged_kmcost
+            elif o.kind == RS:
+                covered = (near * member).sum(axis=1) > 0
+                gain = member.T @ ((near > 0) & ~covered[:, None])
+                value = (covered.sum() + gain + gain.T) / n
+            elif o.kind == F:
+                home = member[blue].T @ member[purple]
+                value = (np.trace(home) + home + home.T) / n_blue
+            else:  # tf
+                pair = experts[:, None] + experts[None, :]
+                hi = np.maximum(_others(experts, -np.inf, True), pair)
+                lo = np.minimum(_others(experts, np.inf, False), pair)
+                value = np.divide(hi, lo, out=np.full(lo.shape, np.inf), where=lo > 0)
+            norm = _normalized(value[upper], o.maximize)
+            score = norm if score is None else score + norm
+        best = int(np.argmin(score))
+        i, j = int(upper[0][best]), int(upper[1][best])
+        keep = [x for x in range(len(blocks)) if x != i and x != j]
+        merged = sorted(blocks[i] + blocks[j])
+        blocks = [blocks[x] for x in keep] + [merged]
+        radius = np.append(radius[keep], merged_radius[i, j])
+        kmcost = np.append(kmcost[keep], merged_kmcost[i, j])
+        experts = np.append(experts[keep], experts[i] + experts[j])
+        member = np.column_stack((member[:, keep], member[:, i] + member[:, j]))
+        near = np.column_stack((near[:, keep], near[:, i] + near[:, j]))
+        new_radius = np.empty(len(keep))
+        new_kmcost = np.empty(len(keep))
+        for x, older in enumerate(blocks[:-1]):
+            both = older + merged
+            sub = H.dist[np.ix_(both, both)]
+            new_radius[x] = sub.max(axis=1).min()
+            new_kmcost[x] = sub.sum(axis=1).min()
+        merged_radius = _bordered(merged_radius[np.ix_(keep, keep)], new_radius)
+        merged_kmcost = _bordered(merged_kmcost[np.ix_(keep, keep)], new_kmcost)
+
+
+def _others(v: np.ndarray, empty: float, largest: bool) -> np.ndarray:
+    """[i, j]: the largest (or smallest) entry of v other than v[i] and v[j]."""
+    order = np.argsort(-v if largest else v, kind="stable")
+    top = [v[t] for t in order[:3]] + [empty] * 2
+    a, b = order[0], order[1]
+    out = np.full((len(v), len(v)), top[0])
+    out[a, :] = out[:, a] = top[1]
+    out[a, b] = out[b, a] = top[2]
     return out
 
 
-def _moc_snapshot(H: GraphInstance, state: _MocState) -> Clustering:
-    groups = sorted(state.blocks.values(), key=min)
+def _normalized(value: np.ndarray, maximize: bool) -> np.ndarray:
+    """Min-max scale over the finite values; +inf becomes an off-scale 2."""
+    infinite = value == np.inf
+    finite = value[~infinite]
+    lo, hi = (finite.min(), finite.max()) if finite.size else (0.0, 0.0)
+    norm = (value - lo) / (hi - lo) if hi != lo else np.zeros(len(value))
+    norm[infinite] = 2.0
+    return -norm if maximize else norm
+
+
+def _bordered(square: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """square with column appended as a last column and row."""
+    out = np.zeros((len(column) + 1, len(column) + 1))
+    out[:-1, :-1] = square
+    out[:-1, -1] = out[-1, :-1] = column
+    return out
+
+
+def _moc_snapshot(H: GraphInstance, blocks: list[list[int]]) -> Clustering:
     assign = {}
     centers = {}
-    for b, members in enumerate(groups):
+    for b, members in enumerate(sorted(blocks, key=min)):
         for u in members:
             assign[u] = b
         centers[b] = _block_one_center(H, members)
-    out = Clustering(assignment=assign, k=len(groups), centers=centers)
+    out = Clustering(assignment=assign, k=len(blocks), centers=centers)
     out.validate(H.n)
     return out

@@ -404,27 +404,29 @@ def validate_metric(
     violations: list[tuple[int, int, int]] = []
     worst = 1.0
     if n <= exhaustive_cap:
-        triples = (
-            (u, v, w)
-            for u in range(n)
-            for v in range(n)
-            for w in range(n)
-            if u != v and v != w and u != w
-        )
+        # one pivot u at a time: [v, w] is the triple (u, v, w), row-major
+        for u in range(n):
+            rhs = d[u][:, None] + d
+            bad = d[u][None, :] > rhs + 1e-12
+            bad[u, :] = bad[:, u] = False
+            np.fill_diagonal(bad, False)
+            vs, ws = np.nonzero(bad)
+            if len(vs):
+                violations += [(u, v, w) for v, w in zip(vs.tolist(), ws.tolist())]
+                sums = rhs[vs, ws]
+                worst = max(worst, np.inf if (sums == 0).any() else (d[u, ws] / sums).max())
     else:
         rng = random.Random(seed)
-        triples = (
-            tuple(rng.sample(range(n), 3)) for _ in range(samples)  # type: ignore[misc]
-        )
-    for u, v, w in triples:
-        lhs = d[u, w]
-        rhs = d[u, v] + d[v, w]
-        if lhs > rhs + 1e-12:
-            violations.append((u, v, w))
-            if rhs > 0:
-                worst = max(worst, lhs / rhs)
-            else:
-                worst = float("inf")
+        for _ in range(samples):
+            u, v, w = rng.sample(range(n), 3)
+            lhs = d[u, w]
+            rhs = d[u, v] + d[v, w]
+            if lhs > rhs + 1e-12:
+                violations.append((u, v, w))
+                if rhs > 0:
+                    worst = max(worst, lhs / rhs)
+                else:
+                    worst = float("inf")
     return MetricReport(
         is_metric=not violations,
         violations=tuple(violations),

@@ -409,9 +409,13 @@ def _bp_matching(
     return matched
 
 
-def _fairness_core(
-    H: GraphInstance, alpha: int, beta: int, kind: str
+def makeshift_fairness_ab(
+    H: GraphInstance, alpha: int, beta: int
 ) -> tuple[Clustering, PairStructure]:
+    """Bottleneck alpha:beta Blue-saturating b-matching, by binary search on
+    the radius; alpha = beta = 1 is the plain fairness matching."""
+    if alpha < 1 or beta < 1:
+        raise ConfigError("alpha and beta must be positive integers")
     blue = [u for u in range(H.n) if H.colors[u] == BLUE]
     purple = [u for u in range(H.n) if H.colors[u] == PURPLE]
     if not blue:
@@ -439,6 +443,7 @@ def _fairness_core(
     r_star = bp_weights[hi]
     matched = _bp_matching(H, blue, purple, r_star, alpha, beta)
     assert matched is not None
+    kind = "b_matching" if (alpha, beta) != (1, 1) else "matching"
     return _matching_fragments(H, matched, kind)
 
 
@@ -451,20 +456,6 @@ def _matching_fragments(
         pairs=frozenset(matched), realized_radius=radius, kind=kind
     )
     return _fragment_clustering(H, fragments), pairs
-
-
-def makeshift_fairness(H: GraphInstance) -> tuple[Clustering, PairStructure]:
-    """Bottleneck Blue-saturating matching via binary search on the radius."""
-    return _fairness_core(H, 1, 1, "matching")
-
-
-def makeshift_fairness_ab(
-    H: GraphInstance, alpha: int, beta: int
-) -> tuple[Clustering, PairStructure]:
-    """alpha:beta b-matching variant of the fairness makeshift."""
-    if alpha < 1 or beta < 1:
-        raise ConfigError("alpha and beta must be positive integers")
-    return _fairness_core(H, alpha, beta, "b_matching" if (alpha, beta) != (1, 1) else "matching")
 
 
 def makeshift_fairness_mincost(

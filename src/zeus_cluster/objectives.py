@@ -194,6 +194,17 @@ def eval_resource_sharing(H: GraphInstance, C: Clustering) -> ObjectiveValue:
     return ObjectiveValue(covered / max(1, len(C.assignment)), MAXIMIZE)
 
 
+def blue_partners(H: GraphInstance, matched: PairStructure) -> dict[int, int]:
+    """Blue node -> matched Purple partner; of several pairs, the last seen wins."""
+    partner: dict[int, int] = {}
+    for u, v in matched.pairs:
+        if H.colors[u] == BLUE and H.colors[v] == PURPLE:
+            partner[u] = v
+        elif H.colors[v] == BLUE and H.colors[u] == PURPLE:
+            partner[v] = u
+    return partner
+
+
 def eval_fairness(
     H: GraphInstance, C: Clustering, matched: PairStructure
 ) -> ObjectiveValue:
@@ -201,12 +212,7 @@ def eval_fairness(
     blue = [u for u in range(H.n) if H.colors[u] == BLUE]
     if not blue:
         raise DegenerateInputError("fairness objective undefined with no Blue nodes")
-    partner: dict[int, int] = {}
-    for u, v in matched.pairs:
-        if H.colors[u] == BLUE and H.colors[v] == PURPLE:
-            partner[u] = v
-        elif H.colors[v] == BLUE and H.colors[u] == PURPLE:
-            partner[v] = u
+    partner = blue_partners(H, matched)
     happy = sum(
         1
         for u in blue

@@ -10,12 +10,12 @@ import time
 
 import numpy as np
 
-from zeus_cluster.baselines import baseline_b2, baseline_moc, baseline_moc_path
+from zeus_cluster.baselines import baseline_b2, baseline_moc_path
 from zeus_cluster.errors import InfeasibleError
 from zeus_cluster.makeshifts import (
     MakeshiftOptions,
-    makeshift_fairness,
     makeshift_fairness_ab,
+    makeshift_fairness_for,
     makeshift_kmedian,
     makeshift_rs,
     makeshift_rs_gamma,
@@ -142,7 +142,7 @@ def test_04_matching_first_pipeline_bounds():
         H = generate_instance("f", n, seed)
         seed += 1
         try:
-            C_m, pairs = makeshift_fairness(H)
+            C_m, pairs = makeshift_fairness_ab(H, 1, 1)
         except InfeasibleError:
             continue
         if C_m.k < k:
@@ -210,7 +210,7 @@ def test_07_matching_radius_is_minimal():
     for seed in range(200):
         n = 6 + seed % 4  # at most 3 Blue / 6 Purple
         H = generate_instance("f", n, seed)
-        _, pairs = makeshift_fairness(H)
+        _, pairs = makeshift_fairness_ab(H, 1, 1)
         if pairs.realized_radius != oracle_matching_radius(H):
             ok = False
             break
@@ -224,7 +224,7 @@ def test_08_tighter_slack_improves_radius():
     o_f, o_kc = ObjectiveSpec("f"), ObjectiveSpec("kc")
     for seed in range(20):
         H = generate_instance("f", 200, seed)
-        pairs = makeshift_fairness(H)[1]
+        pairs = makeshift_fairness_ab(H, 1, 1)[1]
         for k in range(2, 11):
             C_loose, _ = zeus_run(H, pipeline(["f", "kc"], [1.0, 3.0], k))
             C_tight, _ = zeus_run(H, pipeline(["f", "kc"], [0.5, 2.0], k))
@@ -248,9 +248,9 @@ def test_09_baseline_dominance():
         o1 = o_first[family]
         for seed in range(10):
             H = generate_instance(family, 200, seed)
-            pairs = makeshift_fairness(H)[1] if family == "f" else None
-            spec9 = pipeline([family, "kc"], [1.0, 3.0], 9)
-            moc = baseline_moc_path(H, spec9, range(2, 11), pairs)
+            pairs = makeshift_fairness_ab(H, 1, 1)[1] if family == "f" else None
+            objectives = (o1, ObjectiveSpec("kc"))
+            moc = baseline_moc_path(H, objectives, range(2, 11), pairs)
             for k in range(2, 11):
                 spec = pipeline([family, "kc"], [1.0, 3.0], k)
                 C_z, _ = zeus_run(H, spec)
@@ -302,7 +302,7 @@ def test_11_determinism():
     H_rs = generate_instance("rs", 40, 0)
     H_f = generate_instance("f", 30, 0)
     H_tiny = generate_instance("rs", 8, 0)
-    pairs = makeshift_fairness(H_f)[1]
+    pairs = makeshift_fairness_ab(H_f, 1, 1)[1]
 
     def runs(fn):
         return {fn() for _ in range(3)}
@@ -313,7 +313,9 @@ def test_11_determinism():
         lambda: clustering_to_json(H_rs, zeus_run(H_rs, spec_rs)[0]),
         lambda: clustering_to_json(H_f, zeus_run(H_f, spec_f)[0]),
         lambda: clustering_to_json(H_rs, baseline_b2(H_rs, 4, OPTS)),
-        lambda: clustering_to_json(H_f, baseline_moc(H_f, spec_f, pairs)),
+        lambda: clustering_to_json(
+            H_f, baseline_moc_path(H_f, spec_f.objectives, (4,), pairs)[4]
+        ),
         lambda: clustering_to_json(
             H_tiny, oracle_lmoc(H_tiny, 2, [ObjectiveSpec("kc")]).best_clustering
         ),
@@ -332,8 +334,8 @@ def test_12_variant_algorithms():
     ok_ab = True
     for seed in range(100):
         H = generate_instance("f", 9, seed)
-        _, p1 = makeshift_fairness(H)
-        _, p2 = makeshift_fairness_ab(H, 1, 1)
+        _, p1 = makeshift_fairness_ab(H, 1, 1)
+        _, p2 = makeshift_fairness_for(H, (ObjectiveSpec("f"),))
         if p1.pairs != p2.pairs or p1.realized_radius != p2.realized_radius:
             ok_ab = False
             break

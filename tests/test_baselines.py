@@ -7,14 +7,12 @@ from conftest import line_points
 from zeus_cluster.baselines import (
     baseline_b1,
     baseline_b2,
-    baseline_moc,
     baseline_moc_path,
     consolidate_fragments,
 )
 from zeus_cluster.errors import ConfigError, InfeasibleError, ZeusError
 from zeus_cluster.makeshifts import (
     MakeshiftOptions,
-    makeshift_fairness,
     makeshift_fairness_ab,
     makeshift_rs,
 )
@@ -65,7 +63,7 @@ class TestB1:
 
     def test_f_first_keeps_pairs_together(self):
         H = generate_instance("f", 18, 2)
-        pairs = makeshift_fairness(H)[1]
+        pairs = makeshift_fairness_ab(H, 1, 1)[1]
         C = baseline_b1(H, spec_of(["f", "kc"], [1.0, 3.0], 3))
         for u, v in pairs.pairs:
             assert C.assignment[u] == C.assignment[v]
@@ -107,43 +105,50 @@ class TestConsolidate:
         assert out.assignment[0] != out.assignment[2]
 
 
+def moc(H, kinds, k, pairs=None):
+    objectives = tuple(ObjectiveSpec(kind) for kind in kinds)
+    return baseline_moc_path(H, objectives, (k,), pairs)[k]
+
+
 class TestMoc:
     def test_produces_k_blocks(self):
         for seed in range(3):
             H = generate_instance("rs", 16, seed)
-            spec = spec_of(["rs", "kc"], [1.0, 3.0], 3)
-            C = baseline_moc(H, spec, None)
+            C = moc(H, ["rs", "kc"], 3)
             C.validate(16)
             assert C.k == 3
 
     def test_with_fairness_pairs(self):
         H = generate_instance("f", 15, 1)
-        pairs = makeshift_fairness(H)[1]
-        spec = spec_of(["f", "kc"], [1.0, 3.0], 3)
-        C = baseline_moc(H, spec, pairs)
+        pairs = makeshift_fairness_ab(H, 1, 1)[1]
+        C = moc(H, ["f", "kc"], 3, pairs)
         assert C.k == 3
         v = evaluate(H, C, ObjectiveSpec("f"), pairs=pairs)
         assert 0.0 <= v.value <= 1.0
 
     def test_deterministic(self):
         H = generate_instance("rs", 16, 7)
-        spec = spec_of(["rs", "kc"], [1.0, 3.0], 4)
         assert (
-            baseline_moc(H, spec, None).assignment
-            == baseline_moc(H, spec, None).assignment
+            moc(H, ["rs", "kc"], 4).assignment == moc(H, ["rs", "kc"], 4).assignment
         )
 
     def test_k_equals_n(self):
         H = line_points([0, 2, 5])
-        spec = spec_of(["rs", "kc"], [1.0, 3.0], 3)
-        C = baseline_moc(H, spec, None)
+        C = moc(H, ["rs", "kc"], 3)
         assert C.k == 3
         assert eval_kcenter(H, C).value == 0.0
 
     def test_requires_two_objectives(self):
         H = line_points([0, 2, 5])
         with pytest.raises(ConfigError):
-            baseline_moc(H, spec_of(["kc"], [3.0], 2), None)
+            moc(H, ["kc"], 2)
+
+    def test_two_objective_check_before_k_range(self):
+        H = line_points([0, 2, 5])
+        with pytest.raises(ConfigError, match="exactly two objectives"):
+            moc(H, ["kc"], 9)
+        with pytest.raises(ConfigError, match=r"k values must lie in 1\.\.3"):
+            moc(H, ["rs", "kc"], 9)
 
 
 def _moc_digest(cases):
@@ -156,12 +161,7 @@ def _moc_digest(cases):
     for H, objectives, pairs in cases:
         ks = range(1, min(H.n, 12) + 1)
         try:
-            spec = ProblemSpec(
-                objectives=objectives,
-                slacks=SlackVector((1.0,) * len(objectives)),
-                k=1,
-            )
-            path = baseline_moc_path(H, spec, ks, pairs)
+            path = baseline_moc_path(H, objectives, ks, pairs)
             lines += [clustering_to_json(H, path[k]) for k in ks]
         except ZeusError as exc:
             lines += [type(exc).__name__ for _ in ks]

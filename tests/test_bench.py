@@ -1,9 +1,12 @@
 import csv
+import dataclasses
 import json
 import os
 
 import pytest
 
+import zeus_cluster.bench as bench
+from zeus_cluster.baselines import baseline_moc_path
 from zeus_cluster.bench import (
     ExperimentConfig,
     config_from_data,
@@ -13,7 +16,12 @@ from zeus_cluster.bench import (
 from zeus_cluster.errors import ConfigError
 from zeus_cluster.graph import save_instance
 from zeus_cluster.makeshifts import makeshift_fairness_mincost
-from zeus_cluster.objectives import Clustering, ObjectiveSpec, evaluate
+from zeus_cluster.objectives import (
+    Clustering,
+    ObjectiveSpec,
+    clustering_to_json,
+    evaluate,
+)
 from zeus_cluster.synth import generate_instance
 
 
@@ -68,6 +76,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    def test_k_below_one_rejected(self, instance_path, tmp_path):
+        cfg = config_from_data(
+            {
+                "instance": instance_path,
+                "objectives": ["rs", "kc"],
+                "slacks": [[1, 3]],
+                "k": {"min": 0, "max": 2},
+                "output": str(tmp_path / "out"),
+            }
+        )
+        with pytest.raises(ConfigError, match="at least 1"):
+            cfg.validate()
+
 
 class TestRun:
     def test_grid_size(self, instance_path, tmp_path):
@@ -97,6 +118,61 @@ class TestRun:
         records = run_experiment(cfg)
         assert len(records) == 3
         assert all(r.error is not None for r in records)
+
+
+class TestMocOnePass:
+    def config(self, tmp_path, ks):
+        return ExperimentConfig(
+            instance_path="",
+            objectives=(ObjectiveSpec("rs"), ObjectiveSpec("kc")),
+            slacks=((1.0, 3.0), (0.5, 2.0)),
+            ks=ks,
+            seeds=(0, 1),
+            algorithms=("b2", "moc"),
+            output_dir=str(tmp_path),
+        )
+
+    def test_one_agglomeration_per_experiment(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return baseline_moc_path(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "baseline_moc_path", counted)
+        H = generate_instance("rs", 14, 3)
+        records = run_experiment(self.config(tmp_path, (2, 3, 5)), H)
+        assert len(records) == 2 * 3 * 2 * 2
+        assert calls == [[2, 3, 5]]
+
+    def test_k_beyond_n_fails_only_its_own_cells(self, tmp_path):
+        H = generate_instance("rs", 14, 3)
+        records = run_experiment(self.config(tmp_path, (2, 15, 4)), H)
+        path = baseline_moc_path(H, (ObjectiveSpec("rs"), ObjectiveSpec("kc")), (2, 4))
+        moc = [r for r in records if r.algorithm == "moc"]
+        assert len(moc) == 2 * 3 * 2
+        for r in moc:
+            if r.k == 15:
+                assert r.error == "ConfigError: k values must lie in 1..14"
+                assert r.clustering_json is None
+            else:
+                assert r.error is None
+                assert r.clustering_json == clustering_to_json(H, path[r.k])
+        # every moc record carries the time of the one pass
+        assert len({r.wall_ms for r in moc}) == 1
+
+    def test_pass_error_on_every_moc_record(self, tmp_path):
+        H = generate_instance("rs", 14, 3)
+        cfg = dataclasses.replace(
+            self.config(tmp_path, (2, 15)),
+            objectives=(ObjectiveSpec("kc"),),
+            slacks=((3.0,),),
+        )
+        moc = [r for r in run_experiment(cfg, H) if r.algorithm == "moc"]
+        assert len(moc) == 4
+        assert {r.error for r in moc} == {
+            "ConfigError: the MOC baseline requires exactly two objectives"
+        }
 
 
 class TestReports:

@@ -232,3 +232,17 @@ class TestBench:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"objectives": ["kc"]}))
         assert main(["bench", "--config", str(path)]) == 1
+
+    def test_k_zero_exit_1(self, rs_instance, tmp_path, capsys):
+        cfg = {
+            "instance": rs_instance,
+            "objectives": ["rs", "kc"],
+            "slacks": [[1, 3]],
+            "k": {"min": 0, "max": 2},
+            "algorithms": ["zeus", "b1", "b2"],
+            "output": str(tmp_path / "out"),
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(path)]) == 1
+        assert "k values must be at least 1" in capsys.readouterr().err

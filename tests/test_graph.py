@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -170,6 +171,42 @@ def test_validate_metric_flags_violation():
 def test_validate_metric_single_node():
     H = explicit([[0]])
     assert validate_metric(H).is_metric
+
+
+def _triangle_audit_by_loop(d, triples):
+    violations, worst = [], 1.0
+    for u, v, w in triples:
+        lhs, rhs = d[u, w], d[u, v] + d[v, w]
+        if lhs > rhs + 1e-12:
+            violations.append((u, v, w))
+            worst = max(worst, lhs / rhs) if rhs > 0 else float("inf")
+    return tuple(violations), worst if violations else 1.0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_validate_metric_matches_triple_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    m = rng.choice([0.0, 0.5, 1.0, 2.5, 7.0], size=(n, n)) * rng.random((n, n))
+    m = np.triu(m, 1)
+    if seed % 3 == 0:
+        m[0, 1] = 0.0  # a zero distance makes an infinite ratio
+    H = explicit(m + m.T)
+    d = H.dist
+    triples = [
+        (u, v, w)
+        for u in range(n)
+        for v in range(n)
+        for w in range(n)
+        if len({u, v, w}) == 3
+    ]
+    report = validate_metric(H)
+    assert (report.violations, report.max_violation_ratio) == _triangle_audit_by_loop(d, triples)
+    assert report.is_metric == (not report.violations)
+    rng_s = random.Random(3)
+    sampled = [tuple(rng_s.sample(range(n), 3)) for _ in range(50)]
+    report = validate_metric(H, exhaustive_cap=2, samples=50, seed=3)
+    assert (report.violations, report.max_violation_ratio) == _triangle_audit_by_loop(d, sampled)
 
 
 def test_round_trip(tmp_path):

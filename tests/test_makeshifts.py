@@ -8,8 +8,8 @@ from zeus_cluster.makeshifts import (
     MakeshiftOptions,
     balanced_kcenter,
     greedy_kcenter_value,
-    makeshift_fairness,
     makeshift_fairness_ab,
+    makeshift_fairness_for,
     makeshift_fairness_mincost,
     makeshift_kcenter,
     makeshift_kmedian,
@@ -20,6 +20,7 @@ from zeus_cluster.makeshifts import (
 )
 from zeus_cluster.objectives import (
     Clustering,
+    ObjectiveSpec,
     eval_kcenter,
     eval_kmedian,
     eval_resource_sharing,
@@ -212,7 +213,7 @@ def bp_instance(weights, n_blue, n_purple, fill=100.0):
 class TestFairness:
     def test_single_blue_picks_cheaper_purple(self):
         H = bp_instance({(0, 0): 3, (0, 1): 5}, 1, 2)
-        C, pairs = makeshift_fairness(H)
+        C, pairs = makeshift_fairness_ab(H, 1, 1)
         assert pairs.pairs == {(0, 1)}
         assert pairs.realized_radius == 3.0
 
@@ -220,31 +221,31 @@ class TestFairness:
         # Both blues prefer p0, but saturation forces one onto the
         # weight-9 edge.
         H = bp_instance({(0, 0): 1, (1, 0): 2, (1, 1): 9}, 2, 2)
-        C, pairs = makeshift_fairness(H)
+        C, pairs = makeshift_fairness_ab(H, 1, 1)
         assert pairs.realized_radius == 9.0
         assert pairs.pairs == {(0, 2), (1, 3)}
 
     def test_no_matching_infeasible(self):
         H = bp_instance({(0, 0): 1, (1, 0): 1}, 2, 1)
         with pytest.raises(InfeasibleError):
-            makeshift_fairness(H)
+            makeshift_fairness_ab(H, 1, 1)
 
     def test_no_blue_degenerate(self):
         H = make_instance(
             2, "explicit", matrix=[[0, 1], [1, 0]], colors=["P", "P"]
         )
         with pytest.raises(DegenerateInputError):
-            makeshift_fairness(H)
+            makeshift_fairness_ab(H, 1, 1)
 
     def test_matches_matching_oracle(self):
         for seed in range(8):
             H = generate_instance("f", 9, seed)
-            _, pairs = makeshift_fairness(H)
+            _, pairs = makeshift_fairness_ab(H, 1, 1)
             assert pairs.realized_radius == pytest.approx(oracle_matching_radius(H))
 
     def test_unmatched_purples_stay_singletons(self):
         H = bp_instance({(0, 0): 3, (0, 1): 5}, 1, 2)
-        C, _ = makeshift_fairness(H)
+        C, _ = makeshift_fairness_ab(H, 1, 1)
         assert blocks_as_sets(C) == {frozenset({0, 1}), frozenset({2})}
 
 
@@ -252,7 +253,7 @@ class TestBMatching:
     def test_one_one_equals_fairness(self):
         for seed in range(5):
             H = generate_instance("f", 9, seed)
-            _, p1 = makeshift_fairness(H)
+            _, p1 = makeshift_fairness_for(H, (ObjectiveSpec("f"),))
             _, p2 = makeshift_fairness_ab(H, 1, 1)
             assert p1.realized_radius == p2.realized_radius
             assert p1.pairs == p2.pairs

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import line_points
 from zeus_cluster.errors import ConfigError, InfeasibleError
-from zeus_cluster.makeshifts import makeshift_fairness, makeshift_rs
+from zeus_cluster.makeshifts import makeshift_fairness_ab, makeshift_rs
 from zeus_cluster.objectives import ObjectiveSpec, singleton_clustering
 from zeus_cluster.oracle import (
     enumerate_partitions,
@@ -115,7 +115,7 @@ class TestMatchingOracle:
     def test_agrees_with_makeshift(self):
         for seed in range(8):
             H = generate_instance("f", 9, seed)
-            _, pairs = makeshift_fairness(H)
+            _, pairs = makeshift_fairness_ab(H, 1, 1)
             assert oracle_matching_radius(H) == pytest.approx(pairs.realized_radius)
 
     def test_cap(self):
