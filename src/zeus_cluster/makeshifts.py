@@ -18,14 +18,7 @@ from networkx.algorithms.flow import edmonds_karp
 
 from .errors import ConfigError, DegenerateInputError, InfeasibleError
 from .graph import BLUE, PURPLE, GraphInstance
-from .objectives import (
-    F,
-    KM,
-    Clustering,
-    ObjectiveSpec,
-    PairStructure,
-    singleton_atoms,
-)
+from .objectives import F, KM, Clustering, ObjectiveSpec, PairStructure
 
 LOWEST_INDEX = "lowest_index"
 SEEDED_RANDOM = "seeded_random"
@@ -55,7 +48,7 @@ class MakeshiftOptions:
 def _atoms_of(C_in: Clustering, n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     if C_in.atoms:
         return C_in.atoms, C_in.roots
-    return singleton_atoms(n), tuple(range(n))
+    return tuple((u,) for u in range(n)), tuple(range(n))
 
 
 def greedy_centers(
@@ -65,7 +58,7 @@ def greedy_centers(
     candidates: list[int] | None = None,
 ) -> list[int]:
     """Farthest-first (Gonzalez) center selection, ties by lowest node id."""
-    cand = sorted(candidates) if candidates is not None else range(H.n)
+    cand = sorted(candidates) if candidates is not None else list(range(H.n))
     if k > len(cand):
         raise ConfigError(f"k={k} exceeds candidate count {len(cand)}")
     if opts.first_center_rule == SEEDED_RANDOM:
@@ -73,15 +66,14 @@ def greedy_centers(
         first = cand[rng.randrange(len(cand))]
     else:
         first = cand[0]
-    # rows, not columns: H.dist is exactly symmetric and its rows are contiguous
-    idx = np.asarray(cand) if candidates is not None else np.arange(H.n)
+    idx = np.asarray(cand)
     centers = [first]
-    nearest = H.dist[first, idx]
+    nearest = H.dist[idx, first].copy()
     while len(centers) < k:
         far = int(np.flatnonzero(nearest == nearest.max())[0])
         c = cand[far]
         centers.append(c)
-        np.minimum(nearest, H.dist[c, idx], out=nearest)
+        np.minimum(nearest, H.dist[idx, c], out=nearest)
     return centers
 
 
@@ -91,15 +83,16 @@ def greedy_kcenter_value(
     """Objective value of the plain greedy k-center on all of V."""
     opts = opts or MakeshiftOptions()
     centers = greedy_centers(H, k, opts)
-    return float(H.dist[centers].min(axis=0).max())
+    return float(H.dist[:, centers].min(axis=1).max())
 
 
 def _nearest_assignment(H: GraphInstance, centers: list[int]) -> dict[int, int]:
     """Assign every node to its nearest center, ties by lowest center id."""
     order = sorted(range(len(centers)), key=lambda i: centers[i])
     sorted_ids = [centers[i] for i in order]
-    picks = H.dist[sorted_ids].argmin(axis=0)  # first occurrence = lowest center id
-    return dict(enumerate(np.asarray(order)[picks].tolist()))
+    cols = H.dist[:, sorted_ids]
+    picks = cols.argmin(axis=1)  # first occurrence = lowest center id
+    return {u: order[int(picks[u])] for u in range(H.n)}
 
 
 def _block_one_center(H: GraphInstance, members: list[int]) -> int:
@@ -110,31 +103,22 @@ def _block_one_center(H: GraphInstance, members: list[int]) -> int:
     return members[int(np.flatnonzero(radii == radii.min())[0])]
 
 
-def _members_of(assign: dict[int, int], k: int) -> list[list[int]]:
-    members_of: list[list[int]] = [[] for _ in range(k)]
-    for u, b in assign.items():
-        members_of[b].append(u)
-    return members_of
-
-
 def _settle_centers(
     H: GraphInstance, assign: dict[int, int], centers: list[int]
-) -> dict[int, int]:
-    """Final centers of the blocks ``0..len(centers)-1``.
+) -> tuple[dict[int, int], list[list[int]]]:
+    """Final centers and member lists of the blocks ``0..len(centers)-1``.
 
     A Gonzalez center still inside its own block is kept; a block whose
     center was moved away gets its best 1-center.
     """
-    final: dict[int, int] = {}
-    members_of = None
-    for b, c in enumerate(centers):
-        if assign[c] == b:
-            final[b] = c
-            continue
-        if members_of is None:
-            members_of = _members_of(assign, len(centers))
-        final[b] = _block_one_center(H, members_of[b])
-    return final
+    members_of: list[list[int]] = [[] for _ in centers]
+    for u, b in assign.items():
+        members_of[b].append(u)
+    final = {
+        b: c if assign[c] == b else _block_one_center(H, members_of[b])
+        for b, c in enumerate(centers)
+    }
+    return final, members_of
 
 
 def _components(nodes, edges) -> list[list[int]]:
@@ -207,9 +191,9 @@ def makeshift_kcenter(
 
     # Empty-block repair: re-seed each empty block farthest-first with a
     # whole atom drawn from the largest-diameter block.
-    empty = sorted(set(range(k)) - set(assign.values()))
-    if empty:
-        atom_block = {atom: assign[atom[0]] for atom in atoms}
+    atom_block = {atom: assign[atom[0]] for atom in atoms}
+    occupied = {b for b in assign.values()}
+    empty = sorted(set(range(k)) - occupied)
     while empty:
         members_of: dict[int, list[int]] = {}
         for u, b in assign.items():
@@ -232,7 +216,7 @@ def makeshift_kcenter(
             assign[u] = target
         atom_block[atom] = target
 
-    final_centers = _settle_centers(H, assign, centers)
+    final_centers, _ = _settle_centers(H, assign, centers)
     C = Clustering(
         assignment=assign, k=k, centers=final_centers, atoms=atoms, roots=roots
     )
@@ -649,8 +633,7 @@ def _extend_tf(
             )
             full[u] = best
 
-    final_centers = _settle_centers(H, full, centers)
-    members_of = _members_of(full, k)
+    final_centers, members_of = _settle_centers(H, full, centers)
     atoms = tuple(tuple(sorted(members_of[b])) for b in range(k))
     roots = tuple(final_centers[b] for b in range(k))
     C = Clustering(

@@ -10,9 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ZeusError
 from .graph import BLUE, PURPLE, GraphInstance
@@ -58,10 +55,8 @@ class Clustering:
     def validate(self, n: int | None = None) -> None:
         if n is not None and sorted(self.assignment) != list(range(n)):
             raise ZeusError("assignment does not cover all nodes exactly once")
-        used = set(self.assignment.values())
-        if not used <= set(range(self.k)):
-            raise ZeusError(f"assignment names a block outside 0..{self.k - 1}")
-        if len(used) < self.k:
+        blocks = self.blocks()
+        if any(not b for b in blocks):
             raise ZeusError("finalized clustering has an empty block")
         if self.centers is not None:
             for b, c in self.centers.items():
@@ -70,18 +65,11 @@ class Clustering:
         if len(self.atoms) != len(self.roots):
             raise ZeusError("atoms/roots length mismatch")
         for atom, root in zip(self.atoms, self.roots):
-            if len(atom) == 1 and atom[0] == root:
-                continue
             if root not in atom:
                 raise ZeusError(f"root {root} outside its atom {atom}")
             blocks_hit = {self.assignment[u] for u in atom}
             if len(blocks_hit) > 1:
                 raise ZeusError(f"atom {atom} spans blocks {sorted(blocks_hit)}")
-
-
-@lru_cache(maxsize=8)
-def singleton_atoms(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple((u,) for u in range(n))
 
 
 def singleton_clustering(n: int) -> Clustering:
@@ -90,7 +78,7 @@ def singleton_clustering(n: int) -> Clustering:
         assignment={u: u for u in range(n)},
         k=n,
         centers={u: u for u in range(n)},
-        atoms=singleton_atoms(n),
+        atoms=tuple((u,) for u in range(n)),
         roots=tuple(range(n)),
     )
 
@@ -182,15 +170,10 @@ def eval_kcenter(H: GraphInstance, C: Clustering) -> ObjectiveValue:
     """Max distance of any node to its own block's center."""
     if C.centers is None:
         raise ZeusError("k-center evaluation requires centers")
-    if not C.assignment:
-        return ObjectiveValue(0.0, MINIMIZE)
-    n = len(C.assignment)
-    nodes = np.fromiter(C.assignment, dtype=np.intp, count=n)
-    centers = np.fromiter(
-        map(C.centers.__getitem__, C.assignment.values()), dtype=np.intp, count=n
-    )
-    # H.dist is exactly symmetric; reading rows of the centers is cache-friendly
-    return ObjectiveValue(float(H.dist[centers, nodes].max()), MINIMIZE)
+    worst = 0.0
+    for u, b in C.assignment.items():
+        worst = max(worst, H.dist[u, C.centers[b]])
+    return ObjectiveValue(float(worst), MINIMIZE)
 
 
 def eval_kmedian(H: GraphInstance, C: Clustering) -> ObjectiveValue:

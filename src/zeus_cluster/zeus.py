@@ -87,6 +87,7 @@ def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineS
     C = singleton_clustering(H.n)
     state = PipelineState(clustering=C)
     km_mode = any(o.kind == KM for o in spec.objectives)
+    experts = {u for u in range(H.n) if H.experts[u]}
 
     for i, (o, delta) in enumerate(zip(spec.objectives, spec.slacks.deltas)):
         t0 = time.perf_counter()
@@ -104,7 +105,6 @@ def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineS
         elif o.kind == KM:
             C = makeshift_kmedian(H, C, spec.k, spec.options)
         else:  # tf
-            experts = {u for u in range(H.n) if H.experts[u]}
             if km_mode:
                 C = makeshift_tf_kmedian(H, experts, spec.k, spec.options)
             else:
