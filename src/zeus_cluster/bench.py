@@ -105,7 +105,6 @@ def _run_algorithm(
     algorithm: str,
     spec: ProblemSpec,
     pairs: PairStructure | None,
-    moc: dict[int, Clustering] | ZeusError,
 ) -> tuple[Clustering, list | None]:
     if algorithm == "zeus":
         C, state = zeus_run(H, spec)
@@ -114,17 +113,33 @@ def _run_algorithm(
         return baseline_b1(H, spec), None
     if algorithm == "b2":
         return baseline_b2(H, spec.k, spec.options), None
-    if algorithm == "moc":
-        if isinstance(moc, ZeusError):
-            raise moc
-        if spec.k not in moc:
-            raise ConfigError(f"k values must lie in 1..{H.n}")
-        return moc[spec.k], None
     if algorithm == "oracle":
         if H.n > PARTITION_CAP:
             raise ConfigError(f"oracle limited to n <= {PARTITION_CAP}")
         return oracle_lmoc(H, spec.k, list(spec.objectives), pairs).best_clustering, None
     raise ConfigError(f"unknown algorithm {algorithm!r}")
+
+
+def _moc_by_k(
+    H: GraphInstance, config: ExperimentConfig, pairs: PairStructure | None
+) -> dict[int, Clustering | ZeusError]:
+    """MOC's clustering for every k of the config from one pass, or its error.
+
+    A k outside 1..n gets the error ``baseline_moc_path`` raises for it
+    alone, so only its own cells fail.
+    """
+    in_range = [k for k in config.ks if k <= H.n]
+    try:
+        moc = baseline_moc_path(H, config.objectives, in_range, pairs)
+    except ZeusError as exc:
+        return dict.fromkeys(config.ks, exc)
+    for k in config.ks:
+        if k not in moc:
+            try:
+                baseline_moc_path(H, config.objectives, [k], pairs)
+            except ZeusError as exc:
+                moc[k] = exc
+    return moc
 
 
 def run_experiment(
@@ -142,15 +157,11 @@ def run_experiment(
     pairs = None
     if any(o.kind == F for o in config.objectives):
         pairs = makeshift_fairness_for(H, config.objectives)[1]
-    moc: dict[int, Clustering] | ZeusError = {}
+    moc: dict[int, Clustering | ZeusError] = {}
     moc_ms = 0.0
     if "moc" in config.algorithms:
-        in_range = [k for k in config.ks if k <= H.n]
         t0 = time.perf_counter()
-        try:
-            moc = baseline_moc_path(H, config.objectives, in_range, pairs)
-        except ZeusError as exc:
-            moc = exc
+        moc = _moc_by_k(H, config, pairs)
         moc_ms = (time.perf_counter() - t0) * 1000.0
 
     records: list[RunRecord] = []
@@ -171,7 +182,12 @@ def run_experiment(
                     rec = RunRecord(algorithm=algorithm, k=k, slack=slack, seed=seed)
                     t0 = time.perf_counter()
                     try:
-                        C, trace = _run_algorithm(H, algorithm, spec, pairs, moc)
+                        if algorithm == "moc":
+                            C, trace = moc[k], None
+                            if isinstance(C, ZeusError):
+                                raise C
+                        else:
+                            C, trace = _run_algorithm(H, algorithm, spec, pairs)
                         rec.wall_ms = (time.perf_counter() - t0) * 1000.0
                         rec.trace = trace
                         for i, o in enumerate(config.objectives):
