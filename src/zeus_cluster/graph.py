@@ -124,7 +124,7 @@ def _build_instance(
     if metric == EXPLICIT:
         if matrix is None:
             raise InstanceError("explicit metric requires a distance matrix")
-        dist = np.asarray(matrix, dtype=float)
+        dist = np.array(matrix, dtype=float)  # a copy: the instance freezes it
         if dist.shape != (n, n):
             raise InstanceError(f"distance matrix must be {n}x{n}, got {dist.shape}")
         if np.isnan(dist).any():

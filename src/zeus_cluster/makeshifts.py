@@ -5,6 +5,13 @@ objectives to serve the current one: greedy k-center with atom cohesion,
 min-max edge cover for resource sharing, bottleneck bipartite matching
 for fairness, a balanced k-center pipeline for team formation, plus the
 gamma-cover, alpha:beta b-matching, and k-median variants.
+
+Every flow problem among them runs on one of two ``scipy.sparse.csgraph``
+primitives: ``maximum_flow`` for the alpha:beta matching, and
+``min_weight_full_bipartite_matching`` for each least-total-distance
+assignment. The balanced team searches use the threshold technique of
+Gabow and Tarjan, "Algorithms for two bottleneck optimization problems"
+(1988): an assignment problem per candidate radius, by binary search.
 """
 
 from __future__ import annotations
@@ -12,9 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
-from networkx.algorithms.flow import edmonds_karp
 
 from .errors import ConfigError, DegenerateInputError, InfeasibleError
 from .graph import BLUE, PURPLE, GraphInstance
@@ -371,42 +376,85 @@ def makeshift_rs_gamma(
     return _fragment_clustering(H, fragments), pairs
 
 
-def _bp_matching(
-    H: GraphInstance,
-    blue: list[int],
-    purple: list[int],
-    radius: float,
-    alpha: int,
-    beta: int,
-) -> set[tuple[int, int]] | None:
+def _sparse():
+    """``scipy.sparse`` with ``csgraph`` loaded, imported at first use.
+
+    Loading csgraph takes longer than importing this whole package, so
+    runs that need no matching never pay for it.
+    """
+    import scipy.sparse
+    import scipy.sparse.csgraph  # noqa: F401  (makes scipy.sparse.csgraph available)
+
+    return scipy.sparse
+
+
+def _min_weight_matching(rows, cols, weights, shape) -> np.ndarray | None:
+    """Column matched to each row by a least-total-weight matching that
+    covers every row, or None if no such matching exists.
+
+    ``min_weight_full_bipartite_matching`` drops explicit zero weights, so
+    every weight is first raised by the smallest positive one (1 if there
+    is none). Every matching that covers the rows has the same number of
+    edges, so a constant shift does not move the optimum.
+    """
+    n_rows, n_cols = shape
+    if n_rows > n_cols:
+        return None
+    positive = weights[weights > 0]
+    shift = positive.min() if positive.size else 1.0
+    sp = _sparse()
+    graph = sp.csr_matrix((weights + shift, (rows, cols)), shape=shape)
+    try:
+        matched_rows, matched_cols = sp.csgraph.min_weight_full_bipartite_matching(graph)
+    except ValueError:  # no matching covers every row
+        return None
+    col_of = np.empty(n_rows, dtype=np.int64)
+    col_of[matched_rows] = matched_cols
+    return col_of
+
+
+def _blue_purple(H: GraphInstance):
+    """Blue and Purple node arrays, and the E-edges between them as Blue
+    positions, Purple positions and lengths, in row-major order."""
+    blue = np.flatnonzero([c == BLUE for c in H.colors])
+    purple = np.flatnonzero([c == PURPLE for c in H.colors])
+    if not blue.size:
+        raise DegenerateInputError("fairness requires at least one Blue node")
+    position = np.full(H.n, -1)
+    position[purple] = np.arange(len(purple))
+    in_e = np.zeros((len(blue), len(purple)), dtype=bool)
+    for i, u in enumerate(blue.tolist()):
+        cols = position[list(H.adjacency[u])]
+        in_e[i, cols[cols >= 0]] = True
+    rows, cols = np.nonzero(in_e)
+    return blue, purple, rows, cols, H.dist[blue[rows], purple[cols]]
+
+
+def _bp_matching(bp, radius: float, alpha: int, beta: int) -> set[tuple[int, int]] | None:
     """Blue-saturating b-matching within the radius, or None if infeasible.
 
-    Unit-capacity arcs blue->purple for E-edges within the radius; the
-    source feeds each blue node alpha units and each purple node drains
-    at most beta into the sink.
+    Max-flow from a source that feeds each Blue node alpha units, over
+    unit arcs Blue -> Purple for E-edges within the radius, into a sink
+    that each Purple node drains at most beta into.
     """
-    G = nx.DiGraph()
-    G.add_node("s")
-    G.add_node("t")
-    for u in blue:
-        G.add_edge("s", ("b", u), capacity=alpha)
-    for v in purple:
-        G.add_edge(("p", v), "t", capacity=beta)
-    purple_set = set(purple)
-    for u in blue:
-        for v in sorted(H.adjacency[u]):
-            if v in purple_set and H.dist[u, v] <= radius:
-                G.add_edge(("b", u), ("p", v), capacity=1)
-    need = alpha * len(blue)
-    value, flow = nx.maximum_flow(G, "s", "t", flow_func=edmonds_karp)
-    if value < need:
+    blue, purple, rows, cols, weights = bp
+    nb, npu = len(blue), len(purple)
+    keep = weights <= radius
+    tails, heads = 1 + rows[keep], 1 + nb + cols[keep]
+    sink = 1 + nb + npu
+    caps = np.concatenate([np.full(nb, alpha), np.ones(len(tails)), np.full(npu, beta)])
+    arcs = (
+        np.concatenate([np.zeros(nb, dtype=np.int64), tails, 1 + nb + np.arange(npu)]),
+        np.concatenate([1 + np.arange(nb), heads, np.full(npu, sink)]),
+    )
+    sp = _sparse()
+    graph = sp.csr_matrix((caps.astype(np.int32), arcs), shape=(sink + 1, sink + 1))
+    result = sp.csgraph.maximum_flow(graph, 0, sink)
+    if result.flow_value < alpha * nb:
         return None
-    matched = set()
-    for u in blue:
-        for tgt, amount in flow[("b", u)].items():
-            if amount > 0:
-                matched.add((min(u, tgt[1]), max(u, tgt[1])))
-    return matched
+    used = np.asarray(result.flow[tails, heads]).ravel() > 0
+    us, vs = blue[rows[keep][used]], purple[cols[keep][used]]
+    return {(min(u, v), max(u, v)) for u, v in zip(us.tolist(), vs.tolist())}
 
 
 def makeshift_fairness_ab(
@@ -416,32 +464,20 @@ def makeshift_fairness_ab(
     the radius; alpha = beta = 1 is the plain fairness matching."""
     if alpha < 1 or beta < 1:
         raise ConfigError("alpha and beta must be positive integers")
-    blue = [u for u in range(H.n) if H.colors[u] == BLUE]
-    purple = [u for u in range(H.n) if H.colors[u] == PURPLE]
-    if not blue:
-        raise DegenerateInputError("fairness requires at least one Blue node")
-    purple_set = set(purple)
-    bp_weights = sorted(
-        {
-            float(H.dist[u, v])
-            for u, v in H.edges
-            if (H.colors[u] == BLUE and v in purple_set)
-            or (H.colors[v] == BLUE and u in purple_set)
-        }
-    )
-    if not bp_weights or _bp_matching(H, blue, purple, bp_weights[-1], alpha, beta) is None:
+    bp = _blue_purple(H)
+    bp_weights = sorted(set(bp[-1].tolist()))
+    if not bp_weights or _bp_matching(bp, bp_weights[-1], alpha, beta) is None:
         raise InfeasibleError(
             "no Blue-saturating matching exists at any radius"
         )
     lo, hi = 0, len(bp_weights) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _bp_matching(H, blue, purple, bp_weights[mid], alpha, beta) is not None:
+        if _bp_matching(bp, bp_weights[mid], alpha, beta) is not None:
             hi = mid
         else:
             lo = mid + 1
-    r_star = bp_weights[hi]
-    matched = _bp_matching(H, blue, purple, r_star, alpha, beta)
+    matched = _bp_matching(bp, bp_weights[hi], alpha, beta)
     assert matched is not None
     kind = "b_matching" if (alpha, beta) != (1, 1) else "matching"
     return _matching_fragments(H, matched, kind)
@@ -462,31 +498,13 @@ def makeshift_fairness_mincost(
     H: GraphInstance,
 ) -> tuple[Clustering, PairStructure]:
     """Min-total-cost Blue-saturating matching (k-median companion variant)."""
-    blue = [u for u in range(H.n) if H.colors[u] == BLUE]
-    purple = set(u for u in range(H.n) if H.colors[u] == PURPLE)
-    if not blue:
-        raise DegenerateInputError("fairness requires at least one Blue node")
-    scale = 10**9
-    G = nx.DiGraph()
-    for u in blue:
-        G.add_edge("s", ("b", u), capacity=1, weight=0)
-    for v in sorted(purple):
-        G.add_edge(("p", v), "t", capacity=1, weight=0)
-    for u in blue:
-        for v in sorted(H.adjacency[u]):
-            if v in purple:
-                G.add_edge(
-                    ("b", u), ("p", v), capacity=1, weight=int(round(H.dist[u, v] * scale))
-                )
-    G.add_node("s")
-    G.add_node("t")
-    flow = nx.max_flow_min_cost(G, "s", "t")
-    matched = set()
-    for u in blue:
-        hit = [tgt for tgt, amt in flow.get(("b", u), {}).items() if amt > 0]
-        if not hit:
-            raise InfeasibleError("no Blue-saturating matching exists")
-        matched.add((min(u, hit[0][1]), max(u, hit[0][1])))
+    blue, purple, rows, cols, weights = _blue_purple(H)
+    col_of = _min_weight_matching(rows, cols, weights, (len(blue), len(purple)))
+    if col_of is None:
+        raise InfeasibleError("no Blue-saturating matching exists")
+    matched = {
+        (min(u, v), max(u, v)) for u, v in zip(blue.tolist(), purple[col_of].tolist())
+    }
     return _matching_fragments(H, matched, "matching")
 
 
@@ -505,55 +523,36 @@ def makeshift_fairness_for(
     return makeshift_fairness_ab(H, o.alpha, o.beta)
 
 
-def _feasible_balanced_assignment(
-    H: GraphInstance,
-    experts: list[int],
-    centers: list[int],
-    limit: float,
-    low: int,
-    high: int,
+def _balanced_assignment(
+    H: GraphInstance, experts: list[int], centers: list[int], limit: float = np.inf
 ) -> dict[int, int] | None:
-    """Assign experts to centers within ``limit`` with loads in [low, high].
+    """Least-total-distance assignment of experts to centers within
+    ``limit``, with every center's load in [floor(m/k), ceil(m/k)]; None
+    if there is none.
 
-    Circulation with lower bounds, reduced to plain max-flow: an arc with
-    lower bound l is replaced by super-source/super-sink arcs carrying l.
+    Center i owns ceil(m/k) consecutive slots: floor(m/k) that every
+    perfect matching fills and, when k does not divide m, one optional
+    slot. k*ceil(m/k) - m dummy rows, joined to the optional slots only,
+    take up the optional slots no expert fills.
     """
-    G = nx.DiGraph()
-    total_lb = 0
-    for u in experts:
-        # s -> expert has lower bound 1 and capacity 1: reduced cap is 0.
-        _bump(G, "SS", ("e", u), 1)
-        _bump(G, "s", "TT", 1)
-        total_lb += 1
-    for i in range(len(centers)):
-        # center -> t has lower bound `low` and capacity `high`.
-        G.add_edge(("c", i), "t", capacity=high - low)
-        _bump(G, "SS", "t", low)
-        _bump(G, ("c", i), "TT", low)
-        total_lb += low
-    for u in experts:
-        for i, c in enumerate(centers):
-            if H.dist[u, c] <= limit + 1e-12:
-                G.add_edge(("e", u), ("c", i), capacity=1)
-    G.add_edge("t", "s", capacity=len(experts))
-    value, flow = nx.maximum_flow(G, "SS", "TT", flow_func=edmonds_karp)
-    if value < total_lb:
+    m, k = len(experts), len(centers)
+    low, high = m // k, -(-m // k)
+    d = H.dist[np.ix_(experts, centers)]
+    rows, center_of = np.nonzero(d <= limit + 1e-12)
+    # an expert's edge to center i becomes one edge to each of i's slots
+    weights = np.repeat(d[rows, center_of], high)
+    cols = (center_of[:, None] * high + np.arange(high)).ravel()
+    rows = np.repeat(rows, high)
+    if high > low:
+        dummies = np.arange(m, k * high)
+        optional = np.arange(k) * high + low
+        rows = np.concatenate([rows, np.repeat(dummies, k)])
+        cols = np.concatenate([cols, np.tile(optional, len(dummies))])
+        weights = np.concatenate([weights, np.zeros(len(dummies) * k)])
+    col_of = _min_weight_matching(rows, cols, weights, (k * high, k * high))
+    if col_of is None:
         return None
-    assign = {}
-    for u in experts:
-        for tgt, amt in flow[("e", u)].items():
-            if amt > 0 and isinstance(tgt, tuple) and tgt[0] == "c":
-                assign[u] = tgt[1]
-    if len(assign) != len(experts):
-        return None
-    return assign
-
-
-def _bump(G: nx.DiGraph, u, v, amount: int) -> None:
-    if G.has_edge(u, v):
-        G[u][v]["capacity"] += amount
-    else:
-        G.add_edge(u, v, capacity=amount)
+    return {u: int(c) // high for u, c in zip(experts, col_of[:m])}
 
 
 def balanced_kcenter(
@@ -564,21 +563,21 @@ def balanced_kcenter(
     Binary search over realized distances within X for the smallest radius
     at which farthest-first centers admit a capacitated assignment with
     block sizes in {floor(|X|/k), ceil(|X|/k)}. Returns (centers,
-    expert -> block index, radius).
+    expert -> block index, radius); the assignment is the one of least
+    total distance at that radius.
     """
     experts = sorted(X)
     m = len(experts)
     if k > m:
         raise ConfigError(f"k={k} exceeds expert count {m}")
-    low, high = m // k, -(-m // k)
     sub = H.dist[np.ix_(experts, experts)]
     radii = sorted({0.0} | {float(x) for x in sub.ravel()})
 
     centers = greedy_centers(H, k, opts, candidates=experts)
 
     def attempt(r: float) -> dict[int, int] | None:
-        return _feasible_balanced_assignment(
-            H, experts, centers, opts.balance_radius_multiplier * r, low, high
+        return _balanced_assignment(
+            H, experts, centers, opts.balance_radius_multiplier * r
         )
 
     lo, hi = 0, len(radii) - 1
@@ -727,26 +726,7 @@ def makeshift_tf_kmedian(
         raise ConfigError(f"k={k} exceeds expert count {m}")
     weights = {u: 1.0 for u in experts}
     centers = _kmedian_swap_centers(H, experts, weights, k, opts)
-    low, high = m // k, -(-m // k)
-    scale = 10**9
-    G = nx.DiGraph()
-    for u in experts:
-        G.add_edge("s", ("e", u), capacity=1, weight=0)
-        for i, c in enumerate(centers):
-            G.add_edge(
-                ("e", u), ("c", i), capacity=1, weight=int(round(H.dist[u, c] * scale))
-            )
-    for i in range(k):
-        G.add_edge(("c", i), "t_low", capacity=low, weight=0)
-        G.add_edge(("c", i), "t_high", capacity=high - low, weight=0)
-    G.add_edge("t_low", "t", capacity=low * k, weight=0)
-    G.add_edge("t_high", "t", capacity=m - low * k, weight=0)
-    flow = nx.max_flow_min_cost(G, "s", "t")
-    assign = {}
-    for u in experts:
-        for tgt, amt in flow[("e", u)].items():
-            if amt > 0:
-                assign[u] = tgt[1]
-    if len(assign) != m:
+    assign = _balanced_assignment(H, experts, centers)
+    if assign is None:
         raise InfeasibleError("balanced k-median assignment infeasible")
     return _extend_tf(H, X, k, centers, assign, opts)

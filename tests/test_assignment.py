@@ -1,0 +1,188 @@
+"""The matching and assignment makeshifts against exhaustive search.
+
+Mostly tiny explicit instances with small integer distances, so that ties
+and zero distances (which a sparse matching solver would read as missing
+edges) both occur.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from zeus_cluster.errors import InfeasibleError
+from zeus_cluster.graph import make_instance
+from zeus_cluster.makeshifts import (
+    MakeshiftOptions,
+    _kmedian_swap_centers,
+    balanced_kcenter,
+    makeshift_fairness_mincost,
+    makeshift_tf_kmedian,
+)
+
+SEEDS = range(40)
+
+
+def random_instance(seed):
+    """Explicit instance of 4..8 nodes with distances in 0..4."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 8)
+    m = np.zeros((n, n))
+    for u, v in itertools.combinations(range(n), 2):
+        m[u, v] = m[v, u] = rng.randint(0, 4)
+    colors = [rng.choice("BP") for _ in range(n)]
+    experts = [rng.random() < 0.7 for _ in range(n)]
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6]
+    return make_instance(
+        n, "explicit", matrix=m, colors=colors, experts=experts, edges=edges
+    )
+
+
+def random_points(seed):
+    """Euclidean instance of 4..8 random points in the unit square, about
+    70 % of them experts: a metric without ties."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 8)
+    return make_instance(
+        n, "euclidean",
+        embeddings=[(rng.random(), rng.random()) for _ in range(n)],
+        experts=[rng.random() < 0.7 for _ in range(n)],
+    )
+
+
+def balanced_assignments(m, k):
+    """Every map of m experts onto k blocks with loads in [m//k, ceil(m/k)]."""
+    low, high = m // k, -(-m // k)
+    for blocks in itertools.product(range(k), repeat=m):
+        loads = np.bincount(blocks, minlength=k)
+        if loads.min() >= low and loads.max() <= high:
+            yield blocks
+
+
+def least_matching_total(H):
+    """Least total length of a Blue-saturating matching within E, or None."""
+    blue = [u for u in range(H.n) if H.colors[u] == "B"]
+    purple = [u for u in range(H.n) if H.colors[u] == "P"]
+    best = None
+    for image in itertools.permutations(purple, len(blue)):
+        if all(p in H.adjacency[b] for b, p in zip(blue, image)):
+            total = sum(H.dist[b, p] for b, p in zip(blue, image))
+            best = total if best is None else min(best, total)
+    return best
+
+
+def matching_total(H, pairs):
+    return sum(H.dist[u, v] for u, v in pairs.pairs)
+
+
+class TestMinCostMatching:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_equals_exhaustive_minimum(self, seed):
+        H = random_instance(seed)
+        if "B" not in H.colors:
+            return
+        want = least_matching_total(H)
+        if want is None:
+            with pytest.raises(InfeasibleError):
+                makeshift_fairness_mincost(H)
+            return
+        _, pairs = makeshift_fairness_mincost(H)
+        blue = {u for u in range(H.n) if H.colors[u] == "B"}
+        assert len(pairs.pairs) == len(blue)
+        assert blue <= {u for e in pairs.pairs for u in e}
+        assert matching_total(H, pairs) == want
+
+    def test_blue_whose_only_neighbour_is_at_distance_zero(self):
+        # Blue 0's one Purple E-neighbour is node 2, at distance 0; Blue 1
+        # may take node 2 (distance 1) or node 3 (distance 3).
+        m = np.array(
+            [[0, 4, 0, 2], [4, 0, 1, 3], [0, 1, 0, 2], [2, 3, 2, 0]], dtype=float
+        )
+        H = make_instance(
+            4, "explicit", matrix=m, colors=["B", "B", "P", "P"],
+            edges=[(0, 2), (1, 2), (1, 3)],
+        )
+        _, pairs = makeshift_fairness_mincost(H)
+        assert pairs.pairs == {(0, 2), (1, 3)}
+        assert matching_total(H, pairs) == least_matching_total(H) == 3.0
+
+    def test_all_distances_zero(self):
+        H = make_instance(
+            4, "explicit", matrix=np.zeros((4, 4)), colors=["B", "P", "B", "P"],
+            edges=[(0, 1), (1, 2), (2, 3)],
+        )
+        _, pairs = makeshift_fairness_mincost(H)
+        assert pairs.pairs == {(0, 1), (2, 3)}
+
+
+def smallest_feasible_radius(H, experts, centers, multiplier):
+    """Exhaustive smallest candidate radius with a balanced assignment."""
+    d = H.dist[np.ix_(experts, centers)]
+    sub = H.dist[np.ix_(experts, experts)]
+    radii = sorted({0.0} | {float(x) for x in sub.ravel()})
+    for r in radii:
+        for blocks in balanced_assignments(len(experts), len(centers)):
+            if all(d[i, b] <= multiplier * r + 1e-12 for i, b in enumerate(blocks)):
+                return r
+    return None
+
+
+class TestBalancedKCenter:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("multiplier", [1.0, 4.0])
+    def test_radius_equals_exhaustive(self, seed, multiplier):
+        H = random_instance(seed)
+        experts = [u for u in range(H.n) if H.experts[u]]
+        opts = MakeshiftOptions(balance_radius_multiplier=multiplier)
+        for k in (1, 2, 3):
+            if k > len(experts):
+                continue
+            centers, assign, r = balanced_kcenter(H, set(experts), k, opts)
+            assert r == smallest_feasible_radius(H, experts, centers, multiplier)
+            loads = np.bincount([assign[u] for u in experts], minlength=k)
+            assert loads.min() >= len(experts) // k
+            assert loads.max() <= -(-len(experts) // k)
+            assert all(
+                H.dist[u, centers[assign[u]]] <= multiplier * r + 1e-12 for u in experts
+            )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_assignment_has_least_total_within_radius(self, seed):
+        H = random_instance(seed)
+        experts = [u for u in range(H.n) if H.experts[u]]
+        opts = MakeshiftOptions(balance_radius_multiplier=1.0)
+        for k in (2, 3):
+            if k > len(experts):
+                continue
+            centers, assign, r = balanced_kcenter(H, set(experts), k, opts)
+            d = H.dist[np.ix_(experts, centers)]
+            want = min(
+                sum(d[i, b] for i, b in enumerate(blocks))
+                for blocks in balanced_assignments(len(experts), k)
+                if all(d[i, b] <= r + 1e-12 for i, b in enumerate(blocks))
+            )
+            assert sum(H.dist[u, centers[assign[u]]] for u in experts) == want
+
+
+class TestTeamKMedian:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_total_equals_exhaustive_and_centers_in_own_block(self, seed):
+        H = random_points(seed)
+        experts = [u for u in range(H.n) if H.experts[u]]
+        opts = MakeshiftOptions()
+        for k in (1, 2, 3):
+            if k > len(experts):
+                continue
+            C = makeshift_tf_kmedian(H, set(experts), k, opts)
+            chosen = _kmedian_swap_centers(H, experts, {u: 1.0 for u in experts}, k, opts)
+            # a chosen center outside its own block would have been replaced
+            assert [C.centers[b] for b in range(k)] == chosen
+            assert all(C.assignment[c] == b for b, c in enumerate(chosen))
+            d = H.dist[np.ix_(experts, chosen)]
+            want = min(
+                sum(d[i, b] for i, b in enumerate(blocks))
+                for blocks in balanced_assignments(len(experts), k)
+            )
+            got = sum(H.dist[u, chosen[C.assignment[u]]] for u in experts)
+            assert got == pytest.approx(want, rel=1e-12)

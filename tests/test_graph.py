@@ -89,6 +89,17 @@ def test_explicit_lookup():
     assert distance(H, 2, 5) == 7.0
 
 
+def test_explicit_matrix_is_copied():
+    m = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+    before = m.copy()
+    H1 = make_instance(3, "explicit", matrix=m)
+    H2 = make_instance(3, "explicit", matrix=m)
+    assert H1.dist is not m and H2.dist is not m
+    assert m.flags.writeable
+    assert np.array_equal(m, before)
+    assert H1 == H2
+
+
 def test_out_of_range_node_id():
     H = line_points([0, 1])
     with pytest.raises(InstanceError):

@@ -1,0 +1,64 @@
+"""What importing and running the package pulls in.
+
+Each check runs in a fresh interpreter, so modules that other tests have
+already imported do not hide anything.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import zeus_cluster
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(zeus_cluster.__file__)))
+
+
+def run_python(code: str) -> str:
+    out = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_import_loads_no_graph_library():
+    # scipy.sparse.csgraph is imported where a matching first runs, not
+    # at import: loading it takes longer than the package itself
+    out = run_python(
+        """
+        import sys
+        import zeus_cluster, zeus_cluster.graph, zeus_cluster.zeus, zeus_cluster.bench
+        print(sorted(m for m in ("networkx", "scipy.sparse.csgraph") if m in sys.modules))
+        """
+    )
+    assert out.strip() == "[]"
+
+
+def test_fairness_and_team_runs_without_networkx():
+    out = run_python(
+        """
+        import importlib.abc, sys
+
+        class Refuse(importlib.abc.MetaPathFinder):
+            def find_spec(self, name, path, target=None):
+                if name.split(".")[0] == "networkx":
+                    raise ImportError(f"{name} is not available")
+                return None
+
+        sys.meta_path.insert(0, Refuse())
+        from zeus_cluster import ObjectiveSpec, ProblemSpec, SlackVector, generate_instance, zeus_run
+
+        for kind in ("f", "tf"):
+            H = generate_instance(kind, 30, 0)
+            spec = ProblemSpec(
+                (ObjectiveSpec(kind), ObjectiveSpec("kc")), SlackVector((1.0, 3.0)), 3
+            )
+            C, _ = zeus_run(H, spec)
+            print(kind, C.k)
+        print("networkx" in sys.modules)
+        """
+    )
+    assert out.split() == ["f", "3", "tf", "3", "False"]
