@@ -1,9 +1,14 @@
+import hashlib
+import json
+
 import pytest
 
 from conftest import line_points
-from zeus_cluster.baselines import baseline_b1, consolidate_fragments
-from zeus_cluster.errors import ConfigError
+from zeus_cluster.baselines import baseline_b1, baseline_b2, consolidate_fragments
+from zeus_cluster.errors import ConfigError, ZeusError
 from zeus_cluster.makeshifts import (
+    CLOSEST_EXPERT,
+    SEEDED_RANDOM,
     MakeshiftOptions,
     makeshift_fairness_ab,
     makeshift_rs_gamma,
@@ -15,6 +20,7 @@ from zeus_cluster.objectives import (
     ObjectiveSpec,
     OptimalEstimate,
     SlackVector,
+    clustering_to_json,
     eval_kcenter,
     evaluate,
 )
@@ -262,3 +268,85 @@ class TestDispatchRoutes:
         for out in (C, B1):
             counts = [sum(1 for u in b if u in X) for b in out.blocks()]
             assert max(counts) - min(counts) <= 1
+
+
+_O = ObjectiveSpec
+# objective lists and slacks per instance kind
+_PINNED_LISTS = {
+    "rs": [
+        ((_O("rs"), _O("kc")), (1, 3)),
+        ((_O("rs"), _O("km")), (1, 5)),
+        ((_O("kc"), _O("km")), (2, 5)),
+        ((_O("rs"), _O("kc")), (0.5, 2)),
+        ((_O("rs", gamma=2), _O("kc")), (1, 3)),
+        ((_O("kc"), _O("rs")), (2, 0.5)),
+        ((_O("km"), _O("rs")), (5, 0.5)),
+    ],
+    "f": [
+        ((_O("f"), _O("kc")), (1, 3)),
+        ((_O("f"), _O("km")), (1, 5)),
+        ((_O("f"), _O("kc")), (0.5, 2)),
+        ((_O("f"), _O("rs")), (1, 0.5)),
+    ],
+    "tf": [
+        ((_O("tf"), _O("kc")), (1, 3)),
+        ((_O("tf"), _O("km")), (1, 5)),
+        ((_O("tf"), _O("rs")), (1, 0.5)),
+    ],
+}
+
+
+def _pinned_lines():
+    """One line per Zeus, B1 and B2 clustering (or error class name) and
+    per Zeus trace entry without its timing, over a fixed grid."""
+    lines = []
+
+    def record(fn):
+        try:
+            lines.append(clustering_to_json(H, fn()))
+        except ZeusError as exc:
+            lines.append(type(exc).__name__)
+
+    for kind, lists in _PINNED_LISTS.items():
+        for n in (12, 30):
+            for seed in (0, 1):
+                H = generate_instance(kind, n, seed)
+                rules = [
+                    MakeshiftOptions(),
+                    MakeshiftOptions(first_center_rule=SEEDED_RANDOM, seed=seed),
+                ]
+                if kind == "tf":
+                    rules.append(MakeshiftOptions(nonexpert_rule=CLOSEST_EXPERT))
+                for k in range(2, 7):
+                    for opts in rules:
+                        record(lambda: baseline_b2(H, k, opts))
+                        for objectives, slacks in lists:
+                            spec = ProblemSpec(
+                                objectives, SlackVector(slacks), k, opts,
+                                allow_infeasible_slack=True,
+                            )
+                            try:
+                                C, state = zeus_run(H, spec)
+                            except ZeusError as exc:
+                                lines.append(type(exc).__name__)
+                            else:
+                                lines.append(clustering_to_json(H, C))
+                                for entry in state.trace:
+                                    entry = dict(entry)
+                                    entry.pop("elapsed_ms", None)
+                                    lines.append(json.dumps(entry, sort_keys=True))
+                            record(lambda: baseline_b1(H, spec))
+    return lines
+
+
+class TestPipelinePinned:
+    """Every Zeus, B1 and B2 clustering and Zeus trace on a fixed grid,
+    pinned by digest."""
+
+    def test_objective_lists_grid(self):
+        lines = _pinned_lines()
+        digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
+        assert (digest.hexdigest(), len(lines)) == (
+            "ef3b3ab5d3d05e03085d10c55e48443c1e0955a21bdd67cab4dbafd5dc05b6f1",
+            2612,
+        )
