@@ -74,16 +74,22 @@ def consolidate_fragments(H: GraphInstance, C: Clustering, k: int) -> Clustering
         roots[i] = min(roots[i], roots[j])
         del groups[j]
         del roots[j]
-    order = sorted(range(k), key=lambda i: min(groups[i]))
+    return _centered_blocks(H, groups, C.atoms, C.roots)
+
+
+def _centered_blocks(
+    H: GraphInstance, groups: list[list[int]], atoms=(), roots=()
+) -> Clustering:
+    """The groups as blocks, ordered by their lowest member, each centered
+    at its best 1-center."""
     assign = {}
     centers = {}
-    atoms = C.atoms
-    for b, gi in enumerate(order):
-        for u in groups[gi]:
+    for b, members in enumerate(sorted(groups, key=min)):
+        for u in members:
             assign[u] = b
-        centers[b] = _block_one_center(H, groups[gi])
+        centers[b] = _block_one_center(H, members)
     out = Clustering(
-        assignment=assign, k=k, centers=centers, atoms=atoms, roots=C.roots
+        assignment=assign, k=len(groups), centers=centers, atoms=atoms, roots=roots
     )
     out.validate(H.n)
     return out
@@ -129,7 +135,7 @@ def baseline_moc_path(
     out: dict[int, Clustering] = {}
     while True:
         if len(blocks) in wanted:
-            out[len(blocks)] = _moc_snapshot(H, blocks)
+            out[len(blocks)] = _centered_blocks(H, blocks)
         if len(blocks) == wanted[0]:
             return out
         upper = np.triu_indices(len(blocks), 1)
@@ -205,14 +211,3 @@ def _bordered(square: np.ndarray, column: np.ndarray) -> np.ndarray:
     out[:-1, -1] = out[-1, :-1] = column
     return out
 
-
-def _moc_snapshot(H: GraphInstance, blocks: list[list[int]]) -> Clustering:
-    assign = {}
-    centers = {}
-    for b, members in enumerate(sorted(blocks, key=min)):
-        for u in members:
-            assign[u] = b
-        centers[b] = _block_one_center(H, members)
-    out = Clustering(assignment=assign, k=len(blocks), centers=centers)
-    out.validate(H.n)
-    return out

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -62,6 +63,8 @@ class ExperimentConfig:
         for s in self.slacks:
             if len(s) != len(self.objectives):
                 raise ConfigError("each slack setting must match the objective count")
+            if any(math.isnan(x) for x in s):
+                raise ConfigError("slack is not a number")
 
 
 def config_from_data(data: dict) -> ExperimentConfig:
@@ -85,6 +88,8 @@ def config_from_data(data: dict) -> ExperimentConfig:
         )
     except KeyError as exc:
         raise ConfigError(f"experiment config missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"experiment config has a malformed value: {exc}") from exc
 
 
 @dataclass

@@ -39,7 +39,10 @@ def _parse_objectives(text: str) -> tuple[ObjectiveSpec, ...]:
 
 
 def _parse_slacks(text: str, count: int) -> SlackVector:
-    deltas = tuple(float(t) for t in text.split(","))
+    try:
+        deltas = tuple(float(t) for t in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"slack list must hold numbers: {exc}") from exc
     if len(deltas) != count:
         raise ConfigError("slack list length must match the objective list")
     return SlackVector(deltas)
@@ -165,9 +168,6 @@ def main(argv=None) -> int:
         return 1
     except click.exceptions.ClickException as exc:
         exc.show()
-        return 1
-    except (ConfigError,) as exc:
-        click.echo(f"error: {exc}", err=True)
         return 1
     except InfeasibleError as exc:
         click.echo(f"infeasible: {exc}", err=True)

@@ -43,8 +43,6 @@ class GraphInstance:
     experts: tuple[bool, ...]
     embeddings: tuple[tuple[float, ...], ...] | None = None
     attr_sets: tuple[frozenset[str], ...] | None = None
-    fill: float | None = None
-    edge_threshold: float | None = None
     adjacency: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
 
     @property
@@ -111,7 +109,6 @@ def _build_instance(
     edges=None,
     colors=None,
     experts=None,
-    fill=None,
     edge_threshold=None,
 ) -> GraphInstance:
     n = len(labels)
@@ -204,8 +201,6 @@ def _build_instance(
         attr_sets=tuple(frozenset(str(t) for t in s) for s in attr_sets)
         if attr_sets is not None
         else None,
-        fill=fill,
-        edge_threshold=edge_threshold,
     )
 
 
@@ -219,7 +214,6 @@ def make_instance(
     edges=None,
     colors=None,
     experts=None,
-    fill: float | None = None,
     edge_threshold: float | None = None,
 ) -> GraphInstance:
     """Programmatic constructor with dense ids 0..n-1."""
@@ -232,7 +226,6 @@ def make_instance(
         edges=edges,
         colors=colors,
         experts=experts,
-        fill=fill,
         edge_threshold=edge_threshold,
     )
 
@@ -305,7 +298,6 @@ def instance_from_data(data: dict) -> GraphInstance:
         edges=edges,
         colors=colors,
         experts=experts,
-        fill=fill,
         edge_threshold=data.get("edge_threshold"),
     )
 
@@ -323,38 +315,35 @@ def load_instance(path: str, fmt: str = "json", fill: float | None = None) -> Gr
     fill : float, optional
         Fill distance for the csv-edges format.
     """
-    if fmt == "json":
-        try:
-            with open(path) as fh:
+    if fmt not in ("json", "csv-edges"):
+        raise InstanceError(f"unknown format {fmt!r}")
+    if fmt == "csv-edges" and fill is None:
+        raise InstanceError("csv-edges format requires a fill distance")
+    try:
+        with open(path, newline="" if fmt == "csv-edges" else None) as fh:
+            if fmt == "json":
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"cannot parse {path}: {exc}") from exc
+            else:
+                reader = csv.DictReader(fh)
+                if reader.fieldnames is None or not {"u", "v", "weight"} <= set(
+                    reader.fieldnames
+                ):
+                    raise InstanceError("csv-edges header must be u,v,weight")
+                rows = [(row["u"], row["v"], float(row["weight"])) for row in reader]
+    except OSError as exc:
+        raise InstanceError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # not JSON, or a weight that is not a number
+        raise InstanceError(f"cannot parse {path}: {exc}") from exc
+    if fmt == "json":
         return instance_from_data(data)
-    if fmt == "csv-edges":
-        if fill is None:
-            raise InstanceError("csv-edges format requires a fill distance")
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"u", "v", "weight"} <= set(
-                reader.fieldnames
-            ):
-                raise InstanceError("csv-edges header must be u,v,weight")
-            rows = [(row["u"], row["v"], float(row["weight"])) for row in reader]
-        labels: list[str] = []
-        seen = set()
-        for u, v, _ in rows:
-            for x in (u, v):
-                if x not in seen:
-                    seen.add(x)
-                    labels.append(x)
-        data = {
-            "metric": EXPLICIT,
-            "fill": fill,
-            "nodes": [{"id": x} for x in labels],
-            "edges": [[u, v, w] for u, v, w in rows],
-        }
-        return instance_from_data(data)
-    raise InstanceError(f"unknown format {fmt!r}")
+    labels = dict.fromkeys(x for u, v, _ in rows for x in (u, v))
+    data = {
+        "metric": EXPLICIT,
+        "fill": fill,
+        "nodes": [{"id": x} for x in labels],
+        "edges": [[u, v, w] for u, v, w in rows],
+    }
+    return instance_from_data(data)
 
 
 def instance_to_data(H: GraphInstance) -> dict:

@@ -56,29 +56,47 @@ def _atoms_of(C_in: Clustering, n: int) -> tuple[tuple[tuple[int, ...], ...], tu
     return tuple((u,) for u in range(n)), tuple(range(n))
 
 
+def _atoms_for_k(C_in: Clustering, n: int, k: int):
+    """The atoms and roots of ``C_in``, after checking that k blocks fit them."""
+    if k > n:
+        raise ConfigError(f"k={k} exceeds n={n}")
+    atoms, roots = _atoms_of(C_in, n)
+    if k > len(atoms):
+        raise InfeasibleError(
+            f"k={k} exceeds the {len(atoms)} cohesion groups; "
+            "relax k or the preceding objective"
+        )
+    return atoms, roots
+
+
 def greedy_centers(
     H: GraphInstance,
     k: int,
     opts: MakeshiftOptions,
     candidates: list[int] | None = None,
 ) -> list[int]:
-    """Farthest-first (Gonzalez) center selection, ties by lowest node id."""
+    """Farthest-first (Gonzalez) center selection, ties by lowest node id.
+
+    A chosen center is never chosen again, even when every remaining
+    candidate is at distance 0 from the centers.
+    """
     cand = sorted(candidates) if candidates is not None else list(range(H.n))
     if k > len(cand):
         raise ConfigError(f"k={k} exceeds candidate count {len(cand)}")
     if opts.first_center_rule == SEEDED_RANDOM:
-        rng = random.Random(opts.seed)
-        first = cand[rng.randrange(len(cand))]
+        far = random.Random(opts.seed).randrange(len(cand))
     else:
-        first = cand[0]
+        far = 0
     idx = np.asarray(cand)
-    centers = [first]
-    nearest = H.dist[idx, first].copy()
+    centers = [cand[far]]
+    nearest = H.dist[idx, cand[far]].copy()
+    nearest[far] = -1.0
     while len(centers) < k:
         far = int(np.flatnonzero(nearest == nearest.max())[0])
         c = cand[far]
         centers.append(c)
         np.minimum(nearest, H.dist[idx, c], out=nearest)
+        nearest[far] = -1.0
     return centers
 
 
@@ -92,7 +110,8 @@ def greedy_kcenter_value(
 
 
 def _nearest_assignment(H: GraphInstance, centers: list[int]) -> dict[int, int]:
-    """Assign every node to its nearest center, ties by lowest center id."""
+    """Position in ``centers`` of every node's nearest center; ties go to
+    the lowest center id, then to its first position."""
     order = sorted(range(len(centers)), key=lambda i: centers[i])
     sorted_ids = [centers[i] for i in order]
     cols = H.dist[:, sorted_ids]
@@ -167,14 +186,7 @@ def makeshift_kcenter(
     nodes clustered together by earlier objectives stay together.
     """
     n = H.n
-    if k > n:
-        raise ConfigError(f"k={k} exceeds n={n}")
-    atoms, roots = _atoms_of(C_in, n)
-    if k > len(atoms):
-        raise InfeasibleError(
-            f"k={k} exceeds the {len(atoms)} cohesion groups; "
-            "relax k or the preceding objective"
-        )
+    atoms, roots = _atoms_for_k(C_in, n, k)
     centers = greedy_centers(H, k, opts)
     assign = _nearest_assignment(H, centers)
 
@@ -260,16 +272,8 @@ def _fragment_clustering(
 
 
 def _rep_view(H: GraphInstance, C_in: Clustering):
-    """Representative nodes (atom roots) and their induced E-relation.
-
-    With all-singleton atoms this is just the node set and E itself.
-    """
+    """Representative nodes (atom roots) and their induced E-relation."""
     atoms, roots = _atoms_of(C_in, H.n)
-    if all(len(a) == 1 for a in atoms):
-        reps = list(range(H.n))
-        adjacency = {u: list(H.adjacency[u]) for u in reps}
-        atom_of = {u: (u,) for u in reps}
-        return reps, adjacency, atom_of
     atom_of = {}
     rep_of_node = {}
     for atom, root in zip(atoms, roots):
@@ -335,7 +339,12 @@ def makeshift_rs(
 def makeshift_rs_gamma(
     H: GraphInstance, gamma: int
 ) -> tuple[Clustering, PairStructure]:
-    """Gamma-neighbor cover: smallest radius with min E-degree >= gamma."""
+    """Gamma-neighbor cover: smallest radius with min E-degree >= gamma.
+
+    That radius is the largest over nodes of each node's gamma-th shortest
+    E-edge, so every node's gamma shortest E-edges form the cover, and the
+    longest of them is the radius.
+    """
     if gamma < 1:
         raise ConfigError("gamma must be a positive integer")
     for u in range(H.n):
@@ -343,37 +352,12 @@ def makeshift_rs_gamma(
             raise InfeasibleError(
                 f"node {H.labels[u]} has E-degree {len(H.adjacency[u])} < gamma={gamma}"
             )
-    weights = sorted({float(H.dist[u, v]) for u, v in H.edges})
-
-    def feasible(r: float) -> bool:
-        return all(
-            sum(1 for v in H.adjacency[u] if H.dist[u, v] <= r) >= gamma
-            for u in range(H.n)
-        )
-
-    lo, hi = 0, len(weights) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(weights[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    r_star = weights[hi]
-
-    cover: set[tuple[int, int]] = set()
-    for u in range(H.n):
-        within = sorted(
-            (v for v in H.adjacency[u] if H.dist[u, v] <= r_star),
-            key=lambda v: (H.dist[u, v], v),
-        )
-        for v in within[:gamma]:
-            cover.add((min(u, v), max(u, v)))
-
-    fragments = [(comp, min(comp)) for comp in _components(range(H.n), cover)]
-    pairs = PairStructure(
-        pairs=frozenset(cover), realized_radius=r_star, kind="gamma_cover"
-    )
-    return _fragment_clustering(H, fragments), pairs
+    cover = {
+        (min(u, v), max(u, v))
+        for u in range(H.n)
+        for v in sorted(H.adjacency[u], key=lambda w: (H.dist[u, w], w))[:gamma]
+    }
+    return _pair_fragments(H, cover, "gamma_cover")
 
 
 def _sparse():
@@ -466,26 +450,29 @@ def makeshift_fairness_ab(
         raise ConfigError("alpha and beta must be positive integers")
     bp = _blue_purple(H)
     bp_weights = sorted(set(bp[-1].tolist()))
-    if not bp_weights or _bp_matching(bp, bp_weights[-1], alpha, beta) is None:
+    best = _bp_matching(bp, bp_weights[-1], alpha, beta) if bp_weights else None
+    if best is None:
         raise InfeasibleError(
             "no Blue-saturating matching exists at any radius"
         )
     lo, hi = 0, len(bp_weights) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _bp_matching(bp, bp_weights[mid], alpha, beta) is not None:
+        got = _bp_matching(bp, bp_weights[mid], alpha, beta)
+        if got is not None:
             hi = mid
+            best = got
         else:
             lo = mid + 1
-    matched = _bp_matching(bp, bp_weights[hi], alpha, beta)
-    assert matched is not None
     kind = "b_matching" if (alpha, beta) != (1, 1) else "matching"
-    return _matching_fragments(H, matched, kind)
+    return _pair_fragments(H, best, kind)
 
 
-def _matching_fragments(
+def _pair_fragments(
     H: GraphInstance, matched: set[tuple[int, int]], kind: str
 ) -> tuple[Clustering, PairStructure]:
+    """Blocks are the connected components of the pairs; the radius is the
+    longest pair."""
     fragments = [(comp, min(comp)) for comp in _components(range(H.n), matched)]
     radius = max((float(H.dist[u, v]) for u, v in matched), default=0.0)
     pairs = PairStructure(
@@ -505,7 +492,7 @@ def makeshift_fairness_mincost(
     matched = {
         (min(u, v), max(u, v)) for u, v in zip(blue.tolist(), purple[col_of].tolist())
     }
-    return _matching_fragments(H, matched, "matching")
+    return _pair_fragments(H, matched, "matching")
 
 
 def makeshift_fairness_for(
@@ -620,17 +607,12 @@ def _extend_tf(
 ) -> Clustering:
     experts = sorted(X)
     full = dict(assign)
-    for u in range(H.n):
-        if u in X:
-            continue
-        if opts.nonexpert_rule == CLOSEST_EXPERT:
-            v = min(experts, key=lambda e: (H.dist[u, e], e))
-            full[u] = assign[v]
-        else:
-            best = min(
-                range(k), key=lambda i: (H.dist[u, centers[i]], centers[i])
-            )
-            full[u] = best
+    if opts.nonexpert_rule == CLOSEST_EXPERT:
+        nearest = _nearest_assignment(H, experts)
+        full.update((u, assign[experts[nearest[u]]]) for u in range(H.n) if u not in X)
+    else:
+        nearest = _nearest_assignment(H, centers)
+        full.update((u, nearest[u]) for u in range(H.n) if u not in X)
 
     final_centers, members_of = _settle_centers(H, full, centers)
     atoms = tuple(tuple(sorted(members_of[b])) for b in range(k))
@@ -686,26 +668,16 @@ def makeshift_kmedian(
 ) -> Clustering:
     """Swap-heuristic k-median over atom representatives, atoms kept whole."""
     n = H.n
-    if k > n:
-        raise ConfigError(f"k={k} exceeds n={n}")
-    atoms, roots = _atoms_of(C_in, n)
-    if k > len(atoms):
-        raise InfeasibleError(
-            f"k={k} exceeds the {len(atoms)} cohesion groups; "
-            "relax k or the preceding objective"
-        )
+    atoms, roots = _atoms_for_k(C_in, n, k)
     reps = sorted(roots)
     weights = {root: float(len(atom)) for atom, root in zip(atoms, roots)}
     centers = _kmedian_swap_centers(H, reps, weights, k, opts)
 
-    order = sorted(range(k), key=lambda i: centers[i])
-    sorted_ids = [centers[i] for i in order]
-    assign: dict[int, int] = {}
-    for atom, root in zip(atoms, roots):
-        cols = H.dist[root, sorted_ids]
-        pick = order[int(np.argmin(cols))]
-        for u in atom:
-            assign[u] = pick
+    # a center's own atom stays in its block, even when a lower-id center
+    # lies at distance 0
+    nearest = _nearest_assignment(H, centers)
+    nearest.update((c, b) for b, c in enumerate(centers))
+    assign = {u: nearest[root] for atom, root in zip(atoms, roots) for u in atom}
     final_centers = {b: centers[b] for b in range(k)}
     C = Clustering(
         assignment=assign, k=k, centers=final_centers, atoms=atoms, roots=roots

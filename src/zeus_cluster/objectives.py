@@ -26,8 +26,6 @@ MAXIMIZE = "maximize"
 _DIRECTIONS = {KC: MINIMIZE, KM: MINIMIZE, RS: MAXIMIZE, F: MAXIMIZE, TF: MINIMIZE}
 
 REL_TOL = 1e-9
-# documented approximation factor of the single-swap k-median heuristic
-KMEDIAN_FACTOR = 5.0
 
 
 @dataclass(frozen=True)
@@ -137,6 +135,8 @@ class SlackVector:
         if len(self.deltas) != len(objectives):
             raise ConfigError("slack vector length must equal objective count")
         for d, o in zip(self.deltas, objectives):
+            if math.isnan(d):
+                raise ConfigError("slack is not a number")
             if d < 0:
                 raise ConfigError(f"slack {d} is negative")
             if allow_infeasible:
@@ -297,50 +297,6 @@ def slack_violated(
     return value.value > threshold and not rel_close(value.value, threshold)
 
 
-@dataclass
-class EstimateContext:
-    """What is known when an optimal value has to be estimated."""
-
-    k: int
-    makeshift_value: float | None = None
-    options: object | None = None
-
-
-def estimate_optimal(
-    H: GraphInstance, o: ObjectiveSpec, ctx: EstimateContext
-) -> OptimalEstimate:
-    """Estimate the optimal value of ``o`` from theoretical guarantees.
-
-    RS and F makeshifts are provably optimal, so the makeshift's own value
-    is exact. k-center uses the greedy 2-approximation halved as a lower
-    bound; k-median divides the swap-heuristic value by its documented
-    factor; TF uses the pigeonhole ratio on expert counts.
-    """
-    from . import makeshifts  # deferred: avoids a circular import
-
-    if o.kind in (RS, F):
-        if ctx.makeshift_value is None:
-            raise ConfigError(f"{o.kind} estimate needs the makeshift's own value")
-        return OptimalEstimate("exact", ctx.makeshift_value)
-    if o.kind == KC:
-        opts = ctx.options or makeshifts.MakeshiftOptions()
-        value = makeshifts.greedy_kcenter_value(H, ctx.k, opts)
-        return OptimalEstimate("lower_bound", value / 2.0)
-    if o.kind == KM:
-        if ctx.makeshift_value is None:
-            raise ConfigError("km estimate needs the swap heuristic's value")
-        return OptimalEstimate("lower_bound", ctx.makeshift_value / KMEDIAN_FACTOR)
-    # tf
-    experts = sum(H.experts)
-    if experts // ctx.k == 0:
-        raise DegenerateInputError(
-            f"team formation needs at least k={ctx.k} experts, got {experts}"
-        )
-    return OptimalEstimate(
-        "lower_bound", math.ceil(experts / ctx.k) / (experts // ctx.k)
-    )
-
-
 __all__ = [
     "Clustering",
     "ObjectiveSpec",
@@ -348,7 +304,6 @@ __all__ = [
     "OptimalEstimate",
     "SlackVector",
     "PairStructure",
-    "EstimateContext",
     "singleton_clustering",
     "clustering_to_json",
     "eval_kcenter",
@@ -360,7 +315,6 @@ __all__ = [
     "lex_compare",
     "compare_value_tuples",
     "slack_violated",
-    "estimate_optimal",
     "rel_close",
     "KC",
     "KM",

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateInputError
 from .graph import GraphInstance
 from .makeshifts import (
     MakeshiftOptions,
+    greedy_kcenter_value,
     makeshift_fairness_for,
     makeshift_kcenter,
     makeshift_kmedian,
@@ -25,17 +27,19 @@ from .objectives import (
     RS,
     TF,
     Clustering,
-    EstimateContext,
     ObjectiveSpec,
+    ObjectiveValue,
     OptimalEstimate,
     PairStructure,
     SlackVector,
-    estimate_optimal,
     evaluate,
     rel_close,
     singleton_clustering,
     slack_violated,
 )
+
+# documented approximation factor of the single-swap k-median heuristic
+KMEDIAN_FACTOR = 5.0
 
 
 @dataclass(frozen=True)
@@ -112,12 +116,7 @@ def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineS
 
         fp = state.fairness_pairs
         value = evaluate(H, C, o, pairs=fp)
-        ctx = EstimateContext(
-            k=spec.k,
-            makeshift_value=value.value if o.kind in (RS, F, KM) else None,
-            options=spec.options,
-        )
-        est = estimate_optimal(H, o, ctx)
+        est = estimate_optimal(H, o, value.value, spec.k, spec.options)
         violated = slack_violated(value, delta, est)
         moves = 0
         if violated:
@@ -155,6 +154,32 @@ def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineS
             }
         )
     return C, state
+
+
+def estimate_optimal(
+    H: GraphInstance, o: ObjectiveSpec, value: float, k: int, opts: MakeshiftOptions
+) -> OptimalEstimate:
+    """Estimate the optimal value of ``o`` from theoretical guarantees,
+    given the ``value`` its makeshift reached.
+
+    RS and F makeshifts are provably optimal, so their value is exact.
+    k-center uses the greedy 2-approximation halved as a lower bound;
+    k-median divides the swap-heuristic value by its documented factor;
+    TF uses the pigeonhole ratio on expert counts.
+    """
+    if o.kind in (RS, F):
+        return OptimalEstimate("exact", value)
+    if o.kind == KC:
+        return OptimalEstimate("lower_bound", greedy_kcenter_value(H, k, opts) / 2.0)
+    if o.kind == KM:
+        return OptimalEstimate("lower_bound", value / KMEDIAN_FACTOR)
+    # tf
+    experts = sum(H.experts)
+    if experts // k == 0:
+        raise DegenerateInputError(
+            f"team formation needs at least k={k} experts, got {experts}"
+        )
+    return OptimalEstimate("lower_bound", math.ceil(experts / k) / (experts // k))
 
 
 def _apply_move(C: Clustering, atom: tuple[int, ...], target: int) -> Clustering:
@@ -248,8 +273,6 @@ def local_search(
     maximize = violated_o.direction == MAXIMIZE
 
     def satisfied(v: float) -> bool:
-        from .objectives import ObjectiveValue
-
         return not slack_violated(ObjectiveValue(v, violated_o.direction), delta, est)
 
     while moves < cap and not satisfied(value):

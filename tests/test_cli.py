@@ -131,6 +131,24 @@ class TestCluster:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("slack", ["1,x", "1,nan"])
+    def test_bad_slack_exit_1(self, rs_instance, slack, capsys):
+        rc = main(
+            [
+                "cluster",
+                "--input",
+                rs_instance,
+                "--objectives",
+                "rs,kc",
+                "--slack",
+                slack,
+                "--k",
+                "2",
+            ]
+        )
+        assert rc == 1
+        assert "internal error" not in capsys.readouterr().err
+
     def test_missing_file_exit_nonzero(self):
         rc = main(
             [
@@ -145,7 +163,7 @@ class TestCluster:
                 "2",
             ]
         )
-        assert rc != 0
+        assert rc == 1
 
     def test_csv_edges_input(self, tmp_path, capsys):
         path = tmp_path / "e.csv"
@@ -246,3 +264,18 @@ class TestBench:
         path.write_text(json.dumps(cfg))
         assert main(["bench", "--config", str(path)]) == 1
         assert "k values must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("slack", ["a", float("nan")])
+    def test_bad_slack_exit_1(self, rs_instance, tmp_path, slack, capsys):
+        cfg = {
+            "instance": rs_instance,
+            "objectives": ["rs", "kc"],
+            "slacks": [[1, slack]],
+            "k": [2],
+            "algorithms": ["zeus"],
+            "output": str(tmp_path / "out"),
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(path)]) == 1
+        assert "internal error" not in capsys.readouterr().err

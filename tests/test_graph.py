@@ -244,6 +244,21 @@ def test_csv_edges_format(tmp_path):
         load_instance(str(path), fmt="csv-edges")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv-edges"])
+def test_unreadable_file_is_instance_error(tmp_path, fmt):
+    with pytest.raises(InstanceError, match="cannot read"):
+        load_instance(str(tmp_path / "absent"), fmt=fmt, fill=1.0)
+    with pytest.raises(InstanceError, match="cannot read"):
+        load_instance(str(tmp_path), fmt=fmt, fill=1.0)  # a directory
+
+
+def test_csv_edges_non_numeric_weight(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text("u,v,weight\na,b,x\n")
+    with pytest.raises(InstanceError, match="cannot parse"):
+        load_instance(str(path), fmt="csv-edges", fill=9.0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=20), st.integers(min_value=0, max_value=10))
 def test_distance_symmetry_and_identity(n, seed):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from zeus_cluster.graph import make_instance
 from zeus_cluster.makeshifts import (
     MakeshiftOptions,
     balanced_kcenter,
+    greedy_centers,
     greedy_kcenter_value,
     makeshift_fairness_ab,
     makeshift_fairness_for,
@@ -21,6 +24,7 @@ from zeus_cluster.makeshifts import (
 from zeus_cluster.objectives import (
     Clustering,
     ObjectiveSpec,
+    SlackVector,
     eval_kcenter,
     eval_kmedian,
     eval_resource_sharing,
@@ -29,6 +33,7 @@ from zeus_cluster.objectives import (
 )
 from zeus_cluster.oracle import oracle_edge_cover, oracle_matching_radius
 from zeus_cluster.synth import generate_instance
+from zeus_cluster.zeus import ProblemSpec, zeus_run
 
 OPTS = MakeshiftOptions()
 
@@ -194,6 +199,49 @@ class TestGammaCover:
                 deg[v] += 1
             assert min(deg.values()) >= 2
             assert all(H.dist[u, v] <= pairs.realized_radius for u, v in pairs.pairs)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_radius_is_smallest_feasible_edge_weight(self, seed):
+        # integer distances 1..4 and a random E, so weights tie often
+        rng = random.Random(seed)
+        n = rng.randint(2, 8)
+        m = np.zeros((n, n))
+        edges = []
+        for u in range(n):
+            for v in range(u + 1, n):
+                m[u, v] = m[v, u] = rng.randint(1, 4)
+                if rng.random() < 0.7:
+                    edges.append((u, v))
+        H = explicit(m, edges=edges)
+        for gamma in (1, 2, 3):
+            if min(len(a) for a in H.adjacency) < gamma:
+                with pytest.raises(InfeasibleError):
+                    makeshift_rs_gamma(H, gamma)
+                continue
+            _, pairs = makeshift_rs_gamma(H, gamma)
+            assert pairs.realized_radius == _gamma_radius_by_search(H, gamma)
+            assert max(H.dist[u, v] for u, v in pairs.pairs) == pairs.realized_radius
+
+
+def _gamma_radius_by_search(H, gamma):
+    """Binary search over the E-weights for the smallest radius at which
+    every node has gamma E-neighbours."""
+    weights = sorted({float(H.dist[u, v]) for u, v in H.edges})
+
+    def feasible(r):
+        return all(
+            sum(1 for v in H.adjacency[u] if H.dist[u, v] <= r) >= gamma
+            for u in range(H.n)
+        )
+
+    lo, hi = 0, len(weights) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(weights[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return weights[hi]
 
 
 def bp_instance(weights, n_blue, n_purple, fill=100.0):
@@ -427,3 +475,41 @@ class TestDeterminism:
         a = makeshift_rs(H, singleton_clustering(25))[1]
         b = makeshift_rs(H, singleton_clustering(25))[1]
         assert a.pairs == b.pairs
+
+
+class TestCoincidentPoints:
+    """Points at one location: every block stays non-empty."""
+
+    CHAIN = [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+    def _run(self, H, kinds, slacks, k):
+        spec = ProblemSpec(
+            tuple(ObjectiveSpec(kind) for kind in kinds), SlackVector(slacks), k
+        )
+        C, _ = zeus_run(H, spec)
+        assert all(C.blocks())
+        return C
+
+    def test_greedy_centers_are_distinct(self):
+        H = make_instance(5, "euclidean", embeddings=[(0, 0)] * 5)
+        for k in range(1, 6):
+            assert greedy_centers(H, k, OPTS) == list(range(k))
+
+    def test_kmedian_all_coincident(self):
+        H = make_instance(5, "euclidean", embeddings=[(0, 0)] * 5, edges=self.CHAIN)
+        C = self._run(H, ["km"], (5,), 3)
+        assert C.k == 3
+        assert eval_kmedian(H, C).value == 0.0
+
+    def test_rs_then_kmedian_all_coincident(self):
+        H = make_instance(5, "euclidean", embeddings=[(0, 0)] * 5, edges=self.CHAIN)
+        self._run(H, ["rs", "km"], (1, 5), 2)
+
+    def test_kmedian_two_locations(self):
+        H = make_instance(4, "euclidean", embeddings=[(0, 0), (0, 0), (1, 0), (1, 0)])
+        C = self._run(H, ["km"], (5,), 3)
+        assert eval_kmedian(H, C).value == 0.0
+
+    def test_kcenter_all_coincident(self):
+        H = make_instance(5, "euclidean", embeddings=[(0, 0)] * 5, edges=self.CHAIN)
+        self._run(H, ["kc"], (2,), 3)

@@ -7,19 +7,18 @@ from hypothesis import strategies as st
 from conftest import explicit, line_points
 from zeus_cluster.errors import ConfigError, DegenerateInputError
 from zeus_cluster.graph import make_instance
+from zeus_cluster.makeshifts import MakeshiftOptions
 from zeus_cluster.objectives import (
     C1_SUPERIOR,
     C2_SUPERIOR,
     EQUAL,
     Clustering,
-    EstimateContext,
     ObjectiveSpec,
     ObjectiveValue,
     OptimalEstimate,
     PairStructure,
     SlackVector,
     compare_value_tuples,
-    estimate_optimal,
     eval_fairness,
     eval_kcenter,
     eval_resource_sharing,
@@ -28,6 +27,7 @@ from zeus_cluster.objectives import (
     singleton_clustering,
     slack_violated,
 )
+from zeus_cluster.zeus import KMEDIAN_FACTOR, estimate_optimal
 
 
 def pairs(*ps):
@@ -207,6 +207,12 @@ class TestSlack:
         # override admits the infeasible configuration
         SlackVector((1.5, 1.5)).validate(O, allow_infeasible=True)
 
+    def test_nan_slack_rejected(self):
+        O = (ObjectiveSpec("rs"), ObjectiveSpec("kc"))
+        for allow in (False, True):
+            with pytest.raises(ConfigError):
+                SlackVector((1.0, math.nan)).validate(O, allow_infeasible=allow)
+
     def test_slack_length_mismatch(self):
         with pytest.raises(ConfigError):
             SlackVector((1.0,)).validate((ObjectiveSpec("rs"), ObjectiveSpec("kc")))
@@ -215,26 +221,29 @@ class TestSlack:
 class TestEstimateOptimal:
     def test_kcenter_halves_greedy(self):
         H = line_points([0, 8])
-        est = estimate_optimal(H, ObjectiveSpec("kc"), EstimateContext(k=1))
+        est = estimate_optimal(H, ObjectiveSpec("kc"), 8.0, 1, MakeshiftOptions())
         assert est.kind == "lower_bound"
         assert est.value == pytest.approx(4.0)
 
     def test_rs_exact_from_makeshift(self):
         H = line_points([0, 1])
-        est = estimate_optimal(
-            H, ObjectiveSpec("rs"), EstimateContext(k=1, makeshift_value=0.95)
-        )
+        est = estimate_optimal(H, ObjectiveSpec("rs"), 0.95, 1, MakeshiftOptions())
         assert est == OptimalEstimate("exact", 0.95)
+
+    def test_kmedian_divides_swap_value(self):
+        H = line_points([0, 1])
+        est = estimate_optimal(H, ObjectiveSpec("km"), 10.0, 1, MakeshiftOptions())
+        assert est == OptimalEstimate("lower_bound", 10.0 / KMEDIAN_FACTOR)
 
     def test_tf_pigeonhole(self):
         H = line_points(range(12), experts=[True] * 10 + [False, False])
-        est = estimate_optimal(H, ObjectiveSpec("tf"), EstimateContext(k=3))
+        est = estimate_optimal(H, ObjectiveSpec("tf"), 1.0, 3, MakeshiftOptions())
         assert est.value == pytest.approx(4 / 3)
 
     def test_tf_degenerate_raises(self):
         H = line_points([0, 1, 2], experts=[True, False, False])
         with pytest.raises(DegenerateInputError):
-            estimate_optimal(H, ObjectiveSpec("tf"), EstimateContext(k=2))
+            estimate_optimal(H, ObjectiveSpec("tf"), 1.0, 2, MakeshiftOptions())
 
 
 def test_evaluation_is_pure(triangle):
