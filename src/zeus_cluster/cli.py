@@ -139,8 +139,12 @@ def oracle(input_path, fmt, fill, objectives, k):
 @click.option("--config", "config_path", required=True)
 def bench(config_path):
     """Run an experiment grid described by a JSON config file."""
-    with open(config_path) as fh:
-        config = config_from_data(json.load(fh))
+    try:
+        with open(config_path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, or not JSON
+        raise ConfigError(f"cannot read {config_path}: {exc}") from exc
+    config = config_from_data(data)
     records = run_experiment(config)
     written = emit_report(records, config.formats, config.output_dir)
     for path in written:

@@ -277,7 +277,10 @@ def instance_from_data(data: dict) -> GraphInstance:
         np.fill_diagonal(matrix, 0.0)
 
         def put(u, v, w):
-            w = float(w)
+            try:
+                w = float(w)
+            except (TypeError, ValueError) as exc:
+                raise InstanceError(f"distance {w!r} is not a number") from exc
             if w < 0:
                 raise InstanceError(f"negative distance for pair ({u},{v})")
             matrix[u, v] = matrix[v, u] = w

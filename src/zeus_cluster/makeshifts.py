@@ -272,23 +272,15 @@ def _fragment_clustering(
 
 
 def _rep_view(H: GraphInstance, C_in: Clustering):
-    """Representative nodes (atom roots) and their induced E-relation."""
+    """Representative nodes (atom roots), the set of representatives each
+    is joined to through E, and each one's atom."""
     atoms, roots = _atoms_of(C_in, H.n)
-    atom_of = {}
-    rep_of_node = {}
-    for atom, root in zip(atoms, roots):
-        atom_of[root] = atom
-        for u in atom:
-            rep_of_node[u] = root
-    rep_pairs = set()
-    for u, v in H.edges:
-        ru, rv = rep_of_node[u], rep_of_node[v]
-        if ru != rv:
-            rep_pairs.add((min(ru, rv), max(ru, rv)))
-    adjacency: dict[int, list[int]] = {r: [] for r in atom_of}
-    for u, v in sorted(rep_pairs):
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+    rep_of = {u: root for atom, root in zip(atoms, roots) for u in atom}
+    atom_of = dict(zip(roots, atoms))
+    adjacency = {
+        r: {rep_of[v] for u in atom for v in H.adjacency[u]} - {r}
+        for r, atom in atom_of.items()
+    }
     return sorted(atom_of), adjacency, atom_of
 
 

@@ -251,6 +251,13 @@ class TestBench:
         path.write_text(json.dumps({"objectives": ["kc"]}))
         assert main(["bench", "--config", str(path)]) == 1
 
+    def test_unreadable_config_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        assert main(["bench", "--config", str(path)]) == 1
+        path.write_text("{")
+        assert main(["bench", "--config", str(path)]) == 1
+        assert "internal error" not in capsys.readouterr().err
+
     def test_k_zero_exit_1(self, rs_instance, tmp_path, capsys):
         cfg = {
             "instance": rs_instance,

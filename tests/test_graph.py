@@ -252,6 +252,16 @@ def test_unreadable_file_is_instance_error(tmp_path, fmt):
         load_instance(str(tmp_path), fmt=fmt, fill=1.0)  # a directory
 
 
+def test_non_numeric_distance_rejected():
+    doc = {
+        "metric": "explicit",
+        "nodes": [{"id": "a"}, {"id": "b"}],
+        "distances": [["a", "b", "x"]],
+    }
+    with pytest.raises(InstanceError, match="not a number"):
+        instance_from_data(doc)
+
+
 def test_csv_edges_non_numeric_weight(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("u,v,weight\na,b,x\n")
