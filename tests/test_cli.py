@@ -1,5 +1,10 @@
+import contextlib
+import csv
+import hashlib
+import io
 import json
 import os
+import re
 
 import pytest
 
@@ -30,6 +35,14 @@ class TestGen:
     def test_bad_kind(self, tmp_path):
         out = str(tmp_path / "g.json")
         assert main(["gen", "--kind", "xx", "--n", "5", "--output", out]) == 1
+
+    def test_interrupt_exit_1(self, tmp_path, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("zeus_cluster.cli.generate_instance", interrupted)
+        out = str(tmp_path / "g.json")
+        assert main(["gen", "--kind", "rs", "--n", "5", "--output", out]) == 1
 
 
 class TestCluster:
@@ -286,3 +299,127 @@ class TestBench:
         path.write_text(json.dumps(cfg))
         assert main(["bench", "--config", str(path)]) == 1
         assert "internal error" not in capsys.readouterr().err
+
+
+def _files_under(root: str) -> set[str]:
+    return {os.path.join(d, name) for d, _, names in os.walk(root) for name in names}
+
+
+def _untimed(text: str) -> str:
+    return re.sub(r'"(elapsed_ms|wall_ms)": [-+.e0-9]+', r'"\1": 0', text)
+
+
+def _pinned_cli_lines(root: str) -> list[str]:
+    """Exit code, stdout and written files of a fixed list of CLI calls.
+
+    The scratch directory reads ``<tmp>`` and timings read 0; help and
+    error text on stderr are not recorded.
+    """
+
+    def at(name):
+        return os.path.join(root, name)
+
+    rs, f, tf, tiny = at("rs.json"), at("f.json"), at("tf.json"), at("tiny.json")
+    iso, cfg, out = at("iso.json"), at("cfg.json"), at("out")
+    with open(at("e.csv"), "w") as fh:
+        fh.write("u,v,weight\na,b,1\nb,c,2\na,c,3\nc,d,1.5\n")
+    with open(iso, "w") as fh:
+        json.dump(
+            {
+                "metric": "explicit",
+                "fill": 9.0,
+                "nodes": [{"id": "a"}, {"id": "b"}, {"id": "c"}],
+                "distances": [["a", "b", 1]],
+                "edges": [["a", "b"]],
+            },
+            fh,
+        )
+    with open(cfg, "w") as fh:
+        json.dump(
+            {
+                "instance": tiny,
+                "objectives": ["rs", "kc"],
+                "slacks": [[1, 3], [1, 1.5]],
+                "k": [2, 3],
+                "seeds": [0, 1],
+                "algorithms": ["zeus", "b1", "b2", "moc", "oracle"],
+                "output": out,
+                "formats": ["csv", "json", "svg"],
+            },
+            fh,
+        )
+    calls = [
+        ["gen", "--kind", "rs", "--n", "40", "--seed", "1", "--output", rs],
+        ["gen", "--kind", "f", "--n", "36", "--seed", "2", "--output", f],
+        ["gen", "--kind", "tf", "--n", "45", "--seed", "3", "--output", tf],
+        ["gen", "--kind", "rs", "--n", "8", "--output", tiny],
+        ["cluster", "--input", rs, "--objectives", "rs,kc", "--slack", "1,3",
+         "--k", "4", "--first-center", "random", "--seed", "3"],
+        ["cluster", "--input", f, "--objectives", "f,km", "--slack", "1,2",
+         "--k", "3", "--output", at("f_km.json")],
+        ["cluster", "--input", tf, "--objectives", "tf,kc", "--slack", "2,3",
+         "--k", "3", "--nonexpert-rule", "expert", "--balance-multiplier", "2"],
+        ["cluster", "--input", rs, "--objectives", "rs,kc", "--slack", "2,1",
+         "--k", "3", "--allow-infeasible-slack"],
+        ["cluster", "--input", at("e.csv"), "--format", "csv-edges", "--fill", "10",
+         "--objectives", "rs,km", "--slack", "1,2", "--k", "2"],
+        ["oracle", "--input", tiny, "--objectives", "rs,kc", "--k", "3"],
+        ["oracle", "--input", at("e.csv"), "--format", "csv-edges", "--fill", "10",
+         "--objectives", "kc,rs", "--k", "2"],
+        ["bench", "--config", cfg],
+        # exit 1: usage and config errors
+        [],
+        ["nope"],
+        ["gen", "--kind", "xx", "--n", "5", "--output", at("x.json")],
+        ["gen", "--kind", "rs", "--n", "five", "--output", at("x.json")],
+        ["gen", "--kind", "rs", "--n", "5"],
+        ["gen", "--kind", "rs", "--n", "5", "--outp", at("x.json")],
+        ["cluster", "--input", rs, "--objectives", "rs,kc", "--slack", "1,3",
+         "--k", "2.5"],
+        ["cluster", "--input", rs, "--format", "xml", "--objectives", "rs",
+         "--slack", "1", "--k", "2"],
+        ["cluster", "--input", rs, "--objectives", "rs,zz", "--slack", "1,3", "--k", "2"],
+        ["cluster", "--input", rs, "--objectives", "rs,kc", "--slack", "1", "--k", "2"],
+        ["cluster", "--input", rs, "--objectives", "rs,kc", "--slack", "1,x", "--k", "2"],
+        ["cluster", "--input", rs, "--objectives", "rs,kc", "--slack", "2,1", "--k", "3"],
+        ["cluster", "--input", rs, "--objectives", "rs,kc", "--slack", "1,3"],
+        ["cluster", "--input", rs, "--objectives", "rs,kc", "--slack", "1,3",
+         "--k", "2", "--first-center", "middle"],
+        ["cluster", "--input", at("missing.json"), "--objectives", "rs",
+         "--slack", "1", "--k", "2"],
+        ["oracle", "--input", rs, "--objectives", "kc", "--k", "2"],
+        ["bench", "--config", at("missing.json")],
+        # exit 2: infeasible instance
+        ["cluster", "--input", iso, "--objectives", "rs", "--slack", "1", "--k", "1"],
+        # exit 3: internal error (the output directory does not exist)
+        ["gen", "--kind", "rs", "--n", "5", "--output", at("no/dir/x.json")],
+    ]
+    lines = []
+    for argv in calls:
+        before = _files_under(root)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv)
+        lines.append(f"{argv[:1]} rc={rc} out={_untimed(stdout.getvalue())!r}")
+        for path in sorted(_files_under(root) - before):
+            with open(path) as fh:
+                text = fh.read()
+            if path.endswith(".csv"):
+                rows = list(csv.reader(io.StringIO(text)))
+                col = rows[0].index("wall_ms")
+                text = repr([row[:col] + row[col + 1:] for row in rows])
+            lines.append(f"  {path}: {_untimed(text)!r}")
+    return [line.replace(root, "<tmp>") for line in lines]
+
+
+class TestCliPinned:
+    """Exit code, stdout and files of every subcommand on fixed calls,
+    pinned by digest."""
+
+    def test_fixed_calls(self, tmp_path):
+        lines = _pinned_cli_lines(str(tmp_path))
+        digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
+        assert (digest.hexdigest(), len(lines)) == (
+            "cd5840d69ae49b14c8d34e3373d4e6ba4572fc81ce2e0f64835a37924fdd9180",
+            42,
+        )
