@@ -17,7 +17,6 @@ from .objectives import (
     PairStructure,
     SlackVector,
     evaluate,
-    lex_compare,
 )
 from .synth import generate_instance
 from .zeus import ProblemSpec, zeus_run
@@ -35,7 +34,6 @@ __all__ = [
     "PairStructure",
     "SlackVector",
     "evaluate",
-    "lex_compare",
     "MakeshiftOptions",
     "makeshift_kcenter",
     "makeshift_kmedian",

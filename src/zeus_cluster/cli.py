@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
-
-import click
 
 from .bench import config_from_data, emit_report, run_experiment
 from .errors import ConfigError, InfeasibleError, ZeusError
@@ -18,86 +17,53 @@ from .makeshifts import (
     MakeshiftOptions,
     makeshift_fairness_for,
 )
-from .objectives import (
-    F,
-    KINDS,
-    ObjectiveSpec,
-    SlackVector,
-    clustering_to_json,
-)
+from .objectives import F, ObjectiveSpec, SlackVector, clustering_to_json
 from .oracle import oracle_lmoc
 from .synth import generate_instance
 from .zeus import ProblemSpec, zeus_run
 
-
-def _parse_objectives(text: str) -> tuple[ObjectiveSpec, ...]:
-    kinds = [t.strip() for t in text.split(",") if t.strip()]
-    for kind in kinds:
-        if kind not in KINDS:
-            raise ConfigError(f"unknown objective {kind!r} (choose from {KINDS})")
-    return tuple(ObjectiveSpec(kind) for kind in kinds)
+FIRST_CENTER_RULES = {"lowest": LOWEST_INDEX, "random": SEEDED_RANDOM}
+NONEXPERT_RULES = {"expert": CLOSEST_EXPERT, "center": CLOSEST_CENTER}
 
 
-def _parse_slacks(text: str, count: int) -> SlackVector:
-    try:
-        deltas = tuple(float(t) for t in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"slack list must hold numbers: {exc}") from exc
-    if len(deltas) != count:
-        raise ConfigError("slack list length must match the objective list")
-    return SlackVector(deltas)
+class _Parser(argparse.ArgumentParser):
+    """Parser whose usage errors exit 1 and which takes no abbreviated flags."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
 
 
-@click.group()
-def cli():
-    """Relaxed lexicographic multi-objective clustering toolkit."""
+def objective_list(text: str) -> tuple[ObjectiveSpec, ...]:
+    return tuple(ObjectiveSpec(t.strip()) for t in text.split(",") if t.strip())
 
 
-@cli.command()
-@click.option("--input", "input_path", required=True)
-@click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv-edges"]))
-@click.option("--fill", type=float, default=None)
-@click.option("--objectives", required=True, help="comma list, e.g. rs,kc")
-@click.option("--slack", required=True, help="comma list, e.g. 1,3")
-@click.option("--k", required=True, type=int)
-@click.option("--seed", type=int, default=0)
-@click.option(
-    "--first-center", default="lowest", type=click.Choice(["lowest", "random"])
-)
-@click.option(
-    "--nonexpert-rule", default="center", type=click.Choice(["expert", "center"])
-)
-@click.option("--balance-multiplier", type=float, default=4.0)
-@click.option("--allow-infeasible-slack", is_flag=True)
-@click.option("--output", "output_path", default=None)
-def cluster(
-    input_path,
-    fmt,
-    fill,
-    objectives,
-    slack,
-    k,
-    seed,
-    first_center,
-    nonexpert_rule,
-    balance_multiplier,
-    allow_infeasible_slack,
-    output_path,
-):
-    """Run the Zeus pipeline on an instance file."""
-    H = load_instance(input_path, fmt, fill)
-    objs = _parse_objectives(objectives)
+def slack_list(text: str) -> SlackVector:
+    return SlackVector(tuple(float(t) for t in text.split(",")))
+
+
+def _add_input(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True)
+    p.add_argument("--format", default="json", choices=["json", "csv-edges"])
+    p.add_argument("--fill", type=float, default=None)
+
+
+def cluster(args) -> None:
+    H = load_instance(args.input, args.format, args.fill)
     spec = ProblemSpec(
-        objectives=objs,
-        slacks=_parse_slacks(slack, len(objs)),
-        k=k,
+        objectives=args.objectives,
+        slacks=args.slack,
+        k=args.k,
         options=MakeshiftOptions(
-            first_center_rule=SEEDED_RANDOM if first_center == "random" else LOWEST_INDEX,
-            seed=seed,
-            nonexpert_rule=CLOSEST_EXPERT if nonexpert_rule == "expert" else CLOSEST_CENTER,
-            balance_radius_multiplier=balance_multiplier,
+            first_center_rule=FIRST_CENTER_RULES[args.first_center],
+            seed=args.seed,
+            nonexpert_rule=NONEXPERT_RULES[args.nonexpert_rule],
+            balance_radius_multiplier=args.balance_multiplier,
         ),
-        allow_infeasible_slack=allow_infeasible_slack,
+        allow_infeasible_slack=args.allow_infeasible_slack,
     )
     C, state = zeus_run(H, spec)
     doc = {
@@ -105,25 +71,18 @@ def cluster(
         "trace": state.trace,
     }
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    if output_path:
-        with open(output_path, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
-@cli.command()
-@click.option("--input", "input_path", required=True)
-@click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv-edges"]))
-@click.option("--fill", type=float, default=None)
-@click.option("--objectives", required=True)
-@click.option("--k", required=True, type=int)
-def oracle(input_path, fmt, fill, objectives, k):
-    """Brute-force optimal clustering on a tiny instance."""
-    H = load_instance(input_path, fmt, fill)
-    objs = _parse_objectives(objectives)
+def oracle(args) -> None:
+    H = load_instance(args.input, args.format, args.fill)
+    objs = args.objectives
     pairs = makeshift_fairness_for(H, objs)[1] if any(o.kind == F for o in objs) else None
-    result = oracle_lmoc(H, k, list(objs), pairs)
+    result = oracle_lmoc(H, args.k, list(objs), pairs)
     doc = {
         "values": {
             f"o{i + 1}_{o.kind}": v
@@ -132,55 +91,86 @@ def oracle(input_path, fmt, fill, objectives, k):
         "enumerated": result.enumerated,
         "clustering": json.loads(clustering_to_json(H, result.best_clustering)),
     }
-    click.echo(json.dumps(doc, indent=1, sort_keys=True))
+    print(json.dumps(doc, indent=1, sort_keys=True))
 
 
-@cli.command()
-@click.option("--config", "config_path", required=True)
-def bench(config_path):
-    """Run an experiment grid described by a JSON config file."""
+def bench(args) -> None:
     try:
-        with open(config_path) as fh:
+        with open(args.config) as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:  # unreadable, or not JSON
-        raise ConfigError(f"cannot read {config_path}: {exc}") from exc
+        raise ConfigError(f"cannot read {args.config}: {exc}") from exc
     config = config_from_data(data)
     records = run_experiment(config)
-    written = emit_report(records, config.formats, config.output_dir)
-    for path in written:
-        click.echo(path)
+    for path in emit_report(records, config.formats, config.output_dir):
+        print(path)
 
 
-@cli.command()
-@click.option("--kind", required=True, type=click.Choice(["rs", "f", "tf"]))
-@click.option("--n", required=True, type=int)
-@click.option("--seed", type=int, default=0)
-@click.option("--output", "output_path", required=True)
-def gen(kind, n, seed, output_path):
-    """Generate a synthetic instance file."""
-    H = generate_instance(kind, n, seed)
-    save_instance(H, output_path)
-    click.echo(output_path)
+def gen(args) -> None:
+    save_instance(generate_instance(args.kind, args.n, args.seed), args.output)
+    print(args.output)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="zeus-cluster",
+        description="Relaxed lexicographic multi-objective clustering toolkit.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    p = commands.add_parser("cluster", help="run the Zeus pipeline on an instance file")
+    _add_input(p)
+    p.add_argument(
+        "--objectives", required=True, type=objective_list, help="comma list, e.g. rs,kc"
+    )
+    p.add_argument("--slack", required=True, type=slack_list, help="comma list, e.g. 1,3")
+    p.add_argument("--k", required=True, type=int)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--first-center", default="lowest", choices=FIRST_CENTER_RULES)
+    p.add_argument("--nonexpert-rule", default="center", choices=NONEXPERT_RULES)
+    p.add_argument("--balance-multiplier", type=float, default=4.0)
+    p.add_argument("--allow-infeasible-slack", action="store_true")
+    p.add_argument("--output", default=None)
+    p.set_defaults(run=cluster)
+
+    p = commands.add_parser("oracle", help="brute-force optimal clustering on a tiny instance")
+    _add_input(p)
+    p.add_argument("--objectives", required=True, type=objective_list)
+    p.add_argument("--k", required=True, type=int)
+    p.set_defaults(run=oracle)
+
+    p = commands.add_parser("bench", help="run an experiment grid from a JSON config file")
+    p.add_argument("--config", required=True)
+    p.set_defaults(run=bench)
+
+    p = commands.add_parser("gen", help="generate a synthetic instance file")
+    p.add_argument("--kind", required=True, choices=["rs", "f", "tf"])
+    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--output", required=True)
+    p.set_defaults(run=gen)
+    return parser
 
 
 def main(argv=None) -> int:
     """Entry point with the documented exit-code contract."""
     try:
-        cli.main(args=argv, standalone_mode=False)
+        args = _parser().parse_args(argv)
+        args.run(args)
         return 0
-    except click.exceptions.Abort:
-        return 1
-    except click.exceptions.ClickException as exc:
-        exc.show()
+    except SystemExit as exc:  # --help: the parser exits only after printing help
+        return exc.code
+    except KeyboardInterrupt:
+        print("aborted", file=sys.stderr)
         return 1
     except InfeasibleError as exc:
-        click.echo(f"infeasible: {exc}", err=True)
+        print(f"infeasible: {exc}", file=sys.stderr)
         return 2
     except ZeusError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure
-        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

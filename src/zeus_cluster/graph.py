@@ -240,6 +240,9 @@ def instance_from_data(data: dict) -> GraphInstance:
     if not isinstance(node_specs, list) or not node_specs:
         raise InstanceError("'nodes' must be a non-empty list")
 
+    for nd in node_specs:
+        if not isinstance(nd, dict) or "id" not in nd:
+            raise InstanceError(f"node entry {nd!r} needs an 'id'")
     labels = [str(nd["id"]) for nd in node_specs]
     if len(set(labels)) != len(labels):
         raise InstanceError("duplicate node id in file")
@@ -265,10 +268,15 @@ def instance_from_data(data: dict) -> GraphInstance:
             raise InstanceError(f"unknown node id {key!r}")
         return index[key]
 
+    def pair_of(entry, what, size):
+        if not isinstance(entry, (list, tuple)) or len(entry) < size:
+            raise InstanceError(f"{what} entry {entry!r} needs {size} fields")
+        return node_of(entry[0]), node_of(entry[1])
+
     edges = None
     raw_edges = data.get("edges")
     if raw_edges is not None:
-        edges = [(node_of(e[0]), node_of(e[1])) for e in raw_edges]
+        edges = [pair_of(e, "edge", 2) for e in raw_edges]
 
     matrix = None
     fill = data.get("fill")
@@ -286,7 +294,7 @@ def instance_from_data(data: dict) -> GraphInstance:
             matrix[u, v] = matrix[v, u] = w
 
         for entry in data.get("distances", []):
-            put(node_of(entry[0]), node_of(entry[1]), entry[2])
+            put(*pair_of(entry, "distance", 3), entry[2])
         if raw_edges is not None:
             for e in raw_edges:
                 if len(e) >= 3:

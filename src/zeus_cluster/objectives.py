@@ -270,18 +270,6 @@ def compare_value_tuples(values1, values2, objectives) -> str:
     return EQUAL
 
 
-def lex_compare(
-    H: GraphInstance,
-    C1: Clustering,
-    C2: Clustering,
-    objectives,
-    pairs: PairStructure | None = None,
-) -> str:
-    v1 = [evaluate(H, C1, o, pairs).value for o in objectives]
-    v2 = [evaluate(H, C2, o, pairs).value for o in objectives]
-    return compare_value_tuples(v1, v2, objectives)
-
-
 def slack_violated(
     value: ObjectiveValue, delta: float, est: OptimalEstimate
 ) -> bool:
@@ -312,7 +300,6 @@ __all__ = [
     "eval_fairness",
     "eval_team_formation",
     "evaluate",
-    "lex_compare",
     "compare_value_tuples",
     "slack_violated",
     "rel_close",

@@ -6,8 +6,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .errors import ConfigError, DegenerateInputError, InfeasibleError
 from .graph import BLUE, PURPLE, GraphInstance
+from .makeshifts import _block_one_center
 from .objectives import (
     F,
     KC,
@@ -63,21 +66,25 @@ def enumerate_partitions(n: int, k: int, cap: int = PARTITION_CAP) -> Iterator[t
     yield from rec(0, 0)
 
 
-def _partition_clustering(H: GraphInstance, rgs: tuple[int, ...], want_centers: bool) -> Clustering:
+def _partition_clustering(H: GraphInstance, rgs: tuple[int, ...], objectives) -> Clustering:
+    """The partition, its blocks centered for the first kc/km objective.
+
+    A kc block takes its 1-center and a km block its 1-median, ties to
+    the lowest id.
+    """
     k = max(rgs) + 1
-    assign = {u: b for u, b in enumerate(rgs)}
-    centers = None
-    if want_centers:
-        blocks: dict[int, list[int]] = {}
-        for u, b in assign.items():
-            blocks.setdefault(b, []).append(u)
-        centers = {}
-        for b, members in blocks.items():
-            best = min(
-                members,
-                key=lambda c: (max(H.dist[c, m] for m in members), c),
-            )
-            centers[b] = best
+    assign = dict(enumerate(rgs))
+    kind = next((o.kind for o in objectives if o.kind in (KC, KM)), None)
+    if kind is None:
+        return Clustering(assignment=assign, k=k)
+    centers = {}
+    for b in range(k):
+        members = [u for u in range(H.n) if rgs[u] == b]
+        if kind == KC:
+            centers[b] = _block_one_center(H, members)
+        else:
+            costs = H.dist[np.ix_(members, members)].sum(axis=1)
+            centers[b] = members[int(np.argmin(costs))]
     return Clustering(assignment=assign, k=k, centers=centers)
 
 
@@ -166,9 +173,8 @@ def oracle_lmoc(
             best_rgs = rgs
     if best_rgs is None:
         raise ConfigError(f"no partition of n={H.n} into k={k} blocks")
-    needs_centers = any(o.kind in (KC, KM) for o in objectives)
     return OracleResult(
-        best_clustering=_partition_clustering(H, best_rgs, needs_centers),
+        best_clustering=_partition_clustering(H, best_rgs, objectives),
         best_values=best_values,
         enumerated=count,
     )

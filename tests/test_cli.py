@@ -144,6 +144,15 @@ class TestCluster:
         )
         assert rc == 2
 
+    def test_malformed_instance_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"metric": "explicit", "nodes": [{"color": "blue"}]}))
+        rc = main(
+            ["cluster", "--input", str(path), "--objectives", "rs", "--slack", "1", "--k", "1"]
+        )
+        assert rc == 1
+        assert "{'color': 'blue'}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("slack", ["1,x", "1,nan"])
     def test_bad_slack_exit_1(self, rs_instance, slack, capsys):
         rc = main(

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -259,6 +260,22 @@ def test_non_numeric_distance_rejected():
         "distances": [["a", "b", "x"]],
     }
     with pytest.raises(InstanceError, match="not a number"):
+        instance_from_data(doc)
+
+
+@pytest.mark.parametrize(
+    "field, entry",
+    [
+        ("nodes", {"color": "blue"}),
+        ("nodes", "a"),
+        ("edges", ["a"]),
+        ("distances", ["a", "b"]),
+    ],
+)
+def test_malformed_entry_is_named(field, entry):
+    doc = {"metric": "explicit", "fill": 1.0, "nodes": [{"id": "a"}, {"id": "b"}]}
+    doc.setdefault(field, []).append(entry)
+    with pytest.raises(InstanceError, match=re.escape(repr(entry))):
         instance_from_data(doc)
 
 

@@ -62,3 +62,32 @@ def test_fairness_and_team_runs_without_networkx():
         """
     )
     assert out.split() == ["f", "3", "tf", "3", "False"]
+
+
+def test_cli_runs_without_click(tmp_path):
+    out = run_python(
+        f"""
+        import contextlib, importlib.abc, io, sys
+
+        class Refuse(importlib.abc.MetaPathFinder):
+            def find_spec(self, name, path, target=None):
+                if name.split(".")[0] == "click":
+                    raise ImportError(f"{{name}} is not available")
+                return None
+
+        sys.meta_path.insert(0, Refuse())
+        from zeus_cluster.cli import main
+
+        path = {str(tmp_path / "g.json")!r}
+        calls = [
+            ["gen", "--kind", "rs", "--n", "12", "--output", path],
+            ["cluster", "--input", path, "--objectives", "rs,kc", "--slack", "1,3", "--k", "2"],
+            ["--help"],
+            ["cluster", "--input", path, "--objectives", "rs", "--slack", "1", "--k", "two"],
+        ]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes = [main(argv) for argv in calls]
+        print(*codes, "click" in sys.modules)
+        """
+    )
+    assert out.split() == ["0", "0", "0", "1", "False"]

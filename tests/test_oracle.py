@@ -3,7 +3,7 @@ import pytest
 from conftest import line_points
 from zeus_cluster.errors import ConfigError, InfeasibleError
 from zeus_cluster.makeshifts import makeshift_fairness_ab, makeshift_rs
-from zeus_cluster.objectives import ObjectiveSpec, singleton_clustering
+from zeus_cluster.objectives import ObjectiveSpec, evaluate, singleton_clustering
 from zeus_cluster.oracle import (
     enumerate_partitions,
     oracle_edge_cover,
@@ -86,6 +86,18 @@ class TestLmoc:
             v = _score_partition(H, rgs, O, None)
             if v[0] == res.best_values[0]:
                 assert v[1] >= res.best_values[1] - 1e-12
+
+    @pytest.mark.parametrize("kinds", [["km"], ["rs", "km"], ["kc"]])
+    def test_clustering_scores_its_values(self, kinds):
+        # the centers come from the first kc/km objective, so km blocks
+        # are centered at their 1-median, not their 1-center
+        O = [ObjectiveSpec(kind) for kind in kinds]
+        for seed in range(10):
+            H = generate_instance("rs", 9, seed)
+            for k in (2, 3):
+                res = oracle_lmoc(H, k, O)
+                values = [evaluate(H, res.best_clustering, o).value for o in O]
+                assert values == pytest.approx(res.best_values), (seed, k)
 
 
 class TestEdgeCoverOracle:
