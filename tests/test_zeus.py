@@ -350,3 +350,45 @@ class TestPipelinePinned:
             "ef3b3ab5d3d05e03085d10c55e48443c1e0955a21bdd67cab4dbafd5dc05b6f1",
             2612,
         )
+
+
+def _local_search_lines():
+    """One line per Zeus clustering and per trace entry without its timing,
+    over a grid whose k-center and k-median stages relocate atoms; also
+    the number of local-search moves made."""
+    lists = {
+        "rs": [((_O("rs"), _O("kc")), (0.5, 2)), ((_O("rs"), _O("km")), (1, 2))],
+        "f": [((_O("f"), _O("kc")), (0.5, 2)), ((_O("f"), _O("km")), (1, 2))],
+    }
+    lines, moves = [], 0
+    for kind, kind_lists in lists.items():
+        for seed in range(5):
+            H = generate_instance(kind, 40, seed)
+            for k in range(2, 9):
+                for objectives, slacks in kind_lists:
+                    spec = ProblemSpec(
+                        objectives, SlackVector(slacks), k,
+                        allow_infeasible_slack=True,
+                    )
+                    C, state = zeus_run(H, spec)
+                    lines.append(clustering_to_json(H, C))
+                    for entry in state.trace:
+                        entry = dict(entry)
+                        entry.pop("elapsed_ms", None)
+                        moves += entry.get("local_search_moves", 0)
+                        lines.append(json.dumps(entry, sort_keys=True))
+    return lines, moves
+
+
+class TestLocalSearchPinned:
+    """Every clustering and trace entry of a grid rich in local-search
+    moves, pinned by digest."""
+
+    def test_kc_km_repair_grid(self):
+        lines, moves = _local_search_lines()
+        digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
+        assert (digest.hexdigest(), len(lines), moves) == (
+            "39c78eb6534823425ac854dfa991bc61a0d60a249d48d151f206f7176f3a9fa9",
+            420,
+            127,
+        )
