@@ -166,7 +166,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except ZeusError as exc:
+    except (ZeusError, OSError) as exc:  # OSError: an output file cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure

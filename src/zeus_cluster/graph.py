@@ -249,18 +249,31 @@ def instance_from_data(data: dict) -> GraphInstance:
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
 
+    def number(x, what):
+        try:
+            return float(x)
+        except (TypeError, ValueError) as exc:
+            raise InstanceError(f"{what} {x!r} is not a number") from exc
+
+    def node_list(nd, field, convert):
+        x = nd.get(field)
+        if isinstance(x, list):
+            try:
+                return [convert(v) for v in x]
+            except (TypeError, ValueError):
+                pass
+        raise InstanceError(
+            f"{metric} metric: node {nd['id']!r} needs a list '{field}', got {x!r}"
+        )
+
     colors = [nd.get("color") for nd in node_specs]
     experts = [bool(nd.get("expert", False)) for nd in node_specs]
     embeddings = None
     attr_sets = None
     if metric == EUCLIDEAN:
-        embeddings = [nd.get("embedding") for nd in node_specs]
-        if any(e is None for e in embeddings):
-            raise InstanceError("euclidean metric: every node needs 'embedding'")
+        embeddings = [node_list(nd, "embedding", float) for nd in node_specs]
     if metric == JACCARD:
-        attr_sets = [nd.get("attrs") for nd in node_specs]
-        if any(s is None for s in attr_sets):
-            raise InstanceError("jaccard metric: every node needs 'attrs'")
+        attr_sets = [node_list(nd, "attrs", str) for nd in node_specs]
 
     def node_of(x):
         key = str(x)
@@ -273,27 +286,33 @@ def instance_from_data(data: dict) -> GraphInstance:
             raise InstanceError(f"{what} entry {entry!r} needs {size} fields")
         return node_of(entry[0]), node_of(entry[1])
 
+    def entries(field):
+        raw = data.get(field)
+        if raw is not None and not isinstance(raw, list):
+            raise InstanceError(f"'{field}' must be a list, got {raw!r}")
+        return raw
+
     edges = None
-    raw_edges = data.get("edges")
+    raw_edges = entries("edges")
     if raw_edges is not None:
         edges = [pair_of(e, "edge", 2) for e in raw_edges]
+    threshold = data.get("edge_threshold")
+    if threshold is not None:
+        threshold = number(threshold, "edge_threshold")
 
     matrix = None
     fill = data.get("fill")
     if metric == EXPLICIT:
-        matrix = np.full((n, n), np.nan if fill is None else float(fill))
+        matrix = np.full((n, n), np.nan if fill is None else number(fill, "fill"))
         np.fill_diagonal(matrix, 0.0)
 
         def put(u, v, w):
-            try:
-                w = float(w)
-            except (TypeError, ValueError) as exc:
-                raise InstanceError(f"distance {w!r} is not a number") from exc
+            w = number(w, "distance")
             if w < 0:
                 raise InstanceError(f"negative distance for pair ({u},{v})")
             matrix[u, v] = matrix[v, u] = w
 
-        for entry in data.get("distances", []):
+        for entry in entries("distances") or []:
             put(*pair_of(entry, "distance", 3), entry[2])
         if raw_edges is not None:
             for e in raw_edges:
@@ -309,7 +328,7 @@ def instance_from_data(data: dict) -> GraphInstance:
         edges=edges,
         colors=colors,
         experts=experts,
-        edge_threshold=data.get("edge_threshold"),
+        edge_threshold=threshold,
     )
 
 

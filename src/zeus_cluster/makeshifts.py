@@ -46,8 +46,8 @@ class MakeshiftOptions:
             raise ConfigError(f"unknown first_center_rule {self.first_center_rule!r}")
         if self.nonexpert_rule not in (CLOSEST_EXPERT, CLOSEST_CENTER):
             raise ConfigError(f"unknown nonexpert_rule {self.nonexpert_rule!r}")
-        if self.balance_radius_multiplier < 1:
-            raise ConfigError("balance_radius_multiplier must be >= 1")
+        if not self.balance_radius_multiplier >= 1:  # also rejects NaN
+            raise ConfigError("balance_radius_multiplier must be a number >= 1")
 
 
 def _atoms_of(C_in: Clustering, n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .errors import ConfigError
 from .graph import BLUE, PURPLE, GraphInstance, _build_instance
 
 
@@ -24,9 +25,9 @@ def _threshold(n: int) -> float:
 def generate_instance(kind: str, n: int, seed: int) -> GraphInstance:
     """Generate an ``rs``, ``f``, or ``tf`` instance with n nodes."""
     if kind not in ("rs", "f", "tf"):
-        raise ValueError(f"unknown instance kind {kind!r}")
+        raise ConfigError(f"unknown instance kind {kind!r}")
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise ConfigError("n must be >= 2")
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2))
     diff = pts[:, None, :] - pts[None, :, :]

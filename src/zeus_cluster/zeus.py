@@ -23,9 +23,8 @@ from .objectives import (
     F,
     KC,
     KM,
-    MAXIMIZE,
+    MINIMIZE,
     RS,
-    TF,
     Clustering,
     ObjectiveSpec,
     ObjectiveValue,
@@ -66,18 +65,14 @@ class PipelineState:
     """Everything accumulated while the pipeline runs."""
 
     clustering: Clustering
-    processed: list[tuple[ObjectiveSpec, float, OptimalEstimate, float]] = field(
+    # each processed objective with its estimated optimum and slack
+    processed: list[tuple[ObjectiveSpec, OptimalEstimate, float]] = field(
         default_factory=list
     )
     pair_structures: dict[int, PairStructure] = field(default_factory=dict)
+    # the matching that defines f, set by the latest f stage
+    fairness_pairs: PairStructure | None = None
     trace: list[dict] = field(default_factory=list)
-
-    @property
-    def fairness_pairs(self) -> PairStructure | None:
-        for i in sorted(self.pair_structures, reverse=True):
-            if self.pair_structures[i].kind in ("matching", "b_matching"):
-                return self.pair_structures[i]
-        return None
 
 
 def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineState]:
@@ -85,7 +80,7 @@ def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineS
 
     Starts from singleton clusters; each objective's makeshift reshapes
     the current clustering, the slack is checked against an estimated
-    optimum, and a local search repairs violations.
+    optimum, and a local search repairs a violated ``kc`` or ``km`` slack.
     """
     spec.validate()
     C = singleton_clustering(H.n)
@@ -103,7 +98,7 @@ def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineS
             state.pair_structures[i] = pairs
         elif o.kind == F:
             C, pairs = makeshift_fairness_for(H, spec.objectives)
-            state.pair_structures[i] = pairs
+            state.pair_structures[i] = state.fairness_pairs = pairs
         elif o.kind == KC:
             C = makeshift_kcenter(H, C, spec.k, spec.options)
         elif o.kind == KM:
@@ -114,17 +109,16 @@ def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineS
             else:
                 C = makeshift_tf(H, experts, spec.k, spec.options)
 
-        fp = state.fairness_pairs
-        value = evaluate(H, C, o, pairs=fp)
+        value = evaluate(H, C, o, pairs=state.fairness_pairs)
         est = estimate_optimal(H, o, value.value, spec.k, spec.options)
         violated = slack_violated(value, delta, est)
         moves = 0
-        if violated:
+        if violated and o.kind in (KC, KM):
             C, moves = local_search(H, C, state, o, delta, est, spec)
-            value = evaluate(H, C, o, pairs=state.fairness_pairs)
+            value = evaluate(H, C, o)
             violated = slack_violated(value, delta, est)
         state.clustering = C
-        state.processed.append((o, value.value, est, delta))
+        state.processed.append((o, est, delta))
         state.trace.append(
             {
                 "objective": o.kind,
@@ -139,11 +133,9 @@ def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineS
 
     # a later makeshift or repair can break an earlier slack; the last
     # stage was already checked on the returned clustering
-    fp = state.fairness_pairs
     *earlier, last = state.trace
-    for entry, (o, _, est, delta) in zip(earlier, state.processed):
-        v = evaluate(H, C, o, pairs=fp)
-        entry["violated_at_end"] = slack_violated(v, delta, est)
+    for entry, violated in zip(earlier, _slacks_violated(H, C, state)):
+        entry["violated_at_end"] = violated
     last["violated_at_end"] = last["violated"]
 
     if C.k != spec.k:
@@ -189,67 +181,6 @@ def _apply_move(C: Clustering, atom: tuple[int, ...], target: int) -> Clustering
     return replace(C, assignment=assign)
 
 
-def _better(new: float, old: float, maximize: bool) -> bool:
-    if rel_close(new, old):
-        return False
-    return new > old if maximize else new < old
-
-
-class _MoveScorer:
-    """Incremental objective evaluation for single-atom relocations."""
-
-    def __init__(self, H: GraphInstance, C: Clustering, o: ObjectiveSpec, pairs):
-        self.H = H
-        self.C = C
-        self.o = o
-        self.pairs = pairs
-        if o.kind in (KC, KM):
-            self.node_cost = {
-                u: float(H.dist[u, C.centers[b]]) for u, b in C.assignment.items()
-            }
-        if o.kind == KM:
-            self.total = sum(self.node_cost.values())
-        if o.kind == KC:
-            self.sorted_costs = sorted(
-                self.node_cost.items(), key=lambda kv: -kv[1]
-            )
-        if o.kind == TF:
-            self.counts = [0] * C.k
-            for u, b in C.assignment.items():
-                if H.experts[u]:
-                    self.counts[b] += 1
-
-    def score(self, atom: tuple[int, ...], target: int) -> float:
-        H, C, o = self.H, self.C, self.o
-        members = set(atom)
-        if o.kind == KC:
-            rest = 0.0
-            for u, c in self.sorted_costs:
-                if u not in members:
-                    rest = c
-                    break
-            moved = max(float(H.dist[u, C.centers[target]]) for u in atom)
-            return max(rest, moved)
-        if o.kind == KM:
-            delta = sum(
-                float(H.dist[u, C.centers[target]]) - self.node_cost[u] for u in atom
-            )
-            return self.total + delta
-        if o.kind == TF:
-            counts = list(self.counts)
-            src = C.assignment[atom[0]]
-            ex = sum(1 for u in atom if H.experts[u])
-            counts[src] -= ex
-            counts[target] += ex
-            if min(counts) == 0:
-                return float("inf")
-            return max(counts) / min(counts)
-        # rs / f: exact evaluation on the moved clustering (cheap enough at
-        # the scales where these objectives can be the violated one)
-        moved = _apply_move(C, atom, target)
-        return evaluate(H, moved, o, pairs=self.pairs).value
-
-
 def local_search(
     H: GraphInstance,
     C: Clustering,
@@ -259,63 +190,65 @@ def local_search(
     est: OptimalEstimate,
     spec: ProblemSpec,
 ) -> tuple[Clustering, int]:
-    """Best-improvement single-atom relocation until the slack holds.
+    """Best-improvement single-atom relocation until a ``kc`` or ``km``
+    slack holds.
 
     A move is admissible only if all previously processed objectives stay
     within their slack, atoms move whole, no block empties, and no block
     loses its center. Stops on slack satisfaction, no improving move, or
-    the move cap.
+    the move cap. Only ``kc`` and ``km`` makeshifts leave an atom that can
+    move: the others make every atom a whole block.
     """
+    if violated_o.kind not in (KC, KM):
+        raise ConfigError(
+            f"local search serves kc and km only, not {violated_o.kind!r}"
+        )
     cap = spec.local_search_cap if spec.local_search_cap is not None else 50 * H.n
-    pairs = state.fairness_pairs
     moves = 0
-    value = evaluate(H, C, violated_o, pairs=pairs).value
-    maximize = violated_o.direction == MAXIMIZE
-
-    def satisfied(v: float) -> bool:
-        return not slack_violated(ObjectiveValue(v, violated_o.direction), delta, est)
-
-    while moves < cap and not satisfied(value):
-        scorer = _MoveScorer(H, C, violated_o, pairs)
+    value = evaluate(H, C, violated_o).value
+    while moves < cap and slack_violated(ObjectiveValue(value, MINIMIZE), delta, est):
+        centers = C.centers
+        # each node's distance to its own block's center
+        cost = {u: float(H.dist[u, centers[b]]) for u, b in C.assignment.items()}
+        total = sum(cost.values())
+        by_cost = sorted(cost.items(), key=lambda kv: -kv[1])
         block_size = [0] * C.k
         for b in C.assignment.values():
             block_size[b] += 1
-        centers = C.centers or {}
         candidates: list[tuple[float, int, int, tuple[int, ...]]] = []
         for atom in C.atoms:
             src = C.assignment[atom[0]]
             if block_size[src] == len(atom):
                 continue  # would empty the source block
-            if centers.get(src) in atom:
+            if centers[src] in atom:
                 continue  # would strip the source block's center
+            # the largest cost left outside the atom
+            rest = next((c for u, c in by_cost if u not in atom), 0.0)
             for target in range(C.k):
                 if target == src:
                     continue
-                new_value = scorer.score(atom, target)
-                if _better(new_value, value, maximize):
+                to_target = [float(H.dist[u, centers[target]]) for u in atom]
+                if violated_o.kind == KM:
+                    new_value = total + sum(d - cost[u] for u, d in zip(atom, to_target))
+                else:
+                    new_value = max(rest, max(to_target))
+                if new_value < value and not rel_close(new_value, value):
                     candidates.append((new_value, min(atom), target, atom))
 
-        candidates.sort(
-            key=lambda c: (-c[0] if maximize else c[0], c[1], c[2])
-        )
-        applied = False
+        # (min(atom), target) is unique, so atoms are never compared
+        candidates.sort()
         for new_value, _, target, atom in candidates:
             moved = _apply_move(C, atom, target)
-            if _move_admissible(H, moved, state):
-                C = moved
-                value = new_value
+            if not any(_slacks_violated(H, moved, state)):
+                C, value = moved, new_value
                 moves += 1
-                applied = True
                 break
-        if not applied:
+        else:
             break
     return C, moves
 
 
-def _move_admissible(H: GraphInstance, moved: Clustering, state: PipelineState) -> bool:
-    pairs = state.fairness_pairs
-    for o, _, est, delta in state.processed:
-        v = evaluate(H, moved, o, pairs=pairs)
-        if slack_violated(v, delta, est):
-            return False
-    return True
+def _slacks_violated(H: GraphInstance, C: Clustering, state: PipelineState):
+    """Whether each processed objective is outside its slack on ``C``, in order."""
+    for o, est, delta in state.processed:
+        yield slack_violated(evaluate(H, C, o, pairs=state.fairness_pairs), delta, est)

@@ -36,6 +36,11 @@ class TestGen:
         out = str(tmp_path / "g.json")
         assert main(["gen", "--kind", "xx", "--n", "5", "--output", out]) == 1
 
+    def test_too_few_nodes_exit_1(self, tmp_path, capsys):
+        out = str(tmp_path / "g.json")
+        assert main(["gen", "--kind", "rs", "--n", "1", "--output", out]) == 1
+        assert "n must be >= 2" in capsys.readouterr().err
+
     def test_interrupt_exit_1(self, tmp_path, monkeypatch):
         def interrupted(*args):
             raise KeyboardInterrupt
@@ -152,6 +157,42 @@ class TestCluster:
         )
         assert rc == 1
         assert "{'color': 'blue'}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("edges", 5), ("distances", 7), ("fill", "x"), ("edge_threshold", "z")],
+    )
+    def test_malformed_field_exit_1(self, tmp_path, field, value, capsys):
+        doc = {"metric": "explicit", "fill": 1.0, "nodes": [{"id": "a"}, {"id": "b"}]}
+        doc[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc = main(
+            ["cluster", "--input", str(path), "--objectives", "kc", "--slack", "2", "--k", "1"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert field in err and "internal error" not in err
+
+    def test_missing_output_dir_exit_1(self, rs_instance, tmp_path, capsys):
+        out = str(tmp_path / "no" / "result.json")
+        rc = main(
+            ["cluster", "--input", rs_instance, "--objectives", "rs,kc", "--slack", "1,3",
+             "--k", "2", "--output", out]
+        )
+        assert rc == 1
+        assert "internal error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("objectives, slack", [("tf,kc", "2,3"), ("kc", "3")])
+    def test_nan_balance_multiplier_exit_1(self, tmp_path, objectives, slack, capsys):
+        path = tmp_path / "tf.json"
+        save_instance(generate_instance("tf", 20, 0), path)
+        rc = main(
+            ["cluster", "--input", str(path), "--objectives", objectives, "--slack", slack,
+             "--k", "2", "--balance-multiplier", "nan"]
+        )
+        assert rc == 1
+        assert "balance_radius_multiplier" in capsys.readouterr().err
 
     @pytest.mark.parametrize("slack", ["1,x", "1,nan"])
     def test_bad_slack_exit_1(self, rs_instance, slack, capsys):
@@ -272,6 +313,21 @@ class TestBench:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"objectives": ["kc"]}))
         assert main(["bench", "--config", str(path)]) == 1
+
+    def test_unwritable_output_exit_1(self, rs_instance, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        cfg = {
+            "instance": rs_instance,
+            "objectives": ["rs", "kc"],
+            "slacks": [[1, 3]],
+            "k": [2],
+            "algorithms": ["zeus"],
+            "output": str(tmp_path / "afile"),
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(path)]) == 1
+        assert "internal error" not in capsys.readouterr().err
 
     def test_unreadable_config_exit_1(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -398,10 +454,9 @@ def _pinned_cli_lines(root: str) -> list[str]:
          "--slack", "1", "--k", "2"],
         ["oracle", "--input", rs, "--objectives", "kc", "--k", "2"],
         ["bench", "--config", at("missing.json")],
+        ["gen", "--kind", "rs", "--n", "5", "--output", at("no/dir/x.json")],
         # exit 2: infeasible instance
         ["cluster", "--input", iso, "--objectives", "rs", "--slack", "1", "--k", "1"],
-        # exit 3: internal error (the output directory does not exist)
-        ["gen", "--kind", "rs", "--n", "5", "--output", at("no/dir/x.json")],
     ]
     lines = []
     for argv in calls:
@@ -429,6 +484,6 @@ class TestCliPinned:
         lines = _pinned_cli_lines(str(tmp_path))
         digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
         assert (digest.hexdigest(), len(lines)) == (
-            "cd5840d69ae49b14c8d34e3373d4e6ba4572fc81ce2e0f64835a37924fdd9180",
+            "8fcb858f094e8ef68838707004dc2b17ee92de0d9e6060b2295803639360dea9",
             42,
         )

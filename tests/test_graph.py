@@ -266,17 +266,34 @@ def test_non_numeric_distance_rejected():
 @pytest.mark.parametrize(
     "field, entry",
     [
+        # an entry of a list field
         ("nodes", {"color": "blue"}),
         ("nodes", "a"),
         ("edges", ["a"]),
         ("distances", ["a", "b"]),
+        # a whole field
+        ("edges", 5),
+        ("distances", 7),
+        ("fill", "x"),
+        ("edge_threshold", "z"),
+        # a field of every node
+        ("embedding", [0, "q"]),
+        ("attrs", 5),
     ],
 )
 def test_malformed_entry_is_named(field, entry):
     doc = {"metric": "explicit", "fill": 1.0, "nodes": [{"id": "a"}, {"id": "b"}]}
-    doc.setdefault(field, []).append(entry)
-    with pytest.raises(InstanceError, match=re.escape(repr(entry))):
+    if field in ("embedding", "attrs"):
+        doc["metric"] = "euclidean" if field == "embedding" else "jaccard"
+        doc["nodes"] = [{"id": x, field: entry} for x in "ab"]
+    elif field in ("nodes", "edges", "distances") and not isinstance(entry, int):
+        doc.setdefault(field, []).append(entry)
+    else:
+        doc[field] = entry
+    with pytest.raises(InstanceError, match=re.escape(repr(entry))) as info:
         instance_from_data(doc)
+    # list entries are named by their singular: "node", "edge", "distance"
+    assert field.removesuffix("s") in str(info.value)
 
 
 def test_csv_edges_non_numeric_weight(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from conftest import line_points
 from zeus_cluster.baselines import baseline_b1, baseline_b2, consolidate_fragments
 from zeus_cluster.errors import ConfigError, ZeusError
+from zeus_cluster.graph import make_instance
 from zeus_cluster.makeshifts import (
     CLOSEST_EXPERT,
     SEEDED_RANDOM,
@@ -207,6 +208,48 @@ class TestLocalSearch:
         spec = spec_of(["kc"], [2.0], 2)
         fixed, _ = local_search(H, C, state, o, 2.0, est, spec)
         assert set(fixed.assignment.values()) == {0, 1}
+
+    def test_rejects_move_that_breaks_earlier_slack(self):
+        # moving atom (2, 3) to center 1 cuts the radius from d(0, 2) to
+        # d(1, 3) but raises the k-median sum
+        H = make_instance(4, "euclidean", embeddings=[(0, 0), (10, 0), (6, 4), (4, 0)])
+        C = Clustering(
+            assignment={0: 0, 1: 1, 2: 0, 3: 0},
+            k=2,
+            centers={0: 0, 1: 1},
+            atoms=((0,), (1,), (2, 3)),
+            roots=(0, 1, 2),
+        )
+        kc, km = ObjectiveSpec("kc"), ObjectiveSpec("km")
+        est = OptimalEstimate("lower_bound", 1.0)
+        spec = spec_of(["kc"], [2.0], 2)
+        free = PipelineState(clustering=C)
+        moved, moves = local_search(H, C, free, kc, 2.0, est, spec)
+        assert moves == 1 and moved.assignment[2] == moved.assignment[3] == 1
+        km_before = evaluate(H, C, km).value
+        assert evaluate(H, moved, km).value > km_before
+
+        # with km processed at exactly its slack, the one move is refused
+        km_est = OptimalEstimate("lower_bound", km_before)
+        bound = PipelineState(clustering=C, processed=[(km, km_est, 1.0)])
+        kept, moves = local_search(H, C, bound, kc, 2.0, est, spec)
+        assert moves == 0 and kept.assignment == C.assignment
+
+    @pytest.mark.parametrize("kind", ["rs", "f", "tf"])
+    def test_serves_kc_and_km_only(self, kind):
+        H, C = self.make_bad_clustering()
+        state = PipelineState(clustering=C)
+        spec = spec_of([kind], [1.0], 2)
+        est = OptimalEstimate("exact", 1.0)
+        with pytest.raises(ConfigError, match="kc and km only"):
+            local_search(H, C, state, ObjectiveSpec(kind), 1.0, est, spec)
+
+    def test_violated_rs_stage_makes_no_move(self):
+        H = generate_instance("rs", 30, 0)
+        spec = spec_of(["rs", "kc"], [2.0, 3.0], 3, allow_infeasible_slack=True)
+        _, state = zeus_run(H, spec)
+        assert state.trace[0]["violated"] is True
+        assert state.trace[0]["local_search_moves"] == 0
 
     def test_trace_reports_moves(self):
         # force a violation via an artificially tight slack on k-center
