@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -7,7 +9,9 @@ from conftest import explicit, line_points
 from zeus_cluster.errors import ConfigError, DegenerateInputError, InfeasibleError
 from zeus_cluster.graph import make_instance
 from zeus_cluster.makeshifts import (
+    SEEDED_RANDOM,
     MakeshiftOptions,
+    _kmedian_swap_centers,
     balanced_kcenter,
     greedy_centers,
     greedy_kcenter_value,
@@ -25,6 +29,7 @@ from zeus_cluster.objectives import (
     Clustering,
     ObjectiveSpec,
     SlackVector,
+    clustering_to_json,
     eval_kcenter,
     eval_kmedian,
     eval_resource_sharing,
@@ -513,3 +518,60 @@ class TestCoincidentPoints:
     def test_kcenter_all_coincident(self):
         H = make_instance(5, "euclidean", embeddings=[(0, 0)] * 5, edges=self.CHAIN)
         self._run(H, ["kc"], (2,), 3)
+
+
+def _kmedian_swap_lines():
+    """One line per swap k-median center list over a grid of instances,
+    rep sets, weights, k and first-center rules, plus one line per
+    ``zeus_run`` clustering of two k-median pipelines."""
+    lines = []
+    for kind in ("rs", "f", "tf"):
+        for n in (40, 90):
+            for seed in range(3):
+                H = generate_instance(kind, n, seed)
+                rng = random.Random(seed)
+                half = sorted(rng.sample(range(n), n // 2))
+                rep_sets = {
+                    "unit": (list(range(n)), {u: 1.0 for u in range(n)}),
+                    "half": (half, {u: float(rng.randint(1, 5)) for u in half}),
+                }
+                rules = {
+                    "lowest": MakeshiftOptions(),
+                    "seeded": MakeshiftOptions(first_center_rule=SEEDED_RANDOM, seed=seed),
+                }
+                for name, (reps, weights) in rep_sets.items():
+                    for rule, opts in rules.items():
+                        for k in range(1, 9):
+                            centers = _kmedian_swap_centers(H, reps, weights, k, opts)
+                            lines.append(json.dumps([kind, n, seed, name, rule, k, centers]))
+    # integer points on a 4x4 grid: many equal distances, many ties
+    for seed in range(5):
+        rng = random.Random(seed)
+        pts = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(30)]
+        H = make_instance(30, "euclidean", embeddings=pts)
+        weights = {u: 1.0 for u in range(30)}
+        for k in range(1, 8):
+            centers = _kmedian_swap_centers(H, list(range(30)), weights, k, OPTS)
+            lines.append(json.dumps(["grid", seed, k, centers]))
+    for kind, kinds, slacks in (("rs", ("kc", "km"), (2, 5)), ("tf", ("tf", "km"), (1, 5))):
+        H = generate_instance(kind, 90, 0)
+        for k in range(2, 9):
+            spec = ProblemSpec(
+                tuple(ObjectiveSpec(o) for o in kinds), SlackVector(slacks), k,
+                allow_infeasible_slack=True,
+            )
+            lines.append(clustering_to_json(H, zeus_run(H, spec)[0]))
+    return lines
+
+
+class TestKmedianSwapPinned:
+    """The swap k-median's centers on a grid full of ties, and the
+    clusterings of two k-median pipelines, pinned by digest."""
+
+    def test_swap_grid(self):
+        lines = _kmedian_swap_lines()
+        digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
+        assert (digest.hexdigest(), len(lines)) == (
+            "0669778cb413964b69bb17cf7748733d009bfe8b078f6e301b57ed67ff72e59a",
+            625,
+        )
