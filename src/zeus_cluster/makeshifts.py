@@ -12,6 +12,11 @@ primitives: ``maximum_flow`` for the alpha:beta matching, and
 assignment. The balanced team searches use the threshold technique of
 Gabow and Tarjan, "Algorithms for two bottleneck optimization problems"
 (1988): an assignment problem per candidate radius, by binary search.
+
+The k-median swap search keeps, as FastPAM1 does (Schubert and
+Rousseeuw, "Faster k-Medoids Clustering", 2019), every point's distance to
+its nearest center other than the one swapped out, so all swaps of one
+center are scored in one array pass.
 """
 
 from __future__ import annotations
@@ -623,36 +628,44 @@ def _kmedian_swap_centers(
     k: int,
     opts: MakeshiftOptions,
 ) -> list[int]:
-    """Single-swap local search for weighted k-median over ``reps``."""
+    """Single-swap local search for weighted k-median over ``reps``.
+
+    Each round scores every (center position, rep) swap and takes the
+    first one, in position then rep order, that beats the best so far by
+    the stop margin.
+    """
     centers = greedy_centers(H, k, opts, candidates=reps)
-    idx = np.asarray(reps)
+    D = H.dist[np.ix_(reps, reps)]  # symmetric: row j holds d(., reps[j])
     w = np.asarray([weights[r] for r in reps])
-
-    def cost(cs: list[int]) -> float:
-        return float((H.dist[np.ix_(idx, cs)].min(axis=1) * w).sum())
-
-    current = cost(centers)
-    improved = True
-    while improved:
-        improved = False
-        best_swap = None
-        best_cost = current
-        center_set = set(centers)
-        for pos in range(k):
-            for r in reps:
-                if r in center_set:
-                    continue
-                trial = centers[:pos] + [r] + centers[pos + 1 :]
-                c = cost(trial)
-                if c < best_cost - _SWAP_REL_STOP * max(1.0, current):
-                    best_cost = c
-                    best_swap = (pos, r)
-        if best_swap is not None:
-            pos, r = best_swap
-            centers[pos] = r
-            current = best_cost
-            improved = True
-    return centers
+    buf = np.empty_like(D)
+    cols = [reps.index(c) for c in centers]
+    current = float((D[:, cols].min(axis=1) * w).sum())
+    while True:
+        # nearest and second-nearest center distance of every rep; the
+        # inf row stands in for the missing second center when k = 1
+        dc = np.vstack([D[cols], np.full(len(reps), np.inf)])
+        two = np.partition(dc, 1, axis=0)
+        nearest = dc.argmin(axis=0)
+        stop = _SWAP_REL_STOP * max(1.0, current)
+        best_cost, best_swap = current, None
+        for p in range(k):
+            # row j: the cost of putting rep j at position p, summed whole
+            # rather than as FastPAM1's accumulated deltas, so every trial
+            # is the same float as a from-scratch sum and ties break alike
+            excl = np.where(nearest == p, two[1], two[0])
+            np.minimum(D, excl, out=buf)
+            buf *= w
+            trial = buf.sum(axis=1)
+            trial[cols] = np.inf
+            for j in np.flatnonzero(trial < current - stop):
+                c = float(trial[j])
+                if c < best_cost - stop:
+                    best_cost, best_swap = c, (p, int(j))
+        if best_swap is None:
+            return centers
+        p, j = best_swap
+        centers[p], cols[p] = reps[j], j
+        current = best_cost
 
 
 def makeshift_kmedian(

@@ -4,11 +4,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import explicit, line_points
 from zeus_cluster.errors import ConfigError, DegenerateInputError, InfeasibleError
 from zeus_cluster.graph import make_instance
 from zeus_cluster.makeshifts import (
+    _SWAP_REL_STOP,
     SEEDED_RANDOM,
     MakeshiftOptions,
     _kmedian_swap_centers,
@@ -36,9 +39,13 @@ from zeus_cluster.objectives import (
     eval_team_formation,
     singleton_clustering,
 )
-from zeus_cluster.oracle import oracle_edge_cover, oracle_matching_radius
+from zeus_cluster.oracle import (
+    oracle_edge_cover,
+    oracle_matching_radius,
+    oracle_single_objective,
+)
 from zeus_cluster.synth import generate_instance
-from zeus_cluster.zeus import ProblemSpec, zeus_run
+from zeus_cluster.zeus import KMEDIAN_FACTOR, ProblemSpec, zeus_run
 
 OPTS = MakeshiftOptions()
 
@@ -458,6 +465,117 @@ class TestKMedian:
             val = eval_team_formation(H, C).value
             m = len(X)
             assert val <= (-(-m // 2)) / (m // 2) + 1e-12
+
+
+def _weighted_cost(H, reps, weights, centers):
+    return sum(weights[r] * min(H.dist[r, c] for c in centers) for r in reps)
+
+
+@st.composite
+def _swap_problems(draw, unit=False):
+    """A metric on 2..9 nodes, shortest paths over integer edge lengths
+    0..5, with a rep set, integer weights and a k; with ``unit`` every
+    node is a rep of weight 1."""
+    n = draw(st.integers(2, 9))
+    m = np.zeros((n, n))
+    for u in range(n):
+        for v in range(u + 1, n):
+            m[u, v] = m[v, u] = draw(st.integers(0, 5))
+    for via in range(n):
+        m = np.minimum(m, m[:, [via]] + m[[via], :])
+    H = make_instance(n, "explicit", matrix=m)
+    if unit:
+        reps = list(range(n))
+        weights = {u: 1.0 for u in reps}
+    else:
+        reps = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        weights = {u: float(draw(st.integers(1, 5))) for u in reps}
+    k = draw(st.integers(1, len(reps)))
+    return H, reps, weights, k
+
+
+def _swap_centers_by_recomputation(H, reps, weights, k, opts):
+    """Reference swap search: every trial's cost recomputed from scratch."""
+    centers = greedy_centers(H, k, opts, candidates=reps)
+    w = np.asarray([weights[r] for r in reps])
+
+    def cost(cs):
+        return float((H.dist[np.ix_(reps, cs)].min(axis=1) * w).sum())
+
+    current = cost(centers)
+    while True:
+        best_cost, best_swap = current, None
+        for p in range(k):
+            for r in reps:
+                if r not in centers:
+                    c = cost(centers[:p] + [r] + centers[p + 1 :])
+                    if c < best_cost - _SWAP_REL_STOP * max(1.0, current):
+                        best_cost, best_swap = c, (p, r)
+        if best_swap is None:
+            return centers
+        centers[best_swap[0]] = best_swap[1]
+        current = best_cost
+
+
+class TestKmedianSwap:
+    def test_k_equals_reps_keeps_greedy_centers(self):
+        H = generate_instance("rs", 20, 0)
+        reps = [1, 4, 6, 11, 17]
+        weights = {r: 1.0 for r in reps}
+        greedy = greedy_centers(H, 5, OPTS, candidates=reps)
+        assert _kmedian_swap_centers(H, reps, weights, 5, OPTS) == greedy
+
+    def test_k_one_finds_weighted_median(self):
+        H = line_points([0, 1, 2, 10])
+        unit = {u: 1.0 for u in range(4)}
+        # nodes 1 and 2 tie at cost 11; the first record-breaker wins
+        assert _kmedian_swap_centers(H, [0, 1, 2, 3], unit, 1, OPTS) == [1]
+        heavy = {**unit, 3: 5.0}
+        assert _kmedian_swap_centers(H, [0, 1, 2, 3], heavy, 1, OPTS) == [3]
+
+    def test_all_coincident_takes_no_swap(self):
+        H = make_instance(6, "euclidean", embeddings=[(0, 0)] * 6)
+        weights = {u: 1.0 for u in range(6)}
+        assert _kmedian_swap_centers(H, list(range(6)), weights, 3, OPTS) == [0, 1, 2]
+        C = makeshift_kmedian(H, singleton_clustering(6), 3, OPTS)
+        assert [len(C.blocks()[b]) for b in range(3)] == [4, 1, 1]
+        assert eval_kmedian(H, C).value == 0.0
+
+    def test_zero_weight_rep_is_not_served(self):
+        H = line_points([0, 1, 100])
+        weights = {0: 1.0, 1: 1.0, 2: 0.0}
+        # greedy takes the far node 2; serving it is worth nothing
+        assert greedy_centers(H, 2, OPTS) == [0, 2]
+        assert _kmedian_swap_centers(H, [0, 1, 2], weights, 2, OPTS) == [0, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_swap_problems())
+    def test_matches_recomputed_swaps(self, problem):
+        H, reps, weights, k = problem
+        for opts in (OPTS, MakeshiftOptions(first_center_rule=SEEDED_RANDOM, seed=k)):
+            got = _kmedian_swap_centers(H, reps, weights, k, opts)
+            assert got == _swap_centers_by_recomputation(H, reps, weights, k, opts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_swap_problems())
+    def test_no_single_swap_improves(self, problem):
+        H, reps, weights, k = problem
+        centers = _kmedian_swap_centers(H, reps, weights, k, OPTS)
+        assert len(set(centers)) == k and set(centers) <= set(reps)
+        cost = _weighted_cost(H, reps, weights, centers)
+        margin = _SWAP_REL_STOP * max(1.0, cost)
+        for p in range(k):
+            for r in set(reps) - set(centers):
+                trial = centers[:p] + [r] + centers[p + 1 :]
+                assert _weighted_cost(H, reps, weights, trial) >= cost - margin
+
+    @settings(max_examples=100, deadline=None)
+    @given(_swap_problems(unit=True))
+    def test_within_kmedian_factor_of_optimum(self, problem):
+        H, reps, weights, k = problem
+        centers = _kmedian_swap_centers(H, reps, weights, k, OPTS)
+        best = oracle_single_objective(H, k, ObjectiveSpec("km"))
+        assert _weighted_cost(H, reps, weights, centers) <= KMEDIAN_FACTOR * best
 
 
 class TestDeterminism:
