@@ -12,6 +12,7 @@ from zeus_cluster.errors import ConfigError, DegenerateInputError, InfeasibleErr
 from zeus_cluster.graph import make_instance
 from zeus_cluster.makeshifts import (
     _SWAP_REL_STOP,
+    LOWEST_INDEX,
     SEEDED_RANDOM,
     MakeshiftOptions,
     _kmedian_swap_centers,
@@ -692,4 +693,68 @@ class TestKmedianSwapPinned:
         assert (digest.hexdigest(), len(lines)) == (
             "0669778cb413964b69bb17cf7748733d009bfe8b078f6e301b57ed67ff72e59a",
             625,
+        )
+
+
+def _threshold_search_lines():
+    """One line per result of the two bottleneck searches: balanced
+    k-center centers, assignment and radius; team-formation clusterings;
+    alpha:beta matchings with their pairs and radius. An error is recorded
+    by its class name."""
+
+    def line(*key, run):
+        try:
+            got = run()
+        except Exception as exc:  # noqa: BLE001  (the class name is pinned)
+            got = type(exc).__name__
+        return json.dumps([*key, got])
+
+    lines = []
+    rules = {"lowest": LOWEST_INDEX, "seeded": SEEDED_RANDOM}
+    for n in (20, 60, 200):
+        for seed in range(4):
+            H = generate_instance("tf", n, seed)
+            X = {u for u in range(n) if H.experts[u]}
+            for k in (1, 2, 3, 5, 7, 10):
+                for rule, first_center_rule in rules.items():
+                    for mult in (1, 1.5, 4):
+                        opts = MakeshiftOptions(
+                            first_center_rule=first_center_rule, seed=seed,
+                            balance_radius_multiplier=mult,
+                        )
+
+                        def run_kcenter(opts=opts, k=k):
+                            centers, assign, r = balanced_kcenter(H, X, k, opts)
+                            return [centers, sorted(assign.items()), r]
+
+                        lines.append(line("kc", n, seed, k, rule, mult, run=run_kcenter))
+                for nonexpert_rule in ("closest_center", "closest_expert"):
+                    opts = MakeshiftOptions(nonexpert_rule=nonexpert_rule)
+                    lines.append(line(
+                        "tf", n, seed, k, nonexpert_rule,
+                        run=lambda opts=opts, k=k: clustering_to_json(H, makeshift_tf(H, X, k, opts)),
+                    ))
+    for n in (10, 30, 100, 400):
+        for seed in range(5):
+            H = generate_instance("f", n, seed)
+            for alpha, beta in ((1, 1), (2, 1), (1, 2), (2, 3)):
+
+                def run_fairness(alpha=alpha, beta=beta):
+                    C, pairs = makeshift_fairness_ab(H, alpha, beta)
+                    return [clustering_to_json(H, C), sorted(pairs.pairs), pairs.realized_radius]
+
+                lines.append(line("f", n, seed, alpha, beta, run=run_fairness))
+    return lines
+
+
+class TestThresholdSearchPinned:
+    """The balanced k-center and alpha:beta matching searches, and the
+    team-formation clusterings built on the first, pinned by digest."""
+
+    def test_search_grid(self):
+        lines = _threshold_search_lines()
+        digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
+        assert (digest.hexdigest(), len(lines)) == (
+            "fccece684483b51491cbf0f9716e0b1046fef385336b6b5bf4075727371d5e0b",
+            656,
         )
