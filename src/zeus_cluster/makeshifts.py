@@ -6,12 +6,17 @@ min-max edge cover for resource sharing, bottleneck bipartite matching
 for fairness, a balanced k-center pipeline for team formation, plus the
 gamma-cover, alpha:beta b-matching, and k-median variants.
 
-Every flow problem among them runs on one of two ``scipy.sparse.csgraph``
-primitives: ``maximum_flow`` for the alpha:beta matching, and
+Every flow problem among them runs on ``scipy.sparse.csgraph``:
+``maximum_flow`` for the alpha:beta matching, and
 ``min_weight_full_bipartite_matching`` for each least-total-distance
-assignment. The balanced team searches use the threshold technique of
-Gabow and Tarjan, "Algorithms for two bottleneck optimization problems"
-(1988): an assignment problem per candidate radius, by binary search.
+assignment. The fairness and balanced team searches use the threshold
+technique of Gabow and Tarjan, "Algorithms for two bottleneck
+optimization problems" (1988): a binary search over the candidate radii
+whose steps only ask whether a matching exists. That test is
+``maximum_bipartite_matching`` (Hopcroft and Karp, SIAM J. Comput. 1973),
+or the max-flow value for an alpha:beta b-matching other than 1:1; the
+max-flow or min-cost call that builds the answer runs once per search,
+at the radius found.
 
 The k-median swap search keeps, as FastPAM1 does (Schubert and
 Rousseeuw, "Faster k-Medoids Clustering", 2019), every point's distance to
@@ -394,6 +399,14 @@ def _min_weight_matching(rows, cols, weights, shape) -> np.ndarray | None:
     return col_of
 
 
+def _covers_rows(rows, cols, shape) -> bool:
+    """Whether some matching of the bipartite graph with the given edges
+    covers every row (Hopcroft-Karp maximum matching)."""
+    sp = _sparse()
+    graph = sp.csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=shape)
+    return bool((sp.csgraph.maximum_bipartite_matching(graph, perm_type="column") >= 0).all())
+
+
 def _blue_purple(H: GraphInstance):
     """Blue and Purple node arrays, and the E-edges between them as Blue
     positions, Purple positions and lengths, in row-major order."""
@@ -411,16 +424,12 @@ def _blue_purple(H: GraphInstance):
     return blue, purple, rows, cols, H.dist[blue[rows], purple[cols]]
 
 
-def _bp_matching(bp, radius: float, alpha: int, beta: int) -> set[tuple[int, int]] | None:
-    """Blue-saturating b-matching within the radius, or None if infeasible.
-
-    Max-flow from a source that feeds each Blue node alpha units, over
-    unit arcs Blue -> Purple for E-edges within the radius, into a sink
-    that each Purple node drains at most beta into.
-    """
-    blue, purple, rows, cols, weights = bp
+def _bp_flow(bp, keep: np.ndarray, alpha: int, beta: int):
+    """Max-flow from a source that feeds each Blue node alpha units, over
+    unit arcs Blue -> Purple for the kept E-edges, into a sink that each
+    Purple node drains at most beta into; the result and the arc ends."""
+    blue, purple, rows, cols, _ = bp
     nb, npu = len(blue), len(purple)
-    keep = weights <= radius
     tails, heads = 1 + rows[keep], 1 + nb + cols[keep]
     sink = 1 + nb + npu
     caps = np.concatenate([np.full(nb, alpha), np.ones(len(tails)), np.full(npu, beta)])
@@ -430,12 +439,43 @@ def _bp_matching(bp, radius: float, alpha: int, beta: int) -> set[tuple[int, int
     )
     sp = _sparse()
     graph = sp.csr_matrix((caps.astype(np.int32), arcs), shape=(sink + 1, sink + 1))
-    result = sp.csgraph.maximum_flow(graph, 0, sink)
-    if result.flow_value < alpha * nb:
-        return None
+    return sp.csgraph.maximum_flow(graph, 0, sink), tails, heads
+
+
+def _bp_feasible(bp, radius: float, alpha: int, beta: int) -> bool:
+    """Whether a Blue-saturating alpha:beta b-matching exists within the radius.
+
+    For 1:1 this is a Hopcroft-Karp maximum matching; otherwise copies of
+    one Blue node could share a Purple node, so it takes the max-flow value.
+    """
+    blue, purple, rows, cols, weights = bp
+    keep = weights <= radius
+    if (alpha, beta) != (1, 1):
+        return _bp_flow(bp, keep, alpha, beta)[0].flow_value >= alpha * len(blue)
+    return _covers_rows(rows[keep], cols[keep], (len(blue), len(purple)))
+
+
+def _bp_matching(bp, radius: float, alpha: int, beta: int) -> set[tuple[int, int]]:
+    """The pairs of the max-flow b-matching within a feasible radius."""
+    blue, purple, rows, cols, weights = bp
+    keep = weights <= radius
+    result, tails, heads = _bp_flow(bp, keep, alpha, beta)
     used = np.asarray(result.flow[tails, heads]).ravel() > 0
     us, vs = blue[rows[keep][used]], purple[cols[keep][used]]
     return {(min(u, v), max(u, v)) for u, v in zip(us.tolist(), vs.tolist())}
+
+
+def _first_feasible(values, feasible) -> int:
+    """Index of the first of the sorted ``values`` that the monotone
+    ``feasible`` accepts, by binary search; ``len(values)`` if none."""
+    lo, hi = 0, len(values)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(values[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def makeshift_fairness_ab(
@@ -446,23 +486,14 @@ def makeshift_fairness_ab(
     if alpha < 1 or beta < 1:
         raise ConfigError("alpha and beta must be positive integers")
     bp = _blue_purple(H)
-    bp_weights = sorted(set(bp[-1].tolist()))
-    best = _bp_matching(bp, bp_weights[-1], alpha, beta) if bp_weights else None
-    if best is None:
+    radii = np.unique(bp[-1])
+    i = _first_feasible(radii, lambda r: _bp_feasible(bp, r, alpha, beta))
+    if i == len(radii):
         raise InfeasibleError(
             "no Blue-saturating matching exists at any radius"
         )
-    lo, hi = 0, len(bp_weights) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        got = _bp_matching(bp, bp_weights[mid], alpha, beta)
-        if got is not None:
-            hi = mid
-            best = got
-        else:
-            lo = mid + 1
     kind = "b_matching" if (alpha, beta) != (1, 1) else "matching"
-    return _pair_fragments(H, best, kind)
+    return _pair_fragments(H, _bp_matching(bp, radii[i], alpha, beta), kind)
 
 
 def _pair_fragments(
@@ -507,22 +538,19 @@ def makeshift_fairness_for(
     return makeshift_fairness_ab(H, o.alpha, o.beta)
 
 
-def _balanced_assignment(
-    H: GraphInstance, experts: list[int], centers: list[int], limit: float = np.inf
-) -> dict[int, int] | None:
-    """Least-total-distance assignment of experts to centers within
-    ``limit``, with every center's load in [floor(m/k), ceil(m/k)]; None
-    if there is none.
+def _slot_graph(d: np.ndarray, within: np.ndarray):
+    """Rows, columns and weights of the balanced slot graph of the m x k
+    expert-to-center distances ``d``, with the edges that ``within`` marks.
 
     Center i owns ceil(m/k) consecutive slots: floor(m/k) that every
     perfect matching fills and, when k does not divide m, one optional
     slot. k*ceil(m/k) - m dummy rows, joined to the optional slots only,
-    take up the optional slots no expert fills.
+    take up the optional slots no expert fills. A perfect matching is an
+    assignment with every center's load in [floor(m/k), ceil(m/k)].
     """
-    m, k = len(experts), len(centers)
+    m, k = d.shape
     low, high = m // k, -(-m // k)
-    d = H.dist[np.ix_(experts, centers)]
-    rows, center_of = np.nonzero(d <= limit + 1e-12)
+    rows, center_of = np.nonzero(within)
     # an expert's edge to center i becomes one edge to each of i's slots
     weights = np.repeat(d[rows, center_of], high)
     cols = (center_of[:, None] * high + np.arange(high)).ravel()
@@ -533,6 +561,28 @@ def _balanced_assignment(
         rows = np.concatenate([rows, np.repeat(dummies, k)])
         cols = np.concatenate([cols, np.tile(optional, len(dummies))])
         weights = np.concatenate([weights, np.zeros(len(dummies) * k)])
+    return rows, cols, weights
+
+
+def _has_balanced_assignment(d: np.ndarray, threshold: float) -> bool:
+    """Whether the slot graph of the distances at most ``threshold`` has a
+    perfect matching."""
+    m, k = d.shape
+    size = k * -(-m // k)
+    rows, cols, _ = _slot_graph(d, d <= threshold)
+    return _covers_rows(rows, cols, (size, size))
+
+
+def _balanced_assignment(
+    H: GraphInstance, experts: list[int], centers: list[int], limit: float = np.inf
+) -> dict[int, int] | None:
+    """Least-total-distance assignment of experts to centers within
+    ``limit``, with every center's load in [floor(m/k), ceil(m/k)]; None
+    if there is none."""
+    m, k = len(experts), len(centers)
+    high = -(-m // k)
+    d = H.dist[np.ix_(experts, centers)]
+    rows, cols, weights = _slot_graph(d, d <= limit + 1e-12)
     col_of = _min_weight_matching(rows, cols, weights, (k * high, k * high))
     if col_of is None:
         return None
@@ -544,39 +594,33 @@ def balanced_kcenter(
 ) -> tuple[list[int], dict[int, int], float]:
     """Balanced k-center over the expert set.
 
-    Binary search over realized distances within X for the smallest radius
-    at which farthest-first centers admit a capacitated assignment with
-    block sizes in {floor(|X|/k), ceil(|X|/k)}. Returns (centers,
-    expert -> block index, radius); the assignment is the one of least
-    total distance at that radius.
+    Farthest-first centers, then the smallest realized distance r within X
+    at which they admit an assignment with block sizes in
+    {floor(|X|/k), ceil(|X|/k)} and every expert within
+    ``balance_radius_multiplier * r`` of its center. Returns (centers,
+    expert -> block index, r); the assignment is the one of least total
+    distance at that radius.
+
+    The search runs over the m*k expert-to-center distances instead: the
+    smallest one, c, at which a balanced assignment exists. Whether one
+    exists within a limit depends only on which of those distances lie at
+    or below it, so r is the smallest distance within X whose limit
+    reaches c.
     """
     experts = sorted(X)
     m = len(experts)
     if k > m:
         raise ConfigError(f"k={k} exceeds expert count {m}")
-    sub = H.dist[np.ix_(experts, experts)]
-    radii = sorted({0.0} | {float(x) for x in sub.ravel()})
-
     centers = greedy_centers(H, k, opts, candidates=experts)
-
-    def attempt(r: float) -> dict[int, int] | None:
-        return _balanced_assignment(
-            H, experts, centers, opts.balance_radius_multiplier * r
-        )
-
-    lo, hi = 0, len(radii) - 1
-    best = attempt(radii[hi])
-    if best is None:
+    d = H.dist[np.ix_(experts, centers)]
+    thresholds = np.unique(d)
+    i = _first_feasible(thresholds, lambda t: _has_balanced_assignment(d, t))
+    if i == len(thresholds):
         raise InfeasibleError("balanced assignment infeasible even at max radius")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        got = attempt(radii[mid])
-        if got is not None:
-            hi = mid
-            best = got
-        else:
-            lo = mid + 1
-    return centers, best, radii[hi]
+    mult = opts.balance_radius_multiplier
+    sub = H.dist[np.ix_(experts, experts)]
+    r = float(sub[mult * sub + 1e-12 >= thresholds[i]].min())
+    return centers, _balanced_assignment(H, experts, centers, mult * r), r
 
 
 def makeshift_tf(

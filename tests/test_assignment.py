@@ -10,6 +10,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeus_cluster.errors import InfeasibleError
 from zeus_cluster.graph import make_instance
@@ -130,7 +132,7 @@ def smallest_feasible_radius(H, experts, centers, multiplier):
 
 class TestBalancedKCenter:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("multiplier", [1.0, 4.0])
+    @pytest.mark.parametrize("multiplier", [1.0, 1.5, 2.5, 4.0])
     def test_radius_equals_exhaustive(self, seed, multiplier):
         H = random_instance(seed)
         experts = [u for u in range(H.n) if H.experts[u]]
@@ -163,6 +165,43 @@ class TestBalancedKCenter:
                 if all(d[i, b] <= r + 1e-12 for i, b in enumerate(blocks))
             )
             assert sum(H.dist[u, centers[assign[u]]] for u in experts) == want
+
+
+@st.composite
+def tiny_teams(draw):
+    """Explicit instance of 2..9 nodes with distances in 0..4, 1..7 of
+    them experts, a k of 1..3 and a multiplier in [1, 5]."""
+    n = draw(st.integers(2, 9))
+    m = np.zeros((n, n))
+    for u, v in itertools.combinations(range(n), 2):
+        m[u, v] = m[v, u] = draw(st.integers(0, 4))
+    experts = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=7)))
+    k = draw(st.integers(1, min(3, len(experts))))
+    multiplier = draw(st.floats(1, 5))
+    H = make_instance(
+        n, "explicit", matrix=m, experts=[u in experts for u in range(n)]
+    )
+    return H, experts, k, multiplier
+
+
+class TestBalancedKCenterProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(tiny_teams())
+    def test_radius_and_total_equal_exhaustive(self, team):
+        H, experts, k, multiplier = team
+        opts = MakeshiftOptions(balance_radius_multiplier=multiplier)
+        centers, assign, r = balanced_kcenter(H, set(experts), k, opts)
+        assert r == smallest_feasible_radius(H, experts, centers, multiplier)
+        d = H.dist[np.ix_(experts, centers)]
+        within = [
+            blocks for blocks in balanced_assignments(len(experts), k)
+            if all(d[i, b] <= multiplier * r + 1e-12 for i, b in enumerate(blocks))
+        ]
+        got = tuple(assign[u] for u in experts)
+        assert got in within  # balanced, and every expert within the limit
+        assert sum(d[i, b] for i, b in enumerate(got)) == min(
+            sum(d[i, b] for i, b in enumerate(blocks)) for blocks in within
+        )
 
 
 class TestTeamKMedian:

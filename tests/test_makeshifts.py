@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import explicit, line_points
-from zeus_cluster.errors import ConfigError, DegenerateInputError, InfeasibleError
+from zeus_cluster.errors import ConfigError, DegenerateInputError, InfeasibleError, ZeusError
 from zeus_cluster.graph import make_instance
 from zeus_cluster.makeshifts import (
     _SWAP_REL_STOP,
     LOWEST_INDEX,
     SEEDED_RANDOM,
     MakeshiftOptions,
+    _first_feasible,
     _kmedian_swap_centers,
     balanced_kcenter,
     greedy_centers,
@@ -309,6 +310,18 @@ class TestFairness:
         C, _ = makeshift_fairness_ab(H, 1, 1)
         assert blocks_as_sets(C) == {frozenset({0, 1}), frozenset({2})}
 
+    @pytest.mark.parametrize("alpha, beta", [(1, 1), (2, 1), (1, 2)])
+    def test_every_edge_one_length(self, alpha, beta):
+        # one candidate radius: the search ends on it at once
+        edges = {(i, j): 2.5 for i in range(2) for j in range(4)}
+        H = bp_instance(edges, 2, 4)
+        _, pairs = makeshift_fairness_ab(H, alpha, beta)
+        assert pairs.realized_radius == 2.5
+        assert len(pairs.pairs) == 2 * alpha
+        degree = {u: sum(u in e for e in pairs.pairs) for u in range(6)}
+        assert all(degree[b] == alpha for b in range(2))
+        assert all(degree[p] <= beta for p in range(2, 6))
+
 
 class TestBMatching:
     def test_one_one_equals_fairness(self):
@@ -330,6 +343,14 @@ class TestBMatching:
         _, pairs = makeshift_fairness_ab(H, 1, 2)
         assert pairs.pairs == {(0, 2), (1, 2)}
         assert pairs.realized_radius == 2.0
+
+    def test_infeasible_at_every_radius(self):
+        # alpha = 2 asks two Purple partners of each Blue; two Blues share
+        # three Purples, so even the largest radius falls one short
+        H = bp_instance({(0, 0): 1, (0, 1): 2, (1, 1): 3, (1, 2): 4}, 2, 3)
+        with pytest.raises(InfeasibleError, match="no Blue-saturating matching exists at any radius"):
+            makeshift_fairness_ab(H, 2, 1)
+        assert makeshift_fairness_ab(H, 2, 2)[1].realized_radius == 4.0
 
     def test_invalid_parameters(self):
         H = bp_instance({(0, 0): 1}, 1, 1)
@@ -354,10 +375,44 @@ class TestBMatching:
 
 class TestBalancedKCenter:
     def test_experts_equal_k_zero_radius(self):
+        # every expert is a center: every expert-to-center threshold is 0
         H = line_points([0, 5, 9])
         centers, assign, r = balanced_kcenter(H, {0, 1, 2}, 3, OPTS)
         assert r == 0.0
         assert sorted(centers) == [0, 1, 2]
+        assert all(centers[b] == u for u, b in assign.items())
+
+    @pytest.mark.parametrize("multiplier, radius", [(1.0, 7.0), (1.5, 6.0), (4.0, 2.0)])
+    def test_k_one_radius_reaches_farthest_expert(self, multiplier, radius):
+        # the one center is node 0; the farthest expert is 7 away, and the
+        # radius is the least distance between experts whose multiple reaches 7
+        H = line_points([0, 1, 3, 7])
+        opts = MakeshiftOptions(balance_radius_multiplier=multiplier)
+        centers, assign, r = balanced_kcenter(H, {0, 1, 2, 3}, 1, opts)
+        assert centers == [0]
+        assert assign == {0: 0, 1: 0, 2: 0, 3: 0}
+        assert r == radius
+
+    def test_all_experts_coincident(self):
+        H = make_instance(7, "euclidean", embeddings=[(1.0, 2.0)] * 7)
+        centers, assign, r = balanced_kcenter(H, set(range(7)), 3, OPTS)
+        assert r == 0.0
+        assert len(set(centers)) == 3
+        assert sorted(np.bincount(list(assign.values()))) == [2, 2, 3]
+
+    def test_largest_threshold_always_feasible(self):
+        # every expert-center edge lies within the largest threshold, and
+        # the complete slot graph has a perfect matching, so the search's
+        # InfeasibleError cannot arise from a valid instance; the search
+        # itself reports "none feasible" as the length of its values
+        assert _first_feasible([1, 2, 3], lambda v: False) == 3
+        assert _first_feasible([1, 2, 3], lambda v: v >= 2) == 1
+        assert _first_feasible([], lambda v: True) == 0
+        for seed in range(3):
+            H = generate_instance("tf", 40, seed)
+            X = {u for u in range(40) if H.experts[u]}
+            for k in range(1, len(X) + 1):
+                balanced_kcenter(H, X, k, MakeshiftOptions(balance_radius_multiplier=1.0))
 
     def test_collinear_pairs(self):
         H = line_points([0, 1, 10, 11])
@@ -705,7 +760,7 @@ def _threshold_search_lines():
     def line(*key, run):
         try:
             got = run()
-        except Exception as exc:  # noqa: BLE001  (the class name is pinned)
+        except ZeusError as exc:
             got = type(exc).__name__
         return json.dumps([*key, got])
 
