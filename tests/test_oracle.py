@@ -1,10 +1,19 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import line_points
 from zeus_cluster.errors import ConfigError, InfeasibleError
 from zeus_cluster.makeshifts import makeshift_fairness_ab, makeshift_rs
-from zeus_cluster.objectives import ObjectiveSpec, evaluate, singleton_clustering
+from zeus_cluster.objectives import (
+    ObjectiveSpec,
+    evaluate,
+    rel_close,
+    singleton_clustering,
+)
 from zeus_cluster.oracle import (
+    _partition_clustering,
+    _score_partition,
     enumerate_partitions,
     oracle_edge_cover,
     oracle_lmoc,
@@ -98,6 +107,37 @@ class TestLmoc:
                 res = oracle_lmoc(H, k, O)
                 values = [evaluate(H, res.best_clustering, o).value for o in O]
                 assert values == pytest.approx(res.best_values), (seed, k)
+
+
+@st.composite
+def small_partitions(draw):
+    """(n, restricted-growth string) with n <= 8 and at most 3 blocks."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, 3))
+    rgs = []
+    for b in draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)):
+        rgs.append(min(b, max(rgs, default=-1) + 1))
+    return n, tuple(rgs)
+
+
+class TestScoreAgreesWithEvaluate:
+    # the oracle scores a partition on its own; evaluate scores the
+    # clustering the oracle returns for it, with the same centers
+    @pytest.mark.parametrize("kind", ["rs", "f", "tf", "kc", "km"])
+    @settings(max_examples=60, deadline=None)
+    @given(partition=small_partitions(), seed=st.integers(0, 50))
+    def test_same_value(self, kind, partition, seed):
+        n, rgs = partition
+        H = generate_instance(kind if kind in ("rs", "f", "tf") else "rs", n, seed)
+        o = ObjectiveSpec(kind)
+        pairs = makeshift_fairness_ab(H, 1, 1)[1] if kind == "f" else None
+        C = _partition_clustering(H, rgs, [o])
+        value = evaluate(H, C, o, pairs=pairs).value
+        (expected,) = _score_partition(H, rgs, [o], pairs)
+        if kind == "km":  # the two sum in different orders
+            assert rel_close(value, expected)
+        else:
+            assert value == expected
 
 
 class TestEdgeCoverOracle:
