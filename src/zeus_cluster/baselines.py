@@ -9,6 +9,7 @@ from .graph import BLUE, GraphInstance
 from .makeshifts import (
     MakeshiftOptions,
     _block_one_center,
+    fairness_pairs,
     makeshift_fairness_for,
     makeshift_kcenter,
     makeshift_rs,
@@ -109,8 +110,8 @@ def baseline_moc_path(
     """
     if len(objectives) != 2:
         raise ConfigError("the MOC baseline requires exactly two objectives")
-    if any(o.kind == F for o in objectives) and pairs is None:
-        pairs = makeshift_fairness_for(H, objectives)[1]
+    if pairs is None:
+        pairs = fairness_pairs(H, objectives)
     wanted = sorted(set(ks))
     if not wanted or wanted[0] < 1 or wanted[-1] > H.n:
         raise ConfigError(f"k values must lie in 1..{H.n}")

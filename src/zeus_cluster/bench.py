@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from .baselines import baseline_b1, baseline_b2, baseline_moc_path
 from .errors import ConfigError, ZeusError
 from .graph import GraphInstance, load_instance
-from .makeshifts import MakeshiftOptions, SEEDED_RANDOM, makeshift_fairness_for
+from .makeshifts import MakeshiftOptions, SEEDED_RANDOM, fairness_pairs
 from .objectives import (
-    F,
     Clustering,
     ObjectiveSpec,
     PairStructure,
@@ -159,9 +158,7 @@ def run_experiment(
     config.validate()
     if H is None:
         H = load_instance(config.instance_path, config.instance_format, config.fill)
-    pairs = None
-    if any(o.kind == F for o in config.objectives):
-        pairs = makeshift_fairness_for(H, config.objectives)[1]
+    pairs = fairness_pairs(H, config.objectives)
     moc: dict[int, Clustering | ZeusError] = {}
     moc_ms = 0.0
     if "moc" in config.algorithms:
@@ -196,8 +193,7 @@ def run_experiment(
                         rec.wall_ms = (time.perf_counter() - t0) * 1000.0
                         rec.trace = trace
                         for i, o in enumerate(config.objectives):
-                            v = evaluate(H, C, o, pairs=pairs)
-                            rec.values[f"o{i + 1}_{o.kind}"] = v.value
+                            rec.values[f"o{i + 1}_{o.kind}"] = evaluate(H, C, o, pairs=pairs)
                         rec.clustering_json = clustering_to_json(H, C)
                     except ZeusError as exc:
                         rec.wall_ms = (time.perf_counter() - t0) * 1000.0

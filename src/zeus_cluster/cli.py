@@ -15,9 +15,9 @@ from .makeshifts import (
     LOWEST_INDEX,
     SEEDED_RANDOM,
     MakeshiftOptions,
-    makeshift_fairness_for,
+    fairness_pairs,
 )
-from .objectives import F, ObjectiveSpec, SlackVector, clustering_to_json
+from .objectives import ObjectiveSpec, SlackVector, clustering_to_json
 from .oracle import oracle_lmoc
 from .synth import generate_instance
 from .zeus import ProblemSpec, zeus_run
@@ -81,8 +81,7 @@ def cluster(args) -> None:
 def oracle(args) -> None:
     H = load_instance(args.input, args.format, args.fill)
     objs = args.objectives
-    pairs = makeshift_fairness_for(H, objs)[1] if any(o.kind == F for o in objs) else None
-    result = oracle_lmoc(H, args.k, list(objs), pairs)
+    result = oracle_lmoc(H, args.k, list(objs), fairness_pairs(H, objs))
     doc = {
         "values": {
             f"o{i + 1}_{o.kind}": v

@@ -538,6 +538,33 @@ def makeshift_fairness_for(
     return makeshift_fairness_ab(H, o.alpha, o.beta)
 
 
+def fairness_pairs(
+    H: GraphInstance, objectives: tuple[ObjectiveSpec, ...]
+) -> PairStructure | None:
+    """The pairs that define ``f`` for this objective list, or None
+    without an ``f`` objective."""
+    if not any(o.kind == F for o in objectives):
+        return None
+    return makeshift_fairness_for(H, objectives)[1]
+
+
+def makeshift_tf_for(
+    H: GraphInstance,
+    objectives: tuple[ObjectiveSpec, ...],
+    k: int,
+    opts: MakeshiftOptions,
+) -> Clustering:
+    """The ``tf`` makeshift for this objective list.
+
+    With a ``km`` objective the swap k-median chooses the expert centers;
+    otherwise balanced k-center does.
+    """
+    experts = {u for u in range(H.n) if H.experts[u]}
+    if any(o.kind == KM for o in objectives):
+        return makeshift_tf_kmedian(H, experts, k, opts)
+    return makeshift_tf(H, experts, k, opts)
+
+
 def _slot_graph(d: np.ndarray, within: np.ndarray):
     """Rows, columns and weights of the balanced slot graph of the m x k
     expert-to-center distances ``d``, with the edges that ``within`` marks.

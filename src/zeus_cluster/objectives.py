@@ -3,6 +3,7 @@
 Five objective kinds are supported: ``kc`` (k-center, minimize), ``km``
 (k-median, minimize), ``rs`` (resource sharing, maximize), ``f``
 (fairness, maximize), and ``tf`` (team formation, minimize toward 1).
+An objective's value is a plain float; its direction comes from its kind.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ RS = "rs"
 F = "f"
 TF = "tf"
 KINDS = (KC, KM, RS, F, TF)
-
-MINIMIZE = "minimize"
-MAXIMIZE = "maximize"
-_DIRECTIONS = {KC: MINIMIZE, KM: MINIMIZE, RS: MAXIMIZE, F: MAXIMIZE, TF: MINIMIZE}
 
 REL_TOL = 1e-9
 
@@ -103,27 +100,20 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown objective kind {self.kind!r}")
-
-    @property
-    def direction(self) -> str:
-        return _DIRECTIONS[self.kind]
+        for name in ("gamma", "alpha", "beta"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def maximize(self) -> bool:
-        return self.direction == MAXIMIZE
-
-
-@dataclass(frozen=True)
-class ObjectiveValue:
-    value: float
-    direction: str
+        return self.kind in (RS, F)
 
 
 @dataclass(frozen=True)
 class OptimalEstimate:
-    """A proof-backed bound (or exact value) on the optimal objective value."""
+    """A proof-backed lower bound (or exact value) on the optimal objective value."""
 
-    kind: str  # 'exact' | 'lower_bound' | 'upper_bound'
+    kind: str  # 'exact' | 'lower_bound'
     value: float
 
 
@@ -166,32 +156,32 @@ def rel_close(a: float, b: float, tol: float = REL_TOL) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def eval_kcenter(H: GraphInstance, C: Clustering) -> ObjectiveValue:
+def eval_kcenter(H: GraphInstance, C: Clustering) -> float:
     """Max distance of any node to its own block's center."""
     if C.centers is None:
         raise ZeusError("k-center evaluation requires centers")
     worst = 0.0
     for u, b in C.assignment.items():
         worst = max(worst, H.dist[u, C.centers[b]])
-    return ObjectiveValue(float(worst), MINIMIZE)
+    return float(worst)
 
 
-def eval_kmedian(H: GraphInstance, C: Clustering) -> ObjectiveValue:
+def eval_kmedian(H: GraphInstance, C: Clustering) -> float:
     """Sum of distances of nodes to their own block's center."""
     if C.centers is None:
         raise ZeusError("k-median evaluation requires centers")
     total = sum(H.dist[u, C.centers[b]] for u, b in C.assignment.items())
-    return ObjectiveValue(float(total), MINIMIZE)
+    return float(total)
 
 
-def eval_resource_sharing(H: GraphInstance, C: Clustering) -> ObjectiveValue:
+def eval_resource_sharing(H: GraphInstance, C: Clustering) -> float:
     """Fraction of nodes with at least one E-neighbor in their own block."""
     covered = 0
     for u in C.assignment:
         b = C.assignment[u]
         if any(C.assignment.get(v) == b for v in H.adjacency[u]):
             covered += 1
-    return ObjectiveValue(covered / max(1, len(C.assignment)), MAXIMIZE)
+    return covered / max(1, len(C.assignment))
 
 
 def blue_partners(H: GraphInstance, matched: PairStructure) -> dict[int, int]:
@@ -205,9 +195,7 @@ def blue_partners(H: GraphInstance, matched: PairStructure) -> dict[int, int]:
     return partner
 
 
-def eval_fairness(
-    H: GraphInstance, C: Clustering, matched: PairStructure
-) -> ObjectiveValue:
+def eval_fairness(H: GraphInstance, C: Clustering, matched: PairStructure) -> float:
     """Fraction of Blue nodes whose matched Purple partner shares their block."""
     blue = [u for u in range(H.n) if H.colors[u] == BLUE]
     if not blue:
@@ -218,10 +206,10 @@ def eval_fairness(
         for u in blue
         if u in partner and C.assignment.get(partner[u]) == C.assignment.get(u)
     )
-    return ObjectiveValue(happy / len(blue), MAXIMIZE)
+    return happy / len(blue)
 
 
-def eval_team_formation(H: GraphInstance, C: Clustering) -> ObjectiveValue:
+def eval_team_formation(H: GraphInstance, C: Clustering) -> float:
     """Ratio of max to min per-block expert count; +inf if a block has none."""
     X = {u for u in range(H.n) if H.experts[u]}
     if not X:
@@ -231,8 +219,8 @@ def eval_team_formation(H: GraphInstance, C: Clustering) -> ObjectiveValue:
         if u in C.assignment:
             counts[C.assignment[u]] += 1
     if min(counts) == 0:
-        return ObjectiveValue(math.inf, MINIMIZE)
-    return ObjectiveValue(max(counts) / min(counts), MINIMIZE)
+        return math.inf
+    return max(counts) / min(counts)
 
 
 def evaluate(
@@ -240,7 +228,7 @@ def evaluate(
     C: Clustering,
     spec: ObjectiveSpec,
     pairs: PairStructure | None = None,
-) -> ObjectiveValue:
+) -> float:
     """Dispatch evaluation of one objective on a clustering."""
     if spec.kind == KC:
         return eval_kcenter(H, C)
@@ -255,40 +243,33 @@ def evaluate(
     return eval_team_formation(H, C)
 
 
-C1_SUPERIOR = "C1_superior"
-C2_SUPERIOR = "C2_superior"
-EQUAL = "equal"
-
-
-def compare_value_tuples(values1, values2, objectives) -> str:
-    """First-difference lexicographic comparison of two value tuples."""
+def lex_better(values1, values2, objectives) -> bool:
+    """Whether ``values1`` is strictly better than ``values2`` at the first
+    objective where they differ."""
     for v1, v2, o in zip(values1, values2, objectives):
-        if rel_close(v1, v2):
-            continue
-        better1 = v1 > v2 if o.maximize else v1 < v2
-        return C1_SUPERIOR if better1 else C2_SUPERIOR
-    return EQUAL
+        if not rel_close(v1, v2):
+            return v1 > v2 if o.maximize else v1 < v2
+    return False
 
 
 def slack_violated(
-    value: ObjectiveValue, delta: float, est: OptimalEstimate
+    value: float, o: ObjectiveSpec, delta: float, est: OptimalEstimate
 ) -> bool:
-    """Whether ``value`` falls outside ``delta`` times the estimated optimum."""
-    if value.direction == MAXIMIZE:
-        if est.kind == "lower_bound":
-            raise ConfigError("maximization slack check needs an upper bound or exact")
-        threshold = delta * est.value
-        return value.value < threshold and not rel_close(value.value, threshold)
-    if est.kind == "upper_bound":
-        raise ConfigError("minimization slack check needs a lower bound or exact")
+    """Whether ``value`` of ``o`` falls outside ``delta`` times the estimated
+    optimum."""
     threshold = delta * est.value
-    return value.value > threshold and not rel_close(value.value, threshold)
+    if o.maximize:
+        if est.kind != "exact":
+            raise ConfigError("maximization slack check needs an exact estimate")
+        worse = value < threshold
+    else:
+        worse = value > threshold
+    return worse and not rel_close(value, threshold)
 
 
 __all__ = [
     "Clustering",
     "ObjectiveSpec",
-    "ObjectiveValue",
     "OptimalEstimate",
     "SlackVector",
     "PairStructure",
@@ -300,7 +281,7 @@ __all__ = [
     "eval_fairness",
     "eval_team_formation",
     "evaluate",
-    "compare_value_tuples",
+    "lex_better",
     "slack_violated",
     "rel_close",
     "KC",
@@ -309,9 +290,4 @@ __all__ = [
     "F",
     "TF",
     "KINDS",
-    "MINIMIZE",
-    "MAXIMIZE",
-    "C1_SUPERIOR",
-    "C2_SUPERIOR",
-    "EQUAL",
 ]

@@ -16,11 +16,10 @@ from .objectives import (
     KC,
     KM,
     RS,
-    C1_SUPERIOR,
     Clustering,
     ObjectiveSpec,
     PairStructure,
-    compare_value_tuples,
+    lex_better,
 )
 
 PARTITION_CAP = 12
@@ -166,9 +165,7 @@ def oracle_lmoc(
     for rgs in enumerate_partitions(H.n, k, cap):
         count += 1
         values = _score_partition(H, rgs, objectives, pairs)
-        if best_values is None or (
-            compare_value_tuples(values, best_values, objectives) == C1_SUPERIOR
-        ):
+        if best_values is None or lex_better(values, best_values, objectives):
             best_values = values
             best_rgs = rgs
     if best_rgs is None:

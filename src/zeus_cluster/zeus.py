@@ -16,18 +16,15 @@ from .makeshifts import (
     makeshift_kmedian,
     makeshift_rs,
     makeshift_rs_gamma,
-    makeshift_tf,
-    makeshift_tf_kmedian,
+    makeshift_tf_for,
 )
 from .objectives import (
     F,
     KC,
     KM,
-    MINIMIZE,
     RS,
     Clustering,
     ObjectiveSpec,
-    ObjectiveValue,
     OptimalEstimate,
     PairStructure,
     SlackVector,
@@ -39,6 +36,8 @@ from .objectives import (
 
 # documented approximation factor of the single-swap k-median heuristic
 KMEDIAN_FACTOR = 5.0
+# local search applies at most this many moves per node
+MOVES_PER_NODE = 50
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,6 @@ class ProblemSpec:
     slacks: SlackVector
     k: int
     options: MakeshiftOptions = MakeshiftOptions()
-    local_search_cap: int | None = None
     allow_infeasible_slack: bool = False
 
     def validate(self) -> None:
@@ -85,8 +83,6 @@ def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineS
     spec.validate()
     C = singleton_clustering(H.n)
     state = PipelineState(clustering=C)
-    km_mode = any(o.kind == KM for o in spec.objectives)
-    experts = {u for u in range(H.n) if H.experts[u]}
 
     for i, (o, delta) in enumerate(zip(spec.objectives, spec.slacks.deltas)):
         t0 = time.perf_counter()
@@ -104,25 +100,22 @@ def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineS
         elif o.kind == KM:
             C = makeshift_kmedian(H, C, spec.k, spec.options)
         else:  # tf
-            if km_mode:
-                C = makeshift_tf_kmedian(H, experts, spec.k, spec.options)
-            else:
-                C = makeshift_tf(H, experts, spec.k, spec.options)
+            C = makeshift_tf_for(H, spec.objectives, spec.k, spec.options)
 
         value = evaluate(H, C, o, pairs=state.fairness_pairs)
-        est = estimate_optimal(H, o, value.value, spec.k, spec.options)
-        violated = slack_violated(value, delta, est)
+        est = estimate_optimal(H, o, value, spec.k, spec.options)
+        violated = slack_violated(value, o, delta, est)
         moves = 0
         if violated and o.kind in (KC, KM):
-            C, moves = local_search(H, C, state, o, delta, est, spec)
+            C, moves = local_search(H, C, state, o, delta, est)
             value = evaluate(H, C, o)
-            violated = slack_violated(value, delta, est)
+            violated = slack_violated(value, o, delta, est)
         state.clustering = C
         state.processed.append((o, est, delta))
         state.trace.append(
             {
                 "objective": o.kind,
-                "value": value.value,
+                "value": value,
                 "estimate": {"kind": est.kind, "value": est.value},
                 "slack": delta,
                 "violated": violated,
@@ -188,7 +181,6 @@ def local_search(
     violated_o: ObjectiveSpec,
     delta: float,
     est: OptimalEstimate,
-    spec: ProblemSpec,
 ) -> tuple[Clustering, int]:
     """Best-improvement single-atom relocation until a ``kc`` or ``km``
     slack holds.
@@ -196,17 +188,16 @@ def local_search(
     A move is admissible only if all previously processed objectives stay
     within their slack, atoms move whole, no block empties, and no block
     loses its center. Stops on slack satisfaction, no improving move, or
-    the move cap. Only ``kc`` and ``km`` makeshifts leave an atom that can
-    move: the others make every atom a whole block.
+    ``MOVES_PER_NODE`` moves per node. Only ``kc`` and ``km`` makeshifts
+    leave an atom that can move: the others make every atom a whole block.
     """
     if violated_o.kind not in (KC, KM):
         raise ConfigError(
             f"local search serves kc and km only, not {violated_o.kind!r}"
         )
-    cap = spec.local_search_cap if spec.local_search_cap is not None else 50 * H.n
     moves = 0
-    value = evaluate(H, C, violated_o).value
-    while moves < cap and slack_violated(ObjectiveValue(value, MINIMIZE), delta, est):
+    value = evaluate(H, C, violated_o)
+    while moves < MOVES_PER_NODE * H.n and slack_violated(value, violated_o, delta, est):
         centers = C.centers
         # each node's distance to its own block's center
         cost = {u: float(H.dist[u, centers[b]]) for u, b in C.assignment.items()}
@@ -251,4 +242,5 @@ def local_search(
 def _slacks_violated(H: GraphInstance, C: Clustering, state: PipelineState):
     """Whether each processed objective is outside its slack on ``C``, in order."""
     for o, est, delta in state.processed:
-        yield slack_violated(evaluate(H, C, o, pairs=state.fairness_pairs), delta, est)
+        value = evaluate(H, C, o, pairs=state.fairness_pairs)
+        yield slack_violated(value, o, delta, est)

@@ -119,10 +119,10 @@ def test_03_cover_first_pipeline_bounds():
         C, _ = zeus_run(H, pipeline(["rs", "kc"], [1.0, 3.0], k))
         opt_rs = oracle_single_objective(H, k, o_rs)
         lex = oracle_lmoc(H, k, [o_rs, o_kc])
-        if evaluate(H, C, o_rs).value != opt_rs:
+        if evaluate(H, C, o_rs) != opt_rs:
             ok = False
             break
-        if eval_kcenter(H, C).value > 3.0 * lex.best_values[1] + KC_TOL:
+        if eval_kcenter(H, C) > 3.0 * lex.best_values[1] + KC_TOL:
             ok = False
             break
         checked += 1
@@ -150,10 +150,10 @@ def test_04_matching_first_pipeline_bounds():
         C, _ = zeus_run(H, pipeline(["f", "kc"], [1.0, 3.0], k))
         opt_f = oracle_single_objective(H, k, o_f, pairs)
         lex = oracle_lmoc(H, k, [o_f, o_kc], pairs)
-        if evaluate(H, C, o_f, pairs=pairs).value != opt_f:
+        if evaluate(H, C, o_f, pairs=pairs) != opt_f:
             ok = False
             break
-        if eval_kcenter(H, C).value > 3.0 * lex.best_values[1] + KC_TOL:
+        if eval_kcenter(H, C) > 3.0 * lex.best_values[1] + KC_TOL:
             ok = False
             break
         checked += 1
@@ -182,7 +182,7 @@ def test_05_balanced_teams_pipeline_bounds():
             ok = False
             break
         lex = oracle_lmoc(H, k, [o_tf, o_kc])
-        if eval_kcenter(H, C).value > 10.0 * lex.best_values[1] + KC_TOL:
+        if eval_kcenter(H, C) > 10.0 * lex.best_values[1] + KC_TOL:
             ok = False
             break
         checked += 1
@@ -199,7 +199,7 @@ def test_06_greedy_center_two_approximation():
         k = 2 + seed % 2
         H = generate_instance("rs", n, seed)
         C = baseline_b2(H, k, OPTS)
-        if eval_kcenter(H, C).value > 2.0 * oracle_single_objective(H, k, o_kc) + KC_TOL:
+        if eval_kcenter(H, C) > 2.0 * oracle_single_objective(H, k, o_kc) + KC_TOL:
             ok = False
             break
     report(6, "greedy k-center within twice the optimum", ok)
@@ -228,10 +228,10 @@ def test_08_tighter_slack_improves_radius():
         for k in range(2, 11):
             C_loose, _ = zeus_run(H, pipeline(["f", "kc"], [1.0, 3.0], k))
             C_tight, _ = zeus_run(H, pipeline(["f", "kc"], [0.5, 2.0], k))
-            loose_kc.append(eval_kcenter(H, C_loose).value)
-            tight_kc.append(eval_kcenter(H, C_tight).value)
+            loose_kc.append(eval_kcenter(H, C_loose))
+            tight_kc.append(eval_kcenter(H, C_tight))
             # the matching makeshift is optimal, so its own value is OPT
-            if evaluate(H, C_tight, o_f, pairs=pairs).value < 0.5 - 1e-12:
+            if evaluate(H, C_tight, o_f, pairs=pairs) < 0.5 - 1e-12:
                 fair_ok = False
     ok = fair_ok and float(np.median(tight_kc)) <= float(np.median(loose_kc))
     report(8, "tightening slack improves the median radius", ok,
@@ -254,16 +254,16 @@ def test_09_baseline_dominance():
             for k in range(2, 11):
                 spec = pipeline([family, "kc"], [1.0, 3.0], k)
                 C_z, _ = zeus_run(H, spec)
-                v_z = evaluate(H, C_z, o1, pairs=pairs).value
+                v_z = evaluate(H, C_z, o1, pairs=pairs)
                 # the cover / matching makeshifts are exactly optimal
                 if v_z != 1.0:
                     first_optimal = False
                 C_b2 = baseline_b2(H, k, spec.options)
-                v_b2 = evaluate(H, C_b2, o1, pairs=pairs).value
+                v_b2 = evaluate(H, C_b2, o1, pairs=pairs)
                 total += 1
                 if v_z > v_b2:
                     strictly_better += 1
-                v_moc = evaluate(H, moc[k], o1, pairs=pairs).value
+                v_moc = evaluate(H, moc[k], o1, pairs=pairs)
                 if v_moc > v_z + 1e-12:
                     moc_never_better = False
     ratio = strictly_better / total
@@ -359,7 +359,7 @@ def test_12_variant_algorithms():
         H = generate_instance("rs", n, seed)
         C = makeshift_kmedian(H, singleton_clustering(n), k, OPTS)
         opt = oracle_single_objective(H, k, o_km)
-        if eval_kmedian(H, C).value > 5.0 * opt + 1e-9:
+        if eval_kmedian(H, C) > 5.0 * opt + 1e-9:
             ok_km = False
             break
 

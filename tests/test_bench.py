@@ -262,4 +262,4 @@ class TestFairnessReference:
             k=len(blocks),
         )
         pairs = makeshift_fairness_mincost(H)[1]
-        assert moc.values["o1_f"] == evaluate(H, C, ObjectiveSpec("f"), pairs).value
+        assert moc.values["o1_f"] == evaluate(H, C, ObjectiveSpec("f"), pairs)

@@ -65,12 +65,12 @@ class TestKCenterMakeshift:
         C = makeshift_kcenter(H, singleton_clustering(3), 2, OPTS)
         assert blocks_as_sets(C) == {frozenset({0}), frozenset({1, 2})}
         assert set(C.centers.values()) == {0, 2}
-        assert eval_kcenter(H, C).value == 1.0
+        assert eval_kcenter(H, C) == 1.0
 
     def test_k_equals_n_zero_radius(self):
         H = line_points([3, 1, 4, 1.5, 9])
         C = makeshift_kcenter(H, singleton_clustering(5), 5, OPTS)
-        assert eval_kcenter(H, C).value == 0.0
+        assert eval_kcenter(H, C) == 0.0
 
     def test_pair_atom_moves_whole(self):
         # Nodes 1 and 2 were previously clustered together; they must land
@@ -137,7 +137,7 @@ class TestResourceSharing:
         assert pairs.realized_radius == 2.0
         assert blocks_as_sets(C) == {frozenset({0, 1, 2})}
         assert C.centers[0] == 1  # hub of the star
-        assert eval_resource_sharing(triangle, C).value == 1.0
+        assert eval_resource_sharing(triangle, C) == 1.0
 
     def test_matching_shape(self):
         # Two tight pairs far apart: the cover is a perfect matching.
@@ -451,7 +451,7 @@ class TestTeamFormation:
     def test_all_experts_balanced(self):
         H = line_points([0, 1, 10, 11], experts=[True] * 4)
         C = makeshift_tf(H, {0, 1, 2, 3}, 2, OPTS)
-        assert eval_team_formation(H, C).value == 1.0
+        assert eval_team_formation(H, C) == 1.0
         assert blocks_as_sets(C) == {frozenset({0, 1}), frozenset({2, 3})}
 
     def test_nonexperts_join_nearest_expert(self):
@@ -463,7 +463,7 @@ class TestTeamFormation:
         C = makeshift_tf(H, {0, 1, 2, 3}, 2, opts)
         assert C.assignment[4] == C.assignment[0]
         assert C.assignment[5] == C.assignment[2]
-        assert eval_team_formation(H, C).value == 1.0
+        assert eval_team_formation(H, C) == 1.0
 
     def test_both_rules_preserve_balance(self):
         for rule in ("closest_expert", "closest_center"):
@@ -472,7 +472,7 @@ class TestTeamFormation:
                 X = {u for u in range(18) if H.experts[u]}
                 opts = MakeshiftOptions(nonexpert_rule=rule)
                 C = makeshift_tf(H, X, 2, opts)
-                val = eval_team_formation(H, C).value
+                val = eval_team_formation(H, C)
                 m = len(X)
                 assert val <= (-(-m // 2)) / (m // 2) + 1e-12
 
@@ -493,12 +493,12 @@ class TestKMedian:
     def test_k_equals_n_zero_cost(self):
         H = line_points([0, 2, 7])
         C = makeshift_kmedian(H, singleton_clustering(3), 3, OPTS)
-        assert eval_kmedian(H, C).value == 0.0
+        assert eval_kmedian(H, C) == 0.0
 
     def test_outlier_isolated(self):
         H = line_points([0, 1, 10])
         C = makeshift_kmedian(H, singleton_clustering(3), 2, OPTS)
-        assert eval_kmedian(H, C).value == 1.0
+        assert eval_kmedian(H, C) == 1.0
         assert C.assignment[0] == C.assignment[1]
         assert C.assignment[2] != C.assignment[0]
 
@@ -518,7 +518,7 @@ class TestKMedian:
             H = generate_instance("tf", 15, seed)
             X = {u for u in range(15) if H.experts[u]}
             C = makeshift_tf_kmedian(H, X, 2, OPTS)
-            val = eval_team_formation(H, C).value
+            val = eval_team_formation(H, C)
             m = len(X)
             assert val <= (-(-m // 2)) / (m // 2) + 1e-12
 
@@ -595,7 +595,7 @@ class TestKmedianSwap:
         assert _kmedian_swap_centers(H, list(range(6)), weights, 3, OPTS) == [0, 1, 2]
         C = makeshift_kmedian(H, singleton_clustering(6), 3, OPTS)
         assert [len(C.blocks()[b]) for b in range(3)] == [4, 1, 1]
-        assert eval_kmedian(H, C).value == 0.0
+        assert eval_kmedian(H, C) == 0.0
 
     def test_zero_weight_rep_is_not_served(self):
         H = line_points([0, 1, 100])
@@ -678,7 +678,7 @@ class TestCoincidentPoints:
         H = make_instance(5, "euclidean", embeddings=[(0, 0)] * 5, edges=self.CHAIN)
         C = self._run(H, ["km"], (5,), 3)
         assert C.k == 3
-        assert eval_kmedian(H, C).value == 0.0
+        assert eval_kmedian(H, C) == 0.0
 
     def test_rs_then_kmedian_all_coincident(self):
         H = make_instance(5, "euclidean", embeddings=[(0, 0)] * 5, edges=self.CHAIN)
@@ -687,7 +687,7 @@ class TestCoincidentPoints:
     def test_kmedian_two_locations(self):
         H = make_instance(4, "euclidean", embeddings=[(0, 0), (0, 0), (1, 0), (1, 0)])
         C = self._run(H, ["km"], (5,), 3)
-        assert eval_kmedian(H, C).value == 0.0
+        assert eval_kmedian(H, C) == 0.0
 
     def test_kcenter_all_coincident(self):
         H = make_instance(5, "euclidean", embeddings=[(0, 0)] * 5, edges=self.CHAIN)

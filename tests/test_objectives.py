@@ -9,21 +9,17 @@ from zeus_cluster.errors import ConfigError, DegenerateInputError
 from zeus_cluster.graph import make_instance
 from zeus_cluster.makeshifts import MakeshiftOptions
 from zeus_cluster.objectives import (
-    C1_SUPERIOR,
-    C2_SUPERIOR,
-    EQUAL,
     Clustering,
     ObjectiveSpec,
-    ObjectiveValue,
     OptimalEstimate,
     PairStructure,
     SlackVector,
-    compare_value_tuples,
     eval_fairness,
     eval_kcenter,
     eval_resource_sharing,
     eval_team_formation,
     evaluate,
+    lex_better,
     singleton_clustering,
     slack_violated,
 )
@@ -42,17 +38,17 @@ class TestKCenter:
     def test_coincident_centers_zero(self):
         H = explicit([[0, 0], [0, 0]])
         C = Clustering({0: 0, 1: 1}, 2, centers={0: 0, 1: 1})
-        assert eval_kcenter(H, C).value == 0.0
+        assert eval_kcenter(H, C) == 0.0
 
     def test_line_two_blocks(self):
         H = line_points([0, 4, 5])
         C = Clustering({0: 0, 1: 1, 2: 1}, 2, centers={0: 0, 1: 2})
-        assert eval_kcenter(H, C).value == 1.0
+        assert eval_kcenter(H, C) == 1.0
 
     def test_single_block_farthest(self):
         H = line_points([0, 3, 67])
         C = Clustering({0: 0, 1: 0, 2: 0}, 1, centers={0: 0})
-        assert eval_kcenter(H, C).value == 67.0
+        assert eval_kcenter(H, C) == 67.0
 
     def test_missing_centers_raises(self):
         H = line_points([0, 1])
@@ -64,15 +60,15 @@ class TestResourceSharing:
     def test_complete_graph_one_cluster(self):
         H = line_points([0, 1, 2])
         C = Clustering({0: 0, 1: 0, 2: 0}, 1)
-        assert eval_resource_sharing(H, C).value == 1.0
+        assert eval_resource_sharing(H, C) == 1.0
 
     def test_singletons_zero(self):
         H = line_points([0, 1, 2])
-        assert eval_resource_sharing(H, singleton_clustering(3)).value == 0.0
+        assert eval_resource_sharing(H, singleton_clustering(3)) == 0.0
 
     def test_triangle_partial(self, triangle):
         C = Clustering({0: 0, 1: 0, 2: 1}, 2)
-        assert eval_resource_sharing(triangle, C).value == pytest.approx(2 / 3)
+        assert eval_resource_sharing(triangle, C) == pytest.approx(2 / 3)
 
 
 class TestFairness:
@@ -87,17 +83,17 @@ class TestFairness:
     def test_all_pairs_home(self):
         H = self.make()
         C = Clustering({0: 0, 2: 0, 1: 1, 3: 1}, 2)
-        assert eval_fairness(H, C, pairs((0, 2), (1, 3))).value == 1.0
+        assert eval_fairness(H, C, pairs((0, 2), (1, 3))) == 1.0
 
     def test_no_pair_home(self):
         H = self.make()
         C = Clustering({0: 0, 1: 0, 2: 1, 3: 1}, 2)
-        assert eval_fairness(H, C, pairs((0, 2), (1, 3))).value == 0.0
+        assert eval_fairness(H, C, pairs((0, 2), (1, 3))) == 0.0
 
     def test_half(self):
         H = self.make()
         C = Clustering({0: 0, 2: 0, 1: 1, 3: 0}, 2)
-        assert eval_fairness(H, C, pairs((0, 2), (1, 3))).value == 0.5
+        assert eval_fairness(H, C, pairs((0, 2), (1, 3))) == 0.5
 
     def test_no_blue_raises(self):
         H = make_instance(
@@ -111,17 +107,17 @@ class TestTeamFormation:
     def test_balanced(self):
         H = line_points([0, 1, 2, 3], experts=[True] * 4)
         C = Clustering({0: 0, 1: 0, 2: 1, 3: 1}, 2)
-        assert eval_team_formation(H, C).value == 1.0
+        assert eval_team_formation(H, C) == 1.0
 
     def test_ratio_three(self):
         H = line_points([0, 1, 2, 3], experts=[True] * 4)
         C = Clustering({0: 0, 1: 0, 2: 0, 3: 1}, 2)
-        assert eval_team_formation(H, C).value == 3.0
+        assert eval_team_formation(H, C) == 3.0
 
     def test_zero_expert_block_infinite(self):
         H = line_points([0, 1, 2], experts=[True, True, False])
         C = Clustering({0: 0, 1: 0, 2: 1}, 2)
-        assert math.isinf(eval_team_formation(H, C).value)
+        assert math.isinf(eval_team_formation(H, C))
 
     def test_empty_expert_set_raises(self):
         H = line_points([0, 1])
@@ -132,15 +128,17 @@ class TestTeamFormation:
 class TestLexCompare:
     def test_second_objective_decides(self):
         O = [ObjectiveSpec("rs"), ObjectiveSpec("f")]
-        assert compare_value_tuples((5, 3), (5, 4), O) == C2_SUPERIOR
+        assert lex_better((5, 4), (5, 3), O)
+        assert not lex_better((5, 3), (5, 4), O)
 
     def test_equal(self):
         O = [ObjectiveSpec("rs"), ObjectiveSpec("kc")]
-        assert compare_value_tuples((0.5, 2.0), (0.5, 2.0), O) == EQUAL
+        assert not lex_better((0.5, 2.0), (0.5, 2.0), O)
 
     def test_first_objective_dominates(self):
         O = [ObjectiveSpec("rs"), ObjectiveSpec("kc")]
-        assert compare_value_tuples((0.9, 10.0), (0.8, 2.0), O) == C1_SUPERIOR
+        assert lex_better((0.9, 10.0), (0.8, 2.0), O)
+        assert not lex_better((0.8, 2.0), (0.9, 10.0), O)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -157,45 +155,34 @@ class TestLexCompare:
         a, b, c = tuples
         # asymmetry
         for x, y in [(a, b), (b, c), (a, c)]:
-            r = compare_value_tuples(x, y, O)
-            rr = compare_value_tuples(y, x, O)
-            if r == C1_SUPERIOR:
-                assert rr == C2_SUPERIOR
-            elif r == C2_SUPERIOR:
-                assert rr == C1_SUPERIOR
-            else:
-                assert rr == EQUAL
+            assert not (lex_better(x, y, O) and lex_better(y, x, O))
         # transitivity of superiority
-        if (
-            compare_value_tuples(a, b, O) == C1_SUPERIOR
-            and compare_value_tuples(b, c, O) == C1_SUPERIOR
-        ):
-            assert compare_value_tuples(a, c, O) == C1_SUPERIOR
+        if lex_better(a, b, O) and lex_better(b, c, O):
+            assert lex_better(a, c, O)
 
 
 class TestSlack:
+    KC, RS = ObjectiveSpec("kc"), ObjectiveSpec("rs")
+
     def test_minimize_boundary_not_violated(self):
-        v = ObjectiveValue(6.0, "minimize")
         est = OptimalEstimate("lower_bound", 2.0)
-        assert not slack_violated(v, 3.0, est)
+        assert not slack_violated(6.0, self.KC, 3.0, est)
 
     def test_minimize_violated(self):
-        v = ObjectiveValue(6.1, "minimize")
         est = OptimalEstimate("lower_bound", 2.0)
-        assert slack_violated(v, 3.0, est)
+        assert slack_violated(6.1, self.KC, 3.0, est)
 
     def test_maximize_boundary_not_violated(self):
-        est = OptimalEstimate("upper_bound", 1.0)
-        assert not slack_violated(ObjectiveValue(0.5, "maximize"), 0.5, est)
+        est = OptimalEstimate("exact", 1.0)
+        assert not slack_violated(0.5, self.RS, 0.5, est)
 
     def test_maximize_violated(self):
-        est = OptimalEstimate("upper_bound", 1.0)
-        assert slack_violated(ObjectiveValue(0.4, "maximize"), 0.5, est)
+        est = OptimalEstimate("exact", 1.0)
+        assert slack_violated(0.4, self.RS, 0.5, est)
 
     def test_mismatched_bound_kind(self):
-        v = ObjectiveValue(1.0, "maximize")
         with pytest.raises(ConfigError):
-            slack_violated(v, 1.0, OptimalEstimate("lower_bound", 1.0))
+            slack_violated(1.0, self.RS, 1.0, OptimalEstimate("lower_bound", 1.0))
 
     def test_slack_vector_feasibility(self):
         O = (ObjectiveSpec("rs"), ObjectiveSpec("kc"))
@@ -244,6 +231,15 @@ class TestEstimateOptimal:
         H = line_points([0, 1, 2], experts=[True, False, False])
         with pytest.raises(DegenerateInputError):
             estimate_optimal(H, ObjectiveSpec("tf"), 1.0, 2, MakeshiftOptions())
+
+
+@pytest.mark.parametrize(
+    "kind, field", [("rs", "gamma"), ("f", "alpha"), ("f", "beta")]
+)
+@pytest.mark.parametrize("bad", [0, -3])
+def test_multiplicity_below_one_rejected(kind, field, bad):
+    with pytest.raises(ConfigError, match=field):
+        ObjectiveSpec(kind, **{field: bad})
 
 
 def test_evaluation_is_pure(triangle):

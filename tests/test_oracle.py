@@ -105,7 +105,7 @@ class TestLmoc:
             H = generate_instance("rs", 9, seed)
             for k in (2, 3):
                 res = oracle_lmoc(H, k, O)
-                values = [evaluate(H, res.best_clustering, o).value for o in O]
+                values = [evaluate(H, res.best_clustering, o) for o in O]
                 assert values == pytest.approx(res.best_values), (seed, k)
 
 
@@ -132,7 +132,7 @@ class TestScoreAgreesWithEvaluate:
         o = ObjectiveSpec(kind)
         pairs = makeshift_fairness_ab(H, 1, 1)[1] if kind == "f" else None
         C = _partition_clustering(H, rgs, [o])
-        value = evaluate(H, C, o, pairs=pairs).value
+        value = evaluate(H, C, o, pairs=pairs)
         (expected,) = _score_partition(H, rgs, [o], pairs)
         if kind == "km":  # the two sum in different orders
             assert rel_close(value, expected)

@@ -25,6 +25,7 @@ from zeus_cluster.objectives import (
     eval_kcenter,
     evaluate,
 )
+from zeus_cluster import zeus
 from zeus_cluster.synth import generate_instance
 from zeus_cluster.zeus import PipelineState, ProblemSpec, local_search, zeus_run
 
@@ -59,7 +60,7 @@ class TestPipeline:
     def test_kcenter_k_equals_n(self):
         H = line_points([0, 3, 8])
         C, state = zeus_run(H, spec_of(["kc"], [2.0], 3))
-        assert eval_kcenter(H, C).value == 0.0
+        assert eval_kcenter(H, C) == 0.0
         assert state.trace[0]["violated"] is False
 
     def test_rs_then_kc(self):
@@ -103,7 +104,7 @@ class TestPipeline:
         spec = spec_of(["rs", "kc"], [1.0, 3.0], 3)
         C, state = zeus_run(H, spec)
         o_rs = ObjectiveSpec("rs")
-        assert evaluate(H, C, o_rs).value == 1.0
+        assert evaluate(H, C, o_rs) == 1.0
 
     def test_km_mode_switches_companions(self):
         H = generate_instance("f", 18, 2)
@@ -119,7 +120,7 @@ class TestPipeline:
         kc, km = state.trace
         assert kc["violated"] is False
         assert kc["violated_at_end"] is True
-        radius = eval_kcenter(H, C).value
+        radius = eval_kcenter(H, C)
         assert radius == pytest.approx(0.4330, abs=1e-4)
         assert 2.0 * kc["estimate"]["value"] == pytest.approx(0.4198, abs=1e-4)
         assert km["violated_at_end"] is km["violated"]
@@ -168,28 +169,26 @@ class TestLocalSearch:
         o = ObjectiveSpec("kc")
         est = OptimalEstimate("lower_bound", 1.0)
         state = PipelineState(clustering=C)
-        spec = spec_of(["kc"], [2.0], 2)
-        fixed, moves = local_search(H, C, state, o, 2.0, est, spec)
+        fixed, moves = local_search(H, C, state, o, 2.0, est)
         assert moves == 1
-        assert eval_kcenter(H, fixed).value == 1.0
+        assert eval_kcenter(H, fixed) == 1.0
 
     def test_moves_never_worsen(self):
         H, C = self.make_bad_clustering()
         o = ObjectiveSpec("kc")
-        before = eval_kcenter(H, C).value
+        before = eval_kcenter(H, C)
         est = OptimalEstimate("lower_bound", 1.0)
         state = PipelineState(clustering=C)
-        spec = spec_of(["kc"], [2.0], 2)
-        fixed, _ = local_search(H, C, state, o, 2.0, est, spec)
-        assert eval_kcenter(H, fixed).value <= before
+        fixed, _ = local_search(H, C, state, o, 2.0, est)
+        assert eval_kcenter(H, fixed) <= before
 
-    def test_respects_move_cap(self):
+    def test_respects_move_cap(self, monkeypatch):
+        monkeypatch.setattr(zeus, "MOVES_PER_NODE", 0)
         H, C = self.make_bad_clustering()
         o = ObjectiveSpec("kc")
         est = OptimalEstimate("lower_bound", 0.01)
         state = PipelineState(clustering=C)
-        spec = spec_of(["kc"], [2.0], 2, local_search_cap=0)
-        fixed, moves = local_search(H, C, state, o, 2.0, est, spec)
+        fixed, moves = local_search(H, C, state, o, 2.0, est)
         assert moves == 0
         assert fixed.assignment == C.assignment
 
@@ -205,8 +204,7 @@ class TestLocalSearch:
         o = ObjectiveSpec("kc")
         est = OptimalEstimate("lower_bound", 0.1)
         state = PipelineState(clustering=C)
-        spec = spec_of(["kc"], [2.0], 2)
-        fixed, _ = local_search(H, C, state, o, 2.0, est, spec)
+        fixed, _ = local_search(H, C, state, o, 2.0, est)
         assert set(fixed.assignment.values()) == {0, 1}
 
     def test_rejects_move_that_breaks_earlier_slack(self):
@@ -222,27 +220,25 @@ class TestLocalSearch:
         )
         kc, km = ObjectiveSpec("kc"), ObjectiveSpec("km")
         est = OptimalEstimate("lower_bound", 1.0)
-        spec = spec_of(["kc"], [2.0], 2)
         free = PipelineState(clustering=C)
-        moved, moves = local_search(H, C, free, kc, 2.0, est, spec)
+        moved, moves = local_search(H, C, free, kc, 2.0, est)
         assert moves == 1 and moved.assignment[2] == moved.assignment[3] == 1
-        km_before = evaluate(H, C, km).value
-        assert evaluate(H, moved, km).value > km_before
+        km_before = evaluate(H, C, km)
+        assert evaluate(H, moved, km) > km_before
 
         # with km processed at exactly its slack, the one move is refused
         km_est = OptimalEstimate("lower_bound", km_before)
         bound = PipelineState(clustering=C, processed=[(km, km_est, 1.0)])
-        kept, moves = local_search(H, C, bound, kc, 2.0, est, spec)
+        kept, moves = local_search(H, C, bound, kc, 2.0, est)
         assert moves == 0 and kept.assignment == C.assignment
 
     @pytest.mark.parametrize("kind", ["rs", "f", "tf"])
     def test_serves_kc_and_km_only(self, kind):
         H, C = self.make_bad_clustering()
         state = PipelineState(clustering=C)
-        spec = spec_of([kind], [1.0], 2)
         est = OptimalEstimate("exact", 1.0)
         with pytest.raises(ConfigError, match="kc and km only"):
-            local_search(H, C, state, ObjectiveSpec(kind), 1.0, est, spec)
+            local_search(H, C, state, ObjectiveSpec(kind), 1.0, est)
 
     def test_violated_rs_stage_makes_no_move(self):
         H = generate_instance("rs", 30, 0)
