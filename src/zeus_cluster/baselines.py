@@ -48,7 +48,7 @@ def baseline_b1(H: GraphInstance, spec) -> Clustering:
         return makeshift_tf(H, experts, spec.k, spec.options)
     if o1.kind == RS:
         if o1.gamma > 1:
-            C, _ = makeshift_rs_gamma(H, o1.gamma)
+            C, _ = makeshift_rs_gamma(H, singleton_clustering(H.n), o1.gamma)
         else:
             C, _ = makeshift_rs(H, singleton_clustering(H.n))
     else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .baselines import baseline_b1, baseline_b2, baseline_moc_path
 from .errors import ConfigError, ZeusError
 from .graph import GraphInstance, load_instance
-from .makeshifts import MakeshiftOptions, SEEDED_RANDOM, fairness_pairs
+from .makeshifts import MakeshiftOptions, fairness_pairs
 from .objectives import (
     Clustering,
     ObjectiveSpec,
@@ -25,7 +25,7 @@ from .objectives import (
     clustering_to_json,
     evaluate,
 )
-from .oracle import PARTITION_CAP, oracle_lmoc
+from .oracle import oracle_lmoc
 from .zeus import ProblemSpec, zeus_run
 
 ALGORITHMS = ("zeus", "b1", "b2", "moc", "oracle")
@@ -118,8 +118,6 @@ def _run_algorithm(
     if algorithm == "b2":
         return baseline_b2(H, spec.k, spec.options), None
     if algorithm == "oracle":
-        if H.n > PARTITION_CAP:
-            raise ConfigError(f"oracle limited to n <= {PARTITION_CAP}")
         return oracle_lmoc(H, spec.k, list(spec.objectives), pairs).best_clustering, None
     raise ConfigError(f"unknown algorithm {algorithm!r}")
 
@@ -170,14 +168,11 @@ def run_experiment(
     for slack in config.slacks:
         for k in config.ks:
             for seed in config.seeds:
-                opts = MakeshiftOptions(
-                    first_center_rule=SEEDED_RANDOM, seed=seed
-                )
                 spec = ProblemSpec(
                     objectives=config.objectives,
                     slacks=SlackVector(slack),
                     k=k,
-                    options=opts,
+                    options=MakeshiftOptions(seed=seed),
                     allow_infeasible_slack=config.allow_infeasible_slack,
                 )
                 for algorithm in config.algorithms:

@@ -12,8 +12,6 @@ from .graph import load_instance, save_instance
 from .makeshifts import (
     CLOSEST_CENTER,
     CLOSEST_EXPERT,
-    LOWEST_INDEX,
-    SEEDED_RANDOM,
     MakeshiftOptions,
     fairness_pairs,
 )
@@ -22,7 +20,6 @@ from .oracle import oracle_lmoc
 from .synth import generate_instance
 from .zeus import ProblemSpec, zeus_run
 
-FIRST_CENTER_RULES = {"lowest": LOWEST_INDEX, "random": SEEDED_RANDOM}
 NONEXPERT_RULES = {"expert": CLOSEST_EXPERT, "center": CLOSEST_CENTER}
 
 
@@ -58,8 +55,7 @@ def cluster(args) -> None:
         slacks=args.slack,
         k=args.k,
         options=MakeshiftOptions(
-            first_center_rule=FIRST_CENTER_RULES[args.first_center],
-            seed=args.seed,
+            seed=args.seed if args.first_center == "random" else None,
             nonexpert_rule=NONEXPERT_RULES[args.nonexpert_rule],
             balance_radius_multiplier=args.balance_multiplier,
         ),
@@ -125,7 +121,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--slack", required=True, type=slack_list, help="comma list, e.g. 1,3")
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--first-center", default="lowest", choices=FIRST_CENTER_RULES)
+    p.add_argument("--first-center", default="lowest", choices=["lowest", "random"])
     p.add_argument("--nonexpert-rule", default="center", choices=NONEXPERT_RULES)
     p.add_argument("--balance-multiplier", type=float, default=4.0)
     p.add_argument("--allow-infeasible-slack", action="store_true")

@@ -25,6 +25,12 @@ METRICS = (EXPLICIT, EUCLIDEAN, JACCARD)
 BLUE = "B"
 PURPLE = "P"
 
+# the metric audit checks every triple up to this many nodes, and beyond
+# it this many triples drawn with this seed
+AUDIT_ALL_TRIPLES_MAX_N = 500
+AUDIT_SAMPLES = 20000
+AUDIT_SEED = 0
+
 
 @dataclass(frozen=True)
 class GraphInstance:
@@ -43,7 +49,7 @@ class GraphInstance:
     experts: tuple[bool, ...]
     embeddings: tuple[tuple[float, ...], ...] | None = None
     attr_sets: tuple[frozenset[str], ...] | None = None
-    adjacency: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
+    adjacency: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -410,19 +416,17 @@ def save_instance(H: GraphInstance, path: str) -> None:
         fh.write("\n")
 
 
-def validate_metric(
-    H: GraphInstance, exhaustive_cap: int = 500, samples: int = 20000, seed: int = 0
-) -> MetricReport:
+def validate_metric(H: GraphInstance) -> MetricReport:
     """Audit the triangle inequality.
 
-    Checks all ordered triples when ``n <= exhaustive_cap``, otherwise a
-    seeded sample of ``samples`` triples.
+    Checks all ordered triples when ``n <= AUDIT_ALL_TRIPLES_MAX_N``,
+    otherwise a sample of ``AUDIT_SAMPLES`` triples seeded by ``AUDIT_SEED``.
     """
     n = H.n
     d = H.dist
     violations: list[tuple[int, int, int]] = []
     worst = 1.0
-    if n <= exhaustive_cap:
+    if n <= AUDIT_ALL_TRIPLES_MAX_N:
         # one pivot u at a time: [v, w] is the triple (u, v, w), row-major
         for u in range(n):
             rhs = d[u][:, None] + d
@@ -435,8 +439,8 @@ def validate_metric(
                 sums = rhs[vs, ws]
                 worst = max(worst, np.inf if (sums == 0).any() else (d[u, ws] / sums).max())
     else:
-        rng = random.Random(seed)
-        for _ in range(samples):
+        rng = random.Random(AUDIT_SEED)
+        for _ in range(AUDIT_SAMPLES):
             u, v, w = rng.sample(range(n), 3)
             lhs = d[u, w]
             rhs = d[u, v] + d[v, w]

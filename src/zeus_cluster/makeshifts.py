@@ -35,8 +35,6 @@ from .errors import ConfigError, DegenerateInputError, InfeasibleError
 from .graph import BLUE, PURPLE, GraphInstance
 from .objectives import F, KM, Clustering, ObjectiveSpec, PairStructure
 
-LOWEST_INDEX = "lowest_index"
-SEEDED_RANDOM = "seeded_random"
 CLOSEST_EXPERT = "closest_expert"
 CLOSEST_CENTER = "closest_center"
 
@@ -46,14 +44,12 @@ _SWAP_REL_STOP = 1e-6
 
 @dataclass(frozen=True)
 class MakeshiftOptions:
-    first_center_rule: str = LOWEST_INDEX
-    seed: int = 0
+    # Gonzalez's first center: the lowest id, or a seeded random candidate
+    seed: int | None = None
     nonexpert_rule: str = CLOSEST_CENTER
     balance_radius_multiplier: float = 4.0
 
     def __post_init__(self):
-        if self.first_center_rule not in (LOWEST_INDEX, SEEDED_RANDOM):
-            raise ConfigError(f"unknown first_center_rule {self.first_center_rule!r}")
         if self.nonexpert_rule not in (CLOSEST_EXPERT, CLOSEST_CENTER):
             raise ConfigError(f"unknown nonexpert_rule {self.nonexpert_rule!r}")
         if not self.balance_radius_multiplier >= 1:  # also rejects NaN
@@ -87,16 +83,15 @@ def greedy_centers(
 ) -> list[int]:
     """Farthest-first (Gonzalez) center selection, ties by lowest node id.
 
+    The first center is the lowest candidate id, or with ``opts.seed`` the
+    candidate at ``random.Random(opts.seed).randrange`` of their count.
     A chosen center is never chosen again, even when every remaining
     candidate is at distance 0 from the centers.
     """
     cand = sorted(candidates) if candidates is not None else list(range(H.n))
     if k > len(cand):
         raise ConfigError(f"k={k} exceeds candidate count {len(cand)}")
-    if opts.first_center_rule == SEEDED_RANDOM:
-        far = random.Random(opts.seed).randrange(len(cand))
-    else:
-        far = 0
+    far = 0 if opts.seed is None else random.Random(opts.seed).randrange(len(cand))
     idx = np.asarray(cand)
     centers = [cand[far]]
     nearest = H.dist[idx, cand[far]].copy()
@@ -332,34 +327,41 @@ def makeshift_rs(
         fragments.append((members, star_center))
 
     radius = max(float(H.dist[u, v]) for u, v in cover)
-    pairs = PairStructure(
-        pairs=frozenset(cover), realized_radius=radius, kind="edge_cover"
-    )
+    pairs = PairStructure(pairs=frozenset(cover), realized_radius=radius)
     return _fragment_clustering(H, fragments), pairs
 
 
 def makeshift_rs_gamma(
-    H: GraphInstance, gamma: int
+    H: GraphInstance, C_in: Clustering, gamma: int
 ) -> tuple[Clustering, PairStructure]:
-    """Gamma-neighbor cover: smallest radius with min E-degree >= gamma.
+    """Gamma-neighbor cover over the atoms of ``C_in``: smallest radius at
+    which every representative has at least gamma E-neighbours.
 
-    That radius is the largest over nodes of each node's gamma-th shortest
-    E-edge, so every node's gamma shortest E-edges form the cover, and the
-    longest of them is the radius.
+    That radius is the largest over representatives of each one's gamma-th
+    shortest E-edge, so every representative's gamma shortest E-edges form
+    the cover, and the longest of them is the radius. Each component of
+    the cover becomes one block, its atoms kept whole.
     """
     if gamma < 1:
         raise ConfigError("gamma must be a positive integer")
-    for u in range(H.n):
-        if len(H.adjacency[u]) < gamma:
+    reps, adjacency, atom_of = _rep_view(H, C_in)
+    for u in reps:
+        if len(adjacency[u]) < gamma:
             raise InfeasibleError(
-                f"node {H.labels[u]} has E-degree {len(H.adjacency[u])} < gamma={gamma}"
+                f"node {H.labels[u]} has E-degree {len(adjacency[u])} < gamma={gamma}"
             )
     cover = {
         (min(u, v), max(u, v))
-        for u in range(H.n)
-        for v in sorted(H.adjacency[u], key=lambda w: (H.dist[u, w], w))[:gamma]
+        for u in reps
+        for v in sorted(adjacency[u], key=lambda w: (H.dist[u, w], w))[:gamma]
     }
-    return _pair_fragments(H, cover, "gamma_cover")
+    fragments = [
+        ([x for u in comp for x in atom_of[u]], min(comp))
+        for comp in _components(reps, cover)
+    ]
+    radius = max(float(H.dist[u, v]) for u, v in cover)
+    pairs = PairStructure(pairs=frozenset(cover), realized_radius=radius)
+    return _fragment_clustering(H, fragments), pairs
 
 
 def _sparse():
@@ -492,20 +494,17 @@ def makeshift_fairness_ab(
         raise InfeasibleError(
             "no Blue-saturating matching exists at any radius"
         )
-    kind = "b_matching" if (alpha, beta) != (1, 1) else "matching"
-    return _pair_fragments(H, _bp_matching(bp, radii[i], alpha, beta), kind)
+    return _pair_fragments(H, _bp_matching(bp, radii[i], alpha, beta))
 
 
 def _pair_fragments(
-    H: GraphInstance, matched: set[tuple[int, int]], kind: str
+    H: GraphInstance, matched: set[tuple[int, int]]
 ) -> tuple[Clustering, PairStructure]:
     """Blocks are the connected components of the pairs; the radius is the
     longest pair."""
     fragments = [(comp, min(comp)) for comp in _components(range(H.n), matched)]
     radius = max((float(H.dist[u, v]) for u, v in matched), default=0.0)
-    pairs = PairStructure(
-        pairs=frozenset(matched), realized_radius=radius, kind=kind
-    )
+    pairs = PairStructure(pairs=frozenset(matched), realized_radius=radius)
     return _fragment_clustering(H, fragments), pairs
 
 
@@ -520,7 +519,7 @@ def makeshift_fairness_mincost(
     matched = {
         (min(u, v), max(u, v)) for u, v in zip(blue.tolist(), purple[col_of].tolist())
     }
-    return _pair_fragments(H, matched, "matching")
+    return _pair_fragments(H, matched)
 
 
 def makeshift_fairness_for(

@@ -47,8 +47,8 @@ class Clustering:
             out[self.assignment[u]].append(u)
         return out
 
-    def validate(self, n: int | None = None) -> None:
-        if n is not None and sorted(self.assignment) != list(range(n)):
+    def validate(self, n: int) -> None:
+        if sorted(self.assignment) != list(range(n)):
             raise ZeusError("assignment does not cover all nodes exactly once")
         blocks = self.blocks()
         if any(not b for b in blocks):
@@ -145,15 +145,14 @@ class PairStructure:
 
     pairs: frozenset[tuple[int, int]]
     realized_radius: float
-    kind: str  # 'edge_cover' | 'matching' | 'b_matching' | 'gamma_cover'
 
 
-def rel_close(a: float, b: float, tol: float = REL_TOL) -> bool:
+def rel_close(a: float, b: float) -> bool:
     if a == b:
         return True
     if math.isinf(a) or math.isinf(b):
         return False
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    return abs(a - b) <= REL_TOL * max(1.0, abs(a), abs(b))
 
 
 def eval_kcenter(H: GraphInstance, C: Clustering) -> float:

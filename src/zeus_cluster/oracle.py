@@ -22,6 +22,7 @@ from .objectives import (
     lex_better,
 )
 
+# the largest instances each oracle enumerates
 PARTITION_CAP = 12
 EDGE_COVER_CAP = 10
 MATCHING_CAP = 6
@@ -34,14 +35,14 @@ class OracleResult:
     enumerated: int
 
 
-def enumerate_partitions(n: int, k: int, cap: int = PARTITION_CAP) -> Iterator[tuple[int, ...]]:
+def enumerate_partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """All partitions of 0..n-1 into exactly k non-empty blocks.
 
     Yielded as restricted-growth strings (node -> block index) in
     canonical lexicographic order.
     """
-    if n > cap:
-        raise ConfigError(f"n={n} exceeds enumeration cap {cap}")
+    if n > PARTITION_CAP:
+        raise ConfigError(f"n={n} exceeds enumeration cap {PARTITION_CAP}")
     if k < 1 or n < 1:
         raise ConfigError("n and k must be positive")
     if k > n:
@@ -156,13 +157,12 @@ def oracle_lmoc(
     k: int,
     objectives,
     pairs: PairStructure | None = None,
-    cap: int = PARTITION_CAP,
 ) -> OracleResult:
     """Lexicographically optimal clustering by full enumeration."""
     best_rgs = None
     best_values: tuple[float, ...] | None = None
     count = 0
-    for rgs in enumerate_partitions(H.n, k, cap):
+    for rgs in enumerate_partitions(H.n, k):
         count += 1
         values = _score_partition(H, rgs, objectives, pairs)
         if best_values is None or lex_better(values, best_values, objectives):
@@ -182,20 +182,19 @@ def oracle_single_objective(
     k: int,
     o: ObjectiveSpec,
     pairs: PairStructure | None = None,
-    cap: int = PARTITION_CAP,
 ) -> float:
     """Optimal value of one objective alone over all k-partitions."""
-    return oracle_lmoc(H, k, [o], pairs, cap).best_values[0]
+    return oracle_lmoc(H, k, [o], pairs).best_values[0]
 
 
-def oracle_edge_cover(H: GraphInstance, cap: int = EDGE_COVER_CAP) -> PairStructure:
+def oracle_edge_cover(H: GraphInstance) -> PairStructure:
     """Minimum achievable max edge weight over all valid edge covers.
 
     The optimum equals the smallest threshold r at which the subgraph of
     E-edges with weight <= r leaves no node isolated.
     """
-    if H.n > cap:
-        raise ConfigError(f"n={H.n} exceeds edge-cover oracle cap {cap}")
+    if H.n > EDGE_COVER_CAP:
+        raise ConfigError(f"n={H.n} exceeds edge-cover oracle cap {EDGE_COVER_CAP}")
     for u in range(H.n):
         if not H.adjacency[u]:
             raise InfeasibleError(f"node {H.labels[u]} is isolated: no edge cover")
@@ -219,17 +218,17 @@ def oracle_edge_cover(H: GraphInstance, cap: int = EDGE_COVER_CAP) -> PairStruct
             key=lambda w: (H.dist[u, w], w),
         )
         cover.add((min(u, v), max(u, v)))
-    return PairStructure(pairs=frozenset(cover), realized_radius=r, kind="edge_cover")
+    return PairStructure(pairs=frozenset(cover), realized_radius=r)
 
 
-def oracle_matching_radius(H: GraphInstance, cap: int = MATCHING_CAP) -> float:
+def oracle_matching_radius(H: GraphInstance) -> float:
     """Min over Blue-saturating matchings of the max matched edge weight."""
     blue = [u for u in range(H.n) if H.colors[u] == BLUE]
     purple = {u for u in range(H.n) if H.colors[u] == PURPLE}
     if not blue:
         raise DegenerateInputError("no Blue nodes: matching radius undefined")
-    if len(blue) > cap or len(purple) > cap:
-        raise ConfigError(f"|B| or |P| exceeds matching oracle cap {cap}")
+    if len(blue) > MATCHING_CAP or len(purple) > MATCHING_CAP:
+        raise ConfigError(f"|B| or |P| exceeds matching oracle cap {MATCHING_CAP}")
     options = [
         sorted(v for v in H.adjacency[u] if v in purple) for u in blue
     ]

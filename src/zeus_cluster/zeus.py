@@ -88,7 +88,7 @@ def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineS
         t0 = time.perf_counter()
         if o.kind == RS:
             if o.gamma > 1:
-                C, pairs = makeshift_rs_gamma(H, o.gamma)
+                C, pairs = makeshift_rs_gamma(H, C, o.gamma)
             else:
                 C, pairs = makeshift_rs(H, C)
             state.pair_structures[i] = pairs

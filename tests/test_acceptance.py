@@ -272,29 +272,56 @@ def test_09_baseline_dominance():
            f"strictly better in {ratio:.0%} of {total} runs")
 
 
-def test_10_runtime_linear_in_k():
-    H = generate_instance("rs", 1000, 0)
-    ks = list(range(2, 21, 2))
-    best_times = []
-    deadline_ok = True
-    for k in ks:
-        spec = pipeline(["kc"], [3.0], k)
-        times = []
-        for _ in range(15):
-            t0 = time.perf_counter()
-            zeus_run(H, spec)
-            times.append(time.perf_counter() - t0)
-        best_times.append(min(times))
-        if min(times) > 1800.0:
-            deadline_ok = False
-    x = np.array(ks, dtype=float)
-    y = np.array(best_times)
+class CountedReads(np.ndarray):
+    """A distance matrix that counts the entries its indexing returns."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        CountedReads.reads += np.size(out)
+        return out.view(np.ndarray) if isinstance(out, np.ndarray) else out
+
+
+def linear_r2(xs, ys) -> float:
+    """R^2 of the least-squares line through the points."""
+    x = np.array(xs, dtype=float)
+    y = np.array(ys, dtype=float)
     A = np.vstack([x, np.ones_like(x)]).T
     coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - A @ coef
-    r2 = 1.0 - (resid**2).sum() / ((y - y.mean()) ** 2).sum()
-    ok = deadline_ok and r2 >= 0.9
-    report(10, "wall-clock grows linearly in k", ok, f"R^2={r2:.3f}")
+    return 1.0 - (resid**2).sum() / ((y - y.mean()) ** 2).sum()
+
+
+def test_10_runtime_linear_in_k():
+    # the work is counted in distance entries read, which no host load
+    # moves; wall-clock time is printed alongside but not gated on
+    H = generate_instance("rs", 1000, 0)
+    H_counted = dataclasses.replace(H, dist=H.dist.view(CountedReads))
+    ks = list(range(2, 21, 2))
+    reads = []
+    best_times = []
+    same = True
+    deadline_ok = True
+    for k in ks:
+        spec = pipeline(["kc"], [3.0], k)
+        CountedReads.reads = 0
+        C_counted, _ = zeus_run(H_counted, spec)
+        reads.append(CountedReads.reads)
+        times = []
+        for _ in range(15):
+            t0 = time.perf_counter()
+            C, _ = zeus_run(H, spec)
+            times.append(time.perf_counter() - t0)
+        same = same and clustering_to_json(H, C) == clustering_to_json(H, C_counted)
+        best_times.append(min(times))
+        if min(times) > 1800.0:
+            deadline_ok = False
+    r2 = linear_r2(ks, reads)
+    ok = deadline_ok and same and r2 >= 0.999
+    report(10, "distance reads grow linearly in k", ok,
+           f"R^2={r2:.4f}, reads at k={ks[0]}..{ks[-1]}: {reads[0]}..{reads[-1]}; "
+           f"wall-clock R^2={linear_r2(ks, best_times):.3f}")
 
 
 def test_11_determinism():
@@ -344,7 +371,7 @@ def test_12_variant_algorithms():
     for seed in range(100):
         n = 5 + seed % 6
         H = generate_instance("rs", n, seed)
-        _, gc = makeshift_rs_gamma(H, 1)
+        _, gc = makeshift_rs_gamma(H, singleton_clustering(n), 1)
         _, ec = makeshift_rs(H, singleton_clustering(n))
         opt = oracle_edge_cover(H).realized_radius
         if not (opt <= gc.realized_radius <= ec.realized_radius):

@@ -119,6 +119,16 @@ class TestRun:
         assert len(records) == 3
         assert all(r.error is not None for r in records)
 
+    def test_oracle_beyond_its_cap_records_its_error(self, tmp_path):
+        H = generate_instance("rs", 13, 0)
+        path = tmp_path / "n13.json"
+        save_instance(H, path)
+        cfg = small_config(
+            str(path), str(tmp_path / "out"), ks=(2,), seeds=(0,), algorithms=("oracle",)
+        )
+        [rec] = run_experiment(cfg)
+        assert rec.error == "ConfigError: n=13 exceeds enumeration cap 12"
+
 
 class TestMocOnePass:
     def config(self, tmp_path, ks):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import explicit, line_points
+from zeus_cluster import graph
 from zeus_cluster.errors import InstanceError
 from zeus_cluster.graph import (
     distance,
@@ -196,7 +197,7 @@ def _triangle_audit_by_loop(d, triples):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_validate_metric_matches_triple_loop(seed):
+def test_validate_metric_matches_triple_loop(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 9))
     m = rng.choice([0.0, 0.5, 1.0, 2.5, 7.0], size=(n, n)) * rng.random((n, n))
@@ -217,7 +218,10 @@ def test_validate_metric_matches_triple_loop(seed):
     assert report.is_metric == (not report.violations)
     rng_s = random.Random(3)
     sampled = [tuple(rng_s.sample(range(n), 3)) for _ in range(50)]
-    report = validate_metric(H, exhaustive_cap=2, samples=50, seed=3)
+    monkeypatch.setattr(graph, "AUDIT_ALL_TRIPLES_MAX_N", 2)
+    monkeypatch.setattr(graph, "AUDIT_SAMPLES", 50)
+    monkeypatch.setattr(graph, "AUDIT_SEED", 3)
+    report = validate_metric(H)
     assert (report.violations, report.max_violation_ratio) == _triangle_audit_by_loop(d, sampled)
 
 

@@ -12,8 +12,6 @@ from zeus_cluster.errors import ConfigError, DegenerateInputError, InfeasibleErr
 from zeus_cluster.graph import make_instance
 from zeus_cluster.makeshifts import (
     _SWAP_REL_STOP,
-    LOWEST_INDEX,
-    SEEDED_RANDOM,
     MakeshiftOptions,
     _first_feasible,
     _kmedian_swap_centers,
@@ -120,6 +118,16 @@ class TestKCenterMakeshift:
             C.validate(20)
             assert len(blocks_as_sets(C)) == 4
 
+    def test_first_center_is_lowest_id_without_seed(self):
+        H = generate_instance("rs", 30, 4)
+        assert greedy_centers(H, 3, MakeshiftOptions())[0] == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seed_picks_the_first_center(self, seed):
+        H = generate_instance("rs", 30, 4)
+        first = random.Random(seed).randrange(30)
+        assert greedy_centers(H, 3, MakeshiftOptions(seed=seed))[0] == first
+
     def test_two_approximation_property(self):
         for seed in range(10):
             H = generate_instance("rs", 14, seed)
@@ -182,12 +190,12 @@ class TestResourceSharing:
 
 class TestGammaCover:
     def test_gamma_one_equals_edge_cover_radius(self, triangle):
-        _, g = makeshift_rs_gamma(triangle, 1)
+        _, g = makeshift_rs_gamma(triangle, singleton_clustering(3), 1)
         _, ec = makeshift_rs(triangle, singleton_clustering(3))
         assert g.realized_radius == ec.realized_radius
 
     def test_gamma_two_needs_second_neighbor(self, triangle):
-        _, pairs = makeshift_rs_gamma(triangle, 2)
+        _, pairs = makeshift_rs_gamma(triangle, singleton_clustering(3), 2)
         assert pairs.realized_radius == 3.0
         deg = {u: 0 for u in range(3)}
         for u, v in pairs.pairs:
@@ -198,7 +206,15 @@ class TestGammaCover:
     def test_gamma_exceeds_degree_infeasible(self):
         H = line_points([0, 1, 2], edge_threshold=1.0)
         with pytest.raises(InfeasibleError):
-            makeshift_rs_gamma(H, 2)
+            makeshift_rs_gamma(H, singleton_clustering(3), 2)
+
+    def test_earlier_atoms_stay_whole(self):
+        H = generate_instance("f", 40, 1)
+        prior, _ = makeshift_fairness_ab(H, 1, 1)
+        C, pairs = makeshift_rs_gamma(H, prior, 2)
+        for atom in prior.atoms:
+            assert len({C.assignment[u] for u in atom}) == 1
+        assert set(u for pair in pairs.pairs for u in pair) <= set(prior.roots)
 
     def test_min_degree_property(self):
         for seed in range(5):
@@ -206,7 +222,7 @@ class TestGammaCover:
             min_deg = min(len(H.adjacency[u]) for u in range(20))
             if min_deg < 2:
                 continue
-            _, pairs = makeshift_rs_gamma(H, 2)
+            _, pairs = makeshift_rs_gamma(H, singleton_clustering(20), 2)
             deg = {u: 0 for u in range(20)}
             for u, v in pairs.pairs:
                 deg[u] += 1
@@ -230,9 +246,9 @@ class TestGammaCover:
         for gamma in (1, 2, 3):
             if min(len(a) for a in H.adjacency) < gamma:
                 with pytest.raises(InfeasibleError):
-                    makeshift_rs_gamma(H, gamma)
+                    makeshift_rs_gamma(H, singleton_clustering(n), gamma)
                 continue
-            _, pairs = makeshift_rs_gamma(H, gamma)
+            _, pairs = makeshift_rs_gamma(H, singleton_clustering(n), gamma)
             assert pairs.realized_radius == _gamma_radius_by_search(H, gamma)
             assert max(H.dist[u, v] for u, v in pairs.pairs) == pairs.realized_radius
 
@@ -608,7 +624,7 @@ class TestKmedianSwap:
     @given(_swap_problems())
     def test_matches_recomputed_swaps(self, problem):
         H, reps, weights, k = problem
-        for opts in (OPTS, MakeshiftOptions(first_center_rule=SEEDED_RANDOM, seed=k)):
+        for opts in (OPTS, MakeshiftOptions(seed=k)):
             got = _kmedian_swap_centers(H, reps, weights, k, opts)
             assert got == _swap_centers_by_recomputation(H, reps, weights, k, opts)
 
@@ -644,7 +660,7 @@ class TestDeterminism:
 
     def test_seeded_random_start_repeatable(self):
         H = generate_instance("rs", 25, 3)
-        opts = MakeshiftOptions(first_center_rule="seeded_random", seed=11)
+        opts = MakeshiftOptions(seed=11)
         a = makeshift_kcenter(H, singleton_clustering(25), 4, opts)
         b = makeshift_kcenter(H, singleton_clustering(25), 4, opts)
         assert a.assignment == b.assignment
@@ -711,7 +727,7 @@ def _kmedian_swap_lines():
                 }
                 rules = {
                     "lowest": MakeshiftOptions(),
-                    "seeded": MakeshiftOptions(first_center_rule=SEEDED_RANDOM, seed=seed),
+                    "seeded": MakeshiftOptions(seed=seed),
                 }
                 for name, (reps, weights) in rep_sets.items():
                     for rule, opts in rules.items():
@@ -765,17 +781,15 @@ def _threshold_search_lines():
         return json.dumps([*key, got])
 
     lines = []
-    rules = {"lowest": LOWEST_INDEX, "seeded": SEEDED_RANDOM}
     for n in (20, 60, 200):
         for seed in range(4):
             H = generate_instance("tf", n, seed)
             X = {u for u in range(n) if H.experts[u]}
             for k in (1, 2, 3, 5, 7, 10):
-                for rule, first_center_rule in rules.items():
+                for rule, first_seed in (("lowest", None), ("seeded", seed)):
                     for mult in (1, 1.5, 4):
                         opts = MakeshiftOptions(
-                            first_center_rule=first_center_rule, seed=seed,
-                            balance_radius_multiplier=mult,
+                            seed=first_seed, balance_radius_multiplier=mult
                         )
 
                         def run_kcenter(opts=opts, k=k):

@@ -30,7 +30,6 @@ def pairs(*ps):
     return PairStructure(
         pairs=frozenset((min(a, b), max(a, b)) for a, b in ps),
         realized_radius=0.0,
-        kind="matching",
     )
 
 

@@ -9,7 +9,6 @@ from zeus_cluster.errors import ConfigError, ZeusError
 from zeus_cluster.graph import make_instance
 from zeus_cluster.makeshifts import (
     CLOSEST_EXPERT,
-    SEEDED_RANDOM,
     MakeshiftOptions,
     makeshift_fairness_ab,
     makeshift_rs_gamma,
@@ -24,6 +23,7 @@ from zeus_cluster.objectives import (
     clustering_to_json,
     eval_kcenter,
     evaluate,
+    singleton_clustering,
 )
 from zeus_cluster import zeus
 from zeus_cluster.synth import generate_instance
@@ -138,7 +138,7 @@ class TestPipeline:
 
     def test_seeded_random_determinism(self):
         H = generate_instance("rs", 24, 9)
-        opts = MakeshiftOptions(first_center_rule="seeded_random", seed=5)
+        opts = MakeshiftOptions(seed=5)
         spec = spec_of(["rs", "kc"], [1.0, 3.0], 4, options=opts)
         assert zeus_run(H, spec)[0].assignment == zeus_run(H, spec)[0].assignment
 
@@ -275,9 +275,26 @@ class TestDispatchRoutes:
             k=2,
         )
         _, state = zeus_run(H, spec)
-        assert state.pair_structures[0].kind == "gamma_cover"
-        assert state.pair_structures[0].pairs == makeshift_rs_gamma(H, 2)[1].pairs
+        gamma_pairs = makeshift_rs_gamma(H, singleton_clustering(8), 2)[1].pairs
+        assert state.pair_structures[0].pairs == gamma_pairs
         assert _block_sets(baseline_b1(H, spec)) == [(0, 1, 2, 3), (4, 5, 6, 7)]
+
+    def test_rs_gamma_keeps_the_fairness_pairs(self):
+        # the 2-neighbor cover after f joins whole matched pairs, so every
+        # Blue node stays with its partner
+        base = generate_instance("f", 40, 1)
+        H = make_instance(
+            40, "euclidean", embeddings=base.embeddings, colors=base.colors,
+            edge_threshold=0.35,
+        )
+        spec = ProblemSpec(
+            objectives=(ObjectiveSpec("f"), ObjectiveSpec("rs", gamma=2)),
+            slacks=SlackVector((1.0, 0.5)),
+            k=3,
+        )
+        C, state = zeus_run(H, spec)
+        assert state.trace[0]["violated_at_end"] is False
+        assert evaluate(H, C, ObjectiveSpec("f"), pairs=state.fairness_pairs) == 1.0
 
     def test_f_b_matching(self):
         H = generate_instance("f", 30, 1)
@@ -288,7 +305,6 @@ class TestDispatchRoutes:
         )
         C_ref, pairs = makeshift_fairness_ab(H, 1, 2)
         _, state = zeus_run(H, spec)
-        assert state.pair_structures[0].kind == "b_matching"
         assert state.pair_structures[0].pairs == pairs.pairs
         B1 = baseline_b1(H, spec)
         assert B1.assignment == consolidate_fragments(H, C_ref, 3).assignment
@@ -352,7 +368,7 @@ def _pinned_lines():
                 H = generate_instance(kind, n, seed)
                 rules = [
                     MakeshiftOptions(),
-                    MakeshiftOptions(first_center_rule=SEEDED_RANDOM, seed=seed),
+                    MakeshiftOptions(seed=seed),
                 ]
                 if kind == "tf":
                     rules.append(MakeshiftOptions(nonexpert_rule=CLOSEST_EXPERT))
