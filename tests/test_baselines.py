@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from conftest import line_points
+from conftest import explicit, line_points
 from zeus_cluster.baselines import (
     baseline_b1,
     baseline_b2,
@@ -204,4 +204,64 @@ class TestMocPinned:
         assert _moc_digest(cases) == (
             "bd14cc8b70218702e1cf9e3a5c087a6a85c9822b61b12dd9c399803c2074ce00",
             36,
+        )
+
+    def test_n100_paths(self):
+        assert _moc_digest(_moc_large_cases()) == (
+            "ce6f9326b955a111d687c75c1e5c92c458bc5a74f56e596c023158aa410412a2",
+            96,
+        )
+
+
+def _moc_large_cases():
+    for family, kinds in (("rs", "rs,kc"), ("f", "f,kc"), ("rs", "rs,km"), ("tf", "tf,kc")):
+        for seed in (0, 1):
+            H = generate_instance(family, 100, seed)
+            yield H, tuple(ObjectiveSpec(kind) for kind in kinds.split(",")), None
+
+
+def lattice(side):
+    """rs instance on a side x side integer grid: Manhattan distances and
+    an E-edge between lattice neighbours, so root distances tie often."""
+    points = [(x, y) for x in range(side) for y in range(side)]
+    matrix = [[abs(x - a) + abs(y - b) for a, b in points] for x, y in points]
+    edges = [
+        (u, v)
+        for u in range(len(points))
+        for v in range(u + 1, len(points))
+        if matrix[u][v] == 1
+    ]
+    return explicit(matrix, edges=edges)
+
+
+def _b1_lines():
+    """One line per B1 clustering (or error class name) on a fixed grid."""
+    cases = []
+    for family in ("rs", "f", "tf"):
+        lists = {"rs": ["rs,kc", "rs,km"], "f": ["f,kc", "f,km"], "tf": ["tf,kc"]}[family]
+        for n in (12, 30, 100):
+            for seed in (0, 1):
+                cases += [(generate_instance(family, n, seed), kinds) for kinds in lists]
+    cases += [(lattice(side), "rs,kc") for side in range(4, 9)]
+    lines = []
+    for H, kinds in cases:
+        for k in range(1, 11):
+            try:
+                C = baseline_b1(H, spec_of(kinds.split(","), [1.0, 3.0], k))
+                lines.append(clustering_to_json(H, C))
+            except ZeusError as exc:
+                lines.append(type(exc).__name__)
+    return lines
+
+
+class TestB1Pinned:
+    """Every B1 clustering on a fixed grid, tie-heavy lattices included,
+    pinned by digest."""
+
+    def test_first_objective_grid(self):
+        lines = _b1_lines()
+        digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
+        assert (digest.hexdigest(), len(lines)) == (
+            "c1129b160927c48092ba8f005ae33ee8652cd646f004c6e374c47683dfaba65c",
+            350,
         )

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -273,3 +274,42 @@ class TestFairnessReference:
         )
         pairs = makeshift_fairness_mincost(H)[1]
         assert moc.values["o1_f"] == evaluate(H, C, ObjectiveSpec("f"), pairs)
+
+
+def _pinned_config(tmp_path):
+    """All five algorithms and two slacks; k = 11 exceeds n, so every
+    algorithm records an error there."""
+    return ExperimentConfig(
+        instance_path="",
+        objectives=(ObjectiveSpec("rs"), ObjectiveSpec("kc")),
+        slacks=((1.0, 3.0), (0.5, 2.0)),
+        ks=(2, 3, 11),
+        seeds=(0, 1),
+        algorithms=("zeus", "b1", "b2", "moc", "oracle"),
+        output_dir=str(tmp_path),
+    )
+
+
+class TestRunPinned:
+    """Every run_experiment record, without its timings, pinned by digest."""
+
+    def test_five_algorithms_two_slacks(self, tmp_path):
+        H = generate_instance("rs", 10, 4)
+        lines = []
+        for rec in run_experiment(_pinned_config(tmp_path), H):
+            trace = [
+                {key: v for key, v in entry.items() if key != "elapsed_ms"}
+                for entry in rec.trace or ()
+            ]
+            lines.append(
+                json.dumps(
+                    [rec.algorithm, rec.k, rec.slack, rec.seed, rec.values,
+                     rec.error, rec.clustering_json, trace],
+                    sort_keys=True,
+                )
+            )
+        digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
+        assert (digest.hexdigest(), len(lines)) == (
+            "ec0014cb950499e9ff863c699cd7345740405fef85601780f57a50e77b93fb59",
+            60,
+        )
