@@ -61,20 +61,24 @@ def consolidate_fragments(H: GraphInstance, C: Clustering, k: int) -> Clustering
     if C.k < k:
         raise InfeasibleError(f"cannot split {C.k} fragments into k={k} blocks")
     groups = [list(b) for b in C.blocks()]
-    roots = list(C.roots) if C.roots else [min(b) for b in groups]
-    while len(groups) > k:
-        best = None
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                d = float(H.dist[roots[i], roots[j]])
-                key = (d, roots[i], roots[j])
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        _, i, j = best
-        groups[i] = groups[i] + groups[j]
-        roots[i] = min(roots[i], roots[j])
-        del groups[j]
-        del roots[j]
+    roots = np.array(C.roots if C.roots else [min(b) for b in groups])
+    g = len(groups)
+    # [i, j] for live positions i < j: the distance between their roots
+    live = np.triu(np.ones((g, g), dtype=bool), 1)
+    gap = H.dist[np.ix_(roots, roots)]
+    for _ in range(g - k):
+        close = live & (gap == gap[live].min())
+        # ties go to the least (roots[i], roots[j])
+        pi, pj = np.nonzero(close)
+        t = np.lexsort((roots[pj], roots[pi]))[0]
+        i, j = int(pi[t]), int(pj[t])
+        groups[i] += groups[j]
+        groups[j] = []
+        live[j, :] = live[:, j] = False
+        if roots[j] < roots[i]:
+            roots[i] = roots[j]
+            gap[i, :] = gap[:, i] = H.dist[roots[i], roots]
+    groups = [members for members in groups if members]
     return _centered_blocks(H, groups, C.atoms, C.roots)
 
 
@@ -116,16 +120,21 @@ def baseline_moc_path(
     if not wanted or wanted[0] < 1 or wanted[-1] > H.n:
         raise ConfigError(f"k values must lie in 1..{H.n}")
     n = H.n
+    kinds = {o.kind for o in objectives}
     # live blocks in creation order, each with its sorted members, 1-center
     # radius, 1-median cost, expert count and node-membership column
     blocks = [[u] for u in range(n)]
-    radius = np.zeros(n)
-    kmcost = np.zeros(n)
     experts = np.array(H.experts, dtype=float)
     member = np.eye(n)
-    # [i, j] for i < j: 1-center radius and 1-median cost of i and j merged
-    merged_radius = H.dist.copy()
-    merged_kmcost = H.dist.copy()
+    if KC in kinds:
+        radius = np.zeros(n)
+        # [i, j] for i < j: 1-center radius of i and j merged
+        merged_radius = H.dist.copy()
+        # [c, i]: the distance from node c to the farthest member of block i
+        ecc = H.dist.copy()
+    if KM in kinds:
+        kmcost = np.zeros(n)
+        merged_kmcost = H.dist.copy()
     # [u, i]: E-neighbours of node u in block i
     near = np.zeros((n, n))
     for u in range(n):
@@ -151,7 +160,8 @@ def baseline_moc_path(
                 value = total - kmcost[:, None] - kmcost[None, :] + merged_kmcost
             elif o.kind == RS:
                 covered = (near * member).sum(axis=1) > 0
-                gain = member.T @ ((near > 0) & ~covered[:, None])
+                # [i, j]: uncovered nodes of block i with an E-neighbour in j
+                gain = member[~covered].T @ (near[~covered] > 0)
                 value = (covered.sum() + gain + gain.T) / n
             elif o.kind == F:
                 home = member[blue].T @ member[purple]
@@ -168,20 +178,39 @@ def baseline_moc_path(
         keep = [x for x in range(len(blocks)) if x != i and x != j]
         merged = sorted(blocks[i] + blocks[j])
         blocks = [blocks[x] for x in keep] + [merged]
-        radius = np.append(radius[keep], merged_radius[i, j])
-        kmcost = np.append(kmcost[keep], merged_kmcost[i, j])
         experts = np.append(experts[keep], experts[i] + experts[j])
         member = np.column_stack((member[:, keep], member[:, i] + member[:, j]))
         near = np.column_stack((near[:, keep], near[:, i] + near[:, j]))
-        new_radius = np.empty(len(keep))
-        new_kmcost = np.empty(len(keep))
-        for x, older in enumerate(blocks[:-1]):
-            both = older + merged
-            sub = H.dist[np.ix_(both, both)]
-            new_radius[x] = sub.max(axis=1).min()
-            new_kmcost[x] = sub.sum(axis=1).min()
-        merged_radius = _bordered(merged_radius[np.ix_(keep, keep)], new_radius)
-        merged_kmcost = _bordered(merged_kmcost[np.ix_(keep, keep)], new_kmcost)
+        if KC in kinds:
+            radius = np.append(radius[keep], merged_radius[i, j])
+            ecc = np.column_stack((ecc[:, keep], np.maximum(ecc[:, i], ecc[:, j])))
+            # the merged block with each older one: the least eccentricity
+            # over the nodes of both
+            inside = (member[:, :-1] + member[:, -1:]) > 0
+            reach = np.maximum(ecc[:, :-1], ecc[:, -1:])
+            new_radius = np.where(inside, reach, np.inf).min(axis=0)
+            merged_radius = _bordered(merged_radius[np.ix_(keep, keep)], new_radius)
+        if KM in kinds:
+            kmcost = np.append(kmcost[keep], merged_kmcost[i, j])
+            new_kmcost = _merged_one_median(H, blocks)
+            merged_kmcost = _bordered(merged_kmcost[np.ix_(keep, keep)], new_kmcost)
+
+
+def _merged_one_median(H: GraphInstance, blocks: list[list[int]]) -> np.ndarray:
+    """[x]: the 1-median cost of block x merged with the last block.
+
+    Each cost is the least row sum of the distances among ``older +
+    merged``, summed in that order; blocks of one size share one gather.
+    """
+    merged = blocks[-1]
+    out = np.empty(len(blocks) - 1)
+    by_size: dict[int, list[int]] = {}
+    for x, older in enumerate(blocks[:-1]):
+        by_size.setdefault(len(older), []).append(x)
+    for xs in by_size.values():
+        both = np.array([blocks[x] + merged for x in xs])
+        out[xs] = H.dist[both[:, :, None], both[:, None, :]].sum(axis=2).min(axis=1)
+    return out
 
 
 def _others(v: np.ndarray, empty: float, largest: bool) -> np.ndarray:

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .baselines import baseline_b1, baseline_b2, baseline_moc_path
 from .errors import ConfigError, ZeusError
@@ -149,9 +149,10 @@ def run_experiment(
 ) -> list[RunRecord]:
     """Execute each (algorithm, k, slack, seed) cell and collect records.
 
-    MOC depends on none of slack, k and seed, so one pass over the
-    in-range ks serves every ``moc`` cell, and each ``moc`` record's
-    ``wall_ms`` is the time of that pass.
+    Only ``zeus`` reads the slack. ``b1``, ``b2`` and ``oracle`` run once
+    per (k, seed), and MOC depends on none of slack, k and seed, so one
+    pass over the in-range ks serves every ``moc`` cell. A reused record
+    carries the ``wall_ms`` of the one call behind it.
     """
     config.validate()
     if H is None:
@@ -164,6 +165,8 @@ def run_experiment(
         moc = _moc_by_k(H, config, pairs)
         moc_ms = (time.perf_counter() - t0) * 1000.0
 
+    # (algorithm, k, seed) -> the record of a slack-free algorithm's one call
+    reused: dict[tuple[str, int, int], RunRecord] = {}
     records: list[RunRecord] = []
     for slack in config.slacks:
         for k in config.ks:
@@ -176,6 +179,12 @@ def run_experiment(
                     allow_infeasible_slack=config.allow_infeasible_slack,
                 )
                 for algorithm in config.algorithms:
+                    first = reused.get((algorithm, k, seed))
+                    if first is not None:
+                        records.append(
+                            replace(first, slack=slack, values=dict(first.values))
+                        )
+                        continue
                     rec = RunRecord(algorithm=algorithm, k=k, slack=slack, seed=seed)
                     t0 = time.perf_counter()
                     try:
@@ -195,6 +204,8 @@ def run_experiment(
                         rec.error = f"{type(exc).__name__}: {exc}"
                     if algorithm == "moc":
                         rec.wall_ms = moc_ms
+                    if algorithm != "zeus":
+                        reused[algorithm, k, seed] = rec
                     records.append(rec)
     return records
 

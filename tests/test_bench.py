@@ -313,3 +313,23 @@ class TestRunPinned:
             "ec0014cb950499e9ff863c699cd7345740405fef85601780f57a50e77b93fb59",
             60,
         )
+    def test_slack_free_algorithms_run_once_per_k_and_seed(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("baseline_b1", "baseline_b2", "oracle_lmoc"):
+            def counted(*args, _name=name, _fn=getattr(bench, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(bench, name, counted)
+        H = generate_instance("rs", 10, 4)
+        records = run_experiment(_pinned_config(tmp_path), H)
+        assert len(records) == 2 * 3 * 2 * 5
+        # 3 ks x 2 seeds, whatever the number of slacks
+        assert sorted(calls) == ["baseline_b1"] * 6 + ["baseline_b2"] * 6 + ["oracle_lmoc"] * 6
+        for algorithm in ("b1", "b2", "oracle"):
+            by_cell = {}
+            for r in records:
+                if r.algorithm == algorithm:
+                    by_cell.setdefault((r.k, r.seed), set()).add(r.wall_ms)
+            # a reused record carries the time of its one call
+            assert all(len(times) == 1 for times in by_cell.values())
