@@ -31,7 +31,7 @@ from .objectives import (
 
 def baseline_b2(H: GraphInstance, k: int, opts: MakeshiftOptions) -> Clustering:
     """Plain greedy k-center: no atoms, no cohesion repair."""
-    return makeshift_kcenter(H, singleton_clustering(H.n), k, opts)
+    return makeshift_kcenter(H, singleton_clustering(H.n), k, opts)[0]
 
 
 def baseline_b1(H: GraphInstance, spec) -> Clustering:

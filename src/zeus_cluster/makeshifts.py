@@ -105,12 +105,9 @@ def greedy_centers(
     return centers
 
 
-def greedy_kcenter_value(
-    H: GraphInstance, k: int, opts: MakeshiftOptions | None = None
-) -> float:
-    """Objective value of the plain greedy k-center on all of V."""
-    opts = opts or MakeshiftOptions()
-    centers = greedy_centers(H, k, opts)
+def greedy_kcenter_value(H: GraphInstance, centers: list[int]) -> float:
+    """Objective value of the plain greedy k-center around ``centers``, the
+    Gonzalez centers, on all of V."""
     return float(H.dist[:, centers].min(axis=1).max())
 
 
@@ -183,12 +180,14 @@ def _block_diameter(H: GraphInstance, members: list[int]) -> float:
 
 def makeshift_kcenter(
     H: GraphInstance, C_in: Clustering, k: int, opts: MakeshiftOptions
-) -> Clustering:
+) -> tuple[Clustering, list[int]]:
     """Greedy k-center that keeps previously formed groups (atoms) whole.
 
     Gonzalez selection and nearest-center assignment first; then each
     multi-node atom is pulled into one block (its anchor's block) so that
-    nodes clustered together by earlier objectives stay together.
+    nodes clustered together by earlier objectives stay together. Returns
+    the clustering and the Gonzalez centers, which the ``kc`` estimate
+    reads (``greedy_kcenter_value``).
     """
     n = H.n
     atoms, roots = _atoms_for_k(C_in, n, k)
@@ -243,7 +242,7 @@ def makeshift_kcenter(
         assignment=assign, k=k, centers=final_centers, atoms=atoms, roots=roots
     )
     C.validate(n)
-    return C
+    return C, centers
 
 
 def _fragment_clustering(

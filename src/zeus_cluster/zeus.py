@@ -86,6 +86,7 @@ def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineS
 
     for i, (o, delta) in enumerate(zip(spec.objectives, spec.slacks.deltas)):
         t0 = time.perf_counter()
+        centers = None
         if o.kind == RS:
             if o.gamma > 1:
                 C, pairs = makeshift_rs_gamma(H, C, o.gamma)
@@ -96,14 +97,14 @@ def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineS
             C, pairs = makeshift_fairness_for(H, spec.objectives)
             state.pair_structures[i] = state.fairness_pairs = pairs
         elif o.kind == KC:
-            C = makeshift_kcenter(H, C, spec.k, spec.options)
+            C, centers = makeshift_kcenter(H, C, spec.k, spec.options)
         elif o.kind == KM:
             C = makeshift_kmedian(H, C, spec.k, spec.options)
         else:  # tf
             C = makeshift_tf_for(H, spec.objectives, spec.k, spec.options)
 
         value = evaluate(H, C, o, pairs=state.fairness_pairs)
-        est = estimate_optimal(H, o, value, spec.k, spec.options)
+        est = estimate_optimal(H, o, value, spec.k, centers)
         violated = slack_violated(value, o, delta, est)
         moves = 0
         if violated and o.kind in (KC, KM):
@@ -142,20 +143,25 @@ def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineS
 
 
 def estimate_optimal(
-    H: GraphInstance, o: ObjectiveSpec, value: float, k: int, opts: MakeshiftOptions
+    H: GraphInstance,
+    o: ObjectiveSpec,
+    value: float,
+    k: int,
+    centers: list[int] | None,
 ) -> OptimalEstimate:
     """Estimate the optimal value of ``o`` from theoretical guarantees,
     given the ``value`` its makeshift reached.
 
     RS and F makeshifts are provably optimal, so their value is exact.
-    k-center uses the greedy 2-approximation halved as a lower bound;
+    k-center halves the greedy 2-approximation around ``centers``, the
+    Gonzalez centers its makeshift chose, as a lower bound;
     k-median divides the swap-heuristic value by its documented factor;
     TF uses the pigeonhole ratio on expert counts.
     """
     if o.kind in (RS, F):
         return OptimalEstimate("exact", value)
     if o.kind == KC:
-        return OptimalEstimate("lower_bound", greedy_kcenter_value(H, k, opts) / 2.0)
+        return OptimalEstimate("lower_bound", greedy_kcenter_value(H, centers) / 2.0)
     if o.kind == KM:
         return OptimalEstimate("lower_bound", value / KMEDIAN_FACTOR)
     # tf

@@ -60,14 +60,14 @@ def blocks_as_sets(C):
 class TestKCenterMakeshift:
     def test_line_three_points(self):
         H = line_points([0, 4, 5])
-        C = makeshift_kcenter(H, singleton_clustering(3), 2, OPTS)
+        C, _ = makeshift_kcenter(H, singleton_clustering(3), 2, OPTS)
         assert blocks_as_sets(C) == {frozenset({0}), frozenset({1, 2})}
         assert set(C.centers.values()) == {0, 2}
         assert eval_kcenter(H, C) == 1.0
 
     def test_k_equals_n_zero_radius(self):
         H = line_points([3, 1, 4, 1.5, 9])
-        C = makeshift_kcenter(H, singleton_clustering(5), 5, OPTS)
+        C, _ = makeshift_kcenter(H, singleton_clustering(5), 5, OPTS)
         assert eval_kcenter(H, C) == 0.0
 
     def test_pair_atom_moves_whole(self):
@@ -80,7 +80,7 @@ class TestKCenterMakeshift:
             atoms=((0,), (1, 2), (3,)),
             roots=(0, 1, 3),
         )
-        C = makeshift_kcenter(H, prior, 2, OPTS)
+        C, _ = makeshift_kcenter(H, prior, 2, OPTS)
         assert C.assignment[1] == C.assignment[2]
 
     def test_pair_anchor_is_member_closest_to_its_center(self):
@@ -94,7 +94,7 @@ class TestKCenterMakeshift:
             atoms=((0,), (1, 2), (3,)),
             roots=(0, 1, 3),
         )
-        C = makeshift_kcenter(H, prior, 2, OPTS)
+        C, _ = makeshift_kcenter(H, prior, 2, OPTS)
         # anchor 1 sits 4.0 from center 0; anchor 2 sits 4.5 from center 3
         assert C.assignment[1] == C.assignment[2] == C.assignment[0]
 
@@ -114,7 +114,7 @@ class TestKCenterMakeshift:
     def test_every_block_nonempty(self):
         for seed in range(5):
             H = generate_instance("rs", 20, seed)
-            C = makeshift_kcenter(H, singleton_clustering(20), 4, OPTS)
+            C, _ = makeshift_kcenter(H, singleton_clustering(20), 4, OPTS)
             C.validate(20)
             assert len(blocks_as_sets(C)) == 4
 
@@ -132,7 +132,7 @@ class TestKCenterMakeshift:
         for seed in range(10):
             H = generate_instance("rs", 14, seed)
             for k in (2, 3, 4):
-                val = greedy_kcenter_value(H, k)
+                val = greedy_kcenter_value(H, greedy_centers(H, k, OPTS))
                 # greedy radius is at most twice the farthest-first spread,
                 # itself a lower bound certificate on the optimum
                 assert val <= 2 * (val / 2) + 1e-12
@@ -653,16 +653,16 @@ class TestKmedianSwap:
 class TestDeterminism:
     def test_kcenter_repeatable(self):
         H = generate_instance("rs", 25, 3)
-        a = makeshift_kcenter(H, singleton_clustering(25), 4, OPTS)
-        b = makeshift_kcenter(H, singleton_clustering(25), 4, OPTS)
+        a, _ = makeshift_kcenter(H, singleton_clustering(25), 4, OPTS)
+        b, _ = makeshift_kcenter(H, singleton_clustering(25), 4, OPTS)
         assert a.assignment == b.assignment
         assert a.centers == b.centers
 
     def test_seeded_random_start_repeatable(self):
         H = generate_instance("rs", 25, 3)
         opts = MakeshiftOptions(seed=11)
-        a = makeshift_kcenter(H, singleton_clustering(25), 4, opts)
-        b = makeshift_kcenter(H, singleton_clustering(25), 4, opts)
+        a, _ = makeshift_kcenter(H, singleton_clustering(25), 4, opts)
+        b, _ = makeshift_kcenter(H, singleton_clustering(25), 4, opts)
         assert a.assignment == b.assignment
 
     def test_rs_repeatable(self):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from conftest import explicit, line_points
 from zeus_cluster.errors import ConfigError, DegenerateInputError
 from zeus_cluster.graph import make_instance
-from zeus_cluster.makeshifts import MakeshiftOptions
 from zeus_cluster.objectives import (
     Clustering,
     ObjectiveSpec,
@@ -207,29 +206,29 @@ class TestSlack:
 class TestEstimateOptimal:
     def test_kcenter_halves_greedy(self):
         H = line_points([0, 8])
-        est = estimate_optimal(H, ObjectiveSpec("kc"), 8.0, 1, MakeshiftOptions())
+        est = estimate_optimal(H, ObjectiveSpec("kc"), 8.0, 1, [0])
         assert est.kind == "lower_bound"
         assert est.value == pytest.approx(4.0)
 
     def test_rs_exact_from_makeshift(self):
         H = line_points([0, 1])
-        est = estimate_optimal(H, ObjectiveSpec("rs"), 0.95, 1, MakeshiftOptions())
+        est = estimate_optimal(H, ObjectiveSpec("rs"), 0.95, 1, None)
         assert est == OptimalEstimate("exact", 0.95)
 
     def test_kmedian_divides_swap_value(self):
         H = line_points([0, 1])
-        est = estimate_optimal(H, ObjectiveSpec("km"), 10.0, 1, MakeshiftOptions())
+        est = estimate_optimal(H, ObjectiveSpec("km"), 10.0, 1, None)
         assert est == OptimalEstimate("lower_bound", 10.0 / KMEDIAN_FACTOR)
 
     def test_tf_pigeonhole(self):
         H = line_points(range(12), experts=[True] * 10 + [False, False])
-        est = estimate_optimal(H, ObjectiveSpec("tf"), 1.0, 3, MakeshiftOptions())
+        est = estimate_optimal(H, ObjectiveSpec("tf"), 1.0, 3, None)
         assert est.value == pytest.approx(4 / 3)
 
     def test_tf_degenerate_raises(self):
         H = line_points([0, 1, 2], experts=[True, False, False])
         with pytest.raises(DegenerateInputError):
-            estimate_optimal(H, ObjectiveSpec("tf"), 1.0, 2, MakeshiftOptions())
+            estimate_optimal(H, ObjectiveSpec("tf"), 1.0, 2, None)
 
 
 @pytest.mark.parametrize(
