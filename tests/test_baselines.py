@@ -17,6 +17,7 @@ from zeus_cluster.makeshifts import (
     makeshift_rs,
 )
 from zeus_cluster.objectives import (
+    Clustering,
     ObjectiveSpec,
     SlackVector,
     clustering_to_json,
@@ -37,6 +38,20 @@ def spec_of(kinds, slacks, k):
         slacks=SlackVector(tuple(slacks)),
         k=k,
     )
+
+
+def lattice(side):
+    """rs instance on a side x side integer grid: Manhattan distances and
+    an E-edge between lattice neighbours, so root distances tie often."""
+    points = [(x, y) for x in range(side) for y in range(side)]
+    matrix = [[abs(x - a) + abs(y - b) for a, b in points] for x, y in points]
+    edges = [
+        (u, v)
+        for u in range(len(points))
+        for v in range(u + 1, len(points))
+        if matrix[u][v] == 1
+    ]
+    return explicit(matrix, edges=edges)
 
 
 class TestB2:
@@ -103,6 +118,65 @@ class TestConsolidate:
         out = consolidate_fragments(H, C, 2)
         assert out.assignment[2] == out.assignment[4]
         assert out.assignment[0] != out.assignment[2]
+
+
+def pair_scan_consolidate(H, C, k):
+    """The reference B1 merge loop: scan every pair of live fragments for
+    the least (root distance, roots[i], roots[j]) over positions i < j."""
+    groups = [list(b) for b in C.blocks()]
+    roots = list(C.roots)
+    while len(groups) > k:
+        best = None
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                key = (float(H.dist[roots[i], roots[j]]), roots[i], roots[j])
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+        _, i, j = best
+        groups[i] = groups[i] + groups[j]
+        roots[i] = min(roots[i], roots[j])
+        del groups[j]
+        del roots[j]
+    return groups
+
+
+class TestConsolidateReference:
+    def test_ties_go_to_the_least_root_pair(self):
+        # every distance ties, and fragment {0, 3} has root 3: the least
+        # root pair (1, 2) merges, not the first positions (0, 1)
+        H = explicit([[int(u != v) for v in range(4)] for u in range(4)])
+        C = Clustering(
+            assignment={0: 0, 1: 1, 2: 2, 3: 0},
+            k=3,
+            atoms=((0, 3), (1,), (2,)),
+            roots=(3, 1, 2),
+        )
+        assert pair_scan_consolidate(H, C, 2) == [[0, 3], [1, 2]]
+        assert consolidate_fragments(H, C, 2).blocks() == [[0, 3], [1, 2]]
+
+    def test_merged_root_distances_follow_the_new_root(self):
+        # {0, 4} (root 4) and {1} merge first, and the merged root becomes
+        # 1: it is then nearer {3} (25) than {2} (26), though root 4 was
+        # nearer {2} (16)
+        H = line_points([5, 10, -16, 35, 0])
+        C = Clustering(
+            assignment={0: 0, 1: 1, 2: 2, 3: 3, 4: 0},
+            k=4,
+            atoms=((0, 4), (1,), (2,), (3,)),
+            roots=(4, 1, 2, 3),
+        )
+        assert pair_scan_consolidate(H, C, 2) == [[0, 4, 1, 3], [2]]
+        assert consolidate_fragments(H, C, 2).blocks() == [[0, 1, 3, 4], [2]]
+
+    @pytest.mark.parametrize("side", [4, 6, 8])
+    def test_matches_pair_scan_on_lattices(self, side):
+        H = lattice(side)
+        C, _ = makeshift_rs(H, singleton_clustering(H.n))
+        for k in range(1, C.k + 1):
+            got = consolidate_fragments(H, C, k)
+            want = pair_scan_consolidate(H, C, k)
+            assert sorted(got.blocks()) == sorted(sorted(g) for g in want)
+            assert list(got.assignment) == [u for g in sorted(want, key=min) for u in g]
 
 
 def moc(H, kinds, k, pairs=None):
@@ -218,20 +292,6 @@ def _moc_large_cases():
         for seed in (0, 1):
             H = generate_instance(family, 100, seed)
             yield H, tuple(ObjectiveSpec(kind) for kind in kinds.split(",")), None
-
-
-def lattice(side):
-    """rs instance on a side x side integer grid: Manhattan distances and
-    an E-edge between lattice neighbours, so root distances tie often."""
-    points = [(x, y) for x in range(side) for y in range(side)]
-    matrix = [[abs(x - a) + abs(y - b) for a, b in points] for x, y in points]
-    edges = [
-        (u, v)
-        for u in range(len(points))
-        for v in range(u + 1, len(points))
-        if matrix[u][v] == 1
-    ]
-    return explicit(matrix, edges=edges)
 
 
 def _b1_lines():
