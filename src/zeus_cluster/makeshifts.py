@@ -11,12 +11,18 @@ Every flow problem among them runs on ``scipy.sparse.csgraph``:
 ``min_weight_full_bipartite_matching`` for each least-total-distance
 assignment. The fairness and balanced team searches use the threshold
 technique of Gabow and Tarjan, "Algorithms for two bottleneck
-optimization problems" (1988): a binary search over the candidate radii
-whose steps only ask whether a matching exists. That test is
+optimization problems" (1988): a search over the candidate radii whose
+steps only ask whether a matching exists. Each search first tests a proven
+lower bound and binary-searches the radii above it only if that fails.
+For fairness the bound is the largest, over Blue nodes, of the shortest
+Blue-Purple E-edge; for balanced team formation it is the larger of the
+farthest expert's distance to its nearest center and the largest distance
+from a center to its floor(m/k)-th nearest expert. The test is
 ``maximum_bipartite_matching`` (Hopcroft and Karp, SIAM J. Comput. 1973),
 or the max-flow value for an alpha:beta b-matching other than 1:1; the
 max-flow or min-cost call that builds the answer runs once per search,
-at the radius found.
+at the radius found. Every graph is built as CSR straight from entries
+emitted in row-major order (``_csr``).
 
 The k-median swap search keeps, as FastPAM1 does (Schubert and
 Rousseeuw, "Faster k-Medoids Clustering", 2019), every point's distance to
@@ -389,10 +395,9 @@ def _min_weight_matching(rows, cols, weights, shape) -> np.ndarray | None:
         return None
     positive = weights[weights > 0]
     shift = positive.min() if positive.size else 1.0
-    sp = _sparse()
-    graph = sp.csr_matrix((weights + shift, (rows, cols)), shape=shape)
+    graph = _csr(weights + shift, rows, cols, shape)
     try:
-        matched_rows, matched_cols = sp.csgraph.min_weight_full_bipartite_matching(graph)
+        matched_rows, matched_cols = _sparse().csgraph.min_weight_full_bipartite_matching(graph)
     except ValueError:  # no matching covers every row
         return None
     col_of = np.empty(n_rows, dtype=np.int64)
@@ -400,12 +405,25 @@ def _min_weight_matching(rows, cols, weights, shape) -> np.ndarray | None:
     return col_of
 
 
+def _csr(data, rows, cols, shape):
+    """The CSR matrix with the given entries, which must come in row-major
+    order: rows ascending, and columns ascending and distinct within a row.
+
+    It equals ``csr_matrix((data, (rows, cols)), shape)``, but ``indptr``
+    comes from one ``searchsorted`` on the rows instead of a COO-to-CSR
+    conversion, which costs several times a Hopcroft-Karp matching on
+    these graphs.
+    """
+    indptr = np.searchsorted(rows, np.arange(shape[0] + 1))
+    return _sparse().csr_matrix((data, cols, indptr), shape=shape)
+
+
 def _covers_rows(rows, cols, shape) -> bool:
-    """Whether some matching of the bipartite graph with the given edges
-    covers every row (Hopcroft-Karp maximum matching)."""
-    sp = _sparse()
-    graph = sp.csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=shape)
-    return bool((sp.csgraph.maximum_bipartite_matching(graph, perm_type="column") >= 0).all())
+    """Whether some matching of the bipartite graph with the given edges,
+    in row-major order, covers every row (Hopcroft-Karp maximum matching)."""
+    graph = _csr(np.ones(len(rows), dtype=np.int8), rows, cols, shape)
+    matched = _sparse().csgraph.maximum_bipartite_matching(graph, perm_type="column")
+    return bool((matched >= 0).all())
 
 
 def _blue_purple(H: GraphInstance):
@@ -428,7 +446,8 @@ def _blue_purple(H: GraphInstance):
 def _bp_flow(bp, keep: np.ndarray, alpha: int, beta: int):
     """Max-flow from a source that feeds each Blue node alpha units, over
     unit arcs Blue -> Purple for the kept E-edges, into a sink that each
-    Purple node drains at most beta into; the result and the arc ends."""
+    Purple node drains at most beta into; the result and the arc ends.
+    The arcs are listed by tail: source, Blue nodes, Purple nodes."""
     blue, purple, rows, cols, _ = bp
     nb, npu = len(blue), len(purple)
     tails, heads = 1 + rows[keep], 1 + nb + cols[keep]
@@ -438,9 +457,8 @@ def _bp_flow(bp, keep: np.ndarray, alpha: int, beta: int):
         np.concatenate([np.zeros(nb, dtype=np.int64), tails, 1 + nb + np.arange(npu)]),
         np.concatenate([1 + np.arange(nb), heads, np.full(npu, sink)]),
     )
-    sp = _sparse()
-    graph = sp.csr_matrix((caps.astype(np.int32), arcs), shape=(sink + 1, sink + 1))
-    return sp.csgraph.maximum_flow(graph, 0, sink), tails, heads
+    graph = _csr(caps.astype(np.int32), *arcs, (sink + 1, sink + 1))
+    return _sparse().csgraph.maximum_flow(graph, 0, sink), tails, heads
 
 
 def _bp_feasible(bp, radius: float, alpha: int, beta: int) -> bool:
@@ -466,10 +484,18 @@ def _bp_matching(bp, radius: float, alpha: int, beta: int) -> set[tuple[int, int
     return {(min(u, v), max(u, v)) for u, v in zip(us.tolist(), vs.tolist())}
 
 
-def _first_feasible(values, feasible) -> int:
+def _first_feasible(values, feasible, lower: float = -np.inf) -> int:
     """Index of the first of the sorted ``values`` that the monotone
-    ``feasible`` accepts, by binary search; ``len(values)`` if none."""
-    lo, hi = 0, len(values)
+    ``feasible`` accepts; ``len(values)`` if none.
+
+    ``lower`` must be a proven lower bound: no value below it is feasible.
+    The first value at or above it is tested first, and the search ends
+    there if it is feasible; otherwise it binary-searches the values above.
+    """
+    lo, hi = int(np.searchsorted(values, lower)), len(values)
+    if lo == hi or feasible(values[lo]):
+        return lo
+    lo += 1
     while lo < hi:
         mid = (lo + hi) // 2
         if feasible(values[mid]):
@@ -482,13 +508,19 @@ def _first_feasible(values, feasible) -> int:
 def makeshift_fairness_ab(
     H: GraphInstance, alpha: int, beta: int
 ) -> tuple[Clustering, PairStructure]:
-    """Bottleneck alpha:beta Blue-saturating b-matching, by binary search on
-    the radius; alpha = beta = 1 is the plain fairness matching."""
+    """Bottleneck alpha:beta Blue-saturating b-matching, by a search on the
+    radius from its lower bound; alpha = beta = 1 is the plain fairness
+    matching."""
     if alpha < 1 or beta < 1:
         raise ConfigError("alpha and beta must be positive integers")
     bp = _blue_purple(H)
-    radii = np.unique(bp[-1])
-    i = _first_feasible(radii, lambda r: _bp_feasible(bp, r, alpha, beta))
+    blue, _, rows, _, weights = bp
+    radii = np.unique(weights)
+    # every Blue node needs an edge within the radius, whatever alpha:beta
+    nearest = np.full(len(blue), np.inf)
+    np.minimum.at(nearest, rows, weights)
+    lower = nearest.max()
+    i = _first_feasible(radii, lambda r: _bp_feasible(bp, r, alpha, beta), lower)
     if i == len(radii):
         raise InfeasibleError(
             "no Blue-saturating matching exists at any radius"
@@ -639,7 +671,11 @@ def balanced_kcenter(
     centers = greedy_centers(H, k, opts, candidates=experts)
     d = H.dist[np.ix_(experts, centers)]
     thresholds = np.unique(d)
-    i = _first_feasible(thresholds, lambda t: _has_balanced_assignment(d, t))
+    # every expert needs a center within the threshold, and every center
+    # its floor(m/k) nearest experts
+    low = m // k
+    lower = max(d.min(axis=1).max(), np.partition(d, low - 1, axis=0)[low - 1].max())
+    i = _first_feasible(thresholds, lambda t: _has_balanced_assignment(d, t), lower)
     if i == len(thresholds):
         raise InfeasibleError("balanced assignment infeasible even at max radius")
     mult = opts.balance_radius_multiplier

@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import hashlib
 import json
 import random
@@ -8,12 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import explicit, line_points
+from zeus_cluster import makeshifts
 from zeus_cluster.errors import ConfigError, DegenerateInputError, InfeasibleError, ZeusError
 from zeus_cluster.graph import make_instance
 from zeus_cluster.makeshifts import (
     _SWAP_REL_STOP,
     MakeshiftOptions,
+    _balanced_assignment,
+    _blue_purple,
+    _bp_feasible,
+    _csr,
     _first_feasible,
+    _has_balanced_assignment,
     _kmedian_swap_centers,
     balanced_kcenter,
     greedy_centers,
@@ -827,3 +835,208 @@ class TestThresholdSearchPinned:
             "fccece684483b51491cbf0f9716e0b1046fef385336b6b5bf4075727371d5e0b",
             656,
         )
+
+
+def _first_feasible_from_zero(values, feasible):
+    """Reference: the binary search over all of ``values`` that the
+    bottleneck searches ran before they started at a lower bound."""
+    lo, hi = 0, len(values)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(values[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@st.composite
+def _threshold_problems(draw):
+    """Sorted distinct values, the index of the first feasible one (the
+    length if none is) and a lower bound at or below that value."""
+    values = sorted(set(draw(st.lists(st.integers(0, 40), max_size=20))))
+    answer = draw(st.integers(0, len(values)))
+    top = values[answer] if answer < len(values) else np.inf
+    lower = draw(st.one_of(
+        st.sampled_from([-np.inf, *values[: answer + 1]]),
+        st.floats(min_value=-5, max_value=top, allow_nan=False),
+    ))
+    return values, answer, lower
+
+
+class TestFirstFeasible:
+    @settings(max_examples=300, deadline=None)
+    @given(_threshold_problems())
+    def test_starts_at_the_lower_bound(self, problem):
+        values, answer, lower = problem
+        threshold = values[answer] if answer < len(values) else np.inf
+        asked = []
+
+        def feasible(v):
+            asked.append(v)
+            return v >= threshold
+
+        linear = next((i for i, v in enumerate(values) if v >= threshold), len(values))
+        assert _first_feasible(values, feasible, lower) == linear == answer
+        assert all(v >= lower for v in asked)
+        if int(np.searchsorted(values, lower)) == answer < len(values):
+            assert len(asked) == 1
+        asked.clear()
+        above = values[-1] + 1 if values else 0
+        assert _first_feasible(values, feasible, above) == len(values)
+        assert asked == []
+
+
+def _recorded_searches(monkeypatch):
+    """Replace ``_first_feasible`` with a recorder; the list it returns
+    fills with (values, feasible, lower, index) per search."""
+    searches = []
+    search = makeshifts._first_feasible
+
+    def recorder(values, feasible, lower=-np.inf):
+        i = search(values, feasible, lower)
+        searches.append((values, feasible, lower, i))
+        return i
+
+    monkeypatch.setattr(makeshifts, "_first_feasible", recorder)
+    return searches
+
+
+@functools.lru_cache(maxsize=None)
+def _large_instance(kind, n, seed):
+    return generate_instance(kind, n, seed)
+
+
+def _experts(H):
+    return {u for u in range(H.n) if H.experts[u]}
+
+
+class TestThresholdSearchReference:
+    """Each bottleneck search, started at its lower bound, ends on the
+    index of the from-zero search, and the value below each bound fails."""
+
+    @staticmethod
+    def _check(searches):
+        assert searches
+        for values, feasible, lower, i in searches:
+            assert lower > -np.inf
+            assert i == _first_feasible_from_zero(values, feasible)
+            below = int(np.searchsorted(values, lower))
+            if below:
+                assert not feasible(values[below - 1])
+
+    def test_pinned_grid(self, monkeypatch):
+        searches = _recorded_searches(monkeypatch)
+        _threshold_search_lines()
+        self._check(searches)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_large_instances(self, seed, monkeypatch):
+        searches = _recorded_searches(monkeypatch)
+        H = _large_instance("f", 400, seed)
+        for alpha, beta in ((1, 1), (2, 1), (1, 2)):
+            # 2:1 asks more Purple partners than these instances have
+            with contextlib.suppress(InfeasibleError):
+                makeshift_fairness_ab(H, alpha, beta)
+        H = _large_instance("tf", 550, seed)
+        for k in (5, 10):
+            balanced_kcenter(H, _experts(H), k, OPTS)
+        self._check(searches)
+        assert len(searches) == 5
+
+    @pytest.mark.parametrize("alpha, beta", [(1, 1), (2, 1), (1, 2)])
+    @pytest.mark.parametrize(
+        "weights",
+        [{(0, 0): 1, (0, 1): 2}, {}],
+        ids=["blue-without-edge", "no-blue-purple-edge"],
+    )
+    def test_blue_without_edge(self, weights, alpha, beta, monkeypatch):
+        searches = _recorded_searches(monkeypatch)
+        H = bp_instance(weights, 2, 2)
+        with pytest.raises(InfeasibleError, match="^no Blue-saturating matching exists at any radius$"):
+            makeshift_fairness_ab(H, alpha, beta)
+        [(values, _, lower, i)] = searches
+        assert lower == np.inf
+        assert i == len(values)
+        self._check(searches)
+
+
+class TestCsr:
+    """``_csr`` equals scipy's COO-to-CSR build on every caller's entries,
+    which is what holds them to row-major order."""
+
+    @staticmethod
+    def _matches_coo(data, rows, cols, shape):
+        import scipy.sparse
+
+        got = _csr(data, rows, cols, shape)
+        want = scipy.sparse.csr_matrix((data, (rows, cols)), shape=shape)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), part
+        return got
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Check every ``_csr`` call against COO; lists each call's entry count."""
+        counts = []
+
+        def checked_csr(data, rows, cols, shape):
+            counts.append(len(rows))
+            return self._matches_coo(data, rows, cols, shape)
+
+        monkeypatch.setattr(makeshifts, "_csr", checked_csr)
+        return counts
+
+    @pytest.mark.parametrize("m, k", [(12, 3), (13, 3), (10, 4)])
+    def test_slot_graph(self, m, k, checked):
+        # k dividing m, then dummy rows; -1 keeps no edge
+        H = _large_instance("tf", 60, 0)
+        experts = sorted(_experts(H))[:m]
+        d = H.dist[np.ix_(experts, experts[:k])]
+        for t in [-1.0, *np.unique(d)]:
+            _has_balanced_assignment(d, t)
+        assert _balanced_assignment(H, experts, experts[:k]) is not None
+        # at t = -1 only the dummy rows keep their edges
+        assert min(checked) == (k * -(-m // k) - m) * k
+
+    @pytest.mark.parametrize("alpha, beta", [(1, 1), (2, 1), (1, 2)])
+    def test_blue_purple(self, alpha, beta, checked):
+        # every radius from below the shortest edge, where no edge is kept
+        # and Blue rows are left without one, to the longest; 2:1 and 1:2
+        # build the max-flow arcs
+        H = _large_instance("f", 60, 0)
+        bp = _blue_purple(H)
+        for r in [-1.0, *np.unique(bp[-1])]:
+            _bp_feasible(bp, r, alpha, beta)
+        makeshift_fairness_mincost(H)
+        # at r = -1 Hopcroft-Karp gets no edge, and the flow graph only the
+        # source and sink arcs
+        flow_only = 0 if (alpha, beta) == (1, 1) else len(bp[0]) + len(bp[1])
+        assert min(checked) == flow_only
+
+
+class TestSearchWorkPinned:
+    """Hopcroft-Karp calls per bottleneck search, counted: with the lower
+    bound most searches need one."""
+
+    def test_covers_rows_calls(self, monkeypatch):
+        calls = []
+        covers_rows = makeshifts._covers_rows
+
+        def counted(*args):
+            calls.append(1)
+            return covers_rows(*args)
+
+        monkeypatch.setattr(makeshifts, "_covers_rows", counted)
+        per_cell = []
+        for kind in ("f", "tf"):
+            for seed in range(3):
+                for k in (5, 10):
+                    calls.clear()
+                    if kind == "f":
+                        makeshift_fairness_ab(_large_instance("f", 400, seed), 1, 1)
+                    else:
+                        H = _large_instance("tf", 550, seed)
+                        balanced_kcenter(H, _experts(H), k, OPTS)
+                    per_cell.append(len(calls))
+        assert per_cell == [1, 1, 1, 1, 1, 1, 1, 11, 1, 1, 10, 1]
