@@ -50,6 +50,8 @@ class GraphInstance:
     embeddings: tuple[tuple[float, ...], ...] | None = None
     attr_sets: tuple[frozenset[str], ...] | None = None
     adjacency: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
+    # the edges of E as sorted (u, v) rows, u < v
+    edge_array: np.ndarray = field(init=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -57,13 +59,17 @@ class GraphInstance:
 
     def __post_init__(self):
         self.dist.setflags(write=False)
+        edges = sorted(self.edges)
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in sorted(self.edges):
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(
             self, "adjacency", tuple(tuple(sorted(a)) for a in adj)
         )
+        edge_array = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        edge_array.setflags(write=False)
+        object.__setattr__(self, "edge_array", edge_array)
 
     def __eq__(self, other):
         if not isinstance(other, GraphInstance):

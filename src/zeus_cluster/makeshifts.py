@@ -24,10 +24,15 @@ max-flow or min-cost call that builds the answer runs once per search,
 at the radius found. Every graph is built as CSR straight from entries
 emitted in row-major order (``_csr``).
 
-The k-median swap search keeps, as FastPAM1 does (Schubert and
-Rousseeuw, "Faster k-Medoids Clustering", 2019), every point's distance to
-its nearest center other than the one swapped out, so all swaps of one
-center are scored in one array pass.
+The k-median swap search splits each swap's cost as FastPAM1 does
+(Schubert and Rousseeuw, "Faster k-Medoids Clustering", 2019): from every
+representative's distances to its nearest and second-nearest center, one
+pass over the representatives approximates the cost of every (center
+position, representative) swap. The approximations sum non-negative terms,
+so each lies within a proven rounding bound of the exact cost. Only the
+swaps whose approximation could make them the round's first record get an
+exact, whole-row cost, so a round takes the swap that exact costs for
+every swap would pick.
 """
 
 from __future__ import annotations
@@ -726,6 +731,59 @@ def _extend_tf(
     return C
 
 
+def _approx_swap_costs(D, w, d1, d2, nearest, k, buf) -> np.ndarray:
+    """Approximate cost of every swap, ``[p, j]`` for rep j put at center
+    position p, from one pass over the reps (FastPAM1's split).
+
+    A rep served at distance ``d1`` by its nearest center, at position
+    ``nearest``, and at ``d2`` by its second nearest costs ``min(D[j], d1)``
+    after the swap, plus ``min(D[j], d2) - min(D[j], d1)`` when the swap
+    takes its nearest center away. Every term is non-negative, so each
+    approximation is within 2 * gamma_{R+2} * cost of the exact sum, where
+    gamma_m = m * eps / (2 - m * eps) bounds the rounding of m-term sums.
+    """
+    np.minimum(D, d1, out=buf)
+    base = buf @ w
+    # min(D, d2) - min(D, d1) = min(D - min(D, d1), d2 - d1), in place;
+    # each term is rounded once, as the subtraction on the left would be
+    np.subtract(D, buf, out=buf)
+    np.minimum(buf, d2 - d1, out=buf)
+    W = np.zeros((len(w), k))
+    W[np.arange(len(w)), nearest] = w
+    return (base[:, None] + buf @ W).T
+
+
+def _swap_candidates(approx, cols, current: float, stop: float):
+    """Center positions and reps of the swaps that could be a round's
+    records, in position then rep order, from the approximate costs
+    ``approx[p, j]`` of rep j put at center position p.
+
+    A record is a swap whose exact cost beats the best so far by ``stop``;
+    the first beats ``current``. Each approximation is within half of
+    ``tol`` of its exact cost, for every swap that costs at most
+    max(1, current), so a record's approximation is below
+    ``current - stop + tol``; and as a record's exact cost is below every
+    earlier swap's, its approximation is below theirs plus ``2 * tol``.
+    Swaps to the centers in ``cols`` are never candidates.
+    """
+    R = approx.shape[1]
+    tol = 4 * (R + 2) * np.finfo(float).eps * max(1.0, current)
+    masked = approx.copy()
+    masked[:, cols] = np.inf
+    flat = masked.ravel()
+    # below the minimum of the earlier swaps plus 2 tol, or below all of
+    # them, so below the minimum up to itself plus 2 tol
+    could_win = (flat < current - stop + tol) & (flat < np.minimum.accumulate(flat) + 2 * tol)
+    return np.divmod(np.flatnonzero(could_win), R)
+
+
+def _swap_costs(D, w, excl, rows) -> np.ndarray:
+    """Exact cost of bringing in each rep of ``rows``, with ``excl`` every
+    rep's distance to its nearest center that stays: summed whole, so each
+    is the same float as a from-scratch sum and ties break alike."""
+    return (np.minimum(D[rows], excl) * w).sum(axis=1)
+
+
 def _kmedian_swap_centers(
     H: GraphInstance,
     reps: list[int],
@@ -735,9 +793,10 @@ def _kmedian_swap_centers(
 ) -> list[int]:
     """Single-swap local search for weighted k-median over ``reps``.
 
-    Each round scores every (center position, rep) swap and takes the
-    first one, in position then rep order, that beats the best so far by
-    the stop margin.
+    Each round takes the first (center position, rep) swap, in position
+    then rep order, whose exact cost beats the best so far by the stop
+    margin. One pass approximates every swap's cost; only the swaps that
+    could be such a record, by those approximations, get an exact cost.
     """
     centers = greedy_centers(H, k, opts, candidates=reps)
     D = H.dist[np.ix_(reps, reps)]  # symmetric: row j holds d(., reps[j])
@@ -749,23 +808,18 @@ def _kmedian_swap_centers(
         # nearest and second-nearest center distance of every rep; the
         # inf row stands in for the missing second center when k = 1
         dc = np.vstack([D[cols], np.full(len(reps), np.inf)])
-        two = np.partition(dc, 1, axis=0)
+        d1, d2 = np.partition(dc, 1, axis=0)[:2]
         nearest = dc.argmin(axis=0)
         stop = _SWAP_REL_STOP * max(1.0, current)
+        approx = _approx_swap_costs(D, w, d1, d2, nearest, k, buf)
+        positions, rows = _swap_candidates(approx, cols, current, stop)
         best_cost, best_swap = current, None
-        for p in range(k):
-            # row j: the cost of putting rep j at position p, summed whole
-            # rather than as FastPAM1's accumulated deltas, so every trial
-            # is the same float as a from-scratch sum and ties break alike
-            excl = np.where(nearest == p, two[1], two[0])
-            np.minimum(D, excl, out=buf)
-            buf *= w
-            trial = buf.sum(axis=1)
-            trial[cols] = np.inf
-            for j in np.flatnonzero(trial < current - stop):
-                c = float(trial[j])
+        for p in sorted(set(positions.tolist())):
+            js = rows[positions == p]
+            excl = np.where(nearest == p, d2, d1)
+            for j, c in zip(js.tolist(), _swap_costs(D, w, excl, js).tolist()):
                 if c < best_cost - stop:
-                    best_cost, best_swap = c, (p, int(j))
+                    best_cost, best_swap = c, (p, j)
         if best_swap is None:
             return centers
         p, j = best_swap

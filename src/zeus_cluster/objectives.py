@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, DegenerateInputError, ZeusError
 from .graph import BLUE, PURPLE, GraphInstance
 
@@ -175,12 +177,16 @@ def eval_kmedian(H: GraphInstance, C: Clustering) -> float:
 
 def eval_resource_sharing(H: GraphInstance, C: Clustering) -> float:
     """Fraction of nodes with at least one E-neighbor in their own block."""
-    covered = 0
-    for u in C.assignment:
-        b = C.assignment[u]
-        if any(C.assignment.get(v) == b for v in H.adjacency[u]):
-            covered += 1
-    return covered / max(1, len(C.assignment))
+    nodes = list(C.assignment)
+    # a node outside the assignment gets a label no block has, and is
+    # not counted
+    label = np.full(H.n, min(C.assignment.values(), default=0) - 1)
+    label[nodes] = list(C.assignment.values())
+    u, v = H.edge_array.T
+    shared = label[u] == label[v]
+    covered = np.zeros(H.n, dtype=bool)
+    covered[u[shared]] = covered[v[shared]] = True
+    return int(covered[nodes].sum()) / max(1, len(nodes))
 
 
 def blue_partners(H: GraphInstance, matched: PairStructure) -> dict[int, int]:

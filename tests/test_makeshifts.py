@@ -23,6 +23,7 @@ from zeus_cluster.makeshifts import (
     _first_feasible,
     _has_balanced_assignment,
     _kmedian_swap_centers,
+    _swap_candidates,
     balanced_kcenter,
     greedy_centers,
     greedy_kcenter_value,
@@ -773,6 +774,180 @@ class TestKmedianSwapPinned:
             "0669778cb413964b69bb17cf7748733d009bfe8b078f6e301b57ed67ff72e59a",
             625,
         )
+
+
+def _swap_centers_by_position(H, reps, weights, k, opts):
+    """Reference: the swap search that scored all swaps of one center
+    position per whole R x R array pass, k passes a round."""
+    centers = greedy_centers(H, k, opts, candidates=reps)
+    D = H.dist[np.ix_(reps, reps)]
+    w = np.asarray([weights[r] for r in reps])
+    buf = np.empty_like(D)
+    cols = [reps.index(c) for c in centers]
+    current = float((D[:, cols].min(axis=1) * w).sum())
+    while True:
+        dc = np.vstack([D[cols], np.full(len(reps), np.inf)])
+        two = np.partition(dc, 1, axis=0)
+        nearest = dc.argmin(axis=0)
+        stop = _SWAP_REL_STOP * max(1.0, current)
+        best_cost, best_swap = current, None
+        for p in range(k):
+            excl = np.where(nearest == p, two[1], two[0])
+            np.minimum(D, excl, out=buf)
+            buf *= w
+            trial = buf.sum(axis=1)
+            trial[cols] = np.inf
+            for j in np.flatnonzero(trial < current - stop):
+                c = float(trial[j])
+                if c < best_cost - stop:
+                    best_cost, best_swap = c, (p, int(j))
+        if best_swap is None:
+            return centers
+        p, j = best_swap
+        centers[p], cols[p] = reps[j], j
+        current = best_cost
+
+
+def _atom_reps(H, kind):
+    """The atom roots of the ``rs`` or ``f`` makeshift, each weighted by
+    its atom's size, as ``makeshift_kmedian`` weighs them; for ``tf`` the
+    experts, each of weight 1."""
+    if kind == "tf":
+        experts = sorted(_experts(H))
+        return experts, {u: 1.0 for u in experts}
+    if kind == "rs":
+        C, _ = makeshift_rs(H, singleton_clustering(H.n))
+    else:
+        C, _ = makeshift_fairness_mincost(H)
+    return sorted(C.roots), {r: float(len(a)) for a, r in zip(C.atoms, C.roots)}
+
+
+def _lattice(side, count=None, seed=0):
+    """Manhattan distances on the side x side integer lattice: every
+    point of it, or ``count`` points drawn from it with repeats."""
+    points = [(x, y) for x in range(side) for y in range(side)]
+    if count is not None:
+        rng = random.Random(seed)
+        points = [rng.choice(points) for _ in range(count)]
+    m = [[abs(x - a) + abs(y - b) for a, b in points] for x, y in points]
+    return explicit(m)
+
+
+class TestKmedianSwapReference:
+    """The one-pass swap search ends on the centers of the per-position
+    search it replaced, at workload scale and on lattices full of ties."""
+
+    RULES = (MakeshiftOptions(), MakeshiftOptions(seed=3))
+
+    def _check(self, H, reps, weights, ks):
+        for k in ks:
+            for opts in self.RULES:
+                want = _swap_centers_by_position(H, reps, weights, k, opts)
+                assert _kmedian_swap_centers(H, reps, weights, k, opts) == want
+
+    @pytest.mark.parametrize("kind", ["rs", "f", "tf"])
+    @pytest.mark.parametrize("n", [90, 300])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_makeshift_reps(self, kind, n, seed):
+        H = _large_instance(kind, n, seed)
+        self._check(H, *_atom_reps(H, kind), (1, 2, 6, 10))
+
+    @pytest.mark.parametrize("count", [None, 30, 60])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lattices(self, count, seed):
+        H = _lattice(4, count, seed)
+        unit = {u: 1.0 for u in range(H.n)}
+        rng = random.Random(seed)
+        heavy = {u: float(rng.randint(1, 3)) for u in range(H.n)}
+        for weights in (unit, heavy):
+            self._check(H, list(range(H.n)), weights, (1, 2, 6, 10))
+
+
+@st.composite
+def _candidate_problems(draw):
+    """Exact swap costs, k x R, bunched within a few ulps of the stop
+    margin's steps below ``current``, where rounding decides; the
+    positions of the current centers; ``current``."""
+    k = draw(st.integers(1, 4))
+    R = draw(st.integers(k + 1, 10))
+    current = draw(st.sampled_from([0.5, 1.0, 37.0, 2.0**40]))
+    stop = _SWAP_REL_STOP * max(1.0, current)
+    ulp = np.finfo(float).eps * max(1.0, current)
+    steps = st.tuples(st.integers(-3, 1), st.integers(-20, 20))
+    exact = np.array(
+        [current + a * stop + m * ulp for a, m in draw(st.lists(steps, min_size=k * R, max_size=k * R))]
+    ).reshape(k, R)
+    cols = draw(st.lists(st.integers(0, R - 1), min_size=k, max_size=k, unique=True))
+    return exact, cols, current, stop
+
+
+def _records(exact, cols, current, stop):
+    """The swaps the first-record-breaker scan updates its best on."""
+    best, found = current, []
+    for p, j in np.ndindex(exact.shape):
+        if j not in cols and exact[p, j] < best - stop:
+            best = exact[p, j]
+            found.append((p, j))
+    return found
+
+
+class TestSwapCandidates:
+    """Fed approximations off their exact costs by the proven bound, in the
+    worst direction, the filter still keeps every record."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_candidate_problems())
+    def test_keeps_every_record(self, problem):
+        exact, cols, current, stop = problem
+        records = _records(exact, cols, current, stop)
+        # records (R + 1) eps high and all others as low: within the
+        # 2 gamma_{R+2} bound, rounding of the product included
+        slack = (exact.shape[1] + 1) * np.finfo(float).eps
+        sign = -np.ones_like(exact)
+        for p, j in records:
+            sign[p, j] = 1
+        approx = exact * (1 + sign * slack)
+        positions, rows = _swap_candidates(approx, cols, current, stop)
+        kept = list(zip(positions.tolist(), rows.tolist()))
+        assert kept == sorted(kept)
+        assert set(records) <= set(kept)
+        assert not set(rows.tolist()) & set(cols)
+
+
+class TestSwapWorkPinned:
+    """Swaps that get an exact cost per swap k-median run, counted: the
+    one-pass approximation leaves a few dozen, where the per-position
+    passes scored every swap, k * (R - k) a round."""
+
+    def test_exact_swap_costs(self, monkeypatch):
+        exact, rounds = [], []
+        swap_costs, approx_swap_costs = makeshifts._swap_costs, makeshifts._approx_swap_costs
+
+        def counted_exact(D, w, excl, rows):
+            exact.append(len(rows))
+            return swap_costs(D, w, excl, rows)
+
+        def counted_rounds(*args):
+            rounds.append(1)
+            return approx_swap_costs(*args)
+
+        monkeypatch.setattr(makeshifts, "_swap_costs", counted_exact)
+        monkeypatch.setattr(makeshifts, "_approx_swap_costs", counted_rounds)
+        per_run, every_swap = [], []
+        for kind in ("rs", "f"):
+            for seed in range(3):
+                H = _large_instance(kind, 300, seed)
+                reps, weights = _atom_reps(H, kind)
+                for k in (2, 6):
+                    exact.clear()
+                    rounds.clear()
+                    _kmedian_swap_centers(H, reps, weights, k, OPTS)
+                    per_run.append(sum(exact))
+                    every_swap.append(len(rounds) * k * (len(reps) - k))
+        assert per_run == [6, 27, 9, 37, 19, 32, 4, 26, 17, 40, 13, 47]
+        assert every_swap == [
+            484, 7020, 732, 7080, 1180, 6840, 792, 9312, 2376, 12804, 1980, 13968
+        ]
 
 
 def _threshold_search_lines():

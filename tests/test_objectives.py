@@ -54,6 +54,30 @@ class TestKCenter:
             eval_kcenter(H, Clustering({0: 0, 1: 0}, 1))
 
 
+def _rs_by_dict_loop(H, C):
+    """Reference: the per-node loop over E-neighbours that
+    ``eval_resource_sharing`` ran before it worked on the edge array."""
+    covered = 0
+    for u in C.assignment:
+        b = C.assignment[u]
+        if any(C.assignment.get(v) == b for v in H.adjacency[u]):
+            covered += 1
+    return covered / max(1, len(C.assignment))
+
+
+@st.composite
+def _rs_problems(draw):
+    """An instance on 1..12 nodes with any edge set, and an assignment of
+    any subset of its nodes, the empty one included, to k blocks."""
+    n = draw(st.integers(1, 12))
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(all_pairs), unique=True)) if all_pairs else []
+    k = draw(st.integers(1, 4))
+    nodes = draw(st.sets(st.integers(0, n - 1)))
+    assignment = {u: draw(st.integers(0, k - 1)) for u in sorted(nodes)}
+    return line_points(range(n), edges=edges), assignment, k
+
+
 class TestResourceSharing:
     def test_complete_graph_one_cluster(self):
         H = line_points([0, 1, 2])
@@ -67,6 +91,13 @@ class TestResourceSharing:
     def test_triangle_partial(self, triangle):
         C = Clustering({0: 0, 1: 0, 2: 1}, 2)
         assert eval_resource_sharing(triangle, C) == pytest.approx(2 / 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rs_problems())
+    def test_matches_dict_loop(self, problem):
+        H, assignment, k = problem
+        C = Clustering(assignment, k)
+        assert eval_resource_sharing(H, C) == _rs_by_dict_loop(H, C)
 
 
 class TestFairness:
