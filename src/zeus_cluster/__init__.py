@@ -1,6 +1,6 @@
 """Relaxed lexicographic multi-objective clustering (Zeus pipeline)."""
 
-from .graph import GraphInstance, distance, load_instance, neighbors, validate_metric
+from .graph import GraphInstance, load_instance, validate_metric
 from .makeshifts import (
     MakeshiftOptions,
     balanced_kcenter,
@@ -26,8 +26,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GraphInstance",
     "load_instance",
-    "distance",
-    "neighbors",
     "validate_metric",
     "Clustering",
     "ObjectiveSpec",

@@ -137,8 +137,8 @@ def baseline_moc_path(
         merged_kmcost = H.dist.copy()
     # [u, i]: E-neighbours of node u in block i
     near = np.zeros((n, n))
-    for u in range(n):
-        near[u, list(H.adjacency[u])] = 1.0
+    u, v = H.edges.T
+    near[u, v] = near[v, u] = 1.0
     partner = blue_partners(H, pairs) if pairs is not None else {}
     blue, purple = list(partner), list(partner.values())
     n_blue = max(1, sum(1 for c in H.colors if c == BLUE))

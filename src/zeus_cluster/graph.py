@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,21 +37,20 @@ class GraphInstance:
     """A clustering instance: nodes, metric, relation E, node attributes.
 
     Nodes are dense ids ``0..n-1``; ``labels`` maps them back to the
-    original file ids. The full distance matrix is precomputed once and
-    the instance is immutable afterwards, so it is safe to share.
+    original file ids. The full distance matrix is precomputed once.
+    ``edges`` holds E once, as a read-only int64 array of shape (m, 2):
+    each pair ``(u, v)`` with u < v, once, in sorted row order. Both
+    arrays are frozen, so the instance is safe to share.
     """
 
     labels: tuple[str, ...]
     metric: str
     dist: np.ndarray
-    edges: frozenset[tuple[int, int]]
+    edges: np.ndarray
     colors: tuple[str | None, ...]
     experts: tuple[bool, ...]
     embeddings: tuple[tuple[float, ...], ...] | None = None
     attr_sets: tuple[frozenset[str], ...] | None = None
-    adjacency: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
-    # the edges of E as sorted (u, v) rows, u < v
-    edge_array: np.ndarray = field(init=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -59,17 +58,7 @@ class GraphInstance:
 
     def __post_init__(self):
         self.dist.setflags(write=False)
-        edges = sorted(self.edges)
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        object.__setattr__(
-            self, "adjacency", tuple(tuple(sorted(a)) for a in adj)
-        )
-        edge_array = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        edge_array.setflags(write=False)
-        object.__setattr__(self, "edge_array", edge_array)
+        self.edges.setflags(write=False)
 
     def __eq__(self, other):
         if not isinstance(other, GraphInstance):
@@ -78,7 +67,7 @@ class GraphInstance:
             self.labels == other.labels
             and self.metric == other.metric
             and np.array_equal(self.dist, other.dist)
-            and self.edges == other.edges
+            and np.array_equal(self.edges, other.edges)
             and self.colors == other.colors
             and self.experts == other.experts
         )
@@ -93,22 +82,25 @@ class MetricReport:
     max_violation_ratio: float
 
 
-def _check_node_id(H: GraphInstance, u: int) -> None:
-    if not (0 <= u < H.n):
-        raise InstanceError(f"node id {u} out of range [0, {H.n})")
-
-
-def distance(H: GraphInstance, u: int, v: int) -> float:
-    """Distance ``d(u, v)`` under the instance's metric."""
-    _check_node_id(H, u)
-    _check_node_id(H, v)
-    return float(H.dist[u, v])
-
-
-def neighbors(H: GraphInstance, u: int) -> set[int]:
-    """All ``v`` with ``(u, v)`` in E; never contains ``u``."""
-    _check_node_id(H, u)
-    return set(H.adjacency[u])
+def _edge_rows(edges, n: int) -> np.ndarray:
+    """The canonical rows of a given E: each entry must be a pair of node
+    ids in ``0..n-1``; self-loops are dropped, and every other pair is kept
+    once, as ``(u, v)`` with u < v, in sorted row order."""
+    edges = list(edges)
+    if not edges:
+        return np.empty((0, 2), dtype=np.int64)
+    try:
+        rows = np.array(edges)
+    except ValueError:  # entries of different lengths
+        rows = None
+    if rows is None or rows.shape[1:] != (2,) or not np.issubdtype(rows.dtype, np.integer):
+        raise InstanceError("every edge must be a pair of integer node ids")
+    outside = ((rows < 0) | (rows >= n)).any(axis=1)
+    if outside.any():
+        u, v = rows[np.argmax(outside)].tolist()
+        raise InstanceError(f"edge ({u},{v}) references unknown node")
+    rows = rows[rows[:, 0] != rows[:, 1]]
+    return np.unique(np.sort(rows, axis=1), axis=0).astype(np.int64)
 
 
 def _build_instance(
@@ -178,19 +170,10 @@ def _build_instance(
 
     if edges is None:
         # E defaults: all pairs within the declared threshold, or all pairs.
-        pairs = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                if edge_threshold is None or dist[u, v] <= edge_threshold:
-                    pairs.append((u, v))
-        edge_set = frozenset(pairs)
+        near = np.ones((n, n), dtype=bool) if edge_threshold is None else dist <= edge_threshold
+        edge_rows = np.argwhere(np.triu(near, 1)).astype(np.int64)
     else:
-        edge_set = frozenset(
-            (min(u, v), max(u, v)) for u, v in edges if u != v
-        )
-        for u, v in edge_set:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InstanceError(f"edge ({u},{v}) references unknown node")
+        edge_rows = _edge_rows(edges, n)
 
     colors = tuple(colors) if colors is not None else (None,) * n
     experts = tuple(bool(x) for x in experts) if experts is not None else (False,) * n
@@ -204,7 +187,7 @@ def _build_instance(
         labels=tuple(str(x) for x in labels),
         metric=metric,
         dist=dist,
-        edges=edge_set,
+        edges=edge_rows,
         colors=colors,
         experts=experts,
         embeddings=tuple(tuple(float(x) for x in e) for e in embeddings)
@@ -405,7 +388,7 @@ def instance_to_data(H: GraphInstance) -> dict:
     data: dict = {
         "metric": H.metric,
         "nodes": nodes,
-        "edges": [[H.labels[u], H.labels[v]] for u, v in sorted(H.edges)],
+        "edges": [[H.labels[u], H.labels[v]] for u, v in H.edges.tolist()],
     }
     if H.metric == EXPLICIT:
         data["distances"] = [

@@ -6,6 +6,15 @@ min-max edge cover for resource sharing, bottleneck bipartite matching
 for fairness, a balanced k-center pipeline for team formation, plus the
 gamma-cover, alpha:beta b-matching, and k-median variants.
 
+The cover makeshifts read E from the instance's sorted edge array. Each
+edge end maps to its atom's root, and one ``lexsort`` orders the pairs of
+distinct roots by root, distance and neighbour, so a root's nearest
+neighbours are its first rows. The ``rs`` cover's drop loop leaves every
+kept edge with an end of degree one, so each of its components is a star,
+labelled directly by its hub, or a lone edge by its lower end. The
+gamma-cover and fairness blocks are the components of their pairs, from
+``csgraph.connected_components``, each rooted at its lowest node.
+
 Every flow problem among them runs on ``scipy.sparse.csgraph``:
 ``maximum_flow`` for the alpha:beta matching, and
 ``min_weight_full_bipartite_matching`` for each least-total-distance
@@ -39,6 +48,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -158,31 +168,6 @@ def _settle_centers(
     return final, members_of
 
 
-def _components(nodes, edges) -> list[list[int]]:
-    """Connected components of ``edges`` over ``nodes``, in DFS visiting order."""
-    graph: dict[int, list[int]] = {u: [] for u in nodes}
-    for u, v in sorted(edges):
-        graph[u].append(v)
-        graph[v].append(u)
-    comps = []
-    seen: set[int] = set()
-    for start in nodes:
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in graph[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        comps.append(comp)
-    return comps
-
-
 def _block_diameter(H: GraphInstance, members: list[int]) -> float:
     if len(members) < 2:
         return 0.0
@@ -256,47 +241,63 @@ def makeshift_kcenter(
     return C, centers
 
 
-def _fragment_clustering(
-    H: GraphInstance, fragments: list[tuple[list[int], int]]
-) -> Clustering:
-    """Build a clustering whose blocks (and atoms) are the given fragments.
+def _fragment_clustering(H: GraphInstance, top: np.ndarray) -> Clustering:
+    """The clustering whose blocks, and atoms, gather the nodes of each
+    value of ``top``: node u joins the block rooted at node ``top[u]``.
 
-    Each fragment is (members, root); blocks are ordered by their lowest
-    member id for determinism.
+    Blocks are ordered by their lowest member for determinism, and each
+    block's members are assigned in ascending order.
     """
-    fragments = sorted(fragments, key=lambda fr: min(fr[0]))
-    assign: dict[int, int] = {}
-    atoms = []
-    roots = []
-    centers = {}
-    for b, (members, root) in enumerate(fragments):
-        for u in members:
-            assign[u] = b
-        atoms.append(tuple(sorted(members)))
-        roots.append(root)
-        centers[b] = root
+    lowest = np.sort(np.unique(top, return_index=True)[1])
+    roots = top[lowest]
+    rank = np.empty(H.n, dtype=np.int64)
+    rank[roots] = np.arange(len(roots))
+    block = rank[top]
+    order = np.argsort(block, kind="stable")
+    groups = np.split(order, np.cumsum(np.bincount(block))[:-1])
     C = Clustering(
-        assignment=assign,
-        k=len(fragments),
-        centers=centers,
-        atoms=tuple(atoms),
-        roots=tuple(roots),
+        assignment=dict(zip(order.tolist(), block[order].tolist())),
+        k=len(roots),
+        centers=dict(enumerate(roots.tolist())),
+        atoms=tuple(tuple(g.tolist()) for g in groups),
+        roots=tuple(roots.tolist()),
     )
     C.validate(H.n)
     return C
 
 
-def _rep_view(H: GraphInstance, C_in: Clustering):
-    """Representative nodes (atom roots), the set of representatives each
-    is joined to through E, and each one's atom."""
+def _rep_pairs(H: GraphInstance, C_in: Clustering):
+    """Representatives (atom roots) of the atoms of ``C_in``.
+
+    Returns every node's representative, the sorted representatives, the
+    number of other representatives each is joined to through E, and each
+    such ordered pair (rep, neighbour) once, by rep, then distance between
+    the two, then neighbour.
+    """
     atoms, roots = _atoms_of(C_in, H.n)
-    rep_of = {u: root for atom, root in zip(atoms, roots) for u in atom}
-    atom_of = dict(zip(roots, atoms))
-    adjacency = {
-        r: {rep_of[v] for u in atom for v in H.adjacency[u]} - {r}
-        for r, atom in atom_of.items()
-    }
-    return sorted(atom_of), adjacency, atom_of
+    rep_of = np.empty(H.n, dtype=np.int64)
+    rep_of[np.fromiter(chain.from_iterable(atoms), np.int64, H.n)] = np.repeat(
+        roots, [len(a) for a in atoms]
+    )
+    u, v = rep_of[H.edges].T
+    u, v = u[u != v], v[u != v]
+    rep, nbr = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((nbr, H.dist[rep, nbr], rep))
+    rep, nbr = rep[order], nbr[order]
+    new = np.ones(len(rep), dtype=bool)
+    new[1:] = (rep[1:] != rep[:-1]) | (nbr[1:] != nbr[:-1])
+    rep, nbr = rep[new], nbr[new]
+    reps = np.array(sorted(roots), dtype=np.int64)
+    return rep_of, reps, np.bincount(rep, minlength=H.n)[reps], rep, nbr
+
+
+def _nearest_pairs(rep, nbr, gamma: int) -> set[tuple[int, int]]:
+    """The pairs of each rep and its ``gamma`` nearest neighbours, from the
+    rows of ``_rep_pairs``, as (lower, higher) node ids."""
+    first = np.searchsorted(rep, rep)  # each row's rep's first row
+    keep = np.arange(len(rep)) - first < gamma
+    u, v = rep[keep], nbr[keep]
+    return set(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
 
 
 def makeshift_rs(
@@ -308,18 +309,15 @@ def makeshift_rs(
     edges are then dropped in decreasing weight order while the cover
     stays valid. The result is a family of stars (max path length two).
     """
-    reps, adjacency, atom_of = _rep_view(H, C_in)
-    cover: set[tuple[int, int]] = set()
-    for u in reps:
-        nbrs = adjacency[u]
-        if not nbrs:
-            raise InfeasibleError(
-                f"node {H.labels[u]} has no E-neighbor; no edge cover exists"
-            )
-        v = min(nbrs, key=lambda w: (H.dist[u, w], w))
-        cover.add((min(u, v), max(u, v)))
+    rep_of, reps, nbr_count, rep, nbr = _rep_pairs(H, C_in)
+    if not nbr_count.all():
+        u = int(reps[np.argmin(nbr_count)])
+        raise InfeasibleError(
+            f"node {H.labels[u]} has no E-neighbor; no edge cover exists"
+        )
+    cover = _nearest_pairs(rep, nbr, 1)
 
-    degree: dict[int, int] = {u: 0 for u in reps}
+    degree = [0] * H.n
     for u, v in cover:
         degree[u] += 1
         degree[v] += 1
@@ -329,16 +327,17 @@ def makeshift_rs(
             degree[u] -= 1
             degree[v] -= 1
 
-    fragments = []
-    for comp in _components(reps, cover):
-        hubs = [u for u in comp if degree[u] >= 2]
-        star_center = hubs[0] if hubs else min(comp)
-        members = [x for u in comp for x in atom_of[u]]
-        fragments.append((members, star_center))
-
+    # an edge is kept only while one of its ends has no other, so every
+    # component is a star: a hub of degree >= 2 and its leaves, or a lone
+    # edge, centered at its lower end
+    u, v = np.array(sorted(cover), dtype=np.int64).T
+    degree = np.asarray(degree)
+    center = np.where(degree[u] >= 2, u, np.where(degree[v] >= 2, v, u))
+    star = np.empty(H.n, dtype=np.int64)
+    star[u] = star[v] = center
     radius = max(float(H.dist[u, v]) for u, v in cover)
     pairs = PairStructure(pairs=frozenset(cover), realized_radius=radius)
-    return _fragment_clustering(H, fragments), pairs
+    return _fragment_clustering(H, star[rep_of]), pairs
 
 
 def makeshift_rs_gamma(
@@ -354,24 +353,25 @@ def makeshift_rs_gamma(
     """
     if gamma < 1:
         raise ConfigError("gamma must be a positive integer")
-    reps, adjacency, atom_of = _rep_view(H, C_in)
-    for u in reps:
-        if len(adjacency[u]) < gamma:
-            raise InfeasibleError(
-                f"node {H.labels[u]} has E-degree {len(adjacency[u])} < gamma={gamma}"
-            )
-    cover = {
-        (min(u, v), max(u, v))
-        for u in reps
-        for v in sorted(adjacency[u], key=lambda w: (H.dist[u, w], w))[:gamma]
-    }
-    fragments = [
-        ([x for u in comp for x in atom_of[u]], min(comp))
-        for comp in _components(reps, cover)
-    ]
+    rep_of, reps, nbr_count, rep, nbr = _rep_pairs(H, C_in)
+    if (nbr_count < gamma).any():
+        i = int(np.argmax(nbr_count < gamma))
+        raise InfeasibleError(
+            f"node {H.labels[reps[i]]} has E-degree {nbr_count[i]} < gamma={gamma}"
+        )
+    cover = _nearest_pairs(rep, nbr, gamma)
     radius = max(float(H.dist[u, v]) for u, v in cover)
     pairs = PairStructure(pairs=frozenset(cover), realized_radius=radius)
-    return _fragment_clustering(H, fragments), pairs
+    return _fragment_clustering(H, _lowest_in_component(H.n, cover)[rep_of]), pairs
+
+
+def _lowest_in_component(n: int, pairs) -> np.ndarray:
+    """The lowest node of each node's connected component in the graph of
+    ``pairs`` over nodes 0..n-1."""
+    u, v = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T
+    graph = _csr(np.ones(len(u), dtype=np.int8), u, v, (n, n))
+    _, label = _sparse().csgraph.connected_components(graph, directed=False)
+    return np.unique(label, return_index=True)[1][label]
 
 
 def _sparse():
@@ -434,18 +434,20 @@ def _covers_rows(rows, cols, shape) -> bool:
 def _blue_purple(H: GraphInstance):
     """Blue and Purple node arrays, and the E-edges between them as Blue
     positions, Purple positions and lengths, in row-major order."""
-    blue = np.flatnonzero([c == BLUE for c in H.colors])
-    purple = np.flatnonzero([c == PURPLE for c in H.colors])
+    is_blue = np.array([c == BLUE for c in H.colors], dtype=bool)
+    is_purple = np.array([c == PURPLE for c in H.colors], dtype=bool)
+    blue, purple = np.flatnonzero(is_blue), np.flatnonzero(is_purple)
     if not blue.size:
         raise DegenerateInputError("fairness requires at least one Blue node")
-    position = np.full(H.n, -1)
+    position = np.empty(H.n, dtype=np.int64)
+    position[blue] = np.arange(len(blue))
     position[purple] = np.arange(len(purple))
-    in_e = np.zeros((len(blue), len(purple)), dtype=bool)
-    for i, u in enumerate(blue.tolist()):
-        cols = position[list(H.adjacency[u])]
-        in_e[i, cols[cols >= 0]] = True
-    rows, cols = np.nonzero(in_e)
-    return blue, purple, rows, cols, H.dist[blue[rows], purple[cols]]
+    # both orientations of every edge; positions rise with node ids
+    ends = np.concatenate([H.edges, H.edges[:, ::-1]])
+    b, p = ends[is_blue[ends[:, 0]] & is_purple[ends[:, 1]]].T
+    order = np.lexsort((p, b))
+    b, p = b[order], p[order]
+    return blue, purple, position[b], position[p], H.dist[b, p]
 
 
 def _bp_flow(bp, keep: np.ndarray, alpha: int, beta: int):
@@ -538,10 +540,9 @@ def _pair_fragments(
 ) -> tuple[Clustering, PairStructure]:
     """Blocks are the connected components of the pairs; the radius is the
     longest pair."""
-    fragments = [(comp, min(comp)) for comp in _components(range(H.n), matched)]
     radius = max((float(H.dist[u, v]) for u, v in matched), default=0.0)
     pairs = PairStructure(pairs=frozenset(matched), realized_radius=radius)
-    return _fragment_clustering(H, fragments), pairs
+    return _fragment_clustering(H, _lowest_in_component(H.n, matched)), pairs
 
 
 def makeshift_fairness_mincost(

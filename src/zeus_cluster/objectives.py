@@ -182,7 +182,7 @@ def eval_resource_sharing(H: GraphInstance, C: Clustering) -> float:
     # not counted
     label = np.full(H.n, min(C.assignment.values(), default=0) - 1)
     label[nodes] = list(C.assignment.values())
-    u, v = H.edge_array.T
+    u, v = H.edges.T
     shared = label[u] == label[v]
     covered = np.zeros(H.n, dtype=bool)
     covered[u[shared]] = covered[v[shared]] = True

@@ -117,12 +117,10 @@ def _score_partition(
                 )
             values.append(float(total))
         elif o.kind == RS:
-            covered = sum(
-                1
-                for u in range(H.n)
-                if any(rgs[v] == rgs[u] for v in H.adjacency[u])
-            )
-            values.append(covered / H.n)
+            covered = {
+                x for u, v in H.edges.tolist() if rgs[u] == rgs[v] for x in (u, v)
+            }
+            values.append(len(covered) / H.n)
         elif o.kind == F:
             if pairs is None:
                 raise ConfigError("fairness oracle scoring needs a pair structure")
@@ -187,6 +185,15 @@ def oracle_single_objective(
     return oracle_lmoc(H, k, [o], pairs).best_values[0]
 
 
+def _neighbour_lists(H: GraphInstance) -> list[list[int]]:
+    """Every node's E-neighbours, read from the edge pairs one by one."""
+    nbrs: list[list[int]] = [[] for _ in range(H.n)]
+    for u, v in H.edges.tolist():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
+
+
 def oracle_edge_cover(H: GraphInstance) -> PairStructure:
     """Minimum achievable max edge weight over all valid edge covers.
 
@@ -195,15 +202,16 @@ def oracle_edge_cover(H: GraphInstance) -> PairStructure:
     """
     if H.n > EDGE_COVER_CAP:
         raise ConfigError(f"n={H.n} exceeds edge-cover oracle cap {EDGE_COVER_CAP}")
+    nbrs = _neighbour_lists(H)
     for u in range(H.n):
-        if not H.adjacency[u]:
+        if not nbrs[u]:
             raise InfeasibleError(f"node {H.labels[u]} is isolated: no edge cover")
-    weights = sorted({float(H.dist[u, v]) for u, v in H.edges})
+    weights = sorted({float(H.dist[u, v]) for u, v in H.edges.tolist()})
     lo, hi = 0, len(weights) - 1
     while lo < hi:
         mid = (lo + hi) // 2
         ok = all(
-            any(H.dist[u, v] <= weights[mid] for v in H.adjacency[u])
+            any(H.dist[u, v] <= weights[mid] for v in nbrs[u])
             for u in range(H.n)
         )
         if ok:
@@ -214,7 +222,7 @@ def oracle_edge_cover(H: GraphInstance) -> PairStructure:
     cover = set()
     for u in range(H.n):
         v = min(
-            (v for v in H.adjacency[u] if H.dist[u, v] <= r),
+            (v for v in nbrs[u] if H.dist[u, v] <= r),
             key=lambda w: (H.dist[u, w], w),
         )
         cover.add((min(u, v), max(u, v)))
@@ -229,8 +237,9 @@ def oracle_matching_radius(H: GraphInstance) -> float:
         raise DegenerateInputError("no Blue nodes: matching radius undefined")
     if len(blue) > MATCHING_CAP or len(purple) > MATCHING_CAP:
         raise ConfigError(f"|B| or |P| exceeds matching oracle cap {MATCHING_CAP}")
+    nbrs = _neighbour_lists(H)
     options = [
-        sorted(v for v in H.adjacency[u] if v in purple) for u in blue
+        sorted(v for v in nbrs[u] if v in purple) for u in blue
     ]
 
     best = math.inf

@@ -17,6 +17,12 @@ def line_points(xs, **kw):
     )
 
 
+def neighbours(H, u):
+    """The E-neighbours of node u, read from the edge array."""
+    e = H.edges
+    return set(e[e[:, 0] == u, 1].tolist()) | set(e[e[:, 1] == u, 0].tolist())
+
+
 @pytest.fixture
 def triangle():
     # d(0,1)=1, d(1,2)=2, d(0,2)=3, all edges in E

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import neighbours
 from zeus_cluster.errors import InfeasibleError
 from zeus_cluster.graph import make_instance
 from zeus_cluster.makeshifts import (
@@ -68,7 +69,7 @@ def least_matching_total(H):
     purple = [u for u in range(H.n) if H.colors[u] == "P"]
     best = None
     for image in itertools.permutations(purple, len(blue)):
-        if all(p in H.adjacency[b] for b, p in zip(blue, image)):
+        if all(p in neighbours(H, b) for b, p in zip(blue, image)):
             total = sum(H.dist[b, p] for b, p in zip(blue, image))
             best = total if best is None else min(best, total)
     return best

@@ -7,16 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import explicit, line_points
+from conftest import explicit, line_points, neighbours
 from zeus_cluster import graph
 from zeus_cluster.errors import InstanceError
 from zeus_cluster.graph import (
-    distance,
     instance_from_data,
     instance_to_data,
     load_instance,
     make_instance,
-    neighbors,
     save_instance,
     validate_metric,
 )
@@ -34,10 +32,10 @@ def test_fill_distance_applies_to_unlisted_pairs(tmp_path):
     path.write_text(json.dumps(doc))
     H = load_instance(str(path))
     assert H.n == 6
-    assert distance(H, 0, 1) == 1
-    assert distance(H, 1, 2) == 2
-    assert distance(H, 0, 5) == 67
-    assert distance(H, 3, 4) == 67
+    assert H.dist[0, 1] == 1
+    assert H.dist[1, 2] == 2
+    assert H.dist[0, 5] == 67
+    assert H.dist[3, 4] == 67
 
 
 def test_single_node_instance(tmp_path):
@@ -46,7 +44,7 @@ def test_single_node_instance(tmp_path):
     path.write_text(json.dumps(doc))
     H = load_instance(str(path))
     assert H.n == 1
-    assert distance(H, 0, 0) == 0.0
+    assert H.dist[0, 0] == 0.0
 
 
 def test_euclidean_line_file(tmp_path):
@@ -61,26 +59,26 @@ def test_euclidean_line_file(tmp_path):
     path = tmp_path / "line.json"
     path.write_text(json.dumps(doc))
     H = load_instance(str(path))
-    assert distance(H, 0, 1) == 3
-    assert distance(H, 1, 2) == 1
-    assert distance(H, 0, 2) == 4
+    assert H.dist[0, 1] == 3
+    assert H.dist[1, 2] == 1
+    assert H.dist[0, 2] == 4
 
 
 def test_jaccard_distance():
     H = make_instance(
         2, "jaccard", attr_sets=[{"x", "y"}, {"y", "z"}]
     )
-    assert distance(H, 0, 1) == pytest.approx(2 / 3)
+    assert H.dist[0, 1] == pytest.approx(2 / 3)
 
 
 def test_jaccard_empty_sets_distance_zero():
     H = make_instance(2, "jaccard", attr_sets=[set(), set()])
-    assert distance(H, 0, 1) == 0.0
+    assert H.dist[0, 1] == 0.0
 
 
 def test_euclidean_345():
     H = make_instance(2, "euclidean", embeddings=[(0, 0), (3, 4)])
-    assert distance(H, 0, 1) == pytest.approx(5.0)
+    assert H.dist[0, 1] == pytest.approx(5.0)
 
 
 def test_explicit_lookup():
@@ -88,7 +86,7 @@ def test_explicit_lookup():
     np.fill_diagonal(m, 0.0)
     m[2, 5] = m[5, 2] = 7.0
     H = explicit(m)
-    assert distance(H, 2, 5) == 7.0
+    assert H.dist[2, 5] == 7.0
 
 
 def test_explicit_matrix_is_copied():
@@ -100,14 +98,6 @@ def test_explicit_matrix_is_copied():
     assert m.flags.writeable
     assert np.array_equal(m, before)
     assert H1 == H2
-
-
-def test_out_of_range_node_id():
-    H = line_points([0, 1])
-    with pytest.raises(InstanceError):
-        distance(H, 0, 2)
-    with pytest.raises(InstanceError):
-        neighbors(H, -1)
 
 
 def test_asymmetric_matrix_rejected():
@@ -143,7 +133,7 @@ def test_unknown_metric_rejected():
 
 
 def test_neighbors_triangle(triangle):
-    assert neighbors(triangle, 0) == {1, 2}
+    assert neighbours(triangle, 0) == {1, 2}
 
 
 def test_neighbors_isolated_and_path():
@@ -151,19 +141,38 @@ def test_neighbors_isolated_and_path():
         [[0, 1, 2, 2], [1, 0, 1, 2], [2, 1, 0, 2], [2, 2, 2, 0]],
         edges=[(0, 1), (1, 2)],
     )
-    assert neighbors(H, 1) == {0, 2}
-    assert neighbors(H, 3) == set()
+    assert neighbours(H, 1) == {0, 2}
+    assert neighbours(H, 3) == set()
 
 
 def test_edge_threshold_default_relation():
     H = line_points([0, 1, 10], edge_threshold=2.0)
-    assert neighbors(H, 0) == {1}
-    assert neighbors(H, 2) == set()
+    assert neighbours(H, 0) == {1}
+    assert neighbours(H, 2) == set()
 
 
 def test_all_pairs_default_relation():
     H = line_points([0, 1, 10])
-    assert neighbors(H, 0) == {1, 2}
+    assert neighbours(H, 0) == {1, 2}
+
+
+def test_edges_are_canonical_rows():
+    # reversed, duplicate and self-loop entries
+    H = line_points([0, 1, 2, 3], edges=[(2, 1), (1, 2), (3, 0), (1, 1), (0, 3), (0, 2)])
+    assert H.edges.tolist() == [[0, 2], [0, 3], [1, 2]]
+    assert H.edges.dtype == np.int64 and not H.edges.flags.writeable
+    assert line_points([0, 1], edges=[]).edges.shape == (0, 2)
+    assert line_points([0, 1], edges=[(1, 1)]).edges.shape == (0, 2)
+    assert line_points([0, 1, 2]).edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert line_points([0, 1, 5], edge_threshold=4).edges.tolist() == [[0, 1], [1, 2]]
+
+
+@pytest.mark.parametrize("entry", [(7, 7), (-1, 0), (0, 3), (0, 1, 2), (0,), (0.0, 1.0), ("0", "1")])
+def test_bad_edge_entry_rejected(entry):
+    with pytest.raises(InstanceError):
+        line_points([0, 1, 2], edges=[(0, 1), entry])
+    with pytest.raises(InstanceError):
+        line_points([0, 1, 2], edges=[entry, entry])
 
 
 def test_validate_metric_euclidean_clean():
@@ -231,7 +240,7 @@ def test_round_trip(tmp_path):
     save_instance(H, path)
     H2 = load_instance(str(path))
     assert H2.labels == H.labels
-    assert H2.edges == H.edges
+    assert np.array_equal(H2.edges, H.edges)
     assert H2.colors == H.colors
     assert np.allclose(H2.dist, H.dist)
     # serialize again: stable
@@ -243,8 +252,8 @@ def test_csv_edges_format(tmp_path):
     path.write_text("u,v,weight\na,b,1\nb,c,2\n")
     H = load_instance(str(path), fmt="csv-edges", fill=9.0)
     assert H.n == 3
-    assert distance(H, 0, 1) == 1
-    assert distance(H, 0, 2) == 9.0
+    assert H.dist[0, 1] == 1
+    assert H.dist[0, 2] == 9.0
     with pytest.raises(InstanceError):
         load_instance(str(path), fmt="csv-edges")
 
@@ -312,10 +321,10 @@ def test_csv_edges_non_numeric_weight(tmp_path):
 def test_distance_symmetry_and_identity(n, seed):
     H = generate_instance("rs", n, seed)
     for u in range(H.n):
-        assert distance(H, u, u) == 0.0
+        assert H.dist[u, u] == 0.0
         for v in range(u + 1, H.n):
-            assert distance(H, u, v) == distance(H, v, u)
-            assert distance(H, u, v) >= 0.0
+            assert H.dist[u, v] == H.dist[v, u]
+            assert H.dist[u, v] >= 0.0
 
 
 def test_synthetic_metrics_pass_triangle_check():

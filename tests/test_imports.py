@@ -37,6 +37,28 @@ def test_import_loads_no_graph_library():
     assert out.strip() == "[]"
 
 
+def test_resource_sharing_runs_load_no_graph_library():
+    # the rs stars are labelled from their hubs, so the bench's rs,kc
+    # shape never needs a component search
+    out = run_python(
+        """
+        import sys
+        from zeus_cluster import ObjectiveSpec, ProblemSpec, SlackVector, generate_instance, zeus_run
+        from zeus_cluster.baselines import baseline_b1, baseline_b2, baseline_moc_path
+
+        H = generate_instance("rs", 40, 0)
+        objectives = (ObjectiveSpec("rs"), ObjectiveSpec("kc"))
+        spec = ProblemSpec(objectives, SlackVector((1.0, 3.0)), 3)
+        zeus_run(H, spec)
+        baseline_b1(H, spec)
+        baseline_b2(H, 3, spec.options)
+        baseline_moc_path(H, objectives, (2, 3))
+        print(sorted(m for m in ("networkx", "scipy.sparse.csgraph") if m in sys.modules))
+        """
+    )
+    assert out.strip() == "[]"
+
+
 def test_fairness_and_team_runs_without_networkx():
     out = run_python(
         """

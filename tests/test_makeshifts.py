@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import explicit, line_points
+from conftest import explicit, line_points, neighbours
 from zeus_cluster import makeshifts
 from zeus_cluster.errors import ConfigError, DegenerateInputError, InfeasibleError, ZeusError
 from zeus_cluster.graph import make_instance
@@ -40,6 +40,7 @@ from zeus_cluster.makeshifts import (
 from zeus_cluster.objectives import (
     Clustering,
     ObjectiveSpec,
+    PairStructure,
     SlackVector,
     clustering_to_json,
     eval_kcenter,
@@ -228,7 +229,7 @@ class TestGammaCover:
     def test_min_degree_property(self):
         for seed in range(5):
             H = generate_instance("rs", 20, seed)
-            min_deg = min(len(H.adjacency[u]) for u in range(20))
+            min_deg = min(len(neighbours(H, u)) for u in range(20))
             if min_deg < 2:
                 continue
             _, pairs = makeshift_rs_gamma(H, singleton_clustering(20), 2)
@@ -253,7 +254,7 @@ class TestGammaCover:
                     edges.append((u, v))
         H = explicit(m, edges=edges)
         for gamma in (1, 2, 3):
-            if min(len(a) for a in H.adjacency) < gamma:
+            if min(len(neighbours(H, u)) for u in range(n)) < gamma:
                 with pytest.raises(InfeasibleError):
                     makeshift_rs_gamma(H, singleton_clustering(n), gamma)
                 continue
@@ -265,11 +266,11 @@ class TestGammaCover:
 def _gamma_radius_by_search(H, gamma):
     """Binary search over the E-weights for the smallest radius at which
     every node has gamma E-neighbours."""
-    weights = sorted({float(H.dist[u, v]) for u, v in H.edges})
+    weights = sorted({float(H.dist[u, v]) for u, v in H.edges.tolist()})
 
     def feasible(r):
         return all(
-            sum(1 for v in H.adjacency[u] if H.dist[u, v] <= r) >= gamma
+            sum(1 for v in neighbours(H, u) if H.dist[u, v] <= r) >= gamma
             for u in range(H.n)
         )
 
@@ -1183,11 +1184,12 @@ class TestCsr:
         bp = _blue_purple(H)
         for r in [-1.0, *np.unique(bp[-1])]:
             _bp_feasible(bp, r, alpha, beta)
-        makeshift_fairness_mincost(H)
         # at r = -1 Hopcroft-Karp gets no edge, and the flow graph only the
         # source and sink arcs
         flow_only = 0 if (alpha, beta) == (1, 1) else len(bp[0]) + len(bp[1])
         assert min(checked) == flow_only
+        # the min-cost matching, and the component graph of its pairs
+        makeshift_fairness_mincost(H)
 
 
 class TestSearchWorkPinned:
@@ -1215,3 +1217,211 @@ class TestSearchWorkPinned:
                         balanced_kcenter(H, _experts(H), k, OPTS)
                     per_cell.append(len(calls))
         assert per_cell == [1, 1, 1, 1, 1, 1, 1, 11, 1, 1, 10, 1]
+
+
+def _components_by_dfs(nodes, edges):
+    """Reference: connected components of ``edges`` over ``nodes``, in DFS
+    visiting order."""
+    graph = {u: [] for u in nodes}
+    for u, v in sorted(edges):
+        graph[u].append(v)
+        graph[v].append(u)
+    comps, seen = [], set()
+    for start in nodes:
+        if start in seen:
+            continue
+        comp, stack = [], [start]
+        seen.add(start)
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v in graph[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        comps.append(comp)
+    return comps
+
+
+def _fragments_by_members(H, fragments):
+    """Reference: the clustering of (members, root) fragments, blocks by
+    lowest member, members assigned in the order given."""
+    fragments = sorted(fragments, key=lambda fr: min(fr[0]))
+    assign = {u: b for b, (members, _) in enumerate(fragments) for u in members}
+    roots = tuple(root for _, root in fragments)
+    return Clustering(
+        assignment=assign,
+        k=len(fragments),
+        centers=dict(enumerate(roots)),
+        atoms=tuple(tuple(sorted(members)) for members, _ in fragments),
+        roots=roots,
+    )
+
+
+def _rep_view_by_sets(H, C_in):
+    """Reference: the reps, the reps each is joined to through E, and each
+    one's atom, from per-node neighbour sets."""
+    atoms, roots = makeshifts._atoms_of(C_in, H.n)
+    rep_of = {u: root for atom, root in zip(atoms, roots) for u in atom}
+    atom_of = dict(zip(roots, atoms))
+    nbrs = {r: {rep_of[v] for u in atom for v in neighbours(H, u)} - {r} for r, atom in atom_of.items()}
+    return sorted(atom_of), nbrs, atom_of
+
+
+def _rs_by_dfs(H, C_in):
+    """Reference: the edge cover of each rep's nearest neighbour rep, with
+    redundant edges dropped, and stars found by a DFS."""
+    reps, adjacency, atom_of = _rep_view_by_sets(H, C_in)
+    cover = set()
+    for u in reps:
+        if not adjacency[u]:
+            raise InfeasibleError(f"node {H.labels[u]} has no E-neighbor; no edge cover exists")
+        v = min(adjacency[u], key=lambda w: (H.dist[u, w], w))
+        cover.add((min(u, v), max(u, v)))
+    degree = {u: 0 for u in reps}
+    for u, v in cover:
+        degree[u] += 1
+        degree[v] += 1
+    for u, v in sorted(cover, key=lambda e: (-H.dist[e[0], e[1]], e)):
+        if degree[u] > 1 and degree[v] > 1:
+            cover.discard((u, v))
+            degree[u] -= 1
+            degree[v] -= 1
+    fragments = []
+    for comp in _components_by_dfs(reps, cover):
+        hubs = [u for u in comp if degree[u] >= 2]
+        fragments.append(([x for u in comp for x in atom_of[u]], hubs[0] if hubs else min(comp)))
+    radius = max(float(H.dist[u, v]) for u, v in cover)
+    return _fragments_by_members(H, fragments), PairStructure(frozenset(cover), radius)
+
+
+def _rs_gamma_by_dfs(H, C_in, gamma):
+    """Reference: each rep's gamma nearest neighbour reps by a keyed sort,
+    and the blocks by a DFS."""
+    reps, adjacency, atom_of = _rep_view_by_sets(H, C_in)
+    for u in reps:
+        if len(adjacency[u]) < gamma:
+            raise InfeasibleError(f"node {H.labels[u]} has E-degree {len(adjacency[u])} < gamma={gamma}")
+    cover = {
+        (min(u, v), max(u, v))
+        for u in reps
+        for v in sorted(adjacency[u], key=lambda w: (H.dist[u, w], w))[:gamma]
+    }
+    fragments = [([x for u in comp for x in atom_of[u]], min(comp)) for comp in _components_by_dfs(reps, cover)]
+    radius = max(float(H.dist[u, v]) for u, v in cover)
+    return _fragments_by_members(H, fragments), PairStructure(frozenset(cover), radius)
+
+
+def _blue_purple_by_mask(H):
+    """Reference: the Blue-Purple E-edges from a dense Blue x Purple mask
+    filled per Blue node."""
+    blue = np.flatnonzero([c == "B" for c in H.colors])
+    purple = np.flatnonzero([c == "P" for c in H.colors])
+    if not blue.size:
+        raise DegenerateInputError("fairness requires at least one Blue node")
+    position = np.full(H.n, -1)
+    position[purple] = np.arange(len(purple))
+    in_e = np.zeros((len(blue), len(purple)), dtype=bool)
+    for i, u in enumerate(blue.tolist()):
+        cols = position[sorted(neighbours(H, u))]
+        in_e[i, cols[cols >= 0]] = True
+    rows, cols = np.nonzero(in_e)
+    return blue, purple, rows, cols, H.dist[blue[rows], purple[cols]]
+
+
+def _pair_fragments_by_dfs(H, matched):
+    """Reference: the blocks of matched pairs by a DFS over all nodes."""
+    fragments = [(comp, min(comp)) for comp in _components_by_dfs(range(H.n), matched)]
+    radius = max((float(H.dist[u, v]) for u, v in matched), default=0.0)
+    return _fragments_by_members(H, fragments), PairStructure(frozenset(matched), radius)
+
+
+def _outcome(make, *args):
+    """A makeshift's clustering and pairs, or the class and text of its error."""
+    try:
+        return make(*args)
+    except ZeusError as exc:
+        return type(exc), str(exc)
+
+
+class TestEdgeWalkReference:
+    """The ``rs``, gamma-cover and fairness makeshifts on the edge array
+    give the clusterings, pairs and errors of the per-node walks and DFS
+    they replaced."""
+
+    @staticmethod
+    def _same(H, got, want):
+        if isinstance(want[0], type):  # an error
+            assert got == want
+            return
+        (C, pairs), (R, ref_pairs) = got, want
+        assert clustering_to_json(H, C) == clustering_to_json(H, R)
+        assert (C.assignment, C.atoms, C.roots, C.centers) == (R.assignment, R.atoms, R.roots, R.centers)
+        assert pairs == ref_pairs
+
+    @staticmethod
+    def _priors(H, kind):
+        """Singletons, and the atoms of the kind's own makeshift as a kc, km
+        or f stage passes them on."""
+        none = singleton_clustering(H.n)
+        base = makeshift_rs(H, none)[0] if kind == "rs" else makeshift_fairness_ab(H, 1, 1)[0]
+        k = min(3, len(base.atoms))
+        priors = [none, makeshift_kcenter(H, base, k, OPTS)[0], makeshift_kmedian(H, base, k, OPTS)]
+        return priors + ([base] if kind == "f" else [])
+
+    @pytest.mark.parametrize("kind", ["rs", "f"])
+    @pytest.mark.parametrize("n", [12, 60, 300])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rs_and_gamma(self, kind, n, seed):
+        H = generate_instance(kind, n, seed)
+        for C_in in self._priors(H, kind):
+            self._same(H, _outcome(makeshift_rs, H, C_in), _outcome(_rs_by_dfs, H, C_in))
+            for gamma in (1, 2, 3):
+                want = _outcome(_rs_gamma_by_dfs, H, C_in, gamma)
+                self._same(H, _outcome(makeshift_rs_gamma, H, C_in, gamma), want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rs_and_gamma_on_ties(self, seed):
+        # lattice points with repeats, so many neighbours tie on distance
+        rng = random.Random(seed)
+        m = _lattice(4, 30, seed).dist
+        edges = [(u, v) for u in range(30) for v in range(u + 1, 30) if rng.random() < 0.3]
+        H = explicit(m, edges=edges)
+        for C_in in self._priors(H, "rs"):
+            self._same(H, _outcome(makeshift_rs, H, C_in), _outcome(_rs_by_dfs, H, C_in))
+            for gamma in (1, 2, 3):
+                want = _outcome(_rs_gamma_by_dfs, H, C_in, gamma)
+                self._same(H, _outcome(makeshift_rs_gamma, H, C_in, gamma), want)
+
+    @pytest.mark.parametrize("kind", ["rs", "f"])
+    @pytest.mark.parametrize("n", [12, 60, 300])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fairness(self, kind, n, seed, monkeypatch):
+        H = generate_instance(kind, n, seed)
+        got_bp, want_bp = _outcome(_blue_purple, H), _outcome(_blue_purple_by_mask, H)
+        if isinstance(want_bp[0], type):
+            assert got_bp == want_bp
+        else:
+            for got, want in zip(got_bp, want_bp):
+                assert np.array_equal(got, want)
+        cells = [(makeshift_fairness_ab, H, a, b) for a, b in ((1, 1), (2, 1), (1, 2), (2, 3))]
+        cells.append((makeshift_fairness_mincost, H))
+        got = [_outcome(*cell) for cell in cells]
+        with monkeypatch.context() as m:
+            m.setattr(makeshifts, "_blue_purple", _blue_purple_by_mask)
+            m.setattr(makeshifts, "_pair_fragments", _pair_fragments_by_dfs)
+            want = [_outcome(*cell) for cell in cells]
+        for g, w in zip(got, want):
+            self._same(H, g, w)
+        if kind == "f":
+            assert not isinstance(want[0][0], type)  # the 1:1 matching exists
+
+    def test_errors_at_the_first_rep(self):
+        # node 3 has no edge, and nodes 1 and 3 one edge each
+        H = line_points([0, 1, 2, 3], edges=[(0, 1), (0, 2)])
+        none = singleton_clustering(4)
+        self._same(H, _outcome(makeshift_rs, H, none), _outcome(_rs_by_dfs, H, none))
+        for gamma in (1, 2, 3):
+            want = _outcome(_rs_gamma_by_dfs, H, none, gamma)
+            assert isinstance(want[0], type)
+            self._same(H, _outcome(makeshift_rs_gamma, H, none, gamma), want)

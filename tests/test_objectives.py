@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import explicit, line_points
+from conftest import explicit, line_points, neighbours
 from zeus_cluster.errors import ConfigError, DegenerateInputError
 from zeus_cluster.graph import make_instance
 from zeus_cluster.objectives import (
@@ -60,7 +60,7 @@ def _rs_by_dict_loop(H, C):
     covered = 0
     for u in C.assignment:
         b = C.assignment[u]
-        if any(C.assignment.get(v) == b for v in H.adjacency[u]):
+        if any(C.assignment.get(v) == b for v in neighbours(H, u)):
             covered += 1
     return covered / max(1, len(C.assignment))
 
