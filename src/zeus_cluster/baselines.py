@@ -24,7 +24,9 @@ from .objectives import (
     TF,
     Clustering,
     PairStructure,
+    atom_arrays,
     blue_partners,
+    left_sum,
     singleton_clustering,
 )
 
@@ -87,15 +89,11 @@ def _centered_blocks(
 ) -> Clustering:
     """The groups as blocks, ordered by their lowest member, each centered
     at its best 1-center."""
-    assign = {}
-    centers = {}
-    for b, members in enumerate(sorted(groups, key=min)):
-        for u in members:
-            assign[u] = b
-        centers[b] = _block_one_center(H, members)
-    out = Clustering(
-        assignment=assign, k=len(groups), centers=centers, atoms=atoms, roots=roots
-    )
+    groups = sorted(groups, key=min)
+    members, block = atom_arrays(groups)
+    assignment = dict(zip(members.tolist(), block.tolist()))
+    centers = {b: _block_one_center(H, g) for b, g in enumerate(groups)}
+    out = Clustering(assignment, len(groups), centers, atoms, roots)
     out.validate(H.n)
     return out
 
@@ -156,7 +154,7 @@ def baseline_moc_path(
             if o.kind == KC:
                 value = np.maximum(_others(radius, 0.0, True), merged_radius)
             elif o.kind == KM:
-                total = sum(kmcost.tolist())
+                total = left_sum(kmcost)
                 value = total - kmcost[:, None] - kmcost[None, :] + merged_kmcost
             elif o.kind == RS:
                 covered = (near * member).sum(axis=1) > 0

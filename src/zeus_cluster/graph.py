@@ -32,7 +32,7 @@ AUDIT_SAMPLES = 20000
 AUDIT_SEED = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphInstance:
     """A clustering instance: nodes, metric, relation E, node attributes.
 

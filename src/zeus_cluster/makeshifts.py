@@ -48,13 +48,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, InfeasibleError
 from .graph import BLUE, PURPLE, GraphInstance
 from .objectives import F, KM, Clustering, ObjectiveSpec, PairStructure
+from .objectives import atom_arrays, group_by_block
 
 CLOSEST_EXPERT = "closest_expert"
 CLOSEST_CENTER = "closest_center"
@@ -132,14 +132,12 @@ def greedy_kcenter_value(H: GraphInstance, centers: list[int]) -> float:
     return float(H.dist[:, centers].min(axis=1).max())
 
 
-def _nearest_assignment(H: GraphInstance, centers: list[int]) -> dict[int, int]:
+def _nearest_assignment(H: GraphInstance, centers) -> np.ndarray:
     """Position in ``centers`` of every node's nearest center; ties go to
     the lowest center id, then to its first position."""
-    order = sorted(range(len(centers)), key=lambda i: centers[i])
-    sorted_ids = [centers[i] for i in order]
-    cols = H.dist[:, sorted_ids]
-    picks = cols.argmin(axis=1)  # first occurrence = lowest center id
-    return {u: order[int(picks[u])] for u in range(H.n)}
+    order = np.argsort(centers, kind="stable")
+    # first occurrence = lowest center id
+    return order[H.dist[:, np.asarray(centers)[order]].argmin(axis=1)]
 
 
 def _block_one_center(H: GraphInstance, members: list[int]) -> int:
@@ -151,27 +149,19 @@ def _block_one_center(H: GraphInstance, members: list[int]) -> int:
 
 
 def _settle_centers(
-    H: GraphInstance, assign: dict[int, int], centers: list[int]
+    H: GraphInstance, label: np.ndarray, centers: list[int]
 ) -> tuple[dict[int, int], list[list[int]]]:
     """Final centers and member lists of the blocks ``0..len(centers)-1``.
 
     A Gonzalez center still inside its own block is kept; a block whose
     center was moved away gets its best 1-center.
     """
-    members_of: list[list[int]] = [[] for _ in centers]
-    for u, b in assign.items():
-        members_of[b].append(u)
+    members_of = group_by_block(np.arange(len(label)), label, len(centers))
     final = {
-        b: c if assign[c] == b else _block_one_center(H, members_of[b])
+        b: c if label[c] == b else _block_one_center(H, members_of[b])
         for b, c in enumerate(centers)
     }
     return final, members_of
-
-
-def _block_diameter(H: GraphInstance, members: list[int]) -> float:
-    if len(members) < 2:
-        return 0.0
-    return float(H.dist[np.ix_(members, members)].max())
 
 
 def makeshift_kcenter(
@@ -188,55 +178,43 @@ def makeshift_kcenter(
     n = H.n
     atoms, roots = _atoms_for_k(C_in, n, k)
     centers = greedy_centers(H, k, opts)
-    assign = _nearest_assignment(H, centers)
+    label = _nearest_assignment(H, centers)
 
     # Cohesion repair. Pair atoms anchor at the member closest to its own
     # assigned center; larger atoms (stars) anchor at their root, which is
     # what keeps the moved leaves within one cover-edge of a center.
-    for atom, root in zip(atoms, roots):
-        if len(atom) == 1:
-            continue
-        if len(atom) >= 3:
-            anchor = root
-        else:
-            anchor = min(
-                atom, key=lambda u: (H.dist[u, centers[assign[u]]], u)
-            )
-        target = assign[anchor]
-        for u in atom:
-            assign[u] = target
+    members, atom_of = atom_arrays(atoms)
+    starts = np.searchsorted(atom_of, np.arange(len(atoms)))
+    sizes = np.diff(np.append(starts, n))
+    pair = members[sizes[atom_of] == 2]
+    d = np.zeros(n)
+    d[pair] = H.dist[pair, np.asarray(centers)[label[pair]]]
+    closest = members[np.lexsort((members, d[members], atom_of))[starts]]
+    anchor = np.where(sizes >= 3, roots, closest)
+    label[members] = label[anchor][atom_of]
 
     # Empty-block repair: re-seed each empty block farthest-first with a
     # whole atom drawn from the largest-diameter block.
-    atom_block = {atom: assign[atom[0]] for atom in atoms}
-    occupied = {b for b in assign.values()}
-    empty = sorted(set(range(k)) - occupied)
+    atom_at = np.empty(n, dtype=np.int64)
+    atom_at[members] = atom_of
+    atom_block = label[members[starts]]
+    empty = np.flatnonzero(np.bincount(label, minlength=k) == 0).tolist()
     while empty:
-        members_of: dict[int, list[int]] = {}
-        for u, b in assign.items():
-            members_of.setdefault(b, []).append(u)
-        donors = [
-            b
-            for b in sorted(members_of)
-            if sum(1 for a in atoms if atom_block[a] == b) >= 2
-        ]
-        donor = max(donors, key=lambda b: (_block_diameter(H, members_of[b]), -b))
+        members_of = group_by_block(np.arange(n), label, k)
+        donors = np.flatnonzero(np.bincount(atom_block, minlength=k) >= 2).tolist()
+        diameter = {b: H.dist[np.ix_(members_of[b], members_of[b])].max() for b in donors}
+        donor = max(donors, key=lambda b: (diameter[b], -b))
         ref = _block_one_center(H, members_of[donor])
-        movable = [
-            (a, r)
-            for a, r in zip(atoms, roots)
-            if atom_block[a] == donor and ref not in a
-        ]
-        atom, root = max(movable, key=lambda ar: (H.dist[ar[1], ref], -ar[1]))
+        movable = np.flatnonzero((atom_block == donor) & (np.arange(len(atoms)) != atom_at[ref]))
+        # the root farthest from ref, ties to the lowest root
+        r = np.asarray(roots)[movable]
+        pick = movable[np.lexsort((r, -H.dist[r, ref]))[0]]
         target = empty.pop(0)
-        for u in atom:
-            assign[u] = target
-        atom_block[atom] = target
+        label[members[atom_of == pick]] = target
+        atom_block[pick] = target
 
-    final_centers, _ = _settle_centers(H, assign, centers)
-    C = Clustering(
-        assignment=assign, k=k, centers=final_centers, atoms=atoms, roots=roots
-    )
+    final_centers, _ = _settle_centers(H, label, centers)
+    C = Clustering(dict(enumerate(label.tolist())), k, final_centers, atoms, roots)
     C.validate(n)
     return C, centers
 
@@ -275,10 +253,9 @@ def _rep_pairs(H: GraphInstance, C_in: Clustering):
     the two, then neighbour.
     """
     atoms, roots = _atoms_of(C_in, H.n)
+    members, atom_of = atom_arrays(atoms)
     rep_of = np.empty(H.n, dtype=np.int64)
-    rep_of[np.fromiter(chain.from_iterable(atoms), np.int64, H.n)] = np.repeat(
-        roots, [len(a) for a in atoms]
-    )
+    rep_of[members] = np.asarray(roots)[atom_of]
     u, v = rep_of[H.edges].T
     u, v = u[u != v], v[u != v]
     rep, nbr = np.concatenate([u, v]), np.concatenate([v, u])
@@ -649,7 +626,7 @@ def _balanced_assignment(
     col_of = _min_weight_matching(rows, cols, weights, (k * high, k * high))
     if col_of is None:
         return None
-    return {u: int(c) // high for u, c in zip(experts, col_of[:m])}
+    return dict(zip(experts, (col_of[:m] // high).tolist()))
 
 
 def balanced_kcenter(
@@ -702,32 +679,32 @@ def makeshift_tf(
     if not X:
         raise DegenerateInputError("team formation requires a non-empty expert set")
     centers, assign, _ = balanced_kcenter(H, X, k, opts)
-    return _extend_tf(H, X, k, centers, assign, opts)
+    return _extend_tf(H, k, centers, assign, opts)
 
 
 def _extend_tf(
     H: GraphInstance,
-    X: set[int],
     k: int,
     centers: list[int],
     assign: dict[int, int],
     opts: MakeshiftOptions,
 ) -> Clustering:
-    experts = sorted(X)
-    full = dict(assign)
+    """The experts in their blocks of ``assign``, and every other node in
+    the block of its nearest expert or nearest center."""
+    experts = np.fromiter(assign.keys(), np.int64, len(assign))
+    expert_block = np.fromiter(assign.values(), np.int64, len(assign))
     if opts.nonexpert_rule == CLOSEST_EXPERT:
-        nearest = _nearest_assignment(H, experts)
-        full.update((u, assign[experts[nearest[u]]]) for u in range(H.n) if u not in X)
+        label = expert_block[_nearest_assignment(H, experts)]
     else:
-        nearest = _nearest_assignment(H, centers)
-        full.update((u, nearest[u]) for u in range(H.n) if u not in X)
+        label = _nearest_assignment(H, centers)
+    label[experts] = expert_block
+    # the experts in the order of assign, then the others ascending
+    order = np.concatenate([experts, np.setdiff1d(np.arange(H.n), experts)])
 
-    final_centers, members_of = _settle_centers(H, full, centers)
-    atoms = tuple(tuple(sorted(members_of[b])) for b in range(k))
+    final_centers, members_of = _settle_centers(H, label, centers)
+    assignment = dict(zip(order.tolist(), label[order].tolist()))
     roots = tuple(final_centers[b] for b in range(k))
-    C = Clustering(
-        assignment=full, k=k, centers=final_centers, atoms=atoms, roots=roots
-    )
+    C = Clustering(assignment, k, final_centers, tuple(map(tuple, members_of)), roots)
     C.validate(H.n)
     return C
 
@@ -841,12 +818,10 @@ def makeshift_kmedian(
     # a center's own atom stays in its block, even when a lower-id center
     # lies at distance 0
     nearest = _nearest_assignment(H, centers)
-    nearest.update((c, b) for b, c in enumerate(centers))
-    assign = {u: nearest[root] for atom, root in zip(atoms, roots) for u in atom}
-    final_centers = {b: centers[b] for b in range(k)}
-    C = Clustering(
-        assignment=assign, k=k, centers=final_centers, atoms=atoms, roots=roots
-    )
+    nearest[centers] = np.arange(k)
+    members, atom_of = atom_arrays(atoms)
+    assignment = dict(zip(members.tolist(), nearest[np.asarray(roots)[atom_of]].tolist()))
+    C = Clustering(assignment, k, dict(enumerate(centers)), atoms, roots)
     C.validate(n)
     return C
 
@@ -866,4 +841,4 @@ def makeshift_tf_kmedian(
     assign = _balanced_assignment(H, experts, centers)
     if assign is None:
         raise InfeasibleError("balanced k-median assignment infeasible")
-    return _extend_tf(H, X, k, centers, assign, opts)
+    return _extend_tf(H, k, centers, assign, opts)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -43,17 +44,23 @@ class Clustering:
     atoms: tuple[tuple[int, ...], ...] = ()
     roots: tuple[int, ...] = ()
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The assigned nodes and their blocks, as int64 arrays in the
+        assignment's key order."""
+        keys, values = self.assignment.keys(), self.assignment.values()
+        return np.fromiter(keys, np.int64, len(keys)), np.fromiter(values, np.int64, len(keys))
+
     def blocks(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.k)]
-        for u in sorted(self.assignment):
-            out[self.assignment[u]].append(u)
-        return out
+        """The members of each block 0..k-1, in ascending node order."""
+        return group_by_block(*self.arrays(), self.k)
 
     def validate(self, n: int) -> None:
-        if sorted(self.assignment) != list(range(n)):
+        nodes, blocks = self.arrays()
+        if len(nodes) != n or not np.array_equal(np.sort(nodes), np.arange(n)):
             raise ZeusError("assignment does not cover all nodes exactly once")
-        blocks = self.blocks()
-        if any(not b for b in blocks):
+        if ((blocks < 0) | (blocks >= self.k)).any():
+            raise ZeusError(f"a block index lies outside 0..{self.k - 1}")
+        if not np.bincount(blocks, minlength=self.k).all():
             raise ZeusError("finalized clustering has an empty block")
         if self.centers is not None:
             for b, c in self.centers.items():
@@ -61,12 +68,48 @@ class Clustering:
                     raise ZeusError(f"center {c} not inside its block {b}")
         if len(self.atoms) != len(self.roots):
             raise ZeusError("atoms/roots length mismatch")
-        for atom, root in zip(self.atoms, self.roots):
-            if root not in atom:
-                raise ZeusError(f"root {root} outside its atom {atom}")
-            blocks_hit = {self.assignment[u] for u in atom}
-            if len(blocks_hit) > 1:
-                raise ZeusError(f"atom {atom} spans blocks {sorted(blocks_hit)}")
+        members, atom_of = atom_arrays(self.atoms)
+        label = _labels(n, nodes, blocks)[members]
+        at_root = members == np.asarray(self.roots, np.int64)[atom_of]
+        rooted = np.bincount(atom_of[at_root], minlength=len(self.atoms)) > 0
+        # each atom's count of distinct (atom, block) pairs
+        pairs = np.unique(atom_of * self.k + label) // self.k
+        bad = np.flatnonzero(~rooted | (np.bincount(pairs, minlength=len(rooted)) > 1))
+        if bad.size:
+            i = bad[0]
+            if not rooted[i]:
+                raise ZeusError(f"root {self.roots[i]} outside its atom {self.atoms[i]}")
+            spanned = np.unique(label[atom_of == i]).tolist()
+            raise ZeusError(f"atom {self.atoms[i]} spans blocks {spanned}")
+
+
+def atom_arrays(atoms) -> tuple[np.ndarray, np.ndarray]:
+    """The members of ``atoms``, atom after atom, and each one's atom index,
+    as int64 arrays."""
+    sizes = [len(a) for a in atoms]
+    members = np.fromiter(chain.from_iterable(atoms), np.int64, sum(sizes))
+    return members, np.repeat(np.arange(len(atoms)), sizes)
+
+
+def group_by_block(nodes: np.ndarray, blocks: np.ndarray, k: int) -> list[list[int]]:
+    """The ``nodes`` in each block 0..k-1 of ``blocks``, ascending."""
+    order = np.lexsort((nodes, blocks))
+    bounds = np.cumsum(np.bincount(blocks, minlength=k))[:-1]
+    return [g.tolist() for g in np.split(nodes[order], bounds)]
+
+
+def _labels(n: int, nodes: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Each node's block, or -1 for a node outside the assignment."""
+    label = np.full(n, -1, dtype=np.int64)
+    label[nodes] = blocks
+    return label
+
+
+def left_sum(values) -> float:
+    """The sum of ``values`` added left to right, 0.0 for none: the order
+    of the builtin ``sum`` of floats before Python 3.12, and not numpy's
+    pairwise ``sum``. The pinned k-median values depend on it."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 def singleton_clustering(n: int) -> Clustering:
@@ -157,36 +200,36 @@ def rel_close(a: float, b: float) -> bool:
     return abs(a - b) <= REL_TOL * max(1.0, abs(a), abs(b))
 
 
+def center_distances(H: GraphInstance, C: Clustering, kind: str) -> np.ndarray:
+    """Each assigned node's distance to its own block's center, in the
+    assignment's key order."""
+    if C.centers is None:
+        raise ZeusError(f"{kind} evaluation requires centers")
+    nodes, blocks = C.arrays()
+    center = np.array([C.centers[b] for b in range(C.k)], dtype=np.int64)
+    return H.dist[nodes, center[blocks]]
+
+
 def eval_kcenter(H: GraphInstance, C: Clustering) -> float:
     """Max distance of any node to its own block's center."""
-    if C.centers is None:
-        raise ZeusError("k-center evaluation requires centers")
-    worst = 0.0
-    for u, b in C.assignment.items():
-        worst = max(worst, H.dist[u, C.centers[b]])
-    return float(worst)
+    return float(center_distances(H, C, "k-center").max(initial=0.0))
 
 
 def eval_kmedian(H: GraphInstance, C: Clustering) -> float:
-    """Sum of distances of nodes to their own block's center."""
-    if C.centers is None:
-        raise ZeusError("k-median evaluation requires centers")
-    total = sum(H.dist[u, C.centers[b]] for u, b in C.assignment.items())
-    return float(total)
+    """Sum of distances of nodes to their own block's center, added left
+    to right in the assignment's key order."""
+    return left_sum(center_distances(H, C, "k-median"))
 
 
 def eval_resource_sharing(H: GraphInstance, C: Clustering) -> float:
     """Fraction of nodes with at least one E-neighbor in their own block."""
-    nodes = list(C.assignment)
-    # a node outside the assignment gets a label no block has, and is
-    # not counted
-    label = np.full(H.n, min(C.assignment.values(), default=0) - 1)
-    label[nodes] = list(C.assignment.values())
+    nodes, blocks = C.arrays()
+    label = _labels(H.n, nodes, blocks)
     u, v = H.edges.T
-    shared = label[u] == label[v]
+    shared = (label[u] == label[v]) & (label[u] >= 0)
     covered = np.zeros(H.n, dtype=bool)
     covered[u[shared]] = covered[v[shared]] = True
-    return int(covered[nodes].sum()) / max(1, len(nodes))
+    return int(covered.sum()) / max(1, len(nodes))
 
 
 def blue_partners(H: GraphInstance, matched: PairStructure) -> dict[int, int]:
@@ -201,31 +244,28 @@ def blue_partners(H: GraphInstance, matched: PairStructure) -> dict[int, int]:
 
 
 def eval_fairness(H: GraphInstance, C: Clustering, matched: PairStructure) -> float:
-    """Fraction of Blue nodes whose matched Purple partner shares their block."""
-    blue = [u for u in range(H.n) if H.colors[u] == BLUE]
+    """Fraction of Blue nodes whose matched Purple partner shares their
+    block; an unassigned Blue node is never counted."""
+    blue = int((np.asarray(H.colors) == BLUE).sum())
     if not blue:
         raise DegenerateInputError("fairness objective undefined with no Blue nodes")
     partner = blue_partners(H, matched)
-    happy = sum(
-        1
-        for u in blue
-        if u in partner and C.assignment.get(partner[u]) == C.assignment.get(u)
-    )
-    return happy / len(blue)
+    u, v = np.array(list(partner.items()), dtype=np.int64).reshape(-1, 2).T
+    label = _labels(H.n, *C.arrays())
+    happy = (label[u] == label[v]) & (label[u] >= 0)
+    return int(happy.sum()) / blue
 
 
 def eval_team_formation(H: GraphInstance, C: Clustering) -> float:
     """Ratio of max to min per-block expert count; +inf if a block has none."""
-    X = {u for u in range(H.n) if H.experts[u]}
-    if not X:
+    expert = np.asarray(H.experts, dtype=bool)
+    if not expert.any():
         raise DegenerateInputError("team formation requires a non-empty expert set")
-    counts = [0] * C.k
-    for u in X:
-        if u in C.assignment:
-            counts[C.assignment[u]] += 1
-    if min(counts) == 0:
+    nodes, blocks = C.arrays()
+    counts = np.bincount(blocks[expert[nodes]], minlength=C.k)
+    if counts.min() == 0:
         return math.inf
-    return max(counts) / min(counts)
+    return int(counts.max()) / int(counts.min())
 
 
 def evaluate(
@@ -271,28 +311,3 @@ def slack_violated(
         worse = value > threshold
     return worse and not rel_close(value, threshold)
 
-
-__all__ = [
-    "Clustering",
-    "ObjectiveSpec",
-    "OptimalEstimate",
-    "SlackVector",
-    "PairStructure",
-    "singleton_clustering",
-    "clustering_to_json",
-    "eval_kcenter",
-    "eval_kmedian",
-    "eval_resource_sharing",
-    "eval_fairness",
-    "eval_team_formation",
-    "evaluate",
-    "lex_better",
-    "slack_violated",
-    "rel_close",
-    "KC",
-    "KM",
-    "RS",
-    "F",
-    "TF",
-    "KINDS",
-]

@@ -6,6 +6,8 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .errors import ConfigError, DegenerateInputError
 from .graph import GraphInstance
 from .makeshifts import (
@@ -22,14 +24,16 @@ from .objectives import (
     F,
     KC,
     KM,
+    REL_TOL,
     RS,
     Clustering,
     ObjectiveSpec,
     OptimalEstimate,
     PairStructure,
     SlackVector,
+    atom_arrays,
     evaluate,
-    rel_close,
+    left_sum,
     singleton_clustering,
     slack_violated,
 )
@@ -173,13 +177,6 @@ def estimate_optimal(
     return OptimalEstimate("lower_bound", math.ceil(experts / k) / (experts // k))
 
 
-def _apply_move(C: Clustering, atom: tuple[int, ...], target: int) -> Clustering:
-    assign = dict(C.assignment)
-    for u in atom:
-        assign[u] = target
-    return replace(C, assignment=assign)
-
-
 def local_search(
     H: GraphInstance,
     C: Clustering,
@@ -195,49 +192,62 @@ def local_search(
     within their slack, atoms move whole, no block empties, and no block
     loses its center. Stops on slack satisfaction, no improving move, or
     ``MOVES_PER_NODE`` moves per node. Only ``kc`` and ``km`` makeshifts
-    leave an atom that can move: the others make every atom a whole block.
+    leave an atom that can move: the others make every atom a whole block,
+    and these two leave atoms that partition the nodes.
+
+    Each round scores every (atom, target) move at once. A ``km`` score is
+    the total cost, summed left to right in key order, plus the atom's
+    cost changes, summed in atom order. Moves are tried by score, then
+    lowest atom member, then target.
     """
     if violated_o.kind not in (KC, KM):
         raise ConfigError(
             f"local search serves kc and km only, not {violated_o.kind!r}"
         )
+    members, atom_of = atom_arrays(C.atoms)
+    n_atoms = len(C.atoms)
+    starts = np.searchsorted(atom_of, np.arange(n_atoms))
+    sizes = np.bincount(atom_of, minlength=n_atoms)
+    lowest = np.minimum.reduceat(members, starts)
+    atom_at = np.empty(H.n, dtype=np.int64)
+    atom_at[members] = atom_of
+    center = np.array([C.centers[b] for b in range(C.k)], dtype=np.int64)
+    # [i, t]: the distance from the i-th member to block t's center
+    to_center = H.dist[np.ix_(members, center)]
+    farthest = np.maximum.reduceat(to_center, starts)
     moves = 0
     value = evaluate(H, C, violated_o)
     while moves < MOVES_PER_NODE * H.n and slack_violated(value, violated_o, delta, est):
-        centers = C.centers
-        # each node's distance to its own block's center
-        cost = {u: float(H.dist[u, centers[b]]) for u, b in C.assignment.items()}
-        total = sum(cost.values())
-        by_cost = sorted(cost.items(), key=lambda kv: -kv[1])
-        block_size = [0] * C.k
-        for b in C.assignment.values():
-            block_size[b] += 1
-        candidates: list[tuple[float, int, int, tuple[int, ...]]] = []
-        for atom in C.atoms:
-            src = C.assignment[atom[0]]
-            if block_size[src] == len(atom):
-                continue  # would empty the source block
-            if centers[src] in atom:
-                continue  # would strip the source block's center
-            # the largest cost left outside the atom
-            rest = next((c for u, c in by_cost if u not in atom), 0.0)
-            for target in range(C.k):
-                if target == src:
-                    continue
-                to_target = [float(H.dist[u, centers[target]]) for u in atom]
-                if violated_o.kind == KM:
-                    new_value = total + sum(d - cost[u] for u, d in zip(atom, to_target))
-                else:
-                    new_value = max(rest, max(to_target))
-                if new_value < value and not rel_close(new_value, value):
-                    candidates.append((new_value, min(atom), target, atom))
-
-        # (min(atom), target) is unique, so atoms are never compared
-        candidates.sort()
-        for new_value, _, target, atom in candidates:
-            moved = _apply_move(C, atom, target)
+        nodes, blocks = C.arrays()
+        label = np.empty(H.n, dtype=np.int64)
+        label[nodes] = blocks
+        cost = H.dist[np.arange(H.n), center[label]]
+        src = label[members[starts]]
+        # a move may neither empty its source block nor strip its center
+        movable = (np.bincount(blocks, minlength=C.k)[src] != sizes) & (
+            atom_at[center[src]] != np.arange(n_atoms)
+        )
+        if violated_o.kind == KM:
+            change = np.zeros((n_atoms, C.k))
+            np.add.at(change, atom_of, to_center - cost[members, None])
+            score = left_sum(cost[nodes]) + change
+        else:
+            top = np.maximum.reduceat(cost[members], starts)
+            # the two largest atom costs; 0.0 stands in for a missing one
+            second, first = np.sort(np.append(top, [0.0, 0.0]))[-2:]
+            rest = np.where(top == first, second, first)
+            score = np.maximum(rest[:, None], farthest)
+        # better, and not rel_close to the value
+        better = score < value
+        if math.isfinite(value):
+            tol = REL_TOL * np.maximum(max(1.0, abs(value)), np.abs(score))
+            better &= np.abs(score - value) > tol
+        a, t = np.nonzero(movable[:, None] & (np.arange(C.k) != src[:, None]) & better)
+        for i in np.lexsort((t, lowest[a], score[a, t])):
+            move = dict.fromkeys(C.atoms[a[i]], int(t[i]))
+            moved = replace(C, assignment={**C.assignment, **move})
             if not any(_slacks_violated(H, moved, state)):
-                C, value = moved, new_value
+                C, value = moved, float(score[a[i], t[i]])
                 moves += 1
                 break
         else:

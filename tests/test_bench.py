@@ -209,7 +209,8 @@ class TestReports:
             "error",
         ]
         assert len(rows) == 1 + len(records)
-        doc = json.load(open(os.path.join(outdir, "results.json")))
+        with open(os.path.join(outdir, "results.json")) as fh:
+            doc = json.load(fh)
         assert len(doc) == len(records)
 
     def test_svg_per_slack_and_objective(self, instance_path, tmp_path):
@@ -222,7 +223,8 @@ class TestReports:
         # 2 slack settings x 2 value columns
         assert len(written) == 4
         for p in written:
-            text = open(p).read()
+            with open(p) as fh:
+                text = fh.read()
             assert text.startswith("<svg")
             assert "polyline" in text
 
@@ -233,8 +235,8 @@ class TestReports:
         emit_report(run_experiment(cfg1), ("csv", "svg"), out1)
         emit_report(run_experiment(cfg2), ("csv", "svg"), out2)
         for name in sorted(os.listdir(out1)):
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
+            with open(os.path.join(out1, name), "rb") as fa, open(os.path.join(out2, name), "rb") as fb:
+                a, b = fa.read(), fb.read()
             if name == "results.csv":
                 # wall_ms differs between runs; compare everything else
                 strip = lambda blob: [

@@ -28,7 +28,8 @@ class TestGen:
     def test_writes_instance(self, tmp_path, capsys):
         out = str(tmp_path / "g.json")
         assert main(["gen", "--kind", "f", "--n", "12", "--seed", "3", "--output", out]) == 0
-        doc = json.load(open(out))
+        with open(out) as fh:
+            doc = json.load(fh)
         assert len(doc["nodes"]) == 12
         assert capsys.readouterr().out.strip() == out
 

@@ -167,6 +167,15 @@ def test_edges_are_canonical_rows():
     assert line_points([0, 1, 5], edge_threshold=4).edges.tolist() == [[0, 1], [1, 2]]
 
 
+def test_instance_is_unhashable_and_compares_by_value():
+    H = generate_instance("rs", 10, 0)
+    with pytest.raises(TypeError, match="unhashable type: 'GraphInstance'"):
+        hash(H)
+    assert H == generate_instance("rs", 10, 0)
+    assert H != generate_instance("rs", 10, 1)
+    assert H != line_points(range(10))
+
+
 @pytest.mark.parametrize("entry", [(7, 7), (-1, 0), (0, 3), (0, 1, 2), (0,), (0.0, 1.0), ("0", "1")])
 def test_bad_edge_entry_rejected(entry):
     with pytest.raises(InstanceError):

@@ -1,20 +1,23 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import explicit, line_points, neighbours
-from zeus_cluster.errors import ConfigError, DegenerateInputError
-from zeus_cluster.graph import make_instance
+from zeus_cluster.errors import ConfigError, DegenerateInputError, ZeusError
+from zeus_cluster.graph import BLUE, make_instance
 from zeus_cluster.objectives import (
     Clustering,
     ObjectiveSpec,
     OptimalEstimate,
     PairStructure,
     SlackVector,
+    blue_partners,
     eval_fairness,
     eval_kcenter,
+    eval_kmedian,
     eval_resource_sharing,
     eval_team_formation,
     evaluate,
@@ -54,9 +57,19 @@ class TestKCenter:
             eval_kcenter(H, Clustering({0: 0, 1: 0}, 1))
 
 
+def _kc_by_dict_loop(H, C):
+    worst = 0.0
+    for u, b in C.assignment.items():
+        worst = max(worst, H.dist[u, C.centers[b]])
+    return float(worst)
+
+
+def _km_by_dict_loop(H, C):
+    # np.float64 terms, added left to right in key order on every Python
+    return float(sum(H.dist[u, C.centers[b]] for u, b in C.assignment.items()))
+
+
 def _rs_by_dict_loop(H, C):
-    """Reference: the per-node loop over E-neighbours that
-    ``eval_resource_sharing`` ran before it worked on the edge array."""
     covered = 0
     for u in C.assignment:
         b = C.assignment[u]
@@ -65,17 +78,67 @@ def _rs_by_dict_loop(H, C):
     return covered / max(1, len(C.assignment))
 
 
+def _f_by_dict_loop(H, C, matched):
+    blue = [u for u in range(H.n) if H.colors[u] == BLUE]
+    partner = blue_partners(H, matched)
+    happy = sum(
+        1
+        for u in blue
+        if u in partner
+        and u in C.assignment
+        and C.assignment.get(partner[u]) == C.assignment[u]
+    )
+    return happy / len(blue)
+
+
+def _tf_by_dict_loop(H, C):
+    counts = [0] * C.k
+    for u in range(H.n):
+        if H.experts[u] and u in C.assignment:
+            counts[C.assignment[u]] += 1
+    if min(counts) == 0:
+        return math.inf
+    return max(counts) / min(counts)
+
+
+def _blocks_by_dict_loop(C):
+    out = [[] for _ in range(C.k)]
+    for u in sorted(C.assignment):
+        out[C.assignment[u]].append(u)
+    return out
+
+
 @st.composite
-def _rs_problems(draw):
-    """An instance on 1..12 nodes with any edge set, and an assignment of
-    any subset of its nodes, the empty one included, to k blocks."""
+def _problems(draw):
+    """An instance on 1..12 nodes at integer points of the plane, so that
+    its distances are square roots whose sums depend on their order, with
+    any edge set, colors and experts; an assignment of any subset of its
+    nodes, the empty one included, in any key order, to k blocks, each
+    centered at any node; and any set of matched pairs."""
     n = draw(st.integers(1, 12))
+    points = st.tuples(st.integers(0, 9), st.integers(0, 9))
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.lists(st.sampled_from(all_pairs), unique=True)) if all_pairs else []
+    some_pairs = st.lists(st.sampled_from(all_pairs), unique=True) if all_pairs else st.just([])
+    H = make_instance(
+        n,
+        "euclidean",
+        embeddings=draw(st.lists(points, min_size=n, max_size=n)),
+        edges=draw(some_pairs),
+        colors=draw(st.lists(st.sampled_from(["B", "P", None]), min_size=n, max_size=n)),
+        experts=draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+    )
     k = draw(st.integers(1, 4))
-    nodes = draw(st.sets(st.integers(0, n - 1)))
-    assignment = {u: draw(st.integers(0, k - 1)) for u in sorted(nodes)}
-    return line_points(range(n), edges=edges), assignment, k
+    nodes = draw(st.permutations(sorted(draw(st.sets(st.integers(0, n - 1))))))
+    C = Clustering(
+        {u: draw(st.integers(0, k - 1)) for u in nodes},
+        k,
+        centers={b: draw(st.integers(0, n - 1)) for b in range(k)},
+    )
+    return H, C, pairs(*draw(some_pairs))
+
+
+# Blue node 0 is matched to node 1; neither is assigned
+_UNASSIGNED_PAIR = explicit(np.ones((3, 3)) - np.eye(3), colors=["B", "P", "B"])
 
 
 class TestResourceSharing:
@@ -93,11 +156,27 @@ class TestResourceSharing:
         assert eval_resource_sharing(triangle, C) == pytest.approx(2 / 3)
 
     @settings(max_examples=300, deadline=None)
-    @given(_rs_problems())
+    @given(_problems())
+    @example((_UNASSIGNED_PAIR, Clustering({}, 1, centers={0: 0}), pairs((0, 1))))
+    @example((_UNASSIGNED_PAIR, Clustering({2: 0}, 1, centers={0: 0}), pairs((0, 1))))
     def test_matches_dict_loop(self, problem):
-        H, assignment, k = problem
-        C = Clustering(assignment, k)
+        """All five evaluators and ``blocks`` equal the per-node dict loops
+        they replaced, with fairness never counting an unassigned Blue node."""
+        H, C, matched = problem
+        assert eval_kcenter(H, C) == _kc_by_dict_loop(H, C)
+        assert eval_kmedian(H, C) == _km_by_dict_loop(H, C)
         assert eval_resource_sharing(H, C) == _rs_by_dict_loop(H, C)
+        if BLUE in H.colors:
+            assert eval_fairness(H, C, matched) == _f_by_dict_loop(H, C, matched)
+        else:
+            with pytest.raises(DegenerateInputError):
+                eval_fairness(H, C, matched)
+        if any(H.experts):
+            assert eval_team_formation(H, C) == _tf_by_dict_loop(H, C)
+        else:
+            with pytest.raises(DegenerateInputError):
+                eval_team_formation(H, C)
+        assert C.blocks() == _blocks_by_dict_loop(C)
 
 
 class TestFairness:
@@ -123,6 +202,11 @@ class TestFairness:
         H = self.make()
         C = Clustering({0: 0, 2: 0, 1: 1, 3: 0}, 2)
         assert eval_fairness(H, C, pairs((0, 2), (1, 3))) == 0.5
+
+    @pytest.mark.parametrize("assignment", [{}, {2: 0}])
+    def test_unassigned_blue_never_happy(self, assignment):
+        C = Clustering(assignment, 1)
+        assert eval_fairness(_UNASSIGNED_PAIR, C, pairs((0, 1))) == 0.0
 
     def test_no_blue_raises(self):
         H = make_instance(
@@ -283,3 +367,56 @@ def test_clustering_invariants_enforced():
     with pytest.raises(Exception):
         Clustering({0: 0, 1: 1}, 3).validate(2)  # empty block
     Clustering({0: 0, 1: 1}, 2, centers={0: 0, 1: 1}).validate(2)
+
+
+def _validate_by_loop(C, n):
+    """Reference: ``Clustering.validate`` as a walk over the assignment
+    dict and the atoms."""
+    if sorted(C.assignment) != list(range(n)):
+        raise ZeusError("assignment does not cover all nodes exactly once")
+    if any(not b for b in _blocks_by_dict_loop(C)):
+        raise ZeusError("finalized clustering has an empty block")
+    if C.centers is not None:
+        for b, c in C.centers.items():
+            if C.assignment.get(c) != b:
+                raise ZeusError(f"center {c} not inside its block {b}")
+    if len(C.atoms) != len(C.roots):
+        raise ZeusError("atoms/roots length mismatch")
+    for atom, root in zip(C.atoms, C.roots):
+        if root not in atom:
+            raise ZeusError(f"root {root} outside its atom {atom}")
+        blocks_hit = {C.assignment[u] for u in atom}
+        if len(blocks_hit) > 1:
+            raise ZeusError(f"atom {atom} spans blocks {sorted(blocks_hit)}")
+
+
+def _failure(check):
+    try:
+        check()
+    except ZeusError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _clusterings(draw):
+    """A node count, and a clustering of at most that many nodes into
+    blocks 0..k-1, with any centers and any atoms and roots."""
+    n = draw(st.integers(1, 8))
+    nodes = st.integers(0, n - 1)
+    k = draw(st.integers(1, 3))
+    covered = draw(st.one_of(st.just(set(range(n))), st.sets(nodes)))
+    assignment = {u: draw(st.integers(0, k - 1)) for u in draw(st.permutations(sorted(covered)))}
+    centers = draw(st.none() | st.dictionaries(st.integers(0, k - 1), nodes))
+    atoms = draw(st.lists(st.lists(nodes, min_size=1, max_size=3, unique=True).map(tuple), max_size=4))
+    # a root for each atom, mostly one of its members, and rarely one too many
+    roots = [draw(st.sampled_from(a) | nodes) for a in atoms]
+    roots += [0] * (draw(st.integers(0, 5)) == 0)
+    return n, Clustering(assignment, k, centers, tuple(atoms), tuple(roots))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_clusterings())
+def test_validate_matches_loop(problem):
+    n, C = problem
+    assert _failure(lambda: C.validate(n)) == _failure(lambda: _validate_by_loop(C, n))

@@ -1,7 +1,12 @@
+import dataclasses
+import functools
 import hashlib
 import json
+import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import line_points
 from zeus_cluster.baselines import baseline_b1, baseline_b2, consolidate_fragments
@@ -23,7 +28,9 @@ from zeus_cluster.objectives import (
     clustering_to_json,
     eval_kcenter,
     evaluate,
+    rel_close,
     singleton_clustering,
+    slack_violated,
 )
 from zeus_cluster import zeus
 from zeus_cluster.synth import generate_instance
@@ -447,3 +454,160 @@ class TestLocalSearchPinned:
             420,
             127,
         )
+
+
+def _sum_left_to_right(values):
+    # the order of the builtin sum of floats before Python 3.12
+    return functools.reduce(operator.add, values, 0)
+
+
+def _local_search_by_dict_loop(H, C, state, violated_o, delta, est):
+    """Reference: ``local_search`` as it walked the assignment dict and
+    scored each (atom, target) move in turn."""
+    moves = 0
+    value = evaluate(H, C, violated_o)
+    while moves < zeus.MOVES_PER_NODE * H.n and slack_violated(value, violated_o, delta, est):
+        centers = C.centers
+        cost = {u: float(H.dist[u, centers[b]]) for u, b in C.assignment.items()}
+        total = _sum_left_to_right(cost.values())
+        by_cost = sorted(cost.items(), key=lambda kv: -kv[1])
+        block_size = [0] * C.k
+        for b in C.assignment.values():
+            block_size[b] += 1
+        candidates = []
+        for atom in C.atoms:
+            src = C.assignment[atom[0]]
+            if block_size[src] == len(atom):
+                continue
+            if centers[src] in atom:
+                continue
+            rest = next((c for u, c in by_cost if u not in atom), 0.0)
+            for target in range(C.k):
+                if target == src:
+                    continue
+                to_target = [float(H.dist[u, centers[target]]) for u in atom]
+                if violated_o.kind == "km":
+                    new_value = total + _sum_left_to_right(
+                        d - cost[u] for u, d in zip(atom, to_target)
+                    )
+                else:
+                    new_value = max(rest, max(to_target))
+                if new_value < value and not rel_close(new_value, value):
+                    candidates.append((new_value, min(atom), target, atom))
+        candidates.sort()
+        for new_value, _, target, atom in candidates:
+            assign = dict(C.assignment)
+            for u in atom:
+                assign[u] = target
+            moved = dataclasses.replace(C, assignment=assign)
+            if not any(zeus._slacks_violated(H, moved, state)):
+                C, value = moved, new_value
+                moves += 1
+                break
+        else:
+            break
+    return C, moves
+
+
+def _lattice(w, h):
+    """A w x h integer lattice, E joining lattice neighbours, colored like
+    a checkerboard: distances tie everywhere."""
+    points = [(x, y) for y in range(h) for x in range(w)]
+    return make_instance(
+        len(points),
+        "euclidean",
+        embeddings=points,
+        edge_threshold=1.0,
+        colors=["B" if (x + y) % 2 else "P" for x, y in points],
+    )
+
+
+class TestLocalSearchReference:
+    """``local_search`` makes the same moves, in the same order, as the
+    per-move dict loop it replaced, on every call a Zeus run makes."""
+
+    @pytest.fixture
+    def moves_by_kind(self, monkeypatch):
+        real = zeus.local_search
+        moves = {"kc": 0, "km": 0}
+
+        def checked(H, C, state, o, delta, est):
+            got = real(H, C, state, o, delta, est)
+            want = _local_search_by_dict_loop(H, C, state, o, delta, est)
+            assert list(got[0].assignment.items()) == list(want[0].assignment.items())
+            assert got[1] == want[1]
+            moves[o.kind] += got[1]
+            return got
+
+        monkeypatch.setattr(zeus, "local_search", checked)
+        return moves
+
+    def test_pinned_grid(self, moves_by_kind):
+        assert _local_search_lines()[1] == 127
+        assert moves_by_kind["kc"] > 0 and moves_by_kind["km"] > 0
+
+    def test_tie_heavy_lattices(self, moves_by_kind):
+        lists = [
+            ((_O("rs"), _O("kc")), (0.5, 2)),
+            ((_O("rs"), _O("km")), (1, 2)),
+            ((_O("f"), _O("kc")), (0.5, 2)),
+            ((_O("f"), _O("km")), (1, 2)),
+            ((_O("kc"), _O("km")), (2, 2)),
+            ((_O("km"), _O("kc")), (2, 2)),
+        ]
+        for H in (_lattice(5, 5), _lattice(6, 4), _lattice(7, 7)):
+            for k in range(2, 8):
+                for opts in (MakeshiftOptions(), MakeshiftOptions(seed=1)):
+                    for objectives, slacks in lists:
+                        spec = ProblemSpec(
+                            objectives, SlackVector(slacks), k, opts,
+                            allow_infeasible_slack=True,
+                        )
+                        zeus_run(H, spec)
+        assert moves_by_kind["kc"] > 0 and moves_by_kind["km"] > 0
+
+
+@st.composite
+def _local_search_problems(draw):
+    """A clustering of 3..14 lattice points, so that distances and move
+    scores tie often, into k blocks around distinct centers, its atoms
+    each inside one block; the kind to repair, at an estimate no value
+    meets; and possibly the other kind processed at a slack the clustering
+    barely meets."""
+    n = draw(st.integers(3, 14))
+    points = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=n, max_size=n))
+    H = make_instance(n, "euclidean", embeddings=points)
+    k = draw(st.integers(2, min(n, 4)))
+    order = draw(st.permutations(range(n)))
+    centers = dict(enumerate(order[:k]))
+    assignment = {u: b for b, u in centers.items()}
+    assignment.update((u, draw(st.integers(0, k - 1))) for u in order[k:])
+    atoms = []
+    for b in range(k):
+        members = [u for u in order if assignment[u] == b]
+        while members:
+            size = draw(st.integers(1, min(3, len(members))))
+            atoms.append(tuple(members[:size]))
+            members = members[size:]
+    C = Clustering(assignment, k, centers, tuple(atoms), tuple(a[0] for a in atoms))
+    kind, other = draw(st.sampled_from([("kc", "km"), ("km", "kc")]))
+    processed = []
+    if draw(st.booleans()):
+        bound = OptimalEstimate("lower_bound", evaluate(H, C, _O(other)))
+        processed.append((_O(other), bound, draw(st.sampled_from([1.0, 1.1, 1.5]))))
+    state = PipelineState(clustering=C, processed=processed)
+    # at slack 2 the search stops below this share of the value, often
+    # after one of several moves that tie
+    share = draw(st.sampled_from([0.0, 0.6, 0.9, 0.97]))
+    est = OptimalEstimate("lower_bound", share * evaluate(H, C, _O(kind)) / 2)
+    return H, C, state, _O(kind), est
+
+
+@settings(max_examples=300, deadline=None)
+@given(_local_search_problems())
+def test_local_search_matches_dict_loop(problem):
+    H, C, state, o, est = problem
+    got = local_search(H, C, state, o, 2.0, est)
+    want = _local_search_by_dict_loop(H, C, state, o, 2.0, est)
+    assert list(got[0].assignment.items()) == list(want[0].assignment.items())
+    assert got[1] == want[1]
