@@ -2,20 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError
 from .graph import BLUE, GraphInstance
-from .makeshifts import (
-    MakeshiftOptions,
-    _block_one_center,
-    fairness_pairs,
-    makeshift_fairness_for,
-    makeshift_kcenter,
-    makeshift_rs,
-    makeshift_rs_gamma,
-    makeshift_tf,
-)
+from .makeshifts import MakeshiftOptions, _block_one_center, fairness_pairs, makeshift_kcenter
 from .objectives import (
     F,
     KC,
@@ -26,9 +19,9 @@ from .objectives import (
     PairStructure,
     atom_arrays,
     blue_partners,
-    left_sum,
     singleton_clustering,
 )
+from .zeus import run_makeshift
 
 
 def baseline_b2(H: GraphInstance, k: int, opts: MakeshiftOptions) -> Clustering:
@@ -39,23 +32,18 @@ def baseline_b2(H: GraphInstance, k: int, opts: MakeshiftOptions) -> Clustering:
 def baseline_b1(H: GraphInstance, spec) -> Clustering:
     """Optimize the first objective only, ignoring everything after it.
 
-    RS/F fragments are consolidated to exactly k blocks by repeatedly
-    merging the two blocks whose fragment roots are closest.
+    The first stage's makeshift sees the list ``(o1,)``, so ``tf`` always
+    picks its centers by balanced k-center; an ``f`` first objective keeps
+    the matching that the whole list defines. RS/F fragments are
+    consolidated to exactly k blocks by repeatedly merging the two blocks
+    whose fragment roots are closest.
     """
     o1 = spec.objectives[0]
     if o1.kind not in (RS, F, TF):
         raise ConfigError(f"B1 requires an RS, F, or TF first objective, got {o1.kind}")
-    if o1.kind == TF:
-        experts = {u for u in range(H.n) if H.experts[u]}
-        return makeshift_tf(H, experts, spec.k, spec.options)
-    if o1.kind == RS:
-        if o1.gamma > 1:
-            C, _ = makeshift_rs_gamma(H, singleton_clustering(H.n), o1.gamma)
-        else:
-            C, _ = makeshift_rs(H, singleton_clustering(H.n))
-    else:
-        C, _ = makeshift_fairness_for(H, spec.objectives)
-    return consolidate_fragments(H, C, spec.k)
+    objectives = spec.objectives if o1.kind == F else (o1,)
+    C, _, _ = run_makeshift(H, singleton_clustering(H.n), o1, objectives, spec.k, spec.options)
+    return C if o1.kind == TF else consolidate_fragments(H, C, spec.k)
 
 
 def consolidate_fragments(H: GraphInstance, C: Clustering, k: int) -> Clustering:
@@ -154,7 +142,7 @@ def baseline_moc_path(
             if o.kind == KC:
                 value = np.maximum(_others(radius, 0.0, True), merged_radius)
             elif o.kind == KM:
-                total = left_sum(kmcost)
+                total = math.fsum(kmcost.tolist())
                 value = total - kmcost[:, None] - kmcost[None, :] + merged_kmcost
             elif o.kind == RS:
                 covered = (near * member).sum(axis=1) > 0

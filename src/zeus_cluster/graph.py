@@ -116,9 +116,6 @@ def _build_instance(
     edge_threshold=None,
 ) -> GraphInstance:
     n = len(labels)
-    if len(set(labels)) != n:
-        dupes = sorted({x for x in labels if labels.count(x) > 1})
-        raise InstanceError(f"duplicate node id(s): {dupes}")
     if metric not in METRICS:
         raise InstanceError(f"unknown metric {metric!r}")
 

@@ -46,6 +46,7 @@ every swap would pick.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -54,7 +55,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateInputError, InfeasibleError
 from .graph import BLUE, PURPLE, GraphInstance
 from .objectives import F, KM, Clustering, ObjectiveSpec, PairStructure
-from .objectives import atom_arrays, group_by_block
+from .objectives import atom_arrays, check_positive_int, group_by_block
 
 CLOSEST_EXPERT = "closest_expert"
 CLOSEST_CENTER = "closest_center"
@@ -73,8 +74,11 @@ class MakeshiftOptions:
     def __post_init__(self):
         if self.nonexpert_rule not in (CLOSEST_EXPERT, CLOSEST_CENTER):
             raise ConfigError(f"unknown nonexpert_rule {self.nonexpert_rule!r}")
-        if not self.balance_radius_multiplier >= 1:  # also rejects NaN
-            raise ConfigError("balance_radius_multiplier must be a number >= 1")
+        mult = self.balance_radius_multiplier
+        if not (math.isfinite(mult) and mult >= 1):
+            raise ConfigError(
+                f"balance_radius_multiplier must be a finite number >= 1, got {mult}"
+            )
 
 
 def _atoms_of(C_in: Clustering, n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -328,8 +332,7 @@ def makeshift_rs_gamma(
     the cover, and the longest of them is the radius. Each component of
     the cover becomes one block, its atoms kept whole.
     """
-    if gamma < 1:
-        raise ConfigError("gamma must be a positive integer")
+    check_positive_int("gamma", gamma)
     rep_of, reps, nbr_count, rep, nbr = _rep_pairs(H, C_in)
     if (nbr_count < gamma).any():
         i = int(np.argmax(nbr_count < gamma))
@@ -495,8 +498,8 @@ def makeshift_fairness_ab(
     """Bottleneck alpha:beta Blue-saturating b-matching, by a search on the
     radius from its lower bound; alpha = beta = 1 is the plain fairness
     matching."""
-    if alpha < 1 or beta < 1:
-        raise ConfigError("alpha and beta must be positive integers")
+    check_positive_int("alpha", alpha)
+    check_positive_int("beta", beta)
     bp = _blue_purple(H)
     blue, _, rows, _, weights = bp
     radii = np.unique(weights)
@@ -559,23 +562,6 @@ def fairness_pairs(
     if not any(o.kind == F for o in objectives):
         return None
     return makeshift_fairness_for(H, objectives)[1]
-
-
-def makeshift_tf_for(
-    H: GraphInstance,
-    objectives: tuple[ObjectiveSpec, ...],
-    k: int,
-    opts: MakeshiftOptions,
-) -> Clustering:
-    """The ``tf`` makeshift for this objective list.
-
-    With a ``km`` objective the swap k-median chooses the expert centers;
-    otherwise balanced k-center does.
-    """
-    experts = {u for u in range(H.n) if H.experts[u]}
-    if any(o.kind == KM for o in objectives):
-        return makeshift_tf_kmedian(H, experts, k, opts)
-    return makeshift_tf(H, experts, k, opts)
 
 
 def _slot_graph(d: np.ndarray, within: np.ndarray):
@@ -698,11 +684,9 @@ def _extend_tf(
     else:
         label = _nearest_assignment(H, centers)
     label[experts] = expert_block
-    # the experts in the order of assign, then the others ascending
-    order = np.concatenate([experts, np.setdiff1d(np.arange(H.n), experts)])
 
     final_centers, members_of = _settle_centers(H, label, centers)
-    assignment = dict(zip(order.tolist(), label[order].tolist()))
+    assignment = dict(enumerate(label.tolist()))
     roots = tuple(final_centers[b] for b in range(k))
     C = Clustering(assignment, k, final_centers, tuple(map(tuple, members_of)), roots)
     C.validate(H.n)

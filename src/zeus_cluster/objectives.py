@@ -45,8 +45,7 @@ class Clustering:
     roots: tuple[int, ...] = ()
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The assigned nodes and their blocks, as int64 arrays in the
-        assignment's key order."""
+        """The assigned nodes and their blocks, as int64 arrays."""
         keys, values = self.assignment.keys(), self.assignment.values()
         return np.fromiter(keys, np.int64, len(keys)), np.fromiter(values, np.int64, len(keys))
 
@@ -105,11 +104,11 @@ def _labels(n: int, nodes: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return label
 
 
-def left_sum(values) -> float:
-    """The sum of ``values`` added left to right, 0.0 for none: the order
-    of the builtin ``sum`` of floats before Python 3.12, and not numpy's
-    pairwise ``sum``. The pinned k-median values depend on it."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+def check_positive_int(name: str, value) -> None:
+    """Raise ``ConfigError`` unless ``value`` is a Python or numpy integer,
+    not a bool, of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
 
 
 def singleton_clustering(n: int) -> Clustering:
@@ -146,8 +145,7 @@ class ObjectiveSpec:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown objective kind {self.kind!r}")
         for name in ("gamma", "alpha", "beta"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_positive_int(name, getattr(self, name))
 
     @property
     def maximize(self) -> bool:
@@ -201,8 +199,7 @@ def rel_close(a: float, b: float) -> bool:
 
 
 def center_distances(H: GraphInstance, C: Clustering, kind: str) -> np.ndarray:
-    """Each assigned node's distance to its own block's center, in the
-    assignment's key order."""
+    """Each assigned node's distance to its own block's center."""
     if C.centers is None:
         raise ZeusError(f"{kind} evaluation requires centers")
     nodes, blocks = C.arrays()
@@ -216,9 +213,9 @@ def eval_kcenter(H: GraphInstance, C: Clustering) -> float:
 
 
 def eval_kmedian(H: GraphInstance, C: Clustering) -> float:
-    """Sum of distances of nodes to their own block's center, added left
-    to right in the assignment's key order."""
-    return left_sum(center_distances(H, C, "k-median"))
+    """Sum of distances of nodes to their own block's center, correctly
+    rounded (``math.fsum``), so the order of the nodes does not matter."""
+    return math.fsum(center_distances(H, C, "k-median").tolist())
 
 
 def eval_resource_sharing(H: GraphInstance, C: Clustering) -> float:

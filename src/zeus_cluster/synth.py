@@ -85,6 +85,5 @@ def generate_instance(kind: str, n: int, seed: int) -> GraphInstance:
         edges=sorted(edges),
         colors=colors,
         experts=experts,
-        edge_threshold=r,
     )
 

@@ -18,7 +18,8 @@ from .makeshifts import (
     makeshift_kmedian,
     makeshift_rs,
     makeshift_rs_gamma,
-    makeshift_tf_for,
+    makeshift_tf,
+    makeshift_tf_kmedian,
 )
 from .objectives import (
     F,
@@ -33,7 +34,6 @@ from .objectives import (
     SlackVector,
     atom_arrays,
     evaluate,
-    left_sum,
     singleton_clustering,
     slack_violated,
 )
@@ -66,7 +66,6 @@ class ProblemSpec:
 class PipelineState:
     """Everything accumulated while the pipeline runs."""
 
-    clustering: Clustering
     # each processed objective with its estimated optimum and slack
     processed: list[tuple[ObjectiveSpec, OptimalEstimate, float]] = field(
         default_factory=list
@@ -86,26 +85,15 @@ def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineS
     """
     spec.validate()
     C = singleton_clustering(H.n)
-    state = PipelineState(clustering=C)
+    state = PipelineState()
 
     for i, (o, delta) in enumerate(zip(spec.objectives, spec.slacks.deltas)):
         t0 = time.perf_counter()
-        centers = None
-        if o.kind == RS:
-            if o.gamma > 1:
-                C, pairs = makeshift_rs_gamma(H, C, o.gamma)
-            else:
-                C, pairs = makeshift_rs(H, C)
+        C, pairs, centers = run_makeshift(H, C, o, spec.objectives, spec.k, spec.options)
+        if pairs is not None:
             state.pair_structures[i] = pairs
-        elif o.kind == F:
-            C, pairs = makeshift_fairness_for(H, spec.objectives)
-            state.pair_structures[i] = state.fairness_pairs = pairs
-        elif o.kind == KC:
-            C, centers = makeshift_kcenter(H, C, spec.k, spec.options)
-        elif o.kind == KM:
-            C = makeshift_kmedian(H, C, spec.k, spec.options)
-        else:  # tf
-            C = makeshift_tf_for(H, spec.objectives, spec.k, spec.options)
+        if o.kind == F:
+            state.fairness_pairs = pairs
 
         value = evaluate(H, C, o, pairs=state.fairness_pairs)
         est = estimate_optimal(H, o, value, spec.k, centers)
@@ -115,7 +103,6 @@ def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineS
             C, moves = local_search(H, C, state, o, delta, est)
             value = evaluate(H, C, o)
             violated = slack_violated(value, o, delta, est)
-        state.clustering = C
         state.processed.append((o, est, delta))
         state.trace.append(
             {
@@ -144,6 +131,49 @@ def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineS
             }
         )
     return C, state
+
+
+def run_makeshift(
+    H: GraphInstance,
+    C: Clustering,
+    o: ObjectiveSpec,
+    objectives: tuple[ObjectiveSpec, ...],
+    k: int,
+    opts: MakeshiftOptions,
+) -> tuple[Clustering, PairStructure | None, list[int] | None]:
+    """Run stage ``o``'s makeshift on ``C`` for the objective list
+    ``objectives``. Returns the clustering, the ``rs`` cover or ``f``
+    matching, and the ``kc`` Gonzalez centers (None where a stage has none).
+
+    ``rs`` builds the gamma-neighbour cover for ``gamma`` > 1; ``f`` uses the
+    matching the whole list defines; ``tf`` picks its expert centers by swap
+    k-median when the list holds ``km``, else by balanced k-center. ``f`` and
+    ``tf`` never read ``C``, so they can split an earlier ``rs`` stage's
+    stars; the others keep the atoms of ``C`` whole.
+
+    The makeshifts are looked up in this module at call time, so a tracer
+    that wraps ``zeus.makeshift_*`` sees every stage of ``zeus_run`` and
+    ``baseline_b1``.
+    """
+    pairs = centers = None
+    if o.kind == RS:
+        if o.gamma > 1:
+            C, pairs = makeshift_rs_gamma(H, C, o.gamma)
+        else:
+            C, pairs = makeshift_rs(H, C)
+    elif o.kind == F:
+        C, pairs = makeshift_fairness_for(H, objectives)
+    elif o.kind == KC:
+        C, centers = makeshift_kcenter(H, C, k, opts)
+    elif o.kind == KM:
+        C = makeshift_kmedian(H, C, k, opts)
+    else:  # tf
+        experts = {u for u in range(H.n) if H.experts[u]}
+        if any(x.kind == KM for x in objectives):
+            C = makeshift_tf_kmedian(H, experts, k, opts)
+        else:
+            C = makeshift_tf(H, experts, k, opts)
+    return C, pairs, centers
 
 
 def estimate_optimal(
@@ -196,9 +226,8 @@ def local_search(
     and these two leave atoms that partition the nodes.
 
     Each round scores every (atom, target) move at once. A ``km`` score is
-    the total cost, summed left to right in key order, plus the atom's
-    cost changes, summed in atom order. Moves are tried by score, then
-    lowest atom member, then target.
+    the exact total cost plus the atom's cost changes, summed in atom
+    order. Moves are tried by score, then lowest atom member, then target.
     """
     if violated_o.kind not in (KC, KM):
         raise ConfigError(
@@ -230,7 +259,7 @@ def local_search(
         if violated_o.kind == KM:
             change = np.zeros((n_atoms, C.k))
             np.add.at(change, atom_of, to_center - cost[members, None])
-            score = left_sum(cost[nodes]) + change
+            score = math.fsum(cost[nodes].tolist()) + change
         else:
             top = np.maximum.reduceat(cost[members], starts)
             # the two largest atom costs; 0.0 stands in for a missing one

@@ -195,6 +195,17 @@ class TestCluster:
         assert rc == 1
         assert "balance_radius_multiplier" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("objectives, slack", [("tf,kc", "2,3"), ("kc", "3")])
+    def test_inf_balance_multiplier_exit_1(self, tmp_path, objectives, slack, capsys):
+        path = tmp_path / "tf.json"
+        save_instance(generate_instance("tf", 20, 0), path)
+        rc = main(
+            ["cluster", "--input", str(path), "--objectives", objectives, "--slack", slack,
+             "--k", "2", "--balance-multiplier", "inf"]
+        )
+        assert rc == 1
+        assert "balance_radius_multiplier" in capsys.readouterr().err
+
     @pytest.mark.parametrize("slack", ["1,x", "1,nan"])
     def test_bad_slack_exit_1(self, rs_instance, slack, capsys):
         rc = main(

@@ -399,7 +399,30 @@ class TestBMatching:
         assert total == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("bad", [0, 1.5, True, "2"])
+def test_multiplicities_must_be_positive_integers(bad):
+    H = generate_instance("f", 12, 0)
+    with pytest.raises(ConfigError, match="gamma must be a positive integer"):
+        makeshift_rs_gamma(H, singleton_clustering(H.n), bad)
+    with pytest.raises(ConfigError, match="alpha must be a positive integer"):
+        makeshift_fairness_ab(H, bad, 1)
+    with pytest.raises(ConfigError, match="beta must be a positive integer"):
+        makeshift_fairness_ab(H, 1, bad)
+
+
+def test_numpy_integer_multiplicities_accepted():
+    H = generate_instance("f", 12, 0)
+    assert makeshift_fairness_ab(H, np.int32(1), np.int64(2)) == makeshift_fairness_ab(H, 1, 2)
+    C = singleton_clustering(H.n)
+    assert makeshift_rs_gamma(H, C, np.int64(2)) == makeshift_rs_gamma(H, C, 2)
+
+
 class TestBalancedKCenter:
+    @pytest.mark.parametrize("multiplier", [float("nan"), float("inf"), 0.5])
+    def test_multiplier_must_be_finite_and_at_least_one(self, multiplier):
+        with pytest.raises(ConfigError, match="balance_radius_multiplier"):
+            MakeshiftOptions(balance_radius_multiplier=multiplier)
+
     def test_experts_equal_k_zero_radius(self):
         # every expert is a center: every expert-to-center threshold is 0
         H = line_points([0, 5, 9])

@@ -65,8 +65,7 @@ def _kc_by_dict_loop(H, C):
 
 
 def _km_by_dict_loop(H, C):
-    # np.float64 terms, added left to right in key order on every Python
-    return float(sum(H.dist[u, C.centers[b]] for u, b in C.assignment.items()))
+    return math.fsum(float(H.dist[u, C.centers[b]]) for u, b in C.assignment.items())
 
 
 def _rs_by_dict_loop(H, C):
@@ -109,14 +108,15 @@ def _blocks_by_dict_loop(C):
 
 
 @st.composite
-def _problems(draw):
-    """An instance on 1..12 nodes at integer points of the plane, so that
-    its distances are square roots whose sums depend on their order, with
-    any edge set, colors and experts; an assignment of any subset of its
-    nodes, the empty one included, in any key order, to k blocks, each
-    centered at any node; and any set of matched pairs."""
+def _problems(draw, coordinate=st.integers(0, 9)):
+    """An instance on 1..12 nodes at points of the plane, by default
+    integer points, so that its distances are square roots whose sums
+    depend on their order, with any edge set, colors and experts; an
+    assignment of any subset of its nodes, the empty one included, in any
+    key order, to k blocks, each centered at any node; and any set of
+    matched pairs."""
     n = draw(st.integers(1, 12))
-    points = st.tuples(st.integers(0, 9), st.integers(0, 9))
+    points = st.tuples(coordinate, coordinate)
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     some_pairs = st.lists(st.sampled_from(all_pairs), unique=True) if all_pairs else st.just([])
     H = make_instance(
@@ -135,6 +135,37 @@ def _problems(draw):
         centers={b: draw(st.integers(0, n - 1)) for b in range(k)},
     )
     return H, C, pairs(*draw(some_pairs))
+
+
+def _evaluations(H, C, matched):
+    """Each evaluator's value as exact hex digits, or its error's name."""
+    out = []
+    for evaluator in (
+        eval_kcenter,
+        eval_kmedian,
+        eval_resource_sharing,
+        lambda H, C: eval_fairness(H, C, matched),
+        eval_team_formation,
+    ):
+        try:
+            out.append(float.hex(evaluator(H, C)))
+        except DegenerateInputError as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_problems(), _problems(st.floats(0, 1, allow_subnormal=False))),
+    st.data(),
+)
+def test_key_order_does_not_change_values(problem, data):
+    """Every evaluator gives bit-identical values however the assignment's
+    keys are ordered, on lattice points and on random points."""
+    H, C, matched = problem
+    items = data.draw(st.permutations(list(C.assignment.items())))
+    shuffled = Clustering(dict(items), C.k, C.centers)
+    assert _evaluations(H, shuffled, matched) == _evaluations(H, C, matched)
 
 
 # Blue node 0 is matched to node 1; neither is assigned
@@ -349,10 +380,15 @@ class TestEstimateOptimal:
 @pytest.mark.parametrize(
     "kind, field", [("rs", "gamma"), ("f", "alpha"), ("f", "beta")]
 )
-@pytest.mark.parametrize("bad", [0, -3])
+@pytest.mark.parametrize("bad", [0, -3, 1.5, True, "2"])
 def test_multiplicity_below_one_rejected(kind, field, bad):
+    """Only integers of at least 1 pass, not floats, bools or strings."""
     with pytest.raises(ConfigError, match=field):
         ObjectiveSpec(kind, **{field: bad})
+
+
+def test_numpy_integer_multiplicity_accepted():
+    assert ObjectiveSpec("rs", gamma=np.int64(2)).gamma == 2
 
 
 def test_evaluation_is_pure(triangle):

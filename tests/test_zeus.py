@@ -175,7 +175,7 @@ class TestLocalSearch:
         H, C = self.make_bad_clustering()
         o = ObjectiveSpec("kc")
         est = OptimalEstimate("lower_bound", 1.0)
-        state = PipelineState(clustering=C)
+        state = PipelineState()
         fixed, moves = local_search(H, C, state, o, 2.0, est)
         assert moves == 1
         assert eval_kcenter(H, fixed) == 1.0
@@ -185,7 +185,7 @@ class TestLocalSearch:
         o = ObjectiveSpec("kc")
         before = eval_kcenter(H, C)
         est = OptimalEstimate("lower_bound", 1.0)
-        state = PipelineState(clustering=C)
+        state = PipelineState()
         fixed, _ = local_search(H, C, state, o, 2.0, est)
         assert eval_kcenter(H, fixed) <= before
 
@@ -194,7 +194,7 @@ class TestLocalSearch:
         H, C = self.make_bad_clustering()
         o = ObjectiveSpec("kc")
         est = OptimalEstimate("lower_bound", 0.01)
-        state = PipelineState(clustering=C)
+        state = PipelineState()
         fixed, moves = local_search(H, C, state, o, 2.0, est)
         assert moves == 0
         assert fixed.assignment == C.assignment
@@ -210,7 +210,7 @@ class TestLocalSearch:
         )
         o = ObjectiveSpec("kc")
         est = OptimalEstimate("lower_bound", 0.1)
-        state = PipelineState(clustering=C)
+        state = PipelineState()
         fixed, _ = local_search(H, C, state, o, 2.0, est)
         assert set(fixed.assignment.values()) == {0, 1}
 
@@ -227,7 +227,7 @@ class TestLocalSearch:
         )
         kc, km = ObjectiveSpec("kc"), ObjectiveSpec("km")
         est = OptimalEstimate("lower_bound", 1.0)
-        free = PipelineState(clustering=C)
+        free = PipelineState()
         moved, moves = local_search(H, C, free, kc, 2.0, est)
         assert moves == 1 and moved.assignment[2] == moved.assignment[3] == 1
         km_before = evaluate(H, C, km)
@@ -235,14 +235,14 @@ class TestLocalSearch:
 
         # with km processed at exactly its slack, the one move is refused
         km_est = OptimalEstimate("lower_bound", km_before)
-        bound = PipelineState(clustering=C, processed=[(km, km_est, 1.0)])
+        bound = PipelineState(processed=[(km, km_est, 1.0)])
         kept, moves = local_search(H, C, bound, kc, 2.0, est)
         assert moves == 0 and kept.assignment == C.assignment
 
     @pytest.mark.parametrize("kind", ["rs", "f", "tf"])
     def test_serves_kc_and_km_only(self, kind):
         H, C = self.make_bad_clustering()
-        state = PipelineState(clustering=C)
+        state = PipelineState()
         est = OptimalEstimate("exact", 1.0)
         with pytest.raises(ConfigError, match="kc and km only"):
             local_search(H, C, state, ObjectiveSpec(kind), 1.0, est)
@@ -331,6 +331,39 @@ class TestDispatchRoutes:
             counts = [sum(1 for u in b if u in X) for b in out.blocks()]
             assert max(counts) - min(counts) <= 1
 
+    @pytest.mark.parametrize(
+        "kind, objectives, zeus_calls, b1_calls",
+        [
+            ("rs", ("rs", "kc"), ["rs", "kcenter"], ["rs"]),
+            ("rs", (ObjectiveSpec("rs", gamma=2), "km"), ["rs_gamma", "kmedian"], ["rs_gamma"]),
+            ("f", ("f", "km"), ["fairness_for", "kmedian"], ["fairness_for"]),
+            ("tf", ("tf", "km"), ["tf_kmedian", "kmedian"], ["tf"]),
+            ("tf", ("tf", "kc"), ["tf", "kcenter"], ["tf"]),
+        ],
+    )
+    def test_stages_reach_makeshifts_through_zeus(
+        self, monkeypatch, kind, objectives, zeus_calls, b1_calls
+    ):
+        """Zeus and B1 look every makeshift up in ``zeus`` at call time, so
+        a tracer that wraps ``zeus.makeshift_*`` sees each one they run."""
+        calls = []
+        for name in ("rs", "rs_gamma", "fairness_for", "kcenter", "kmedian", "tf", "tf_kmedian"):
+            def recorded(*args, _name=name, _real=getattr(zeus, f"makeshift_{name}"), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(zeus, f"makeshift_{name}", recorded)
+        objectives = tuple(
+            o if isinstance(o, ObjectiveSpec) else ObjectiveSpec(o) for o in objectives
+        )
+        spec = ProblemSpec(objectives, SlackVector((1.0, 5.0)), 1, allow_infeasible_slack=True)
+        # seed 4 is the first whose 20 nodes all have two E-neighbours
+        H = generate_instance(kind, 20, 4)
+        zeus_run(H, spec)
+        assert calls == zeus_calls
+        calls.clear()
+        baseline_b1(H, spec)
+        assert calls == b1_calls
 
 _O = ObjectiveSpec
 # objective lists and slacks per instance kind
@@ -409,7 +442,7 @@ class TestPipelinePinned:
         lines = _pinned_lines()
         digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
         assert (digest.hexdigest(), len(lines)) == (
-            "ef3b3ab5d3d05e03085d10c55e48443c1e0955a21bdd67cab4dbafd5dc05b6f1",
+            "7695008114d6d4eb4019adf17f77825b06b57e28b6a2e9cb4cb10258a1b180a9",
             2612,
         )
 
@@ -450,7 +483,7 @@ class TestLocalSearchPinned:
         lines, moves = _local_search_lines()
         digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
         assert (digest.hexdigest(), len(lines), moves) == (
-            "39c78eb6534823425ac854dfa991bc61a0d60a249d48d151f206f7176f3a9fa9",
+            "ab70d27d100605aaed426dfd174e413218e2ed44c9b1df95e2a9c096ea4c79b3",
             420,
             127,
         )
@@ -595,7 +628,7 @@ def _local_search_problems(draw):
     if draw(st.booleans()):
         bound = OptimalEstimate("lower_bound", evaluate(H, C, _O(other)))
         processed.append((_O(other), bound, draw(st.sampled_from([1.0, 1.1, 1.5]))))
-    state = PipelineState(clustering=C, processed=processed)
+    state = PipelineState(processed=processed)
     # at slack 2 the search stops below this share of the value, often
     # after one of several moves that tie
     share = draw(st.sampled_from([0.0, 0.6, 0.9, 0.97]))
