@@ -19,6 +19,7 @@ from .objectives import (
     PairStructure,
     atom_arrays,
     blue_partners,
+    check_positive_int,
     singleton_clustering,
 )
 from .zeus import run_makeshift
@@ -97,89 +98,141 @@ def baseline_moc_path(
     negated); ties go to the first pair in creation order. The merge
     sequence is nested, so one pass yields the clustering at every
     requested k.
+
+    The live blocks sit at positions 0..B-1 in creation order. Each
+    objective keeps what its candidate values are made of and updates it
+    on each merge instead of rebuilding it: ``kc`` the merged 1-center
+    radii, from each node's distance to the farthest member of each block;
+    ``km`` the merged 1-median costs; ``rs`` the covered nodes and, per
+    pair of blocks, the uncovered nodes their merge would cover; ``f`` the
+    matched pairs split between two blocks; ``tf`` the expert counts. Each
+    pair table is a symmetric B x B table in an n x n buffer. A merge of i
+    and j closes up its rows and columns i and j and appends the merged
+    block's row, the only one computed anew. A round then does O(B^2)
+    array work for its scores, and O(n) plus the merged block's rows of
+    the eccentricity and E tables for its update.
     """
     if len(objectives) != 2:
         raise ConfigError("the MOC baseline requires exactly two objectives")
+    ks = list(ks)
+    for k in ks:
+        check_positive_int("k", k)
     if pairs is None:
         pairs = fairness_pairs(H, objectives)
     wanted = sorted(set(ks))
-    if not wanted or wanted[0] < 1 or wanted[-1] > H.n:
+    if not wanted or wanted[-1] > H.n:
         raise ConfigError(f"k values must lie in 1..{H.n}")
     n = H.n
     kinds = {o.kind for o in objectives}
-    # live blocks in creation order, each with its sorted members, 1-center
-    # radius, 1-median cost, expert count and node-membership column
+    # live blocks in creation order, each with its sorted members, and the
+    # slot that labels it in node_slot and the eccentricity columns
     blocks = [[u] for u in range(n)]
-    experts = np.array(H.experts, dtype=float)
-    member = np.eye(n)
+    slot = np.arange(n)
+    node_slot = np.arange(n)
+    tri = np.triu(np.ones((n, n), dtype=bool), 1)
     if KC in kinds:
         radius = np.zeros(n)
-        # [i, j] for i < j: 1-center radius of i and j merged
+        # [i, j]: 1-center radius of i and j merged
         merged_radius = H.dist.copy()
-        # [c, i]: the distance from node c to the farthest member of block i
+        # [c, s]: the distance from node c to the farthest member of the
+        # block in slot s, and [c]: that of c's own block
         ecc = H.dist.copy()
+        own = np.zeros(n)
     if KM in kinds:
         kmcost = np.zeros(n)
         merged_kmcost = H.dist.copy()
-    # [u, i]: E-neighbours of node u in block i
-    near = np.zeros((n, n))
-    u, v = H.edges.T
-    near[u, v] = near[v, u] = 1.0
-    partner = blue_partners(H, pairs) if pairs is not None else {}
-    blue, purple = list(partner), list(partner.values())
-    n_blue = max(1, sum(1 for c in H.colors if c == BLUE))
+    if RS in kinds:
+        # covered: the nodes with an E-neighbour in their own block;
+        # [i, j]: uncovered nodes of i with an E-neighbour in j, plus those
+        # of j with one in i; near: E as a node x node table
+        covered = np.zeros(n, dtype=bool)
+        gain = np.zeros((n, n))
+        near = np.zeros((n, n), dtype=bool)
+        u, v = H.edges.T
+        gain[u, v] = gain[v, u] = 2.0
+        near[u, v] = near[v, u] = True
+    if F in kinds:
+        # [i, j]: matched Blue-Purple pairs split between i and j, and the
+        # pairs inside one block
+        partner = blue_partners(H, pairs)
+        split = np.zeros((n, n))
+        blue, purple = list(partner), list(partner.values())
+        split[blue, purple] = split[purple, blue] = 1.0
+        together = 0.0
+        n_blue = max(1, sum(1 for c in H.colors if c == BLUE))
+    if TF in kinds:
+        experts = np.array(H.experts, dtype=float)
     out: dict[int, Clustering] = {}
     while True:
-        if len(blocks) in wanted:
-            out[len(blocks)] = _centered_blocks(H, blocks)
-        if len(blocks) == wanted[0]:
+        B = len(blocks)
+        if B in wanted:
+            out[B] = _centered_blocks(H, blocks)
+        if B == wanted[0]:
             return out
-        upper = np.triu_indices(len(blocks), 1)
+        # the upper triangle, row by row, as np.triu_indices lists it
+        upper = tri[:B, :B]
         score = None
         # [i, j]: the objective's value for the whole clustering after
         # merging i and j
         for o in objectives:
             if o.kind == KC:
-                value = np.maximum(_others(radius, 0.0, True), merged_radius)
+                value = _with_others(merged_radius[:B, :B], radius, np.maximum, 0.0)[upper]
             elif o.kind == KM:
                 total = math.fsum(kmcost.tolist())
-                value = total - kmcost[:, None] - kmcost[None, :] + merged_kmcost
+                value = total - kmcost[:, None] - kmcost[None, :] + merged_kmcost[:B, :B]
+                value = value[upper]
             elif o.kind == RS:
-                covered = (near * member).sum(axis=1) > 0
-                # [i, j]: uncovered nodes of block i with an E-neighbour in j
-                gain = member[~covered].T @ (near[~covered] > 0)
-                value = (covered.sum() + gain + gain.T) / n
+                value = (covered.sum() + gain[:B, :B][upper]) / n
             elif o.kind == F:
-                home = member[blue].T @ member[purple]
-                value = (np.trace(home) + home + home.T) / n_blue
+                value = (together + split[:B, :B][upper]) / n_blue
             else:  # tf
                 pair = experts[:, None] + experts[None, :]
-                hi = np.maximum(_others(experts, -np.inf, True), pair)
-                lo = np.minimum(_others(experts, np.inf, False), pair)
+                hi = _with_others(pair, experts, np.maximum, -np.inf)[upper]
+                lo = _with_others(pair, experts, np.minimum, np.inf)[upper]
                 value = np.divide(hi, lo, out=np.full(lo.shape, np.inf), where=lo > 0)
-            norm = _normalized(value[upper], o.maximize)
+            norm = _normalized(value, o.maximize)
             score = norm if score is None else score + norm
-        best = int(np.argmin(score))
-        i, j = int(upper[0][best]), int(upper[1][best])
-        keep = [x for x in range(len(blocks)) if x != i and x != j]
+        i, j = _upper_pair(B, int(np.argmin(score)))
         merged = sorted(blocks[i] + blocks[j])
-        blocks = [blocks[x] for x in keep] + [merged]
-        experts = np.append(experts[keep], experts[i] + experts[j])
-        member = np.column_stack((member[:, keep], member[:, i] + member[:, j]))
-        near = np.column_stack((near[:, keep], near[:, i] + near[:, j]))
+        del blocks[j], blocks[i]
+        blocks.append(merged)
+        members = np.array(merged)
+        si, sj = slot[i], slot[j]
+        slot = _without(slot, i, j, si)
+        node_slot[members] = si
+        older = slot[:-1]
         if KC in kinds:
-            radius = np.append(radius[keep], merged_radius[i, j])
-            ecc = np.column_stack((ecc[:, keep], np.maximum(ecc[:, i], ecc[:, j])))
-            # the merged block with each older one: the least eccentricity
-            # over the nodes of both
-            inside = (member[:, :-1] + member[:, -1:]) > 0
-            reach = np.maximum(ecc[:, :-1], ecc[:, -1:])
-            new_radius = np.where(inside, reach, np.inf).min(axis=0)
-            merged_radius = _bordered(merged_radius[np.ix_(keep, keep)], new_radius)
+            radius = _without(radius, i, j, merged_radius[i, j])
+            np.maximum(ecc[:, si], ecc[:, sj], out=ecc[:, si])
+            own[members] = ecc[members, si]
+            # the merged block with each older one: the least, over the
+            # nodes of both, of the larger eccentricity to either
+            reach = np.full(n, np.inf)
+            np.minimum.at(reach, node_slot, np.maximum(ecc[:, si], own))
+            inside = np.maximum(ecc[members[:, None], older], own[members][:, None])
+            inside = inside.min(axis=0)
+            _close_up(merged_radius, B, i, j, np.minimum(reach[older], inside))
         if KM in kinds:
-            kmcost = np.append(kmcost[keep], merged_kmcost[i, j])
-            new_kmcost = _merged_one_median(H, blocks)
-            merged_kmcost = _bordered(merged_kmcost[np.ix_(keep, keep)], new_kmcost)
+            kmcost = _without(kmcost, i, j, merged_kmcost[i, j])
+            _close_up(merged_kmcost, B, i, j, _merged_one_median(H, blocks))
+        if RS in kinds:
+            at, to = np.nonzero(near[members])
+            frm = members[at]
+            covered[frm[node_slot[to] == si]] = True
+            leave = (node_slot[to] != si) & ~covered[frm]
+            # uncovered members by the blocks of their neighbours, and
+            # uncovered outside nodes with a neighbour among the members
+            hits = np.unique(frm[leave] * n + node_slot[to[leave]]) % n
+            reached = np.zeros(n, dtype=bool)
+            reached[to[~covered[to] & (node_slot[to] != si)]] = True
+            counts = np.bincount(hits, minlength=n)
+            counts += np.bincount(node_slot[reached], minlength=n)
+            _close_up(gain, B, i, j, counts[older])
+        if F in kinds:
+            together += split[i, j]
+            _close_up(split, B, i, j, _without(split[i, :B] + split[j, :B], i, j))
+        if TF in kinds:
+            experts = _without(experts, i, j, experts[i] + experts[j])
 
 
 def _merged_one_median(H: GraphInstance, blocks: list[list[int]]) -> np.ndarray:
@@ -199,31 +252,59 @@ def _merged_one_median(H: GraphInstance, blocks: list[list[int]]) -> np.ndarray:
     return out
 
 
-def _others(v: np.ndarray, empty: float, largest: bool) -> np.ndarray:
-    """[i, j]: the largest (or smallest) entry of v other than v[i] and v[j]."""
-    order = np.argsort(-v if largest else v, kind="stable")
+def _with_others(pair: np.ndarray, v: np.ndarray, op, empty: float) -> np.ndarray:
+    """[i, j]: op (np.maximum or np.minimum) of pair[i, j] and the largest
+    (or smallest) entry of v other than v[i] and v[j].
+
+    Only the top three entries of v matter. With a and b the positions of
+    the first two, pairs without a take the first, a's row and column the
+    second, and the pair (a, b) the third.
+    """
+    order = np.argsort(-v if op is np.maximum else v, kind="stable")
     top = [v[t] for t in order[:3]] + [empty] * 2
     a, b = order[0], order[1]
-    out = np.full((len(v), len(v)), top[0])
-    out[a, :] = out[:, a] = top[1]
-    out[a, b] = out[b, a] = top[2]
+    out = op(pair, top[0])
+    out[a] = op(pair[a], top[1])
+    out[:, a] = op(pair[:, a], top[1])
+    out[a, b] = out[b, a] = op(pair[a, b], top[2])
     return out
 
 
 def _normalized(value: np.ndarray, maximize: bool) -> np.ndarray:
     """Min-max scale over the finite values; +inf becomes an off-scale 2."""
-    infinite = value == np.inf
-    finite = value[~infinite]
-    lo, hi = (finite.min(), finite.max()) if finite.size else (0.0, 0.0)
+    lo, hi = value.min(), value.max()
+    infinite = None
+    if hi == np.inf:
+        infinite = value == np.inf
+        finite = value[~infinite]
+        lo, hi = (finite.min(), finite.max()) if finite.size else (0.0, 0.0)
     norm = (value - lo) / (hi - lo) if hi != lo else np.zeros(len(value))
-    norm[infinite] = 2.0
+    if infinite is not None:
+        norm[infinite] = 2.0
     return -norm if maximize else norm
 
 
-def _bordered(square: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """square with column appended as a last column and row."""
-    out = np.zeros((len(column) + 1, len(column) + 1))
-    out[:-1, :-1] = square
-    out[:-1, -1] = out[-1, :-1] = column
-    return out
+def _upper_pair(B: int, t: int) -> tuple[int, int]:
+    """The (i, j) of entry t of the B x B upper triangle, read row by row.
 
+    Row B - 2 - m holds m + 1 entries, so the entry r-th from the end lies
+    in the row m with m(m + 1)/2 <= r < (m + 1)(m + 2)/2.
+    """
+    m = (math.isqrt(8 * (B * (B - 1) // 2 - 1 - t) + 1) - 1) // 2
+    i = B - 2 - m
+    return i, t - i * (2 * B - i - 1) // 2 + i + 1
+
+
+def _without(v: np.ndarray, i: int, j: int, *last) -> np.ndarray:
+    """v without entries i < j, followed by the values last."""
+    return np.concatenate((v[:i], v[i + 1 : j], v[j + 1 :], last))
+
+
+def _close_up(T: np.ndarray, B: int, i: int, j: int, row: np.ndarray) -> None:
+    """Drop rows and columns i < j of the symmetric table T[:B, :B],
+    keeping the order of the rest, and put row last as a row and column."""
+    T[i : j - 1, :B] = T[i + 1 : j, :B]
+    T[j - 1 : B - 2, :B] = T[j + 1 : B, :B]
+    T[: B - 2, i : j - 1] = T[: B - 2, i + 1 : j]
+    T[: B - 2, j - 1 : B - 2] = T[: B - 2, j + 1 : B]
+    T[B - 2, : B - 2] = T[: B - 2, B - 2] = row

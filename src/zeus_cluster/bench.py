@@ -24,6 +24,7 @@ from .objectives import (
     SlackVector,
     clustering_to_json,
     evaluate,
+    is_integer,
 )
 from .oracle import oracle_lmoc
 from .zeus import ProblemSpec, zeus_run
@@ -49,8 +50,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.ks:
             raise ConfigError("k range must be non-empty")
+        if not all(is_integer(k) for k in self.ks):
+            raise ConfigError(f"k values must be integers, got {self.ks}")
         if min(self.ks) < 1:
             raise ConfigError("k values must be at least 1")
+        if not all(is_integer(s) for s in self.seeds):
+            raise ConfigError(f"seeds must be integers, got {self.seeds}")
         if not self.algorithms:
             raise ConfigError("algorithm list must be non-empty")
         for a in self.algorithms:
@@ -76,8 +81,8 @@ def config_from_data(data: dict) -> ExperimentConfig:
             instance_path=data["instance"],
             objectives=objectives,
             slacks=tuple(tuple(float(x) for x in s) for s in data["slacks"]),
-            ks=tuple(int(k) for k in ks),
-            seeds=tuple(int(s) for s in data.get("seeds", [0])),
+            ks=tuple(ks),
+            seeds=tuple(data.get("seeds", [0])),
             algorithms=tuple(data.get("algorithms", ["zeus", "b1", "b2"])),
             output_dir=data.get("output", "bench-out"),
             formats=tuple(data.get("formats", ["csv", "json"])),

@@ -104,10 +104,15 @@ def _labels(n: int, nodes: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return label
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_positive_int(name: str, value) -> None:
-    """Raise ``ConfigError`` unless ``value`` is a Python or numpy integer,
-    not a bool, of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    """Raise ``ConfigError`` unless ``value`` is an integer (``is_integer``)
+    of at least 1."""
+    if not is_integer(value) or value < 1:
         raise ConfigError(f"{name} must be a positive integer, got {value!r}")
 
 

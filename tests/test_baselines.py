@@ -1,18 +1,26 @@
 import hashlib
 import itertools
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import explicit, line_points
 from zeus_cluster.baselines import (
+    _centered_blocks,
+    _merged_one_median,
     baseline_b1,
     baseline_b2,
     baseline_moc_path,
     consolidate_fragments,
 )
 from zeus_cluster.errors import ConfigError, InfeasibleError, ZeusError
+from zeus_cluster.graph import BLUE
 from zeus_cluster.makeshifts import (
     MakeshiftOptions,
+    fairness_pairs,
     makeshift_fairness_ab,
     makeshift_rs,
 )
@@ -20,6 +28,7 @@ from zeus_cluster.objectives import (
     Clustering,
     ObjectiveSpec,
     SlackVector,
+    blue_partners,
     clustering_to_json,
     eval_kcenter,
     eval_resource_sharing,
@@ -216,12 +225,156 @@ class TestMoc:
         with pytest.raises(ConfigError):
             moc(H, ["kc"], 2)
 
+    @pytest.mark.parametrize("bad", [2.5, True, np.float64(2.0)])
+    def test_non_integer_k_rejected(self, bad):
+        H = line_points([0, 2, 5])
+        objectives = (ObjectiveSpec("rs"), ObjectiveSpec("kc"))
+        with pytest.raises(ConfigError, match="k must be a positive integer"):
+            baseline_moc_path(H, objectives, [2, bad])
+
+    def test_numpy_integer_k(self):
+        H = line_points([0, 2, 5])
+        objectives = (ObjectiveSpec("rs"), ObjectiveSpec("kc"))
+        path = baseline_moc_path(H, objectives, [np.int64(2)])
+        assert path[2].k == 2
+
     def test_two_objective_check_before_k_range(self):
         H = line_points([0, 2, 5])
         with pytest.raises(ConfigError, match="exactly two objectives"):
             moc(H, ["kc"], 9)
         with pytest.raises(ConfigError, match=r"k values must lie in 1\.\.3"):
             moc(H, ["rs", "kc"], 9)
+
+
+def rebuild_moc_path(H, objectives, ks, pairs=None):
+    """The reference MOC loop: each round rebuilds every candidate table
+    from n x B membership, neighbour and eccentricity columns, and takes
+    the first least score over np.triu_indices."""
+    if pairs is None:
+        pairs = fairness_pairs(H, objectives)
+    wanted = sorted(set(ks))
+    n = H.n
+    kinds = {o.kind for o in objectives}
+    blocks = [[u] for u in range(n)]
+    experts = np.array(H.experts, dtype=float)
+    member = np.eye(n)
+    radius, merged_radius, ecc = np.zeros(n), H.dist.copy(), H.dist.copy()
+    kmcost, merged_kmcost = np.zeros(n), H.dist.copy()
+    near = np.zeros((n, n))
+    u, v = H.edges.T
+    near[u, v] = near[v, u] = 1.0
+    partner = blue_partners(H, pairs) if pairs is not None else {}
+    blue, purple = list(partner), list(partner.values())
+    n_blue = max(1, sum(1 for c in H.colors if c == BLUE))
+    out = {}
+    while True:
+        if len(blocks) in wanted:
+            out[len(blocks)] = _centered_blocks(H, blocks)
+        if len(blocks) == wanted[0]:
+            return out
+        upper = np.triu_indices(len(blocks), 1)
+        score = None
+        for o in objectives:
+            if o.kind == "kc":
+                value = np.maximum(_ref_others(radius, 0.0, True), merged_radius)
+            elif o.kind == "km":
+                total = math.fsum(kmcost.tolist())
+                value = total - kmcost[:, None] - kmcost[None, :] + merged_kmcost
+            elif o.kind == "rs":
+                covered = (near * member).sum(axis=1) > 0
+                gain = member[~covered].T @ (near[~covered] > 0)
+                value = (covered.sum() + gain + gain.T) / n
+            elif o.kind == "f":
+                home = member[blue].T @ member[purple]
+                value = (np.trace(home) + home + home.T) / n_blue
+            else:
+                pair = experts[:, None] + experts[None, :]
+                hi = np.maximum(_ref_others(experts, -np.inf, True), pair)
+                lo = np.minimum(_ref_others(experts, np.inf, False), pair)
+                value = np.divide(hi, lo, out=np.full(lo.shape, np.inf), where=lo > 0)
+            norm = _ref_normalized(value[upper], o.maximize)
+            score = norm if score is None else score + norm
+        best = int(np.argmin(score))
+        i, j = int(upper[0][best]), int(upper[1][best])
+        keep = [x for x in range(len(blocks)) if x != i and x != j]
+        blocks = [blocks[x] for x in keep] + [sorted(blocks[i] + blocks[j])]
+        experts = np.append(experts[keep], experts[i] + experts[j])
+        member = np.column_stack((member[:, keep], member[:, i] + member[:, j]))
+        near = np.column_stack((near[:, keep], near[:, i] + near[:, j]))
+        if "kc" in kinds:
+            radius = np.append(radius[keep], merged_radius[i, j])
+            ecc = np.column_stack((ecc[:, keep], np.maximum(ecc[:, i], ecc[:, j])))
+            inside = (member[:, :-1] + member[:, -1:]) > 0
+            reach = np.maximum(ecc[:, :-1], ecc[:, -1:])
+            new_radius = np.where(inside, reach, np.inf).min(axis=0)
+            merged_radius = _ref_bordered(merged_radius[np.ix_(keep, keep)], new_radius)
+        if "km" in kinds:
+            kmcost = np.append(kmcost[keep], merged_kmcost[i, j])
+            new_kmcost = _merged_one_median(H, blocks)
+            merged_kmcost = _ref_bordered(merged_kmcost[np.ix_(keep, keep)], new_kmcost)
+
+
+def _ref_others(v, empty, largest):
+    """[i, j]: the largest (or smallest) entry of v other than v[i] and v[j]."""
+    order = np.argsort(-v if largest else v, kind="stable")
+    top = [v[t] for t in order[:3]] + [empty] * 2
+    a, b = order[0], order[1]
+    out = np.full((len(v), len(v)), top[0])
+    out[a, :] = out[:, a] = top[1]
+    out[a, b] = out[b, a] = top[2]
+    return out
+
+
+def _ref_normalized(value, maximize):
+    infinite = value == np.inf
+    finite = value[~infinite]
+    lo, hi = (finite.min(), finite.max()) if finite.size else (0.0, 0.0)
+    norm = (value - lo) / (hi - lo) if hi != lo else np.zeros(len(value))
+    norm[infinite] = 2.0
+    return -norm if maximize else norm
+
+
+def _ref_bordered(square, column):
+    out = np.zeros((len(column) + 1, len(column) + 1))
+    out[:-1, :-1] = square
+    out[:-1, -1] = out[-1, :-1] = column
+    return out
+
+
+def _path_lines(path_fn, H, objectives):
+    """Each clustering of the path at k = 1..n as JSON, or the error."""
+    try:
+        path = path_fn(H, objectives, range(1, H.n + 1))
+    except ZeusError as exc:
+        return [repr(exc)]
+    return [clustering_to_json(H, path[k]) for k in range(1, H.n + 1)]
+
+
+class TestMocReference:
+    """The incremental MOC tables give the reference loop's clusterings."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.sampled_from(["rs", "f", "tf"]),
+        st.integers(min_value=2, max_value=25),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_matches_rebuild_on_every_pair(self, family, n, seed):
+        H = generate_instance(family, n, seed)
+        for a, b in itertools.permutations(("rs", "kc", "km", "f", "tf"), 2):
+            objectives = (ObjectiveSpec(a), ObjectiveSpec(b))
+            assert _path_lines(baseline_moc_path, H, objectives) == _path_lines(
+                rebuild_moc_path, H, objectives
+            ), (a, b)
+
+    @pytest.mark.parametrize("side", [3, 5])
+    def test_matches_rebuild_on_lattices(self, side):
+        H = lattice(side)
+        for a, b in itertools.permutations(("rs", "kc", "km"), 2):
+            objectives = (ObjectiveSpec(a), ObjectiveSpec(b))
+            assert _path_lines(baseline_moc_path, H, objectives) == _path_lines(
+                rebuild_moc_path, H, objectives
+            ), (a, b)
 
 
 def _moc_digest(cases):
@@ -284,6 +437,18 @@ class TestMocPinned:
         assert _moc_digest(_moc_large_cases()) == (
             "ce6f9326b955a111d687c75c1e5c92c458bc5a74f56e596c023158aa410412a2",
             96,
+        )
+
+    def test_lattice_paths(self):
+        # lattice distances tie often, so this pins the tie rule
+        cases = [
+            (lattice(side), (ObjectiveSpec(a), ObjectiveSpec(b)), None)
+            for side in range(3, 9)
+            for a, b in (("rs", "kc"), ("kc", "rs"), ("rs", "km"), ("km", "kc"))
+        ]
+        assert _moc_digest(cases) == (
+            "eaedd433a1e3560ace2f82ba34013bea77c8d376a1949e7c5fb2baae70befb25",
+            276,
         )
 
 

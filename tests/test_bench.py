@@ -90,6 +90,35 @@ class TestConfig:
         with pytest.raises(ConfigError, match="at least 1"):
             cfg.validate()
 
+    @pytest.mark.parametrize("ks", [(2.5,), (True,), (2, 3.0)])
+    def test_non_integer_k_rejected(self, instance_path, tmp_path, ks):
+        cfg = small_config(instance_path, str(tmp_path), ks=ks, algorithms=("moc",))
+        with pytest.raises(ConfigError, match="k values must be integers"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("seeds", [(1.9,), (False,)])
+    def test_non_integer_seed_rejected(self, instance_path, tmp_path, seeds):
+        cfg = small_config(instance_path, str(tmp_path), seeds=seeds)
+        with pytest.raises(ConfigError, match="seeds must be integers"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "field, value", [("k", [2.5, True]), ("seeds", [1.9]), ("seeds", [True])]
+    )
+    def test_from_data_does_not_truncate(self, instance_path, tmp_path, field, value):
+        data = {
+            "instance": instance_path,
+            "objectives": ["rs", "kc"],
+            "slacks": [[1, 3]],
+            "k": [2],
+            "output": str(tmp_path / "out"),
+            field: value,
+        }
+        cfg = config_from_data(data)
+        assert (cfg.ks if field == "k" else cfg.seeds) == tuple(value)
+        with pytest.raises(ConfigError, match="must be integers"):
+            cfg.validate()
+
 
 class TestRun:
     def test_grid_size(self, instance_path, tmp_path):
