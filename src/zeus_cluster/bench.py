@@ -50,6 +50,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.ks:
             raise ConfigError("k range must be non-empty")
+        if not self.seeds:
+            raise ConfigError("seed list must be non-empty")
+        if not self.slacks:
+            raise ConfigError("slack list must be non-empty")
         if not all(is_integer(k) for k in self.ks):
             raise ConfigError(f"k values must be integers, got {self.ks}")
         if min(self.ks) < 1:
@@ -174,8 +178,8 @@ def run_experiment(
     reused: dict[tuple[str, int, int], RunRecord] = {}
     records: list[RunRecord] = []
     for slack in config.slacks:
-        for k in config.ks:
-            for seed in config.seeds:
+        for k in map(int, config.ks):
+            for seed in map(int, config.seeds):
                 spec = ProblemSpec(
                     objectives=config.objectives,
                     slacks=SlackVector(slack),

@@ -126,14 +126,10 @@ def _build_instance(
         if dist.shape != (n, n):
             raise InstanceError(f"distance matrix must be {n}x{n}, got {dist.shape}")
         if np.isnan(dist).any():
-            missing = [
-                (labels[u], labels[v])
-                for u in range(n)
-                for v in range(u + 1, n)
-                if np.isnan(dist[u, v])
-            ]
+            missing = np.argwhere(np.triu(np.isnan(dist), 1))[:5].tolist()
             raise InstanceError(
-                f"pairs neither listed nor covered by fill: {missing[:5]}"
+                "pairs neither listed nor covered by fill: "
+                f"{[(labels[u], labels[v]) for u, v in missing]}"
             )
         if not np.allclose(dist, dist.T, rtol=0, atol=0):
             raise InstanceError("explicit distance matrix is asymmetric")

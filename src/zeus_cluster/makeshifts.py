@@ -55,7 +55,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateInputError, InfeasibleError
 from .graph import BLUE, PURPLE, GraphInstance
 from .objectives import F, KM, Clustering, ObjectiveSpec, PairStructure
-from .objectives import atom_arrays, check_positive_int, group_by_block
+from .objectives import atom_arrays, check_positive_int, group_by_block, is_integer
 
 CLOSEST_EXPERT = "closest_expert"
 CLOSEST_CENTER = "closest_center"
@@ -72,6 +72,10 @@ class MakeshiftOptions:
     balance_radius_multiplier: float = 4.0
 
     def __post_init__(self):
+        if self.seed is not None:
+            if not is_integer(self.seed):
+                raise ConfigError(f"seed must be an integer or None, got {self.seed!r}")
+            object.__setattr__(self, "seed", int(self.seed))
         if self.nonexpert_rule not in (CLOSEST_EXPERT, CLOSEST_CENTER):
             raise ConfigError(f"unknown nonexpert_rule {self.nonexpert_rule!r}")
         mult = self.balance_radius_multiplier

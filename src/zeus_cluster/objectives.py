@@ -62,6 +62,8 @@ class Clustering:
         if not np.bincount(blocks, minlength=self.k).all():
             raise ZeusError("finalized clustering has an empty block")
         if self.centers is not None:
+            if self.centers.keys() != set(range(self.k)):
+                raise ZeusError(f"centers must name exactly the blocks 0..{self.k - 1}")
             for b, c in self.centers.items():
                 if self.assignment.get(c) != b:
                     raise ZeusError(f"center {c} not inside its block {b}")
@@ -130,7 +132,7 @@ def singleton_clustering(n: int) -> Clustering:
 def clustering_to_json(H: GraphInstance, C: Clustering) -> str:
     """Canonical JSON form of a clustering (used for determinism checks)."""
     doc = {
-        "k": C.k,
+        "k": int(C.k),
         "blocks": [[H.labels[u] for u in b] for b in C.blocks()],
         "centers": {str(b): H.labels[c] for b, c in sorted((C.centers or {}).items())},
     }

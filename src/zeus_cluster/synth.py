@@ -9,12 +9,13 @@ random Blue/Purple colors with a guaranteed Blue-saturating matching for
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
 from .errors import ConfigError
-from .graph import BLUE, PURPLE, GraphInstance, _build_instance
+from .graph import BLUE, EUCLIDEAN, PURPLE, GraphInstance, _edge_rows, make_instance
 
 
 def _threshold(n: int) -> float:
@@ -29,61 +30,37 @@ def generate_instance(kind: str, n: int, seed: int) -> GraphInstance:
     if n < 2:
         raise ConfigError("n must be >= 2")
     rng = np.random.default_rng(seed)
-    pts = rng.random((n, 2))
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    r = _threshold(n)
-    iu, iv = np.triu_indices(n, k=1)
-    close = dist[iu, iv] <= r
-    cand = [(int(u), int(v)) for u, v in zip(iu[close], iv[close])]
+    H = make_instance(n, EUCLIDEAN, embeddings=rng.random((n, 2)).tolist(), edges=())
     # E is a sparse random subset of the threshold pairs (about average
     # degree four); keeping it well below the geometric density is what
     # makes the sharing relation informative rather than implied by
     # proximity
-    keep = rng.permutation(len(cand))[: min(len(cand), 2 * n)]
-    edges = {cand[int(i)] for i in keep}
-    # no node may be isolated: RS needs an edge cover to exist
-    degree = np.zeros(n, dtype=int)
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    for u in np.flatnonzero(degree == 0):
-        v = int(np.argsort(dist[u])[1])
-        edges.add((min(int(u), v), max(int(u), v)))
+    close = np.argwhere(np.triu(H.dist <= _threshold(n), 1))
+    edges = [close[rng.permutation(len(close))[: 2 * n]]]
+    # no node may be isolated: RS needs an edge cover to exist, so each
+    # isolated node gets an edge to its nearest other node
+    isolated = np.flatnonzero(np.bincount(edges[0].ravel(), minlength=n) == 0)
+    near = H.dist[isolated]
+    near[np.arange(len(isolated)), isolated] = np.inf
+    edges.append(np.column_stack((isolated, near.argmin(axis=1))))
 
-    colors = None
-    experts = None
+    attrs = {}
     if kind == "f":
-        blue_count = max(1, n // 3)
-        ids = rng.permutation(n)
-        blue = sorted(int(x) for x in ids[:blue_count])
-        purple = sorted(int(x) for x in ids[blue_count:])
-        colors = [None] * n
-        for u in blue:
-            colors[u] = BLUE
-        for v in purple:
-            colors[v] = PURPLE
-        # guarantee a Blue-saturating matching: pair each Blue with a
-        # distinct nearest unused Purple and put those pairs into E
-        used: set[int] = set()
-        for u in blue:
-            candidates = sorted(purple, key=lambda v: (dist[u, v], v))
-            v = next(x for x in candidates if x not in used)
-            used.add(v)
-            edges.add((min(u, v), max(u, v)))
+        is_blue = np.zeros(n, dtype=bool)
+        is_blue[rng.permutation(n)[: max(1, n // 3)]] = True
+        attrs["colors"] = tuple(np.where(is_blue, BLUE, PURPLE).tolist())
+        # guarantee a Blue-saturating matching: pair each Blue, in id order,
+        # with the nearest Purple no earlier Blue took (lowest id on ties)
+        # and put those pairs into E
+        blue, purple = np.flatnonzero(is_blue), np.flatnonzero(~is_blue)
+        free = H.dist[np.ix_(blue, purple)]  # a copy: taken columns become inf
+        partners = np.empty_like(blue)
+        for i, row in enumerate(free):
+            partners[i] = j = np.argmin(row)
+            free[:, j] = np.inf
+        edges.append(np.column_stack((blue, purple[partners])))
     elif kind == "tf":
-        expert_count = max(2, int(round(0.3 * n)))
-        ids = rng.permutation(n)
-        experts = [False] * n
-        for x in ids[:expert_count]:
-            experts[int(x)] = True
-
-    return _build_instance(
-        [str(i) for i in range(n)],
-        "euclidean",
-        embeddings=[tuple(float(x) for x in p) for p in pts],
-        edges=sorted(edges),
-        colors=colors,
-        experts=experts,
-    )
-
+        experts = np.zeros(n, dtype=bool)
+        experts[rng.permutation(n)[: max(2, int(round(0.3 * n)))]] = True
+        attrs["experts"] = tuple(experts.tolist())
+    return dataclasses.replace(H, edges=_edge_rows(np.concatenate(edges), n), **attrs)

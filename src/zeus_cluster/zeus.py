@@ -33,6 +33,7 @@ from .objectives import (
     PairStructure,
     SlackVector,
     atom_arrays,
+    check_positive_int,
     evaluate,
     singleton_clustering,
     slack_violated,
@@ -57,8 +58,7 @@ class ProblemSpec:
     def validate(self) -> None:
         if not self.objectives:
             raise ConfigError("at least one objective is required")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
+        check_positive_int("k", self.k)
         self.slacks.validate(self.objectives, self.allow_infeasible_slack)
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 import zeus_cluster.bench as bench
@@ -101,6 +102,28 @@ class TestConfig:
         cfg = small_config(instance_path, str(tmp_path), seeds=seeds)
         with pytest.raises(ConfigError, match="seeds must be integers"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("field", ["seeds", "slacks"])
+    def test_empty_grid_axis_rejected(self, instance_path, tmp_path, field, monkeypatch):
+        monkeypatch.setattr(bench, "baseline_moc_path", None)  # fails if MOC runs
+        cfg = small_config(instance_path, str(tmp_path), algorithms=("zeus", "moc"))
+        cfg = dataclasses.replace(cfg, **{field: ()})
+        with pytest.raises(ConfigError, match=f"{field[:-1]} list must be non-empty"):
+            run_experiment(cfg)
+
+    def test_numpy_integer_seeds_run_like_ints(self, instance_path, tmp_path):
+        ints = small_config(instance_path, str(tmp_path / "a"), ks=(2, 3), seeds=(0, 1))
+        numpy_ints = dataclasses.replace(
+            ints, ks=(np.int64(2), np.int64(3)), seeds=(np.int64(0), np.int64(1)),
+            output_dir=str(tmp_path / "b"),
+        )
+        reports = []
+        for cfg in (ints, numpy_ints):
+            records = run_experiment(cfg)
+            emit_report(records, ("json",), cfg.output_dir)
+            with open(os.path.join(cfg.output_dir, "results.json")) as fh:
+                reports.append([{**r, "wall_ms": None} for r in json.load(fh)])
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize(
         "field, value", [("k", [2.5, True]), ("seeds", [1.9]), ("seeds", [True])]

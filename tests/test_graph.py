@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import random
 import re
@@ -124,6 +126,25 @@ def test_missing_pair_without_fill_rejected():
     }
     with pytest.raises(InstanceError, match="fill"):
         instance_from_data(doc)
+
+
+def test_missing_pairs_listed_from_one_array_pass(monkeypatch):
+    n = 40
+    m = np.full((n, n), np.nan)
+    np.fill_diagonal(m, 0.0)
+    m[0, :] = m[:, 0] = m[1, 3] = m[3, 1] = 1.0
+    m[0, 0] = 0.0
+    isnan = np.isnan
+    calls = []
+    monkeypatch.setattr(np, "isnan", lambda x: calls.append(1) or isnan(x))
+    with pytest.raises(InstanceError) as exc:
+        make_instance(n, "explicit", matrix=m)
+    assert str(exc.value) == (
+        "pairs neither listed nor covered by fill: "
+        "[('1', '2'), ('1', '4'), ('1', '5'), ('1', '6'), ('1', '7')]"
+    )
+    # a fixed number of whole-matrix checks, not one per pair
+    assert len(calls) <= 2
 
 
 def test_unknown_metric_rejected():
@@ -340,3 +361,33 @@ def test_synthetic_metrics_pass_triangle_check():
     for seed in range(3):
         H = generate_instance("rs", 15, seed)
         assert validate_metric(H).is_metric
+
+
+GENERATOR_GRID = list(
+    itertools.product(
+        ("rs", "f", "tf"), (2, 3, 4, 5, 7, 10, 20, 57, 100, 200, 333), range(8)
+    )
+)
+
+
+class TestGeneratorPinned:
+    """Every field of every instance that generate_instance makes on a
+    fixed grid, pinned by digest."""
+
+    def test_instances_grid(self):
+        digest = hashlib.sha256()
+        for kind, n, seed in GENERATOR_GRID:
+            H = generate_instance(kind, n, seed)
+            head = (
+                kind, n, seed, H.labels, H.metric, H.colors, H.experts,
+                H.embeddings, H.attr_sets,
+                H.dist.shape, H.dist.dtype.str, H.dist.flags.writeable,
+                H.edges.shape, H.edges.dtype.str, H.edges.flags.writeable,
+            )
+            digest.update(repr(head).encode())
+            digest.update(H.dist.tobytes())
+            digest.update(H.edges.tobytes())
+        assert (digest.hexdigest(), len(GENERATOR_GRID)) == (
+            "37808da212ae75a3652578dd1be310d8f37fbdca443d77198ebb51d340bc5c83",
+            264,
+        )

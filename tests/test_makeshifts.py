@@ -691,6 +691,19 @@ class TestDeterminism:
         assert a.assignment == b.assignment
         assert a.centers == b.centers
 
+    def test_numpy_integer_seed_is_an_int(self):
+        H = generate_instance("rs", 25, 3)
+        opts = MakeshiftOptions(seed=np.int64(7))
+        assert type(opts.seed) is int and opts.seed == 7
+        a, _ = makeshift_kcenter(H, singleton_clustering(25), 4, opts)
+        b, _ = makeshift_kcenter(H, singleton_clustering(25), 4, MakeshiftOptions(seed=7))
+        assert (a.assignment, a.centers) == (b.assignment, b.centers)
+
+    @pytest.mark.parametrize("seed", [2.5, True, "3"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            MakeshiftOptions(seed=seed)
+
     def test_seeded_random_start_repeatable(self):
         H = generate_instance("rs", 25, 3)
         opts = MakeshiftOptions(seed=11)

@@ -405,6 +405,13 @@ def test_clustering_invariants_enforced():
     Clustering({0: 0, 1: 1}, 2, centers={0: 0, 1: 1}).validate(2)
 
 
+@pytest.mark.parametrize("centers", [{0: 0}, {0: 0, 1: 2, 2: 2}, {0: 0, 2: 2}])
+def test_centers_must_name_every_block(centers):
+    C = Clustering({0: 0, 1: 0, 2: 1}, 2, centers)
+    with pytest.raises(ZeusError, match="centers must name exactly the blocks 0..1"):
+        C.validate(3)
+
+
 def _validate_by_loop(C, n):
     """Reference: ``Clustering.validate`` as a walk over the assignment
     dict and the atoms."""
@@ -413,6 +420,8 @@ def _validate_by_loop(C, n):
     if any(not b for b in _blocks_by_dict_loop(C)):
         raise ZeusError("finalized clustering has an empty block")
     if C.centers is not None:
+        if sorted(C.centers) != list(range(C.k)):
+            raise ZeusError(f"centers must name exactly the blocks 0..{C.k - 1}")
         for b, c in C.centers.items():
             if C.assignment.get(c) != b:
                 raise ZeusError(f"center {c} not inside its block {b}")
@@ -443,7 +452,11 @@ def _clusterings(draw):
     k = draw(st.integers(1, 3))
     covered = draw(st.one_of(st.just(set(range(n))), st.sets(nodes)))
     assignment = {u: draw(st.integers(0, k - 1)) for u in draw(st.permutations(sorted(covered)))}
-    centers = draw(st.none() | st.dictionaries(st.integers(0, k - 1), nodes))
+    centers = draw(
+        st.none()
+        | st.dictionaries(st.integers(0, k - 1), nodes)
+        | st.lists(nodes, min_size=k, max_size=k).map(lambda cs: dict(enumerate(cs)))
+    )
     atoms = draw(st.lists(st.lists(nodes, min_size=1, max_size=3, unique=True).map(tuple), max_size=4))
     # a root for each atom, mostly one of its members, and rarely one too many
     roots = [draw(st.sampled_from(a) | nodes) for a in atoms]

@@ -4,6 +4,7 @@ import hashlib
 import json
 import operator
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +55,17 @@ class TestSpecValidation:
     def test_bad_k(self):
         with pytest.raises(ConfigError):
             spec_of(["kc"], [3.0], 0).validate()
+
+    @pytest.mark.parametrize("k", [2.5, True, 2.0, "2"])
+    def test_non_integer_k_rejected(self, k):
+        H = generate_instance("rs", 12, 0)
+        with pytest.raises(ConfigError, match="k must be a positive integer"):
+            zeus_run(H, spec_of(["rs", "kc"], [1.0, 3.0], k))
+
+    def test_numpy_integer_k_accepted(self):
+        H = generate_instance("rs", 12, 0)
+        runs = [zeus_run(H, spec_of(["rs", "kc"], [1.0, 3.0], k))[0] for k in (3, np.int64(3))]
+        assert clustering_to_json(H, runs[0]) == clustering_to_json(H, runs[1])
 
     def test_infeasible_slack_rejected_by_default(self):
         with pytest.raises(ConfigError):
