@@ -154,9 +154,8 @@ def baseline_moc_path(
     if F in kinds:
         # [i, j]: matched Blue-Purple pairs split between i and j, and the
         # pairs inside one block
-        partner = blue_partners(H, pairs)
+        blue, purple = blue_partners(H, pairs)
         split = np.zeros((n, n))
-        blue, purple = list(partner), list(partner.values())
         split[blue, purple] = split[purple, blue] = 1.0
         together = 0.0
         n_blue = max(1, sum(1 for c in H.colors if c == BLUE))

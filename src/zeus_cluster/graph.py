@@ -31,6 +31,8 @@ AUDIT_ALL_TRIPLES_MAX_N = 500
 AUDIT_SAMPLES = 20000
 AUDIT_SEED = 0
 
+EUCLIDEAN_BLOCK = 2**20  # coordinate differences per block of Euclidean matrix rows
+
 
 @dataclass(frozen=True, eq=False)
 class GraphInstance:
@@ -82,6 +84,13 @@ class MetricReport:
     max_violation_ratio: float
 
 
+def pair_rows(u, v) -> np.ndarray:
+    """The pairs ``{u[i], v[i]}`` as sorted unique int64 rows (lower, higher)."""
+    lo, hi = np.minimum(u, v).astype(np.int64), np.maximum(u, v).astype(np.int64)
+    n = int(hi.max(initial=0)) + 1
+    return np.column_stack(np.divmod(np.unique(lo * n + hi), n))
+
+
 def _edge_rows(edges, n: int) -> np.ndarray:
     """The canonical rows of a given E: each entry must be a pair of node
     ids in ``0..n-1``; self-loops are dropped, and every other pair is kept
@@ -100,7 +109,7 @@ def _edge_rows(edges, n: int) -> np.ndarray:
         u, v = rows[np.argmax(outside)].tolist()
         raise InstanceError(f"edge ({u},{v}) references unknown node")
     rows = rows[rows[:, 0] != rows[:, 1]]
-    return np.unique(np.sort(rows, axis=1), axis=0).astype(np.int64)
+    return pair_rows(rows[:, 0], rows[:, 1])
 
 
 def _build_instance(
@@ -142,18 +151,26 @@ def _build_instance(
         if len(embeddings) != n or len(dims) > 1:
             raise InstanceError("all nodes need embeddings of one dimension")
         pts = np.asarray(embeddings, dtype=float)
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
+        dist = np.empty((n, n))
+        # the n x n x d broadcast by blocks of rows, each entry summed as in the whole
+        step = max(1, EUCLIDEAN_BLOCK // max(1, pts.size))
+        for i in range(0, n, step):
+            diff = pts[i : i + step, None, :] - pts[None, :, :]
+            diff *= diff
+            np.sqrt(diff.sum(axis=2, out=dist[i : i + step]), out=dist[i : i + step])
     else:  # jaccard
         if attr_sets is None or len(attr_sets) != n:
             raise InstanceError("jaccard metric requires an attr_set per node")
-        dist = np.zeros((n, n))
+        import scipy.sparse
+        # exact |A & B| from one sparse incidence product, |A | B| = |A| + |B| - |A & B|
         sets = [frozenset(s) for s in attr_sets]
-        for u in range(n):
-            for v in range(u + 1, n):
-                union = sets[u] | sets[v]
-                d = 0.0 if not union else 1.0 - len(sets[u] & sets[v]) / len(union)
-                dist[u, v] = dist[v, u] = d
+        token = {}
+        cols = [token.setdefault(t, len(token)) for s in sets for t in s]
+        indptr = np.cumsum([0] + [len(s) for s in sets])
+        incidence = scipy.sparse.csr_matrix((np.ones(len(cols)), cols, indptr), (n, len(token)))
+        inter = (incidence @ incidence.T).toarray()
+        union = inter.diagonal()[:, None] + inter.diagonal() - inter
+        dist = 1.0 - np.divide(inter, union, out=np.ones((n, n)), where=union > 0)
 
     if (dist < 0).any():
         raise InstanceError("negative distance")

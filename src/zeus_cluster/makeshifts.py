@@ -6,14 +6,14 @@ min-max edge cover for resource sharing, bottleneck bipartite matching
 for fairness, a balanced k-center pipeline for team formation, plus the
 gamma-cover, alpha:beta b-matching, and k-median variants.
 
-The cover makeshifts read E from the instance's sorted edge array. Each
-edge end maps to its atom's root, and one ``lexsort`` orders the pairs of
-distinct roots by root, distance and neighbour, so a root's nearest
-neighbours are its first rows. The ``rs`` cover's drop loop leaves every
-kept edge with an end of degree one, so each of its components is a star,
-labelled directly by its hub, or a lone edge by its lower end. The
-gamma-cover and fairness blocks are the components of their pairs, from
-``csgraph.connected_components``, each rooted at its lowest node.
+The cover makeshifts read E from the instance's sorted edge array: each
+edge end maps to its atom's root, and one ``lexsort`` puts a root's nearest
+neighbours first. Every makeshift passes its pairs E' on as node-id arrays,
+and ``objectives.pair_structure`` turns them into sorted rows and the one
+frozenset record. The ``rs`` drop loop leaves every kept pair with an end
+of degree one, so its components are stars, labelled by their hubs; the
+gamma-cover and fairness blocks are the components of their rows
+(``csgraph.connected_components``), each rooted at its lowest node.
 
 Every flow problem among them runs on ``scipy.sparse.csgraph``:
 ``maximum_flow`` for the alpha:beta matching, and
@@ -53,8 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, InfeasibleError
-from .graph import BLUE, PURPLE, GraphInstance
-from .objectives import F, KM, Clustering, ObjectiveSpec, PairStructure
+from .graph import BLUE, PURPLE, GraphInstance, pair_rows
+from .objectives import F, KM, Clustering, ObjectiveSpec, PairStructure, pair_structure
 from .objectives import atom_arrays, check_positive_int, group_by_block, is_integer
 
 CLOSEST_EXPERT = "closest_expert"
@@ -252,13 +252,13 @@ def _fragment_clustering(H: GraphInstance, top: np.ndarray) -> Clustering:
     return C
 
 
-def _rep_pairs(H: GraphInstance, C_in: Clustering):
+def _rep_pairs(H: GraphInstance, C_in: Clustering, gamma: int):
     """Representatives (atom roots) of the atoms of ``C_in``.
 
     Returns every node's representative, the sorted representatives, the
-    number of other representatives each is joined to through E, and each
-    such ordered pair (rep, neighbour) once, by rep, then distance between
-    the two, then neighbour.
+    number of other representatives each is joined to through E, and the
+    pairs that join each to its ``gamma`` nearest of them, ties to the
+    lowest id, as ``pair_rows``.
     """
     atoms, roots = _atoms_of(C_in, H.n)
     members, atom_of = atom_arrays(atoms)
@@ -272,17 +272,10 @@ def _rep_pairs(H: GraphInstance, C_in: Clustering):
     new = np.ones(len(rep), dtype=bool)
     new[1:] = (rep[1:] != rep[:-1]) | (nbr[1:] != nbr[:-1])
     rep, nbr = rep[new], nbr[new]
+    # each rep's rows run from its nearest neighbour out
+    near = np.arange(len(rep)) - np.searchsorted(rep, rep) < gamma
     reps = np.array(sorted(roots), dtype=np.int64)
-    return rep_of, reps, np.bincount(rep, minlength=H.n)[reps], rep, nbr
-
-
-def _nearest_pairs(rep, nbr, gamma: int) -> set[tuple[int, int]]:
-    """The pairs of each rep and its ``gamma`` nearest neighbours, from the
-    rows of ``_rep_pairs``, as (lower, higher) node ids."""
-    first = np.searchsorted(rep, rep)  # each row's rep's first row
-    keep = np.arange(len(rep)) - first < gamma
-    u, v = rep[keep], nbr[keep]
-    return set(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+    return rep_of, reps, np.bincount(rep, minlength=H.n)[reps], pair_rows(rep[near], nbr[near])
 
 
 def makeshift_rs(
@@ -294,35 +287,30 @@ def makeshift_rs(
     edges are then dropped in decreasing weight order while the cover
     stays valid. The result is a family of stars (max path length two).
     """
-    rep_of, reps, nbr_count, rep, nbr = _rep_pairs(H, C_in)
+    rep_of, reps, nbr_count, rows = _rep_pairs(H, C_in, 1)
     if not nbr_count.all():
         u = int(reps[np.argmin(nbr_count)])
         raise InfeasibleError(
             f"node {H.labels[u]} has no E-neighbor; no edge cover exists"
         )
-    cover = _nearest_pairs(rep, nbr, 1)
-
-    degree = [0] * H.n
-    for u, v in cover:
-        degree[u] += 1
-        degree[v] += 1
-    for u, v in sorted(cover, key=lambda e: (-H.dist[e[0], e[1]], e)):
-        if degree[u] > 1 and degree[v] > 1:
-            cover.discard((u, v))
-            degree[u] -= 1
-            degree[v] -= 1
+    u, v = rows.T
+    u, v = rows[np.lexsort((v, u, -H.dist[u, v]))].T  # longest first, ties by (u, v)
+    degree = np.bincount(np.concatenate([u, v]), minlength=H.n).tolist()
+    dropped = []
+    for i, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
+        if degree[a] > 1 and degree[b] > 1:
+            dropped.append(i)
+            degree[a] -= 1
+            degree[b] -= 1
+    u, v = np.delete(u, dropped), np.delete(v, dropped)
 
     # an edge is kept only while one of its ends has no other, so every
     # component is a star: a hub of degree >= 2 and its leaves, or a lone
-    # edge, centered at its lower end
-    u, v = np.array(sorted(cover), dtype=np.int64).T
-    degree = np.asarray(degree)
-    center = np.where(degree[u] >= 2, u, np.where(degree[v] >= 2, v, u))
+    # edge, centered at its lower end u
+    center = np.where(np.asarray(degree)[v] >= 2, v, u)
     star = np.empty(H.n, dtype=np.int64)
     star[u] = star[v] = center
-    radius = max(float(H.dist[u, v]) for u, v in cover)
-    pairs = PairStructure(pairs=frozenset(cover), realized_radius=radius)
-    return _fragment_clustering(H, star[rep_of]), pairs
+    return _fragment_clustering(H, star[rep_of]), pair_structure(H, u, v)[1]
 
 
 def makeshift_rs_gamma(
@@ -337,25 +325,24 @@ def makeshift_rs_gamma(
     the cover becomes one block, its atoms kept whole.
     """
     check_positive_int("gamma", gamma)
-    rep_of, reps, nbr_count, rep, nbr = _rep_pairs(H, C_in)
+    rep_of, reps, nbr_count, rows = _rep_pairs(H, C_in, gamma)
     if (nbr_count < gamma).any():
         i = int(np.argmax(nbr_count < gamma))
         raise InfeasibleError(
             f"node {H.labels[reps[i]]} has E-degree {nbr_count[i]} < gamma={gamma}"
         )
-    cover = _nearest_pairs(rep, nbr, gamma)
-    radius = max(float(H.dist[u, v]) for u, v in cover)
-    pairs = PairStructure(pairs=frozenset(cover), realized_radius=radius)
-    return _fragment_clustering(H, _lowest_in_component(H.n, cover)[rep_of]), pairs
+    return _pair_fragments(H, *rows.T, rep_of)
 
 
-def _lowest_in_component(n: int, pairs) -> np.ndarray:
-    """The lowest node of each node's connected component in the graph of
-    ``pairs`` over nodes 0..n-1."""
-    u, v = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T
-    graph = _csr(np.ones(len(u), dtype=np.int8), u, v, (n, n))
+def _pair_fragments(H: GraphInstance, u, v, rep_of=None) -> tuple[Clustering, PairStructure]:
+    """The clustering whose blocks are the connected components of the
+    pairs ``(u[i], v[i])``, each rooted at its lowest node, and their E'
+    record; with ``rep_of``, every node joins the block of its rep."""
+    rows, pairs = pair_structure(H, u, v)
+    graph = _csr(np.ones(len(rows), dtype=np.int8), *rows.T, (H.n, H.n))
     _, label = _sparse().csgraph.connected_components(graph, directed=False)
-    return np.unique(label, return_index=True)[1][label]
+    top = np.unique(label, return_index=True)[1][label]
+    return _fragment_clustering(H, top if rep_of is None else top[rep_of]), pairs
 
 
 def _sparse():
@@ -465,14 +452,13 @@ def _bp_feasible(bp, radius: float, alpha: int, beta: int) -> bool:
     return _covers_rows(rows[keep], cols[keep], (len(blue), len(purple)))
 
 
-def _bp_matching(bp, radius: float, alpha: int, beta: int) -> set[tuple[int, int]]:
-    """The pairs of the max-flow b-matching within a feasible radius."""
+def _bp_matching(bp, radius: float, alpha: int, beta: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Blue and Purple ends of the max-flow b-matching's pairs within a feasible radius."""
     blue, purple, rows, cols, weights = bp
     keep = weights <= radius
     result, tails, heads = _bp_flow(bp, keep, alpha, beta)
     used = np.asarray(result.flow[tails, heads]).ravel() > 0
-    us, vs = blue[rows[keep][used]], purple[cols[keep][used]]
-    return {(min(u, v), max(u, v)) for u, v in zip(us.tolist(), vs.tolist())}
+    return blue[rows[keep][used]], purple[cols[keep][used]]
 
 
 def _first_feasible(values, feasible, lower: float = -np.inf) -> int:
@@ -516,17 +502,7 @@ def makeshift_fairness_ab(
         raise InfeasibleError(
             "no Blue-saturating matching exists at any radius"
         )
-    return _pair_fragments(H, _bp_matching(bp, radii[i], alpha, beta))
-
-
-def _pair_fragments(
-    H: GraphInstance, matched: set[tuple[int, int]]
-) -> tuple[Clustering, PairStructure]:
-    """Blocks are the connected components of the pairs; the radius is the
-    longest pair."""
-    radius = max((float(H.dist[u, v]) for u, v in matched), default=0.0)
-    pairs = PairStructure(pairs=frozenset(matched), realized_radius=radius)
-    return _fragment_clustering(H, _lowest_in_component(H.n, matched)), pairs
+    return _pair_fragments(H, *_bp_matching(bp, radii[i], alpha, beta))
 
 
 def makeshift_fairness_mincost(
@@ -537,10 +513,7 @@ def makeshift_fairness_mincost(
     col_of = _min_weight_matching(rows, cols, weights, (len(blue), len(purple)))
     if col_of is None:
         raise InfeasibleError("no Blue-saturating matching exists")
-    matched = {
-        (min(u, v), max(u, v)) for u, v in zip(blue.tolist(), purple[col_of].tolist())
-    }
-    return _pair_fragments(H, matched)
+    return _pair_fragments(H, blue, purple[col_of])
 
 
 def makeshift_fairness_for(

@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ZeusError
-from .graph import BLUE, PURPLE, GraphInstance
+from .graph import BLUE, PURPLE, GraphInstance, pair_rows
 
 KC = "kc"
 KM = "km"
@@ -197,6 +197,13 @@ class PairStructure:
     realized_radius: float
 
 
+def pair_structure(H: GraphInstance, u, v) -> tuple[np.ndarray, PairStructure]:
+    """``pair_rows(u, v)`` and their E' record; its radius is the longest pair, or 0."""
+    rows = pair_rows(u, v)
+    radius = float(H.dist[rows[:, 0], rows[:, 1]].max(initial=0.0))
+    return rows, PairStructure(frozenset(map(tuple, rows.tolist())), radius)
+
+
 def rel_close(a: float, b: float) -> bool:
     if a == b:
         return True
@@ -236,25 +243,25 @@ def eval_resource_sharing(H: GraphInstance, C: Clustering) -> float:
     return int(covered.sum()) / max(1, len(nodes))
 
 
-def blue_partners(H: GraphInstance, matched: PairStructure) -> dict[int, int]:
-    """Blue node -> matched Purple partner; of several pairs, the last seen wins."""
-    partner: dict[int, int] = {}
-    for u, v in matched.pairs:
-        if H.colors[u] == BLUE and H.colors[v] == PURPLE:
-            partner[u] = v
-        elif H.colors[v] == BLUE and H.colors[u] == PURPLE:
-            partner[v] = u
-    return partner
+def blue_partners(H: GraphInstance, matched: PairStructure) -> tuple[np.ndarray, np.ndarray]:
+    """The Blue nodes of the Blue-Purple pairs, ascending, and each one's
+    partner: of several (alpha > 1), the lowest-id one."""
+    rows = np.array(list(matched.pairs), dtype=np.int64).reshape(-1, 2)
+    color = np.asarray(H.colors)
+    rows = np.where(color[rows[:, :1]] == BLUE, rows, rows[:, ::-1])  # the Blue end first
+    blue, purple = rows[(color[rows] == [BLUE, PURPLE]).all(axis=1)].T
+    blue, purple = np.divmod(np.unique(blue * H.n + purple), H.n)  # by Blue, then Purple
+    first = np.unique(blue, return_index=True)[1]
+    return blue[first], purple[first]
 
 
 def eval_fairness(H: GraphInstance, C: Clustering, matched: PairStructure) -> float:
-    """Fraction of Blue nodes whose matched Purple partner shares their
-    block; an unassigned Blue node is never counted."""
-    blue = int((np.asarray(H.colors) == BLUE).sum())
+    """Fraction of Blue nodes whose partner (``blue_partners``) shares
+    their block; an unassigned Blue node is never counted."""
+    blue = H.colors.count(BLUE)
     if not blue:
         raise DegenerateInputError("fairness objective undefined with no Blue nodes")
-    partner = blue_partners(H, matched)
-    u, v = np.array(list(partner.items()), dtype=np.int64).reshape(-1, 2).T
+    u, v = blue_partners(H, matched)
     label = _labels(H.n, *C.arrays())
     happy = (label[u] == label[v]) & (label[u] >= 0)
     return int(happy.sum()) / blue

@@ -127,12 +127,12 @@ def _score_partition(
             blue = [u for u in range(H.n) if H.colors[u] == BLUE]
             if not blue:
                 raise DegenerateInputError("no Blue nodes")
-            partner = {}
+            partner = {}  # each Blue node's lowest-id partner
             for u, v in pairs.pairs:
+                if H.colors[v] == BLUE:
+                    u, v = v, u
                 if H.colors[u] == BLUE and H.colors[v] == PURPLE:
-                    partner[u] = v
-                elif H.colors[v] == BLUE and H.colors[u] == PURPLE:
-                    partner[v] = u
+                    partner[u] = min(v, partner.get(u, v))
             happy = sum(
                 1 for u in blue if u in partner and rgs[partner[u]] == rgs[u]
             )

@@ -78,9 +78,48 @@ def test_jaccard_empty_sets_distance_zero():
     assert H.dist[0, 1] == 0.0
 
 
+def _jaccard_sets(n: int, seed: int) -> list[set[str]]:
+    """Random subsets of 12 tokens, of 0 to 6 draws each, so some are empty."""
+    rng = random.Random(seed)
+    tokens = [f"t{i}" for i in range(12)]
+    return [{rng.choice(tokens) for _ in range(rng.randrange(7))} for _ in range(n)]
+
+
+def test_jaccard_matrix_pinned():
+    # pinned from the per-pair loop that built the matrix before
+    sets = _jaccard_sets(80, 0)
+    assert sum(not s for s in sets) >= 5
+    H = make_instance(80, "jaccard", attr_sets=sets)
+    digest = hashlib.sha256(H.dist.tobytes()).hexdigest()
+    assert digest == "5f8b81c65c5ed467b734b17f93fa693a25cec50652d6f21cf11579969484a4cb"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_jaccard_matrix_matches_pair_loop(seed):
+    sets = _jaccard_sets(40, seed)
+    want = np.zeros((40, 40))
+    for u, v in itertools.combinations(range(40), 2):
+        union = sets[u] | sets[v]
+        want[u, v] = want[v, u] = 1.0 - len(sets[u] & sets[v]) / len(union) if union else 0.0
+    got = make_instance(40, "jaccard", attr_sets=sets).dist
+    assert got.tobytes() == want.tobytes()
+
+
 def test_euclidean_345():
     H = make_instance(2, "euclidean", embeddings=[(0, 0), (3, 4)])
     assert H.dist[0, 1] == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_euclidean_matrix_matches_whole_broadcast(d, monkeypatch):
+    # small blocks, so the matrix is built from many of them
+    monkeypatch.setattr(graph, "EUCLIDEAN_BLOCK", 5000)
+    n = 300
+    pts = np.random.default_rng(d).normal(size=(n, d)) * 10.0 ** np.arange(d)
+    diff = pts[:, None, :] - pts[None, :, :]
+    want = np.sqrt((diff * diff).sum(axis=2))
+    got = make_instance(n, "euclidean", embeddings=pts.tolist()).dist
+    assert got.tobytes() == want.tobytes()
 
 
 def test_explicit_lookup():

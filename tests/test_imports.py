@@ -59,6 +59,21 @@ def test_resource_sharing_runs_load_no_graph_library():
     assert out.strip() == "[]"
 
 
+def test_jaccard_instance_loads_no_graph_library():
+    # the Jaccard intersections come from a scipy.sparse product, which
+    # needs no csgraph
+    out = run_python(
+        """
+        import sys
+        from zeus_cluster.graph import make_instance
+
+        H = make_instance(4, "jaccard", attr_sets=[{"a"}, {"a", "b"}, set(), {"c"}])
+        print(H.dist[0, 1], sorted(m for m in ("networkx", "scipy.sparse.csgraph") if m in sys.modules))
+        """
+    )
+    assert out.strip() == "0.5 []"
+
+
 def test_fairness_and_team_runs_without_networkx():
     out = run_python(
         """

@@ -1365,8 +1365,10 @@ def _blue_purple_by_mask(H):
     return blue, purple, rows, cols, H.dist[blue[rows], purple[cols]]
 
 
-def _pair_fragments_by_dfs(H, matched):
-    """Reference: the blocks of matched pairs by a DFS over all nodes."""
+def _pair_fragments_by_dfs(H, blue, purple):
+    """Reference: the blocks of the matched pairs (blue[i], purple[i]) by a
+    DFS over all nodes."""
+    matched = {(min(u, v), max(u, v)) for u, v in zip(blue.tolist(), purple.tolist())}
     fragments = [(comp, min(comp)) for comp in _components_by_dfs(range(H.n), matched)]
     radius = max((float(H.dist[u, v]) for u, v in matched), default=0.0)
     return _fragments_by_members(H, fragments), PairStructure(frozenset(matched), radius)
@@ -1461,3 +1463,116 @@ class TestEdgeWalkReference:
             want = _outcome(_rs_gamma_by_dfs, H, none, gamma)
             assert isinstance(want[0], type)
             self._same(H, _outcome(makeshift_rs_gamma, H, none, gamma), want)
+
+
+def _nearest_pairs_by_sets(H, C_in, gamma):
+    """Reference: each rep's gamma nearest neighbour reps, by distance then
+    id, as a set of (lower, higher) tuples."""
+    atoms, roots = makeshifts._atoms_of(C_in, H.n)
+    rep_of = np.empty(H.n, dtype=np.int64)
+    for atom, root in zip(atoms, roots):
+        rep_of[list(atom)] = root
+    u, v = rep_of[H.edges].T
+    u, v = u[u != v], v[u != v]
+    rep, nbr = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((nbr, H.dist[rep, nbr], rep))
+    rep, nbr = rep[order], nbr[order]
+    new = np.ones(len(rep), dtype=bool)
+    new[1:] = (rep[1:] != rep[:-1]) | (nbr[1:] != nbr[:-1])
+    rep, nbr = rep[new], nbr[new]
+    first = np.searchsorted(rep, rep)
+    keep = np.arange(len(rep)) - first < gamma
+    u, v = rep[keep], nbr[keep]
+    return set(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+
+
+def _set_pairs(H, pairs):
+    """Reference: the E' record of a set of pairs, its radius by a
+    generator over them."""
+    return PairStructure(frozenset(pairs), max((float(H.dist[u, v]) for u, v in pairs), default=0.0))
+
+
+def _rs_pairs_by_sets(H, C_in):
+    """Reference: the rs cover as a set, its drop loop over a keyed sort."""
+    cover = _nearest_pairs_by_sets(H, C_in, 1)
+    degree = [0] * H.n
+    for u, v in cover:
+        degree[u] += 1
+        degree[v] += 1
+    for u, v in sorted(cover, key=lambda e: (-H.dist[e[0], e[1]], e)):
+        if degree[u] > 1 and degree[v] > 1:
+            cover.discard((u, v))
+            degree[u] -= 1
+            degree[v] -= 1
+    return _set_pairs(H, cover)
+
+
+def _fairness_pairs_by_sets(H, alpha, beta):
+    """Reference: the bottleneck alpha:beta b-matching as a set of pairs."""
+    bp = makeshifts._blue_purple(H)
+    blue, purple, rows, cols, weights = bp
+    radii = np.unique(weights)
+    i = _first_feasible(radii, lambda r: _bp_feasible(bp, r, alpha, beta))
+    keep = weights <= radii[i]
+    result, tails, heads = makeshifts._bp_flow(bp, keep, alpha, beta)
+    used = np.asarray(result.flow[tails, heads]).ravel() > 0
+    us, vs = blue[rows[keep][used]], purple[cols[keep][used]]
+    return _set_pairs(H, {(min(u, v), max(u, v)) for u, v in zip(us.tolist(), vs.tolist())})
+
+
+def _mincost_pairs_by_sets(H):
+    """Reference: the min-cost matching as a set of pairs."""
+    blue, purple, rows, cols, weights = makeshifts._blue_purple(H)
+    col_of = makeshifts._min_weight_matching(rows, cols, weights, (len(blue), len(purple)))
+    return _set_pairs(
+        H, {(min(u, v), max(u, v)) for u, v in zip(blue.tolist(), purple[col_of].tolist())}
+    )
+
+
+def _tie_lattice(seed):
+    """Lattice points with repeats, a random E and random colors, so that
+    many pairs tie on distance."""
+    rng = random.Random(seed)
+    m = _lattice(4, 30, seed).dist
+    edges = [(u, v) for u in range(30) for v in range(u + 1, 30) if rng.random() < 0.3]
+    colors = [rng.choice("BPP") for _ in range(30)]
+    return explicit(m, edges=edges, colors=colors)
+
+
+def _pairs_or_none(make, *args):
+    """A makeshift's pairs, or None if it raises."""
+    try:
+        return make(*args)[1]
+    except ZeusError:
+        return None
+
+
+class TestPairArraysReference:
+    """Every E' producer gives the pairs and radius, bit for bit, of the
+    set-of-tuples code it replaced."""
+
+    @staticmethod
+    def _cases(H):
+        """(producer, its pairs or None, the reference's pairs) for each producer."""
+        for C_in in TestEdgeWalkReference._priors(H, "rs"):
+            yield "rs", _pairs_or_none(makeshift_rs, H, C_in), lambda: _rs_pairs_by_sets(H, C_in)
+            yield "rs2", _pairs_or_none(makeshift_rs_gamma, H, C_in, 2), lambda: _set_pairs(
+                H, _nearest_pairs_by_sets(H, C_in, 2)
+            )
+        for alpha, beta in ((1, 1), (2, 1)):
+            got = _pairs_or_none(makeshift_fairness_ab, H, alpha, beta)
+            yield f"f{alpha}{beta}", got, lambda: _fairness_pairs_by_sets(H, alpha, beta)
+        yield "fmin", _pairs_or_none(makeshift_fairness_mincost, H), lambda: _mincost_pairs_by_sets(H)
+
+    def test_instances_and_tie_lattices(self):
+        instances = [generate_instance(kind, n, seed) for kind in ("rs", "f") for n in (12, 60, 300) for seed in range(3)]
+        checked = {}
+        for H in instances + [_tie_lattice(seed) for seed in range(12)]:
+            for name, got, reference in self._cases(H):
+                if got is None:
+                    continue
+                want = reference()
+                assert got == want and repr(got.realized_radius) == repr(want.realized_radius)
+                checked[name] = checked.get(name, 0) + 1
+        assert sorted(checked) == ["f11", "f21", "fmin", "rs", "rs2"]
+        assert min(checked.values()) >= 3

@@ -6,8 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import explicit, line_points, neighbours
-from zeus_cluster.errors import ConfigError, DegenerateInputError, ZeusError
-from zeus_cluster.graph import BLUE, make_instance
+from zeus_cluster.baselines import baseline_b2, baseline_moc_path
+from zeus_cluster.errors import ConfigError, DegenerateInputError, InfeasibleError, ZeusError
+from zeus_cluster.graph import BLUE, PURPLE, make_instance
+from zeus_cluster.makeshifts import MakeshiftOptions, makeshift_fairness_ab
 from zeus_cluster.objectives import (
     Clustering,
     ObjectiveSpec,
@@ -25,6 +27,7 @@ from zeus_cluster.objectives import (
     singleton_clustering,
     slack_violated,
 )
+from zeus_cluster.synth import generate_instance
 from zeus_cluster.zeus import KMEDIAN_FACTOR, estimate_optimal
 
 
@@ -77,9 +80,19 @@ def _rs_by_dict_loop(H, C):
     return covered / max(1, len(C.assignment))
 
 
+def _lowest_partners(H, matched):
+    """Each Blue node's lowest-id Purple partner among the pairs, by a loop."""
+    partner = {}
+    for u, v in matched.pairs:
+        for b, p in ((u, v), (v, u)):
+            if H.colors[b] == BLUE and H.colors[p] == PURPLE:
+                partner[b] = min(p, partner.get(b, p))
+    return partner
+
+
 def _f_by_dict_loop(H, C, matched):
     blue = [u for u in range(H.n) if H.colors[u] == BLUE]
-    partner = blue_partners(H, matched)
+    partner = _lowest_partners(H, matched)
     happy = sum(
         1
         for u in blue
@@ -245,6 +258,44 @@ class TestFairness:
         )
         with pytest.raises(DegenerateInputError):
             eval_fairness(H, Clustering({0: 0, 1: 0}, 1), pairs())
+
+
+    def test_lowest_partner_counts(self):
+        # Blue node 0 is matched to Purple nodes 3 and 2: only 2 counts
+        H = self.make()
+        matched = pairs((0, 3), (2, 0), (1, 3))
+        assert [a.tolist() for a in blue_partners(H, matched)] == [[0, 1], [2, 3]]
+        assert eval_fairness(H, Clustering({0: 0, 3: 0, 1: 0, 2: 1}, 2), matched) == 0.5
+        assert eval_fairness(H, Clustering({0: 0, 2: 0, 1: 1, 3: 1}, 2), matched) == 1.0
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    def test_baselines_match_lowest_partner_loop(self, alpha):
+        """On B2 and MOC clusterings, with alpha:(alpha + 1) b-matchings,
+        eval_fairness equals the per-Blue loop with the lowest-partner rule."""
+        cases = split = 0
+        for n in (12, 20, 40):
+            for seed in range(10):
+                H = generate_instance("f", n, seed)
+                try:
+                    matched = makeshift_fairness_ab(H, alpha, alpha + 1)[1]
+                except InfeasibleError:
+                    continue
+                objectives = (ObjectiveSpec("f", alpha=alpha, beta=alpha + 1), ObjectiveSpec("kc"))
+                ks = range(2, 6)
+                found = list(baseline_moc_path(H, objectives, ks, matched).values())
+                found += [baseline_b2(H, k, MakeshiftOptions()) for k in ks]
+                for C in found:
+                    assert eval_fairness(H, C, matched) == _f_by_dict_loop(H, C, matched)
+                    # a Blue node whose partners lie in different blocks,
+                    # where the rule decides
+                    blocks = {}
+                    for u, v in matched.pairs:
+                        b = u if H.colors[u] == BLUE else v
+                        blocks.setdefault(b, set()).add(C.assignment[u + v - b])
+                    split += any(len(x) > 1 for x in blocks.values())
+                cases += 1
+        assert cases >= 5
+        assert (split > 0) == (alpha > 1)
 
 
 class TestTeamFormation:
