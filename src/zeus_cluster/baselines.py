@@ -30,20 +30,23 @@ def baseline_b2(H: GraphInstance, k: int, opts: MakeshiftOptions) -> Clustering:
     return makeshift_kcenter(H, singleton_clustering(H.n), k, opts)[0]
 
 
-def baseline_b1(H: GraphInstance, spec) -> Clustering:
+def baseline_b1(H: GraphInstance, spec, memo: dict | None = None) -> Clustering:
     """Optimize the first objective only, ignoring everything after it.
 
     The first stage's makeshift sees the list ``(o1,)``, so ``tf`` always
     picks its centers by balanced k-center; an ``f`` first objective keeps
     the matching that the whole list defines. RS/F fragments are
     consolidated to exactly k blocks by repeatedly merging the two blocks
-    whose fragment roots are closest.
+    whose fragment roots are closest. ``memo`` is handed to
+    ``run_makeshift``.
     """
     o1 = spec.objectives[0]
     if o1.kind not in (RS, F, TF):
         raise ConfigError(f"B1 requires an RS, F, or TF first objective, got {o1.kind}")
     objectives = spec.objectives if o1.kind == F else (o1,)
-    C, _, _ = run_makeshift(H, singleton_clustering(H.n), o1, objectives, spec.k, spec.options)
+    C, _, _ = run_makeshift(
+        H, singleton_clustering(H.n), o1, objectives, spec.k, spec.options, memo
+    )
     return C if o1.kind == TF else consolidate_fragments(H, C, spec.k)
 
 

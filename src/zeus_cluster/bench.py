@@ -48,6 +48,8 @@ class ExperimentConfig:
     allow_infeasible_slack: bool = False
 
     def validate(self) -> None:
+        if not self.objectives:
+            raise ConfigError("at least one objective is required")
         if not self.ks:
             raise ConfigError("k range must be non-empty")
         if not self.seeds:
@@ -118,12 +120,13 @@ def _run_algorithm(
     algorithm: str,
     spec: ProblemSpec,
     pairs: PairStructure | None,
+    memo: dict,
 ) -> tuple[Clustering, list | None]:
     if algorithm == "zeus":
-        C, state = zeus_run(H, spec)
+        C, state = zeus_run(H, spec, memo)
         return C, state.trace
     if algorithm == "b1":
-        return baseline_b1(H, spec), None
+        return baseline_b1(H, spec, memo), None
     if algorithm == "b2":
         return baseline_b2(H, spec.k, spec.options), None
     if algorithm == "oracle":
@@ -162,11 +165,20 @@ def run_experiment(
     per (k, seed), and MOC depends on none of slack, k and seed, so one
     pass over the in-range ks serves every ``moc`` cell. A reused record
     carries the ``wall_ms`` of the one call behind it.
+
+    No makeshift reads a slack either, so ``zeus`` and ``b1`` share one
+    memo of makeshift results for the call (see ``run_makeshift`` for its
+    exact key): ``rs`` runs once per experiment and ``kc`` once per
+    (k, seed), while local search, the slack checks and evaluation run in
+    every cell. The ``wall_ms`` and trace ``elapsed_ms`` of a cell that
+    reused a stage cover only the work done in that cell.
     """
     config.validate()
     if H is None:
         H = load_instance(config.instance_path, config.instance_format, config.fill)
     pairs = fairness_pairs(H, config.objectives)
+    # makeshift results shared by the zeus and b1 cells of this call
+    memo: dict = {}
     moc: dict[int, Clustering | ZeusError] = {}
     moc_ms = 0.0
     if "moc" in config.algorithms:
@@ -202,7 +214,7 @@ def run_experiment(
                             if isinstance(C, ZeusError):
                                 raise C
                         else:
-                            C, trace = _run_algorithm(H, algorithm, spec, pairs)
+                            C, trace = _run_algorithm(H, algorithm, spec, pairs, memo)
                         rec.wall_ms = (time.perf_counter() - t0) * 1000.0
                         rec.trace = trace
                         for i, o in enumerate(config.objectives):

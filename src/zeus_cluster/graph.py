@@ -401,11 +401,13 @@ def instance_to_data(H: GraphInstance) -> dict:
         "edges": [[H.labels[u], H.labels[v]] for u, v in H.edges.tolist()],
     }
     if H.metric == EXPLICIT:
-        data["distances"] = [
-            [H.labels[u], H.labels[v], float(H.dist[u, v])]
-            for u in range(H.n)
-            for v in range(u + 1, H.n)
-        ]
+        # every pair u < v, row by row, as (label, label, distance) tuples,
+        # which json writes as arrays
+        u, v = np.triu_indices(H.n, 1)
+        labels = np.array(H.labels, dtype=object)
+        data["distances"] = list(
+            zip(labels[u].tolist(), labels[v].tolist(), H.dist[u, v].tolist())
+        )
     return data
 
 

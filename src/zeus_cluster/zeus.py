@@ -27,6 +27,7 @@ from .objectives import (
     KM,
     REL_TOL,
     RS,
+    TF,
     Clustering,
     ObjectiveSpec,
     OptimalEstimate,
@@ -76,12 +77,15 @@ class PipelineState:
     trace: list[dict] = field(default_factory=list)
 
 
-def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineState]:
+def zeus_run(
+    H: GraphInstance, spec: ProblemSpec, memo: dict | None = None
+) -> tuple[Clustering, PipelineState]:
     """Run the full pipeline and return the final clustering plus its state.
 
     Starts from singleton clusters; each objective's makeshift reshapes
     the current clustering, the slack is checked against an estimated
     optimum, and a local search repairs a violated ``kc`` or ``km`` slack.
+    ``memo`` is handed to ``run_makeshift``.
     """
     spec.validate()
     C = singleton_clustering(H.n)
@@ -89,7 +93,9 @@ def zeus_run(H: GraphInstance, spec: ProblemSpec) -> tuple[Clustering, PipelineS
 
     for i, (o, delta) in enumerate(zip(spec.objectives, spec.slacks.deltas)):
         t0 = time.perf_counter()
-        C, pairs, centers = run_makeshift(H, C, o, spec.objectives, spec.k, spec.options)
+        C, pairs, centers = run_makeshift(
+            H, C, o, spec.objectives, spec.k, spec.options, memo
+        )
         if pairs is not None:
             state.pair_structures[i] = pairs
         if o.kind == F:
@@ -140,6 +146,7 @@ def run_makeshift(
     objectives: tuple[ObjectiveSpec, ...],
     k: int,
     opts: MakeshiftOptions,
+    memo: dict | None = None,
 ) -> tuple[Clustering, PairStructure | None, list[int] | None]:
     """Run stage ``o``'s makeshift on ``C`` for the objective list
     ``objectives``. Returns the clustering, the ``rs`` cover or ``f``
@@ -151,10 +158,27 @@ def run_makeshift(
     ``tf`` never read ``C``, so they can split an earlier ``rs`` stage's
     stars; the others keep the atoms of ``C`` whole.
 
+    With a ``memo`` dict, a stage whose inputs were seen before returns the
+    stored result, which was validated when it was built. A makeshift reads
+    nothing of ``C`` but its atoms and roots, never a slack, and otherwise
+    only ``o`` and, by kind, the list (``f``, ``tf``) and ``k`` and ``opts``
+    (``kc``, ``km``, ``tf``); the key is exactly those, so a hit returns what
+    the call would have built. A stored result is handed out as is, so no
+    caller may change it in place. Nothing is stored for a makeshift that
+    raises.
+
     The makeshifts are looked up in this module at call time, so a tracer
     that wraps ``zeus.makeshift_*`` sees every stage of ``zeus_run`` and
-    ``baseline_b1``.
+    ``baseline_b1`` that is not answered from the memo.
     """
+    if memo is not None:
+        key = (o, C.atoms, C.roots)
+        if o.kind in (F, TF):
+            key += (tuple(objectives),)
+        if o.kind in (KC, KM, TF):
+            key += (k, opts)
+        if key in memo:
+            return memo[key]
     pairs = centers = None
     if o.kind == RS:
         if o.gamma > 1:
@@ -173,6 +197,8 @@ def run_makeshift(
             C = makeshift_tf_kmedian(H, experts, k, opts)
         else:
             C = makeshift_tf(H, experts, k, opts)
+    if memo is not None:
+        memo[key] = C, pairs, centers
     return C, pairs, centers
 
 

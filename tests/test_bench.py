@@ -3,28 +3,37 @@ import dataclasses
 import hashlib
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import zeus_cluster.baselines as baselines
 import zeus_cluster.bench as bench
-from zeus_cluster.baselines import baseline_moc_path
+import zeus_cluster.zeus as zeus
+from zeus_cluster.baselines import baseline_b1, baseline_moc_path
 from zeus_cluster.bench import (
     ExperimentConfig,
     config_from_data,
     emit_report,
     run_experiment,
 )
-from zeus_cluster.errors import ConfigError
-from zeus_cluster.graph import save_instance
-from zeus_cluster.makeshifts import makeshift_fairness_mincost
+from zeus_cluster.errors import ConfigError, ZeusError
+from zeus_cluster.graph import make_instance, save_instance
+from zeus_cluster.makeshifts import (
+    MakeshiftOptions,
+    fairness_pairs,
+    makeshift_fairness_mincost,
+)
 from zeus_cluster.objectives import (
     Clustering,
     ObjectiveSpec,
+    SlackVector,
     clustering_to_json,
     evaluate,
 )
 from zeus_cluster.synth import generate_instance
+from zeus_cluster.zeus import ProblemSpec, zeus_run
 
 
 @pytest.fixture
@@ -63,6 +72,15 @@ class TestConfig:
         )
         assert cfg.ks == (2, 3, 4, 5)
         assert cfg.slacks == ((1.0, 3.0), (0.5, 2.0))
+
+    def test_no_objectives_rejected(self):
+        cfg = config_from_data(
+            {"instance": "x", "objectives": [], "slacks": [[]], "k": [2]}
+        )
+        with pytest.raises(ConfigError, match="at least one objective is required"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match="at least one objective is required"):
+            run_experiment(cfg, generate_instance("rs", 6, 0))
 
     def test_missing_field(self):
         with pytest.raises(ConfigError):
@@ -387,3 +405,103 @@ class TestRunPinned:
                     by_cell.setdefault((r.k, r.seed), set()).add(r.wall_ms)
             # a reused record carries the time of its one call
             assert all(len(times) == 1 for times in by_cell.values())
+
+    def test_each_makeshift_runs_once(self, tmp_path, monkeypatch):
+        calls = []
+        for label, module, name in (
+            ("rs", zeus, "makeshift_rs"),
+            ("kc", zeus, "makeshift_kcenter"),
+            ("b2", baselines, "makeshift_kcenter"),
+        ):
+            def counted(H, C, *rest, _label=label, _fn=getattr(module, name)):
+                calls.append((_label, *rest))
+                return _fn(H, C, *rest)
+
+            monkeypatch.setattr(module, name, counted)
+        H = generate_instance("rs", 10, 4)
+        run_experiment(_pinned_config(tmp_path), H)
+        cells = [(k, MakeshiftOptions(seed=s)) for k in (2, 3, 11) for s in (0, 1)]
+        # rs once per experiment, shared by zeus and b1 over both slacks;
+        # zeus's kc once per (k, seed), except that k = 11 > n raises before
+        # any work, stores nothing, and so is tried again for the second slack
+        assert Counter(calls) == Counter(
+            [("rs",)]
+            + [("kc", *c) for c in cells + cells[4:]]
+            # B2 calls its makeshift directly, once per (k, seed)
+            + [("b2", *c) for c in cells]
+        )
+
+
+def _gamma_instance():
+    """An rs point set with E at every pair within 0.35, so every node has
+    two E-neighbours and the gamma = 2 cover exists."""
+    base = generate_instance("rs", 40, 1)
+    return make_instance(40, "euclidean", embeddings=base.embeddings, edge_threshold=0.35)
+
+
+def _untimed(trace):
+    """A trace without its ``elapsed_ms``; None stays None."""
+    if trace is None:
+        return None
+    return [{key: v for key, v in e.items() if key != "elapsed_ms"} for e in trace]
+
+
+class TestSharedStages:
+    """Cells that share makeshift results within one run_experiment call
+    record what separate, memo-free runs of the same cells give."""
+
+    @pytest.mark.parametrize(
+        "kind, objectives, slacks, moves_atoms",
+        [
+            ("rs", ("rs", "kc"), ((1, 2), (1, 3), (0.5, 4)), True),
+            ("rs", ("rs", "km"), ((1, 1), (1, 3), (0.5, 5)), True),
+            ("rs", (("rs", 2), "kc"), ((1, 2), (1, 3)), False),
+            ("f", ("f", "kc"), ((1, 2), (1, 3)), False),
+            ("f", ("f", "km"), ((1, 1), (1, 3)), False),
+            ("tf", ("tf", "kc"), ((1, 2), (1.5, 3)), False),
+            ("tf", ("tf", "km"), ((1, 1), (1.5, 3)), False),
+        ],
+        ids=["rs,kc", "rs,km", "rs2,kc", "f,kc", "f,km", "tf,kc", "tf,km"],
+    )
+    def test_records_match_memo_free_runs(self, tmp_path, kind, objectives, slacks, moves_atoms):
+        objectives = tuple(
+            ObjectiveSpec(*o) if isinstance(o, tuple) else ObjectiveSpec(o)
+            for o in objectives
+        )
+        H = _gamma_instance() if objectives[0].gamma > 1 else generate_instance(kind, 40, 1)
+        cfg = ExperimentConfig(
+            instance_path="",
+            objectives=objectives,
+            slacks=tuple(tuple(map(float, s)) for s in slacks),
+            ks=(2, 3, 4),
+            seeds=(0, 1),
+            algorithms=("zeus", "b1"),
+            output_dir=str(tmp_path),
+            allow_infeasible_slack=True,
+        )
+        records = run_experiment(cfg, H)
+        assert len(records) == len(slacks) * 3 * 2 * 2
+        pairs = fairness_pairs(H, objectives)
+        for rec in records:
+            spec = ProblemSpec(
+                objectives, SlackVector(rec.slack), rec.k,
+                MakeshiftOptions(seed=rec.seed), allow_infeasible_slack=True,
+            )
+            values, error, doc, trace = {}, None, None, None
+            try:
+                if rec.algorithm == "zeus":
+                    C, state = zeus_run(H, spec)
+                    trace = state.trace
+                else:
+                    C = baseline_b1(H, spec)
+            except ZeusError as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            else:
+                for i, o in enumerate(objectives):
+                    values[f"o{i + 1}_{o.kind}"] = evaluate(H, C, o, pairs=pairs)
+                doc = clustering_to_json(H, C)
+            assert (values, error, doc, _untimed(trace)) == (
+                rec.values, rec.error, rec.clustering_json, _untimed(rec.trace)
+            )
+        moves = sum(e["local_search_moves"] for r in records for e in r.trace or ())
+        assert (moves > 0) == moves_atoms

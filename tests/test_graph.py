@@ -316,6 +316,36 @@ def test_round_trip(tmp_path):
     assert instance_to_data(H2)["edges"] == instance_to_data(H)["edges"]
 
 
+def test_save_explicit_lists_every_pair_row_by_row(tmp_path):
+    # node ids out of sorted order, and distances that need every digit
+    rng = np.random.default_rng(5)
+    pts = rng.random((30, 3))
+    d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    ids = [f"v{(7 * i) % 30}" for i in range(30)]
+    H = instance_from_data(
+        {
+            "metric": "explicit",
+            "nodes": [{"id": x, "expert": i % 4 == 0} for i, x in enumerate(ids)],
+            "edges": [[ids[0], ids[1]], [ids[5], ids[2]]],
+            "distances": [
+                [ids[u], ids[v], float(d[u, v])] for u in range(30) for v in range(u + 1, 30)
+            ],
+        }
+    )
+    path = tmp_path / "explicit.json"
+    save_instance(H, path)
+    expected = {
+        **instance_to_data(H),
+        "distances": [
+            [H.labels[u], H.labels[v], float(H.dist[u, v])]
+            for u in range(H.n)
+            for v in range(u + 1, H.n)
+        ],
+    }
+    assert path.read_text() == json.dumps(expected, indent=1, sort_keys=True) + "\n"
+    assert load_instance(str(path)) == H
+
+
 def test_csv_edges_format(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("u,v,weight\na,b,1\nb,c,2\n")
