@@ -16,8 +16,9 @@ from dataclasses import dataclass, field, replace
 from .baselines import baseline_b1, baseline_b2, baseline_moc_path
 from .errors import ConfigError, ZeusError
 from .graph import GraphInstance, load_instance
-from .makeshifts import MakeshiftOptions, fairness_pairs
+from .makeshifts import MakeshiftOptions
 from .objectives import (
+    F,
     Clustering,
     ObjectiveSpec,
     PairStructure,
@@ -27,7 +28,7 @@ from .objectives import (
     is_integer,
 )
 from .oracle import oracle_lmoc
-from .zeus import ProblemSpec, zeus_run
+from .zeus import ProblemSpec, fairness_matching, zeus_run
 
 ALGORITHMS = ("zeus", "b1", "b2", "moc", "oracle")
 FORMATS = ("csv", "json", "svg")
@@ -168,17 +169,20 @@ def run_experiment(
 
     No makeshift reads a slack either, so ``zeus`` and ``b1`` share one
     memo of makeshift results for the call (see ``run_makeshift`` for its
-    exact key): ``rs`` runs once per experiment and ``kc`` once per
-    (k, seed), while local search, the slack checks and evaluation run in
+    exact key): ``rs`` and the matching that defines ``f`` run once per
+    experiment, the matching also giving the pairs every cell scores ``f``
+    with, and ``kc`` once per (k, seed), while local search, the slack checks and evaluation run in
     every cell. The ``wall_ms`` and trace ``elapsed_ms`` of a cell that
     reused a stage cover only the work done in that cell.
     """
     config.validate()
     if H is None:
         H = load_instance(config.instance_path, config.instance_format, config.fill)
-    pairs = fairness_pairs(H, config.objectives)
     # makeshift results shared by the zeus and b1 cells of this call
     memo: dict = {}
+    pairs = None
+    if any(o.kind == F for o in config.objectives):
+        pairs = fairness_matching(H, config.objectives, memo)[1]
     moc: dict[int, Clustering | ZeusError] = {}
     moc_ms = 0.0
     if "moc" in config.algorithms:

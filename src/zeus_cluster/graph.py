@@ -31,7 +31,7 @@ AUDIT_ALL_TRIPLES_MAX_N = 500
 AUDIT_SAMPLES = 20000
 AUDIT_SEED = 0
 
-EUCLIDEAN_BLOCK = 2**20  # coordinate differences per block of Euclidean matrix rows
+EUCLIDEAN_BLOCK = 2**20  # matrix entries per block of Euclidean matrix rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +112,32 @@ def _edge_rows(edges, n: int) -> np.ndarray:
     return pair_rows(rows[:, 0], rows[:, 1])
 
 
+def _euclidean_matrix(pts: np.ndarray) -> np.ndarray:
+    """The n x n Euclidean distances between the rows of ``pts`` (n x d).
+
+    Built by blocks of output rows, one coordinate at a time, with no
+    n x n x d array: a block takes the first coordinate's squared
+    differences and adds the others' in coordinate order, the order numpy
+    sums a short axis in (d <= 7). With no coordinates the zeros stay.
+    Huge or infinite coordinates give inf or nan entries, without a warning.
+    """
+    n = len(pts)
+    dist = np.zeros((n, n))
+    step = max(1, EUCLIDEAN_BLOCK // max(1, n))
+    buf = np.empty((min(step, n), n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, n, step):
+            block = dist[i : i + step]
+            for c, x in enumerate(pts.T):
+                diff = buf[: len(block)] if c else block
+                np.subtract(x[i : i + step, None], x, out=diff)
+                diff *= diff
+                if c:
+                    block += diff
+        np.sqrt(dist, out=dist)
+    return dist
+
+
 def _build_instance(
     labels,
     metric,
@@ -150,14 +176,9 @@ def _build_instance(
         dims = {len(e) for e in embeddings}
         if len(embeddings) != n or len(dims) > 1:
             raise InstanceError("all nodes need embeddings of one dimension")
-        pts = np.asarray(embeddings, dtype=float)
-        dist = np.empty((n, n))
-        # the n x n x d broadcast by blocks of rows, each entry summed as in the whole
-        step = max(1, EUCLIDEAN_BLOCK // max(1, pts.size))
-        for i in range(0, n, step):
-            diff = pts[i : i + step, None, :] - pts[None, :, :]
-            diff *= diff
-            np.sqrt(diff.sum(axis=2, out=dist[i : i + step]), out=dist[i : i + step])
+        pts = np.asarray(embeddings, dtype=float).reshape(n, dims.pop() if dims else 0)
+        # a function of its own, so its block buffer is freed before E is built
+        dist = _euclidean_matrix(pts)
     else:  # jaccard
         if attr_sets is None or len(attr_sets) != n:
             raise InstanceError("jaccard metric requires an attr_set per node")
@@ -200,9 +221,7 @@ def _build_instance(
         edges=edge_rows,
         colors=colors,
         experts=experts,
-        embeddings=tuple(tuple(float(x) for x in e) for e in embeddings)
-        if embeddings is not None
-        else None,
+        embeddings=tuple(map(tuple, pts.tolist())) if metric == EUCLIDEAN else None,
         attr_sets=tuple(frozenset(str(t) for t in s) for s in attr_sets)
         if attr_sets is not None
         else None,

@@ -163,7 +163,8 @@ def run_makeshift(
     nothing of ``C`` but its atoms and roots, never a slack, and otherwise
     only ``o`` and, by kind, the list (``f``, ``tf``) and ``k`` and ``opts``
     (``kc``, ``km``, ``tf``); the key is exactly those, so a hit returns what
-    the call would have built. A stored result is handed out as is, so no
+    the call would have built. ``f`` reads only the list and goes through
+    ``fairness_matching``. A stored result is handed out as is, so no
     caller may change it in place. Nothing is stored for a makeshift that
     raises.
 
@@ -171,9 +172,11 @@ def run_makeshift(
     that wraps ``zeus.makeshift_*`` sees every stage of ``zeus_run`` and
     ``baseline_b1`` that is not answered from the memo.
     """
+    if o.kind == F:
+        return *fairness_matching(H, objectives, memo), None
     if memo is not None:
         key = (o, C.atoms, C.roots)
-        if o.kind in (F, TF):
+        if o.kind == TF:
             key += (tuple(objectives),)
         if o.kind in (KC, KM, TF):
             key += (k, opts)
@@ -185,8 +188,6 @@ def run_makeshift(
             C, pairs = makeshift_rs_gamma(H, C, o.gamma)
         else:
             C, pairs = makeshift_rs(H, C)
-    elif o.kind == F:
-        C, pairs = makeshift_fairness_for(H, objectives)
     elif o.kind == KC:
         C, centers = makeshift_kcenter(H, C, k, opts)
     elif o.kind == KM:
@@ -200,6 +201,21 @@ def run_makeshift(
     if memo is not None:
         memo[key] = C, pairs, centers
     return C, pairs, centers
+
+
+def fairness_matching(
+    H: GraphInstance, objectives: tuple[ObjectiveSpec, ...], memo: dict | None = None
+) -> tuple[Clustering, PairStructure]:
+    """``makeshift_fairness_for(H, objectives)``, stored in ``memo`` when
+    given. The matching reads nothing but the instance and the list, so its
+    key is the list alone: every ``f`` stage, whatever clustering it starts
+    from, and a caller that scores ``f`` share one build."""
+    if memo is None:
+        return makeshift_fairness_for(H, objectives)
+    key = (F, tuple(objectives))
+    if key not in memo:
+        memo[key] = makeshift_fairness_for(H, objectives)
+    return memo[key]
 
 
 def estimate_optimal(

@@ -10,6 +10,7 @@ import pytest
 
 import zeus_cluster.baselines as baselines
 import zeus_cluster.bench as bench
+import zeus_cluster.makeshifts as makeshifts
 import zeus_cluster.zeus as zeus
 from zeus_cluster.baselines import baseline_b1, baseline_moc_path
 from zeus_cluster.bench import (
@@ -430,6 +431,28 @@ class TestRunPinned:
             # B2 calls its makeshift directly, once per (k, seed)
             + [("b2", *c) for c in cells]
         )
+
+    def test_one_fairness_matching_per_experiment(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(H, *rest, _fn=makeshifts.makeshift_fairness_ab):
+            calls.append(rest)
+            return _fn(H, *rest)
+
+        monkeypatch.setattr(makeshifts, "makeshift_fairness_ab", counted)
+        cfg = ExperimentConfig(
+            instance_path="",
+            objectives=(ObjectiveSpec("f"), ObjectiveSpec("kc")),
+            slacks=((1.0, 2.0), (1.0, 3.0)),
+            ks=(2, 3, 4),
+            seeds=(0,),
+            algorithms=("zeus", "b1"),
+            output_dir=str(tmp_path),
+        )
+        records = run_experiment(cfg, generate_instance("f", 60, 0))
+        assert len(records) == 2 * 3 * 2 and not any(r.error for r in records)
+        # the scoring pairs and every f stage of zeus and b1 share one build
+        assert calls == [(1, 1)]
 
 
 def _gamma_instance():

@@ -110,16 +110,72 @@ def test_euclidean_345():
     assert H.dist[0, 1] == pytest.approx(5.0)
 
 
-@pytest.mark.parametrize("d", range(1, 11))
+@pytest.mark.parametrize("d", [*range(1, 11), 16, 33])
 def test_euclidean_matrix_matches_whole_broadcast(d, monkeypatch):
     # small blocks, so the matrix is built from many of them
     monkeypatch.setattr(graph, "EUCLIDEAN_BLOCK", 5000)
     n = 300
-    pts = np.random.default_rng(d).normal(size=(n, d)) * 10.0 ** np.arange(d)
+    pts = np.random.default_rng(d).normal(size=(n, d)) * 10.0 ** (np.arange(d) % 11)
     diff = pts[:, None, :] - pts[None, :, :]
-    want = np.sqrt((diff * diff).sum(axis=2))
+    diff *= diff
+    if d <= 7:
+        # numpy sums a short axis in order
+        want = np.sqrt(diff.sum(axis=2))
+    else:
+        # numpy sums a longer axis in pairwise lanes; the matrix keeps
+        # coordinate order
+        total = diff[:, :, 0].copy()
+        for c in range(1, d):
+            total += diff[:, :, c]
+        want = np.sqrt(total)
     got = make_instance(n, "euclidean", embeddings=pts.tolist()).dist
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_euclidean_matrix_does_not_depend_on_block_size(n, monkeypatch):
+    pts = np.random.default_rng(n).normal(size=(n, 3)).tolist()
+    got = []
+    for block in (1, n * n):  # one row per block, then a single block
+        monkeypatch.setattr(graph, "EUCLIDEAN_BLOCK", block)
+        got.append(make_instance(n, "euclidean", embeddings=pts).dist.tobytes())
+    assert got[0] == got[1]
+
+
+def test_euclidean_no_nodes():
+    H = make_instance(0, "euclidean", embeddings=[])
+    assert H.dist.shape == (0, 0)
+    assert H.embeddings == ()
+
+
+def test_euclidean_zero_length_embeddings():
+    H = make_instance(4, "euclidean", embeddings=[()] * 4)
+    assert H.dist.tobytes() == np.zeros((4, 4)).tobytes()
+    assert H.embeddings == ((),) * 4
+
+
+def test_euclidean_one_node():
+    H = make_instance(1, "euclidean", embeddings=[(2.5, -1)])
+    assert H.dist.tolist() == [[0.0]]
+    assert H.embeddings == ((2.5, -1.0),)
+
+
+def test_euclidean_integer_and_numeric_string_coordinates():
+    H = make_instance(3, "euclidean", embeddings=[(0, 0), ("3", 4), (3, "0.5")])
+    assert H.dist.tolist() == [[0.0, 5.0, 3.0413812651491097], [5.0, 0.0, 3.5], [3.0413812651491097, 3.5, 0.0]]
+    assert H.embeddings == ((0.0, 0.0), (3.0, 4.0), (3.0, 0.5))
+    assert all(type(x) is float for e in H.embeddings for x in e)
+
+
+@pytest.mark.parametrize(
+    "embeddings",
+    [[(1e200, 0), (-1e200, 0)], [(float("inf"), 0), (0, 0)]],
+    ids=["overflow", "infinite"],
+)
+def test_euclidean_out_of_range_coordinates_raise_only_instance_error(embeddings):
+    # the suite turns warnings into errors, so a numpy RuntimeWarning fails here
+    with pytest.raises(InstanceError, match="non-finite distance"):
+        make_instance(2, "euclidean", embeddings=embeddings)
 
 
 def test_explicit_lookup():
