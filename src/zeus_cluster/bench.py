@@ -171,8 +171,8 @@ def run_experiment(
     memo of makeshift results for the call (see ``run_makeshift`` for its
     exact key): ``rs`` and the matching that defines ``f`` run once per
     experiment, the matching also giving the pairs every cell scores ``f``
-    with, and ``kc`` once per (k, seed), while local search, the slack checks and evaluation run in
-    every cell. The ``wall_ms`` and trace ``elapsed_ms`` of a cell that
+    with, and ``kc`` once per (k, seed), while local search, the slack
+    checks and evaluation run in every cell. The ``wall_ms`` and trace ``elapsed_ms`` of a cell that
     reused a stage cover only the work done in that cell.
     """
     config.validate()

@@ -161,9 +161,9 @@ def run_makeshift(
     With a ``memo`` dict, a stage whose inputs were seen before returns the
     stored result, which was validated when it was built. A makeshift reads
     nothing of ``C`` but its atoms and roots, never a slack, and otherwise
-    only ``o`` and, by kind, the list (``f``, ``tf``) and ``k`` and ``opts``
+    only ``o`` and, by kind, the list (``tf``) and ``k`` and ``opts``
     (``kc``, ``km``, ``tf``); the key is exactly those, so a hit returns what
-    the call would have built. ``f`` reads only the list and goes through
+    the call would have built. ``f`` reads only the list and is stored by
     ``fairness_matching``. A stored result is handed out as is, so no
     caller may change it in place. Nothing is stored for a makeshift that
     raises.
