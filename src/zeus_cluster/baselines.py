@@ -83,11 +83,10 @@ def _centered_blocks(
     at its best 1-center."""
     groups = sorted(groups, key=min)
     members, block = atom_arrays(groups)
-    assignment = dict(zip(members.tolist(), block.tolist()))
-    centers = {b: _block_one_center(H, g) for b, g in enumerate(groups)}
-    out = Clustering(assignment, len(groups), centers, atoms, roots)
-    out.validate(H.n)
-    return out
+    label = np.full(H.n, -1, dtype=np.int64)
+    label[members] = block
+    centers = [_block_one_center(H, g) for g in groups]
+    return Clustering.from_labels(label, centers, atoms, roots)
 
 
 def baseline_moc_path(

@@ -201,8 +201,10 @@ def _build_instance(
 
     if edges is None:
         # E defaults: all pairs within the declared threshold, or all pairs.
-        near = np.ones((n, n), dtype=bool) if edge_threshold is None else dist <= edge_threshold
-        edge_rows = np.argwhere(np.triu(near, 1)).astype(np.int64)
+        if edge_threshold is None:
+            edge_rows = np.column_stack(np.triu_indices(n, 1))
+        else:
+            edge_rows = np.argwhere(np.triu(dist <= edge_threshold, 1))
     else:
         edge_rows = _edge_rows(edges, n)
 

@@ -156,20 +156,17 @@ def _block_one_center(H: GraphInstance, members: list[int]) -> int:
     return members[int(np.flatnonzero(radii == radii.min())[0])]
 
 
-def _settle_centers(
-    H: GraphInstance, label: np.ndarray, centers: list[int]
-) -> tuple[dict[int, int], list[list[int]]]:
-    """Final centers and member lists of the blocks ``0..len(centers)-1``.
+def _settle_centers(H: GraphInstance, label: np.ndarray, centers: list[int]) -> list[int]:
+    """Final centers of the blocks ``0..len(centers)-1``.
 
     A Gonzalez center still inside its own block is kept; a block whose
     center was moved away gets its best 1-center.
     """
     members_of = group_by_block(np.arange(len(label)), label, len(centers))
-    final = {
-        b: c if label[c] == b else _block_one_center(H, members_of[b])
+    return [
+        c if label[c] == b else _block_one_center(H, members_of[b])
         for b, c in enumerate(centers)
-    }
-    return final, members_of
+    ]
 
 
 def makeshift_kcenter(
@@ -221,35 +218,20 @@ def makeshift_kcenter(
         label[members[atom_of == pick]] = target
         atom_block[pick] = target
 
-    final_centers, _ = _settle_centers(H, label, centers)
-    C = Clustering(dict(enumerate(label.tolist())), k, final_centers, atoms, roots)
-    C.validate(n)
-    return C, centers
+    final = _settle_centers(H, label, centers)
+    return Clustering.from_labels(label, final, atoms, roots), centers
 
 
 def _fragment_clustering(H: GraphInstance, top: np.ndarray) -> Clustering:
     """The clustering whose blocks, and atoms, gather the nodes of each
     value of ``top``: node u joins the block rooted at node ``top[u]``.
 
-    Blocks are ordered by their lowest member for determinism, and each
-    block's members are assigned in ascending order.
+    Blocks are ordered by their lowest member for determinism.
     """
-    lowest = np.sort(np.unique(top, return_index=True)[1])
-    roots = top[lowest]
+    roots = top[np.sort(np.unique(top, return_index=True)[1])]
     rank = np.empty(H.n, dtype=np.int64)
     rank[roots] = np.arange(len(roots))
-    block = rank[top]
-    order = np.argsort(block, kind="stable")
-    groups = np.split(order, np.cumsum(np.bincount(block))[:-1])
-    C = Clustering(
-        assignment=dict(zip(order.tolist(), block[order].tolist())),
-        k=len(roots),
-        centers=dict(enumerate(roots.tolist())),
-        atoms=tuple(tuple(g.tolist()) for g in groups),
-        roots=tuple(roots.tolist()),
-    )
-    C.validate(H.n)
-    return C
+    return Clustering.from_labels(rank[top], roots)
 
 
 def _rep_pairs(H: GraphInstance, C_in: Clustering, gamma: int):
@@ -642,18 +624,15 @@ def makeshift_tf(
     if not X:
         raise DegenerateInputError("team formation requires a non-empty expert set")
     centers, assign, _ = balanced_kcenter(H, X, k, opts)
-    return _extend_tf(H, k, centers, assign, opts)
+    return _extend_tf(H, centers, assign, opts)
 
 
 def _extend_tf(
-    H: GraphInstance,
-    k: int,
-    centers: list[int],
-    assign: dict[int, int],
-    opts: MakeshiftOptions,
+    H: GraphInstance, centers: list[int], assign: dict[int, int], opts: MakeshiftOptions
 ) -> Clustering:
     """The experts in their blocks of ``assign``, and every other node in
-    the block of its nearest expert or nearest center."""
+    the block of its nearest expert or nearest center; each block is one
+    atom rooted at its center."""
     experts = np.fromiter(assign.keys(), np.int64, len(assign))
     expert_block = np.fromiter(assign.values(), np.int64, len(assign))
     if opts.nonexpert_rule == CLOSEST_EXPERT:
@@ -661,13 +640,7 @@ def _extend_tf(
     else:
         label = _nearest_assignment(H, centers)
     label[experts] = expert_block
-
-    final_centers, members_of = _settle_centers(H, label, centers)
-    assignment = dict(enumerate(label.tolist()))
-    roots = tuple(final_centers[b] for b in range(k))
-    C = Clustering(assignment, k, final_centers, tuple(map(tuple, members_of)), roots)
-    C.validate(H.n)
-    return C
+    return Clustering.from_labels(label, _settle_centers(H, label, centers))
 
 
 def _approx_swap_costs(D, w, d1, d2, nearest, k, buf) -> np.ndarray:
@@ -770,8 +743,7 @@ def makeshift_kmedian(
     H: GraphInstance, C_in: Clustering, k: int, opts: MakeshiftOptions
 ) -> Clustering:
     """Swap-heuristic k-median over atom representatives, atoms kept whole."""
-    n = H.n
-    atoms, roots = _atoms_for_k(C_in, n, k)
+    atoms, roots = _atoms_for_k(C_in, H.n, k)
     reps = sorted(roots)
     weights = {root: float(len(atom)) for atom, root in zip(atoms, roots)}
     centers = _kmedian_swap_centers(H, reps, weights, k, opts)
@@ -781,10 +753,8 @@ def makeshift_kmedian(
     nearest = _nearest_assignment(H, centers)
     nearest[centers] = np.arange(k)
     members, atom_of = atom_arrays(atoms)
-    assignment = dict(zip(members.tolist(), nearest[np.asarray(roots)[atom_of]].tolist()))
-    C = Clustering(assignment, k, dict(enumerate(centers)), atoms, roots)
-    C.validate(n)
-    return C
+    nearest[members] = nearest[np.asarray(roots)[atom_of]]
+    return Clustering.from_labels(nearest, centers, atoms, roots)
 
 
 def makeshift_tf_kmedian(
@@ -802,4 +772,4 @@ def makeshift_tf_kmedian(
     assign = _balanced_assignment(H, experts, centers)
     if assign is None:
         raise InfeasibleError("balanced k-median assignment infeasible")
-    return _extend_tf(H, k, centers, assign, opts)
+    return _extend_tf(H, centers, assign, opts)

@@ -35,7 +35,9 @@ class Clustering:
     ``assignment`` maps node id to block index. ``atoms`` are groups of
     nodes that must stay co-clustered through later pipeline stages;
     ``roots`` holds each atom's anchor node (star center, matched-pair
-    representative, or the node itself for singletons).
+    representative, or the node itself for singletons). Every producer
+    builds its clustering through ``from_labels``, so its ``assignment``
+    keys run in node order; no value depends on that order.
     """
 
     assignment: dict[int, int]
@@ -43,6 +45,21 @@ class Clustering:
     centers: dict[int, int] | None = None
     atoms: tuple[tuple[int, ...], ...] = ()
     roots: tuple[int, ...] = ()
+
+    @classmethod
+    def from_labels(cls, label, centers, atoms=None, roots=None) -> Clustering:
+        """The validated clustering with node u in block ``label[u]`` and
+        block b centered at ``centers[b]``; without ``atoms``, each block
+        is one atom rooted at its center."""
+        label = np.asarray(label, np.int64)
+        centers = np.asarray(centers, np.int64).tolist()
+        k = len(centers)
+        if atoms is None:
+            atoms = tuple(map(tuple, group_by_block(np.arange(len(label)), label, k)))
+            roots = centers
+        C = cls(dict(enumerate(label.tolist())), k, dict(enumerate(centers)), atoms, tuple(roots))
+        C.validate(len(label))
+        return C
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The assigned nodes and their blocks, as int64 arrays."""
@@ -70,6 +87,10 @@ class Clustering:
         if len(self.atoms) != len(self.roots):
             raise ZeusError("atoms/roots length mismatch")
         members, atom_of = atom_arrays(self.atoms)
+        outside = (members < 0) | (members >= n)
+        if outside.any():
+            atom = self.atoms[atom_of[np.argmax(outside)]]
+            raise ZeusError(f"atom {atom} has a member outside 0..{n - 1}")
         label = _labels(n, nodes, blocks)[members]
         at_root = members == np.asarray(self.roots, np.int64)[atom_of]
         rooted = np.bincount(atom_of[at_root], minlength=len(self.atoms)) > 0
@@ -93,10 +114,12 @@ def atom_arrays(atoms) -> tuple[np.ndarray, np.ndarray]:
 
 
 def group_by_block(nodes: np.ndarray, blocks: np.ndarray, k: int) -> list[list[int]]:
-    """The ``nodes`` in each block 0..k-1 of ``blocks``, ascending."""
+    """The ``nodes`` in each block 0..k-1 of ``blocks``, ascending; nodes
+    of any other block are left out."""
     order = np.lexsort((nodes, blocks))
-    bounds = np.cumsum(np.bincount(blocks, minlength=k))[:-1]
-    return [g.tolist() for g in np.split(nodes[order], bounds)]
+    bounds = np.searchsorted(blocks[order], np.arange(k + 1)).tolist()
+    members = nodes[order].tolist()
+    return [members[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _labels(n: int, nodes: np.ndarray, blocks: np.ndarray) -> np.ndarray:

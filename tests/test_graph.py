@@ -283,6 +283,17 @@ def test_edges_are_canonical_rows():
     assert line_points([0, 1, 5], edge_threshold=4).edges.tolist() == [[0, 1], [1, 2]]
 
 
+@pytest.mark.parametrize("threshold", [None, 0.5])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 50])
+def test_default_edges_match_the_bool_square(n, threshold):
+    pts = np.random.default_rng(n).random((n, 2)).tolist()
+    H = make_instance(n, "euclidean", embeddings=pts, edge_threshold=threshold)
+    near = np.ones((n, n), dtype=bool) if threshold is None else H.dist <= threshold
+    want = np.argwhere(np.triu(near, 1)).astype(np.int64)
+    assert H.edges.shape == want.shape and np.array_equal(H.edges, want)
+    assert H.edges.dtype == np.int64 and not H.edges.flags.writeable
+
+
 def test_instance_is_unhashable_and_compares_by_value():
     H = generate_instance("rs", 10, 0)
     with pytest.raises(TypeError, match="unhashable type: 'GraphInstance'"):

@@ -6,10 +6,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import explicit, line_points, neighbours
-from zeus_cluster.baselines import baseline_b2, baseline_moc_path
+from zeus_cluster.baselines import baseline_b1, baseline_b2, baseline_moc_path
 from zeus_cluster.errors import ConfigError, DegenerateInputError, InfeasibleError, ZeusError
 from zeus_cluster.graph import BLUE, PURPLE, make_instance
-from zeus_cluster.makeshifts import MakeshiftOptions, makeshift_fairness_ab
+from zeus_cluster.makeshifts import (
+    MakeshiftOptions,
+    makeshift_fairness_ab,
+    makeshift_fairness_mincost,
+    makeshift_kcenter,
+    makeshift_kmedian,
+    makeshift_rs,
+    makeshift_rs_gamma,
+    makeshift_tf,
+    makeshift_tf_kmedian,
+)
 from zeus_cluster.objectives import (
     Clustering,
     ObjectiveSpec,
@@ -28,7 +38,7 @@ from zeus_cluster.objectives import (
     slack_violated,
 )
 from zeus_cluster.synth import generate_instance
-from zeus_cluster.zeus import KMEDIAN_FACTOR, estimate_optimal
+from zeus_cluster.zeus import KMEDIAN_FACTOR, ProblemSpec, estimate_optimal
 
 
 def pairs(*ps):
@@ -463,6 +473,80 @@ def test_centers_must_name_every_block(centers):
         C.validate(3)
 
 
+@pytest.mark.parametrize("member", [5, -1])
+def test_atom_member_outside_the_nodes_rejected(member):
+    # 5 once indexed past the label array; -1 wrapped round to node 1
+    C = Clustering({0: 0, 1: 0}, 1, {0: 0}, ((member,),), (member,))
+    with pytest.raises(ZeusError, match=rf"atom \({member},\) has a member outside 0..1"):
+        C.validate(2)
+
+
+def test_from_labels_makes_each_block_one_atom_rooted_at_its_center():
+    C = Clustering.from_labels(np.array([1, 0, 1, 0]), [1, 2])
+    assert list(C.assignment.items()) == [(0, 1), (1, 0), (2, 1), (3, 0)]
+    assert (C.k, C.centers, C.atoms, C.roots) == (2, {0: 1, 1: 2}, ((1, 3), (0, 2)), (1, 2))
+    kept = Clustering.from_labels(np.array([1, 0, 1, 0]), [1, 2], ((0, 2), (1, 3)), (0, 3))
+    assert (kept.atoms, kept.roots) == (((0, 2), (1, 3)), (0, 3))
+
+
+@pytest.mark.parametrize(
+    "label, centers, message",
+    [
+        ([0, 0, 2], [0, 1, 2], "finalized clustering has an empty block"),
+        ([0, 0, 1], [2, 0], "center 2 not inside its block 0"),
+        ([0, -1, 3], [0], "a block index lies outside 0..0"),
+    ],
+    ids=["empty_block", "center_outside", "label_outside"],
+)
+def test_from_labels_validates(label, centers, message):
+    with pytest.raises(ZeusError, match=message):
+        Clustering.from_labels(np.array(label), centers)
+
+
+def _rs_fragments(H):
+    return makeshift_rs(H, singleton_clustering(H.n))[0]
+
+
+def _experts(H):
+    return {u for u, x in enumerate(H.experts) if x}
+
+
+def _instance(kind):
+    return lambda: generate_instance(kind, 20, 3)
+
+
+_OPTS = MakeshiftOptions()
+_RS_KC = (ObjectiveSpec("rs"), ObjectiveSpec("kc"))
+_RS, _F, _TF = _instance("rs"), _instance("f"), _instance("tf")
+# each producer of a clustering, and the instance it runs on
+PRODUCERS = {
+    "rs": (_RS, _rs_fragments),
+    "rs_gamma2": (
+        lambda: line_points([10, 0, 11, 1, 12, 2], edge_threshold=2.0),
+        lambda H: makeshift_rs_gamma(H, singleton_clustering(H.n), 2)[0],
+    ),
+    "f_1to1": (_F, lambda H: makeshift_fairness_ab(H, 1, 1)[0]),
+    "f_2to1": (_F, lambda H: makeshift_fairness_ab(H, 2, 1)[0]),
+    "f_mincost": (_F, lambda H: makeshift_fairness_mincost(H)[0]),
+    "tf": (_TF, lambda H: makeshift_tf(H, _experts(H), 3, _OPTS)),
+    "tf_km": (_TF, lambda H: makeshift_tf_kmedian(H, _experts(H), 3, _OPTS)),
+    "kc": (_RS, lambda H: makeshift_kcenter(H, _rs_fragments(H), 3, _OPTS)[0]),
+    "km": (_RS, lambda H: makeshift_kmedian(H, _rs_fragments(H), 3, _OPTS)),
+    "b1": (_RS, lambda H: baseline_b1(H, ProblemSpec(_RS_KC, SlackVector((1.0, 2.0)), 3))),
+    "b2": (_RS, lambda H: baseline_b2(H, 3, _OPTS)),
+    "moc": (_RS, lambda H: baseline_moc_path(H, _RS_KC, (3,))[3]),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCERS)
+def test_producers_list_nodes_in_order(name):
+    instance, produce = PRODUCERS[name]
+    H = instance()
+    C = produce(H)
+    assert list(C.assignment) == list(range(H.n))
+    C.validate(H.n)
+
+
 def _validate_by_loop(C, n):
     """Reference: ``Clustering.validate`` as a walk over the assignment
     dict and the atoms."""
@@ -478,6 +562,9 @@ def _validate_by_loop(C, n):
                 raise ZeusError(f"center {c} not inside its block {b}")
     if len(C.atoms) != len(C.roots):
         raise ZeusError("atoms/roots length mismatch")
+    for atom in C.atoms:
+        if any(not 0 <= u < n for u in atom):
+            raise ZeusError(f"atom {atom} has a member outside 0..{n - 1}")
     for atom, root in zip(C.atoms, C.roots):
         if root not in atom:
             raise ZeusError(f"root {root} outside its atom {atom}")
