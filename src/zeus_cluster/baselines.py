@@ -20,6 +20,7 @@ from .objectives import (
     atom_arrays,
     blue_partners,
     check_positive_int,
+    group_by_block,
     singleton_clustering,
 )
 from .zeus import run_makeshift
@@ -36,10 +37,13 @@ def baseline_b1(H: GraphInstance, spec, memo: dict | None = None) -> Clustering:
     The first stage's makeshift sees the list ``(o1,)``, so ``tf`` always
     picks its centers by balanced k-center; an ``f`` first objective keeps
     the matching that the whole list defines. RS/F fragments are
-    consolidated to exactly k blocks by repeatedly merging the two blocks
-    whose fragment roots are closest. ``memo`` is handed to
-    ``run_makeshift``.
+    consolidated to exactly k blocks as ``consolidate_fragments`` does.
+    ``memo`` is handed to ``run_makeshift``, and it also keeps the
+    fragments' merge order, which depends on neither k nor the seed: with
+    one memo the root pairs of a fragment clustering are sorted once, and
+    each call replays its k's prefix of the merges and centers the blocks.
     """
+    check_positive_int("k", spec.k)
     o1 = spec.objectives[0]
     if o1.kind not in (RS, F, TF):
         raise ConfigError(f"B1 requires an RS, F, or TF first objective, got {o1.kind}")
@@ -47,33 +51,115 @@ def baseline_b1(H: GraphInstance, spec, memo: dict | None = None) -> Clustering:
     C, _, _ = run_makeshift(
         H, singleton_clustering(H.n), o1, objectives, spec.k, spec.options, memo
     )
-    return C if o1.kind == TF else consolidate_fragments(H, C, spec.k)
+    return C if o1.kind == TF else _consolidated(H, C, spec.k, memo)
 
 
 def consolidate_fragments(H: GraphInstance, C: Clustering, k: int) -> Clustering:
-    """Merge fragments nearest-roots-first until k blocks remain."""
+    """Merge fragments nearest-roots-first until k blocks remain.
+
+    Each merge joins the two live fragments whose roots are closest, ties
+    to the least (root at the lower position, root at the higher position)
+    in block order. The merged fragment keeps the lower position and the
+    smaller root. That root is one of the two old ones, so the distances
+    between live roots never change and only roots die: one scan of the
+    root pairs, sorted by distance, makes every merge (``_merge_order``).
+    """
+    return _consolidated(H, C, k, None)
+
+
+def _consolidated(H: GraphInstance, C: Clustering, k: int, memo: dict | None) -> Clustering:
+    """``consolidate_fragments(H, C, k)``. With ``memo``, which serves one
+    instance, the merge order down to one block is stored there under the
+    roots it was made from, all that the scan reads of ``C``, and later
+    calls for any k replay a prefix of it."""
+    check_positive_int("k", k)
     if C.k < k:
         raise InfeasibleError(f"cannot split {C.k} fragments into k={k} blocks")
-    groups = [list(b) for b in C.blocks()]
-    roots = np.array(C.roots if C.roots else [min(b) for b in groups])
-    g = len(groups)
-    # [i, j] for live positions i < j: the distance between their roots
-    live = np.triu(np.ones((g, g), dtype=bool), 1)
-    gap = H.dist[np.ix_(roots, roots)]
-    for _ in range(g - k):
-        close = live & (gap == gap[live].min())
-        # ties go to the least (roots[i], roots[j])
-        pi, pj = np.nonzero(close)
-        t = np.lexsort((roots[pj], roots[pi]))[0]
-        i, j = int(pi[t]), int(pj[t])
-        groups[i] += groups[j]
-        groups[j] = []
-        live[j, :] = live[:, j] = False
-        if roots[j] < roots[i]:
-            roots[i] = roots[j]
-            gap[i, :] = gap[:, i] = H.dist[roots[i], roots]
-    groups = [members for members in groups if members]
-    return _centered_blocks(H, groups, C.atoms, C.roots)
+    roots = C.roots if C.roots else tuple(min(b) for b in C.blocks())
+    if memo is None:
+        merges = _merge_order(H, np.array(roots), C.k - k)
+    else:
+        key = ("merge order", roots)
+        if key not in memo:
+            memo[key] = _merge_order(H, np.array(roots), C.k - 1)
+        merges = memo[key]
+    # each block's final position: a merge moves the block at the higher
+    # position into the one at the lower, so chains only run downward
+    to = np.arange(C.k)
+    to[merges[: C.k - k, 1]] = merges[: C.k - k, 0]
+    while (to[to] != to).any():
+        to = to[to]
+    nodes, blocks = C.arrays()
+    groups = group_by_block(nodes, to[blocks], C.k)
+    return _centered_blocks(H, [g for g in groups if g], C.atoms, C.roots)
+
+
+def _merge_order(H: GraphInstance, roots: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` merges of ``consolidate_fragments``, each as the
+    (lower, higher) block positions it joins.
+
+    The root pairs are sorted once by distance and walked in order. Pairs
+    with a dead root are skipped in chunks, which double while none of
+    their pairs is live. A run of equal distances is settled one merge at
+    a time by the tie rule, since a merge can move a surviving root to a
+    lower position.
+    """
+    g = len(roots)
+    # the pairs i < j of root indices, row by row, and their root distances;
+    # int32 indices and one row at a time keep the g(g - 1)/2 tables small
+    first = np.repeat(np.arange(g, dtype=np.int32), np.arange(g - 1, -1, -1))
+    second = np.empty_like(first)
+    gap = np.empty(len(first))
+    start = 0
+    for i in range(g - 1):
+        second[start : start + g - 1 - i] = np.arange(i + 1, g)
+        gap[start : start + g - 1 - i] = H.dist[roots[i], roots[i + 1 :]]
+        start += g - 1 - i
+    # ties are settled below, so the sort need not be stable
+    order = np.argsort(gap)
+    gap.sort()
+    first = first[order]
+    second = second[order]
+    del order
+    alive = np.ones(g, dtype=bool)
+    # at[r]: the position of the block rooted at roots[r]
+    at = np.arange(g)
+    merges: list[tuple[int, int]] = []
+
+    def live(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.flatnonzero(alive[x] & alive[y])
+
+    def merge(u: int, v: int) -> None:
+        lower, higher = sorted((int(at[u]), int(at[v])))
+        merges.append((lower, higher))
+        keep, die = (u, v) if roots[u] < roots[v] else (v, u)
+        alive[die] = False
+        at[keep] = lower
+
+    t = 0
+    while len(merges) < count:
+        # the next pair with both roots live
+        step = 64
+        while not (hit := live(first[t : t + step], second[t : t + step])).size:
+            t += step
+            step *= 2
+        t += int(hit[0])
+        end = t + 1
+        if end < len(gap) and gap[end] == gap[t]:
+            end = int(np.searchsorted(gap, gap[t], side="right"))
+        if end == t + 1:
+            merge(int(first[t]), int(second[t]))
+        else:
+            x, y = first[t:end], second[t:end]
+            while len(merges) < count and (both := live(x, y)).size:
+                u, v = x[both], y[both]
+                # u at the lower position of each pair
+                lower = at[u] < at[v]
+                u, v = np.where(lower, u, v), np.where(lower, v, u)
+                p = np.lexsort((roots[v], roots[u]))[0]
+                merge(int(u[p]), int(v[p]))
+        t = end
+    return np.array(merges, dtype=np.int64).reshape(-1, 2)
 
 
 def _centered_blocks(

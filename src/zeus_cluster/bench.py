@@ -172,7 +172,10 @@ def run_experiment(
     exact key): ``rs`` and the matching that defines ``f`` run once per
     experiment, the matching also giving the pairs every cell scores ``f``
     with, and ``kc`` once per (k, seed), while local search, the slack
-    checks and evaluation run in every cell. The ``wall_ms`` and trace ``elapsed_ms`` of a cell that
+    checks and evaluation run in every cell. ``b1`` also keeps its merge
+    order there, so its fragments' root pairs are sorted once per
+    experiment and each (k, seed) only replays its merges and centers
+    its blocks. The ``wall_ms`` and trace ``elapsed_ms`` of a cell that
     reused a stage cover only the work done in that cell.
     """
     config.validate()

@@ -117,6 +117,7 @@ def greedy_centers(
     A chosen center is never chosen again, even when every remaining
     candidate is at distance 0 from the centers.
     """
+    check_positive_int("k", k)
     cand = sorted(candidates) if candidates is not None else list(range(H.n))
     if k > len(cand):
         raise ConfigError(f"k={k} exceeds candidate count {len(cand)}")

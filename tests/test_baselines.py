@@ -78,6 +78,34 @@ class TestB2:
             assert len(set(C.assignment.values())) == 3
 
 
+BAD_KS = [0, -1, 2.5, True]
+
+
+class TestInvalidK:
+    """B1, B2 and consolidation reject a k that is not a positive integer
+    before any work, as ``ProblemSpec.validate`` does."""
+
+    @pytest.mark.parametrize("k", BAD_KS)
+    def test_b2(self, k):
+        H = generate_instance("rs", 30, 0)
+        with pytest.raises(ConfigError, match="k must be a positive integer"):
+            baseline_b2(H, k, OPTS)
+
+    @pytest.mark.parametrize("k", BAD_KS)
+    @pytest.mark.parametrize("first", ["rs", "f", "tf"])
+    def test_b1(self, first, k):
+        H = generate_instance(first, 30, 0)
+        with pytest.raises(ConfigError, match="k must be a positive integer"):
+            baseline_b1(H, spec_of([first, "kc"], [1.0, 3.0], k))
+
+    @pytest.mark.parametrize("k", BAD_KS)
+    def test_consolidate(self, k):
+        H = generate_instance("rs", 30, 0)
+        C, _ = makeshift_rs(H, singleton_clustering(30))
+        with pytest.raises(ConfigError, match="k must be a positive integer"):
+            consolidate_fragments(H, C, k)
+
+
 class TestB1:
     def test_rs_first_keeps_full_cover(self):
         H = generate_instance("rs", 20, 1)
@@ -129,12 +157,14 @@ class TestConsolidate:
         assert out.assignment[0] != out.assignment[2]
 
 
-def pair_scan_consolidate(H, C, k):
+def pair_scan_path(H, C):
     """The reference B1 merge loop: scan every pair of live fragments for
-    the least (root distance, roots[i], roots[j]) over positions i < j."""
+    the least (root distance, roots[i], roots[j]) over positions i < j.
+    Yields the groups at every count from C.k blocks down to one."""
     groups = [list(b) for b in C.blocks()]
     roots = list(C.roots)
-    while len(groups) > k:
+    yield [list(g) for g in groups]
+    while len(groups) > 1:
         best = None
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
@@ -146,7 +176,20 @@ def pair_scan_consolidate(H, C, k):
         roots[i] = min(roots[i], roots[j])
         del groups[j]
         del roots[j]
-    return groups
+        yield [list(g) for g in groups]
+
+
+def pair_scan_consolidate(H, C, k):
+    """The reference loop's groups at k blocks."""
+    return next(groups for groups in pair_scan_path(H, C) if len(groups) == k)
+
+
+def assert_every_k_matches_pair_scan(H, C):
+    """consolidate_fragments agrees with the reference loop at every k."""
+    for want in pair_scan_path(H, C):
+        got = consolidate_fragments(H, C, len(want))
+        assert sorted(got.blocks()) == sorted(sorted(g) for g in want)
+        assert list(got.assignment) == list(range(H.n))
 
 
 class TestConsolidateReference:
@@ -163,6 +206,20 @@ class TestConsolidateReference:
         assert pair_scan_consolidate(H, C, 2) == [[0, 3], [1, 2]]
         assert consolidate_fragments(H, C, 2).blocks() == [[0, 3], [1, 2]]
 
+    def test_tie_keys_read_roots_in_block_order(self):
+        # roots 3-1 and 2-4 tie at distance 1; in block order their keys are
+        # (3, 1) and (2, 4), so 2-4 merges first, though {1, 3} < {2, 4}
+        H = explicit([[1 if {u, v} in ({1, 3}, {2, 4}) else 2 * (u != v)
+                       for v in range(5)] for u in range(5)])
+        C = Clustering(
+            assignment={0: 0, 1: 1, 2: 2, 3: 0, 4: 3},
+            k=4,
+            atoms=((0, 3), (1,), (2,), (4,)),
+            roots=(3, 1, 2, 4),
+        )
+        assert pair_scan_consolidate(H, C, 3) == [[0, 3], [1], [2, 4]]
+        assert consolidate_fragments(H, C, 3).blocks() == [[0, 3], [1], [2, 4]]
+
     def test_merged_root_distances_follow_the_new_root(self):
         # {0, 4} (root 4) and {1} merge first, and the merged root becomes
         # 1: it is then nearer {3} (25) than {2} (26), though root 4 was
@@ -177,15 +234,21 @@ class TestConsolidateReference:
         assert pair_scan_consolidate(H, C, 2) == [[0, 4, 1, 3], [2]]
         assert consolidate_fragments(H, C, 2).blocks() == [[0, 1, 3, 4], [2]]
 
-    @pytest.mark.parametrize("side", [4, 6, 8])
+    @pytest.mark.parametrize("side", [3, 4, 5, 6, 7, 8])
     def test_matches_pair_scan_on_lattices(self, side):
         H = lattice(side)
-        C, _ = makeshift_rs(H, singleton_clustering(H.n))
-        for k in range(1, C.k + 1):
-            got = consolidate_fragments(H, C, k)
-            want = pair_scan_consolidate(H, C, k)
-            assert sorted(got.blocks()) == sorted(sorted(g) for g in want)
-            assert list(got.assignment) == list(range(H.n))
+        assert_every_k_matches_pair_scan(H, makeshift_rs(H, singleton_clustering(H.n))[0])
+
+    @pytest.mark.parametrize("n", [12, 30, 100, 200])
+    @pytest.mark.parametrize("family", ["rs", "f"])
+    def test_matches_pair_scan_on_fragments(self, family, n):
+        for seed in range(4):
+            H = generate_instance(family, n, seed)
+            if family == "rs":
+                C, _ = makeshift_rs(H, singleton_clustering(n))
+            else:
+                C, _ = makeshift_fairness_ab(H, 1, 1)
+            assert_every_k_matches_pair_scan(H, C)
 
 
 def moc(H, kinds, k, pairs=None):

@@ -32,6 +32,7 @@ from zeus_cluster.objectives import (
     SlackVector,
     clustering_to_json,
     evaluate,
+    singleton_clustering,
 )
 from zeus_cluster.synth import generate_instance
 from zeus_cluster.zeus import ProblemSpec, zeus_run
@@ -453,6 +454,53 @@ class TestRunPinned:
         assert len(records) == 2 * 3 * 2 and not any(r.error for r in records)
         # the scoring pairs and every f stage of zeus and b1 share one build
         assert calls == [(1, 1)]
+
+
+def _b1_config(tmp_path, ks):
+    return ExperimentConfig(
+        instance_path="",
+        objectives=(ObjectiveSpec("rs"), ObjectiveSpec("kc")),
+        slacks=((1.0, 3.0), (0.5, 2.0)),
+        ks=ks,
+        seeds=(0, 1),
+        algorithms=("zeus", "b1", "b2"),
+        output_dir=str(tmp_path),
+    )
+
+
+class TestSharedMergeOrder:
+    """B1's merges depend on neither k nor the seed, so one sort of the
+    root pairs serves every b1 cell of an experiment."""
+
+    def test_root_pairs_sorted_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(H, roots, count, _fn=baselines._merge_order):
+            calls.append((len(roots), count))
+            return _fn(H, roots, count)
+
+        monkeypatch.setattr(baselines, "_merge_order", counted)
+        H = generate_instance("rs", 40, 1)
+        records = run_experiment(_b1_config(tmp_path, (2, 3, 4)), H)
+        assert len(records) == 2 * 3 * 2 * 3 and not any(r.error for r in records)
+        # one scan of every root pair, down to one block, for 3 ks x 2 seeds
+        g = makeshifts.makeshift_rs(H, singleton_clustering(H.n))[0].k
+        assert calls == [(g, g - 1)]
+
+    def test_descending_ks_give_the_same_records(self, tmp_path):
+        H = generate_instance("rs", 40, 1)
+
+        def lines(ks):
+            return sorted(
+                json.dumps(
+                    [r.algorithm, r.k, r.slack, r.seed, r.values, r.error,
+                     r.clustering_json, _untimed(r.trace)],
+                    sort_keys=True,
+                )
+                for r in run_experiment(_b1_config(tmp_path, ks), H)
+            )
+
+        assert lines((4, 3, 2)) == lines((2, 3, 4))
 
 
 def _gamma_instance():
