@@ -23,7 +23,7 @@ from .objectives import (
     group_by_block,
     singleton_clustering,
 )
-from .zeus import run_makeshift
+from .zeus import run_makeshift, singletons
 
 
 def baseline_b2(H: GraphInstance, k: int, opts: MakeshiftOptions) -> Clustering:
@@ -38,19 +38,17 @@ def baseline_b1(H: GraphInstance, spec, memo: dict | None = None) -> Clustering:
     picks its centers by balanced k-center; an ``f`` first objective keeps
     the matching that the whole list defines. RS/F fragments are
     consolidated to exactly k blocks as ``consolidate_fragments`` does.
-    ``memo`` is handed to ``run_makeshift``, and it also keeps the
-    fragments' merge order, which depends on neither k nor the seed: with
-    one memo the root pairs of a fragment clustering are sorted once, and
-    each call replays its k's prefix of the merges and centers the blocks.
+    ``memo`` is handed to ``singletons`` and ``run_makeshift``, and keeps
+    the fragments' merge order, which depends on neither k nor the seed:
+    with one memo the root pairs of a fragment clustering are sorted once,
+    and each call replays its k's prefix of the merges and centers them.
     """
     check_positive_int("k", spec.k)
     o1 = spec.objectives[0]
     if o1.kind not in (RS, F, TF):
         raise ConfigError(f"B1 requires an RS, F, or TF first objective, got {o1.kind}")
     objectives = spec.objectives if o1.kind == F else (o1,)
-    C, _, _ = run_makeshift(
-        H, singleton_clustering(H.n), o1, objectives, spec.k, spec.options, memo
-    )
+    C, _, _ = run_makeshift(H, singletons(H, memo), o1, objectives, spec.k, spec.options, memo)
     return C if o1.kind == TF else _consolidated(H, C, spec.k, memo)
 
 
@@ -183,8 +181,8 @@ def baseline_moc_path(
     Starts from singletons and repeatedly applies the merge minimizing the
     sum of both objectives' full-clustering values, each min-max normalized
     over the candidate merges of the round (maximization objectives
-    negated); ties go to the first pair in creation order. The merge
-    sequence is nested, so one pass yields the clustering at every
+    negated); ties go to the least pair (x, y) of block positions. The
+    merge sequence is nested, so one pass yields the clustering at every
     requested k.
 
     The live blocks sit at positions 0..B-1 in creation order. Each
@@ -193,12 +191,13 @@ def baseline_moc_path(
     radii, from each node's distance to the farthest member of each block;
     ``km`` the merged 1-median costs; ``rs`` the covered nodes and, per
     pair of blocks, the uncovered nodes their merge would cover; ``f`` the
-    matched pairs split between two blocks; ``tf`` the expert counts. Each
-    pair table is a symmetric B x B table in an n x n buffer. A merge of i
-    and j closes up its rows and columns i and j and appends the merged
-    block's row, the only one computed anew. A round then does O(B^2)
-    array work for its scores, and O(n) plus the merged block's rows of
-    the eccentricity and E tables for its update.
+    matched pairs split between two blocks; ``tf`` the expert counts and
+    their pair sums. Each pair table is condensed, one entry per pair x < y
+    column by column (``_pair_position``), so a round reads it whole. A
+    merge of i and j keeps the pairs without i and j, still in column
+    order, and appends the merged block's column, the only one computed
+    anew. A round does O(B^2) array work, plus O(n) and the merged block's
+    rows of the eccentricity and E tables.
     """
     if len(objectives) != 2:
         raise ConfigError("the MOC baseline requires exactly two objectives")
@@ -217,38 +216,43 @@ def baseline_moc_path(
     blocks = [[u] for u in range(n)]
     slot = np.arange(n)
     node_slot = np.arange(n)
-    tri = np.triu(np.ones((n, n), dtype=bool), 1)
+    # the blocks low < high of each pair at the start, and [y]: where
+    # column y, the pairs (0, y) .. (y - 1, y), starts
+    high, low = np.tril_indices(n, -1)
+    start = _pair_position(0, np.arange(n + 1))
     if KC in kinds:
         radius = np.zeros(n)
-        # [i, j]: 1-center radius of i and j merged
-        merged_radius = H.dist.copy()
+        # [t]: 1-center radius of pair t's blocks merged
+        merged_radius = H.dist[low, high]
         # [c, s]: the distance from node c to the farthest member of the
         # block in slot s, and [c]: that of c's own block
         ecc = H.dist.copy()
         own = np.zeros(n)
     if KM in kinds:
         kmcost = np.zeros(n)
-        merged_kmcost = H.dist.copy()
+        merged_kmcost = H.dist[low, high]
     if RS in kinds:
         # covered: the nodes with an E-neighbour in their own block;
-        # [i, j]: uncovered nodes of i with an E-neighbour in j, plus those
-        # of j with one in i; near: E as a node x node table
+        # [t]: uncovered nodes of one block of pair t with an E-neighbour
+        # in the other, both ways; near[c, s]: whether node c has an
+        # E-neighbour in the block in slot s
         covered = np.zeros(n, dtype=bool)
-        gain = np.zeros((n, n))
+        gain = np.zeros(len(low))
         near = np.zeros((n, n), dtype=bool)
         u, v = H.edges.T
-        gain[u, v] = gain[v, u] = 2.0
+        gain[_pair_position(u, v)] = 2.0
         near[u, v] = near[v, u] = True
     if F in kinds:
-        # [i, j]: matched Blue-Purple pairs split between i and j, and the
-        # pairs inside one block
+        # [t]: matched Blue-Purple pairs split between pair t's blocks, and
+        # the pairs inside one block
         blue, purple = blue_partners(H, pairs)
-        split = np.zeros((n, n))
-        split[blue, purple] = split[purple, blue] = 1.0
+        split = np.zeros(len(low))
+        split[_pairs_with(blue, purple)] = 1.0
         together = 0.0
         n_blue = max(1, sum(1 for c in H.colors if c == BLUE))
     if TF in kinds:
         experts = np.array(H.experts, dtype=float)
+        pair = experts[low] + experts[high]
     out: dict[int, Clustering] = {}
     while True:
         B = len(blocks)
@@ -256,30 +260,36 @@ def baseline_moc_path(
             out[B] = _centered_blocks(H, blocks)
         if B == wanted[0]:
             return out
-        # the upper triangle, row by row, as np.triu_indices lists it
-        upper = tri[:B, :B]
         score = None
-        # [i, j]: the objective's value for the whole clustering after
-        # merging i and j
+        # [t]: the objective's value for the whole clustering after merging
+        # pair t's blocks
         for o in objectives:
             if o.kind == KC:
-                value = _with_others(merged_radius[:B, :B], radius, np.maximum, 0.0)[upper]
+                value = _with_others(merged_radius, radius, np.maximum, 0.0, start)
             elif o.kind == KM:
                 total = math.fsum(kmcost.tolist())
-                value = total - kmcost[:, None] - kmcost[None, :] + merged_kmcost[:B, :B]
-                value = value[upper]
+                P = len(merged_kmcost)
+                value = total - kmcost[low[:P]] - kmcost[high[:P]] + merged_kmcost
             elif o.kind == RS:
-                value = (covered.sum() + gain[:B, :B][upper]) / n
+                value = (covered.sum() + gain) / n
             elif o.kind == F:
-                value = (together + split[:B, :B][upper]) / n_blue
+                value = (together + split) / n_blue
             else:  # tf
-                pair = experts[:, None] + experts[None, :]
-                hi = _with_others(pair, experts, np.maximum, -np.inf)[upper]
-                lo = _with_others(pair, experts, np.minimum, np.inf)[upper]
+                hi = _with_others(pair, experts, np.maximum, -np.inf, start)
+                lo = _with_others(pair, experts, np.minimum, np.inf, start)
                 value = np.divide(hi, lo, out=np.full(lo.shape, np.inf), where=lo > 0)
             norm = _normalized(value, o.maximize)
             score = norm if score is None else score + norm
-        i, j = _upper_pair(B, int(np.argmin(score)))
+        # equal least scores go to the least x and, of its pairs, to the
+        # first, with the least y; column order may list other pairs first
+        best = (score == score.min()).nonzero()[0]
+        x, y = _pair_at(best, start)
+        first = x.argmin()
+        i, j, t = int(x[first]), int(y[first]), int(best[first])
+        # the pairs without i and j: all but their columns and rows
+        keep = np.ones(len(score), dtype=bool)
+        keep[start[i] : start[i + 1]] = keep[start[j] : start[j + 1]] = False
+        keep[start[i + 1 : B] + i] = keep[start[j + 1 : B] + j] = False
         merged = sorted(blocks[i] + blocks[j])
         del blocks[j], blocks[i]
         blocks.append(merged)
@@ -289,7 +299,7 @@ def baseline_moc_path(
         node_slot[members] = si
         older = slot[:-1]
         if KC in kinds:
-            radius = _without(radius, i, j, merged_radius[i, j])
+            radius = _without(radius, i, j, merged_radius[t])
             np.maximum(ecc[:, si], ecc[:, sj], out=ecc[:, si])
             own[members] = ecc[members, si]
             # the merged block with each older one: the least, over the
@@ -298,28 +308,27 @@ def baseline_moc_path(
             np.minimum.at(reach, node_slot, np.maximum(ecc[:, si], own))
             inside = np.maximum(ecc[members[:, None], older], own[members][:, None])
             inside = inside.min(axis=0)
-            _close_up(merged_radius, B, i, j, np.minimum(reach[older], inside))
+            merged_radius = np.concatenate((merged_radius[keep], np.minimum(reach[older], inside)))
         if KM in kinds:
-            kmcost = _without(kmcost, i, j, merged_kmcost[i, j])
-            _close_up(merged_kmcost, B, i, j, _merged_one_median(H, blocks))
+            kmcost = _without(kmcost, i, j, merged_kmcost[t])
+            merged_kmcost = np.concatenate((merged_kmcost[keep], _merged_one_median(H, blocks)))
         if RS in kinds:
-            at, to = np.nonzero(near[members])
-            frm = members[at]
-            covered[frm[node_slot[to] == si]] = True
-            leave = (node_slot[to] != si) & ~covered[frm]
-            # uncovered members by the blocks of their neighbours, and
-            # uncovered outside nodes with a neighbour among the members
-            hits = np.unique(frm[leave] * n + node_slot[to[leave]]) % n
-            reached = np.zeros(n, dtype=bool)
-            reached[to[~covered[to] & (node_slot[to] != si)]] = True
-            counts = np.bincount(hits, minlength=n)
-            counts += np.bincount(node_slot[reached], minlength=n)
-            _close_up(gain, B, i, j, counts[older])
+            near[:, si] |= near[:, sj]
+            covered[members] = near[members, si]
+            # uncovered members by the older blocks they reach, and
+            # uncovered older nodes by their blocks, if they reach the merged one
+            counts = near[members[~covered[members]][:, None], older].sum(axis=0)
+            outside = near[:, si] & ~covered & (node_slot != si)
+            counts += np.bincount(node_slot[outside], minlength=n)[older]
+            gain = np.concatenate((gain[keep], counts))
         if F in kinds:
-            together += split[i, j]
-            _close_up(split, B, i, j, _without(split[i, :B] + split[j, :B], i, j))
+            together += split[t]
+            rest = np.delete(np.arange(B), (i, j))
+            tail = split[_pairs_with(i, rest)] + split[_pairs_with(j, rest)]
+            split = np.concatenate((split[keep], tail))
         if TF in kinds:
             experts = _without(experts, i, j, experts[i] + experts[j])
+            pair = np.concatenate((pair[keep], experts[:-1] + experts[-1]))
 
 
 def _merged_one_median(H: GraphInstance, blocks: list[list[int]]) -> np.ndarray:
@@ -339,59 +348,59 @@ def _merged_one_median(H: GraphInstance, blocks: list[list[int]]) -> np.ndarray:
     return out
 
 
-def _with_others(pair: np.ndarray, v: np.ndarray, op, empty: float) -> np.ndarray:
-    """[i, j]: op (np.maximum or np.minimum) of pair[i, j] and the largest
-    (or smallest) entry of v other than v[i] and v[j].
+def _with_others(pair: np.ndarray, v: np.ndarray, op, empty: float, start) -> np.ndarray:
+    """[t]: op (np.maximum or np.minimum) of pair[t] and the largest (or
+    smallest) entry of v other than those of pair t's two blocks.
 
     Only the top three entries of v matter. With a and b the positions of
-    the first two, pairs without a take the first, a's row and column the
-    second, and the pair (a, b) the third.
+    the first two, pairs without a take the first, a's column and row (see
+    ``baseline_moc_path``) the second, and the pair of a and b the third.
     """
-    order = np.argsort(-v if op is np.maximum else v, kind="stable")
-    top = [v[t] for t in order[:3]] + [empty] * 2
-    a, b = order[0], order[1]
+    order = np.argsort(-v if op is np.maximum else v, kind="stable")[:3].tolist()
+    top = v[order].tolist() + [empty] * 2
+    a, b = order[:2]
     out = op(pair, top[0])
-    out[a] = op(pair[a], top[1])
-    out[:, a] = op(pair[:, a], top[1])
-    out[a, b] = out[b, a] = op(pair[a, b], top[2])
+    column, row = slice(start[a], start[a + 1]), start[a + 1 : len(v)] + a
+    op(pair[column], top[1], out=out[column])
+    out[row] = op(pair[row], top[1])
+    ab = _pair_position(min(a, b), max(a, b))
+    out[ab] = op(pair[ab], top[2])
     return out
 
 
 def _normalized(value: np.ndarray, maximize: bool) -> np.ndarray:
-    """Min-max scale over the finite values; +inf becomes an off-scale 2."""
+    """Min-max scale value in place over its finite entries; +inf scores an off-scale 2."""
     lo, hi = value.min(), value.max()
     infinite = None
     if hi == np.inf:
         infinite = value == np.inf
         finite = value[~infinite]
         lo, hi = (finite.min(), finite.max()) if finite.size else (0.0, 0.0)
-    norm = (value - lo) / (hi - lo) if hi != lo else np.zeros(len(value))
+    value -= lo  # every finite entry is lo when hi == lo
+    if hi != lo:
+        value /= hi - lo
     if infinite is not None:
-        norm[infinite] = 2.0
-    return -norm if maximize else norm
+        value[infinite] = 2.0
+    return np.negative(value, out=value) if maximize else value
 
 
-def _upper_pair(B: int, t: int) -> tuple[int, int]:
-    """The (i, j) of entry t of the B x B upper triangle, read row by row.
+def _pair_position(x, y):
+    """The condensed position of the pair of blocks x < y: the pairs are
+    listed column by column, and column y starts at y(y - 1)/2."""
+    return y * (y - 1) // 2 + x
 
-    Row B - 2 - m holds m + 1 entries, so the entry r-th from the end lies
-    in the row m with m(m + 1)/2 <= r < (m + 1)(m + 2)/2.
-    """
-    m = (math.isqrt(8 * (B * (B - 1) // 2 - 1 - t) + 1) - 1) // 2
-    i = B - 2 - m
-    return i, t - i * (2 * B - i - 1) // 2 + i + 1
+
+def _pair_at(t: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (x, y) at condensed positions t, given each column's start."""
+    y = start.searchsorted(t, "right") - 1
+    return t - start[y], y
+
+
+def _pairs_with(i, others):
+    """The condensed positions of the pairs of block i with each of others."""
+    return _pair_position(np.minimum(others, i), np.maximum(others, i))
 
 
 def _without(v: np.ndarray, i: int, j: int, *last) -> np.ndarray:
     """v without entries i < j, followed by the values last."""
     return np.concatenate((v[:i], v[i + 1 : j], v[j + 1 :], last))
-
-
-def _close_up(T: np.ndarray, B: int, i: int, j: int, row: np.ndarray) -> None:
-    """Drop rows and columns i < j of the symmetric table T[:B, :B],
-    keeping the order of the rest, and put row last as a row and column."""
-    T[i : j - 1, :B] = T[i + 1 : j, :B]
-    T[j - 1 : B - 2, :B] = T[j + 1 : B, :B]
-    T[: B - 2, i : j - 1] = T[: B - 2, i + 1 : j]
-    T[: B - 2, j - 1 : B - 2] = T[: B - 2, j + 1 : B]
-    T[B - 2, : B - 2] = T[: B - 2, B - 2] = row

@@ -85,10 +85,10 @@ def zeus_run(
     Starts from singleton clusters; each objective's makeshift reshapes
     the current clustering, the slack is checked against an estimated
     optimum, and a local search repairs a violated ``kc`` or ``km`` slack.
-    ``memo`` is handed to ``run_makeshift``.
+    ``memo`` is handed to ``singletons`` and ``run_makeshift``.
     """
     spec.validate()
-    C = singleton_clustering(H.n)
+    C = singletons(H, memo)
     state = PipelineState()
 
     for i, (o, delta) in enumerate(zip(spec.objectives, spec.slacks.deltas)):
@@ -137,6 +137,16 @@ def zeus_run(
             }
         )
     return C, state
+
+
+def singletons(H: GraphInstance, memo: dict | None = None) -> Clustering:
+    """``singleton_clustering(H.n)``, where a pipeline starts. With a
+    ``memo``, which serves one instance, it is built once and stored."""
+    if memo is None:
+        return singleton_clustering(H.n)
+    if "singletons" not in memo:
+        memo["singletons"] = singleton_clustering(H.n)
+    return memo["singletons"]
 
 
 def run_makeshift(

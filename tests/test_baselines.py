@@ -11,13 +11,16 @@ from conftest import explicit, line_points
 from zeus_cluster.baselines import (
     _centered_blocks,
     _merged_one_median,
+    _pair_at,
+    _pair_position,
+    _pairs_with,
     baseline_b1,
     baseline_b2,
     baseline_moc_path,
     consolidate_fragments,
 )
 from zeus_cluster.errors import ConfigError, InfeasibleError, ZeusError
-from zeus_cluster.graph import BLUE
+from zeus_cluster.graph import BLUE, PURPLE, make_instance
 from zeus_cluster.makeshifts import (
     MakeshiftOptions,
     fairness_pairs,
@@ -412,6 +415,28 @@ def _path_lines(path_fn, H, objectives):
     return [clustering_to_json(H, path[k]) for k in range(1, H.n + 1)]
 
 
+def duplicate_points(n, seed):
+    """Instance of n points on a 3 x 3 integer grid, so that points
+    coincide and distances tie exactly: random E, a third of the nodes Blue,
+    each matched through E to its own Purple node, and random experts."""
+    rng = np.random.default_rng(seed)
+    points = rng.integers(0, 3, size=(n, 2)).astype(float).tolist()
+    is_blue = np.zeros(n, dtype=bool)
+    is_blue[rng.permutation(n)[: n // 3]] = True
+    partners = rng.permutation(np.flatnonzero(~is_blue))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 3 / n]
+    edges += zip(np.flatnonzero(is_blue).tolist(), partners.tolist())
+    edges += [(u, (u + 1) % n) for u in range(n)]  # no node without an edge
+    return make_instance(
+        n,
+        "euclidean",
+        embeddings=points,
+        edges=edges,
+        colors=[BLUE if b else PURPLE for b in is_blue],
+        experts=(rng.random(n) < 0.3).tolist(),
+    )
+
+
 class TestMocReference:
     """The incremental MOC tables give the reference loop's clusterings."""
 
@@ -437,6 +462,38 @@ class TestMocReference:
             assert _path_lines(baseline_moc_path, H, objectives) == _path_lines(
                 rebuild_moc_path, H, objectives
             ), (a, b)
+
+    @pytest.mark.parametrize("n, seed", [(6, 0), (9, 1), (16, 2), (25, 3), (40, 4)])
+    def test_matches_rebuild_on_duplicate_points(self, n, seed):
+        # coinciding points make many candidate scores tie exactly, so the
+        # tie rule settles most rounds
+        H = duplicate_points(n, seed)
+        assert len(set(H.embeddings)) < n
+        for a, b in itertools.permutations(("rs", "kc", "km", "f", "tf"), 2):
+            objectives = (ObjectiveSpec(a), ObjectiveSpec(b))
+            lines = _path_lines(baseline_moc_path, H, objectives)
+            assert len(lines) == n
+            assert lines == _path_lines(rebuild_moc_path, H, objectives), (a, b)
+
+
+class TestPairPositions:
+    """The condensed pair tables list the pairs x < y column by column."""
+
+    def test_round_trip(self):
+        start = _pair_position(0, np.arange(61))
+        for B in range(2, 61):
+            x, y = np.array([(x, y) for y in range(B) for x in range(y)]).T
+            t = _pair_position(x, y)
+            assert t.tolist() == list(range(B * (B - 1) // 2))
+            got_x, got_y = _pair_at(t, start)
+            assert (got_x.tolist(), got_y.tolist()) == (x.tolist(), y.tolist())
+
+    def test_pairs_with_either_order(self):
+        others = np.array([0, 1, 3, 5])
+        assert _pairs_with(2, others).tolist() == [
+            _pair_position(0, 2), _pair_position(1, 2),
+            _pair_position(2, 3), _pair_position(2, 5),
+        ]
 
 
 def _moc_digest(cases):
