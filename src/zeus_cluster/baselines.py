@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError
-from .graph import BLUE, GraphInstance
+from .graph import GraphInstance
 from .makeshifts import MakeshiftOptions, _block_one_center, fairness_pairs, makeshift_kcenter
 from .objectives import (
     F,
@@ -17,13 +17,12 @@ from .objectives import (
     TF,
     Clustering,
     PairStructure,
-    atom_arrays,
     blue_partners,
     check_positive_int,
     group_by_block,
     singleton_clustering,
 )
-from .zeus import run_makeshift, singletons
+from .zeus import run_makeshift
 
 
 def baseline_b2(H: GraphInstance, k: int, opts: MakeshiftOptions) -> Clustering:
@@ -38,7 +37,7 @@ def baseline_b1(H: GraphInstance, spec, memo: dict | None = None) -> Clustering:
     picks its centers by balanced k-center; an ``f`` first objective keeps
     the matching that the whole list defines. RS/F fragments are
     consolidated to exactly k blocks as ``consolidate_fragments`` does.
-    ``memo`` is handed to ``singletons`` and ``run_makeshift``, and keeps
+    ``memo`` is handed to ``run_makeshift``, and keeps
     the fragments' merge order, which depends on neither k nor the seed:
     with one memo the root pairs of a fragment clustering are sorted once,
     and each call replays its k's prefix of the merges and centers them.
@@ -48,7 +47,7 @@ def baseline_b1(H: GraphInstance, spec, memo: dict | None = None) -> Clustering:
     if o1.kind not in (RS, F, TF):
         raise ConfigError(f"B1 requires an RS, F, or TF first objective, got {o1.kind}")
     objectives = spec.objectives if o1.kind == F else (o1,)
-    C, _, _ = run_makeshift(H, singletons(H, memo), o1, objectives, spec.k, spec.options, memo)
+    C = run_makeshift(H, singleton_clustering(H.n), o1, objectives, spec.k, spec.options, memo)[0]
     return C if o1.kind == TF else _consolidated(H, C, spec.k, memo)
 
 
@@ -73,13 +72,13 @@ def _consolidated(H: GraphInstance, C: Clustering, k: int, memo: dict | None) ->
     check_positive_int("k", k)
     if C.k < k:
         raise InfeasibleError(f"cannot split {C.k} fragments into k={k} blocks")
-    roots = C.roots if C.roots else tuple(min(b) for b in C.blocks())
+    roots = C.atom.roots if len(C.atom.roots) else np.unique(C.label, return_index=True)[1]
     if memo is None:
-        merges = _merge_order(H, np.array(roots), C.k - k)
+        merges = _merge_order(H, roots, C.k - k)
     else:
-        key = ("merge order", roots)
+        key = ("merge order", roots.tobytes())
         if key not in memo:
-            memo[key] = _merge_order(H, np.array(roots), C.k - 1)
+            memo[key] = _merge_order(H, roots, C.k - 1)
         merges = memo[key]
     # each block's final position: a merge moves the block at the higher
     # position into the one at the lower, so chains only run downward
@@ -87,9 +86,8 @@ def _consolidated(H: GraphInstance, C: Clustering, k: int, memo: dict | None) ->
     to[merges[: C.k - k, 1]] = merges[: C.k - k, 0]
     while (to[to] != to).any():
         to = to[to]
-    nodes, blocks = C.arrays()
-    groups = group_by_block(nodes, to[blocks], C.k)
-    return _centered_blocks(H, [g for g in groups if g], C.atoms, C.roots)
+    groups = group_by_block(np.arange(len(C.label)), to[C.label], C.k)
+    return _centered_blocks(H, [g for g in groups if g], C.atom)
 
 
 def _merge_order(H: GraphInstance, roots: np.ndarray, count: int) -> np.ndarray:
@@ -160,17 +158,14 @@ def _merge_order(H: GraphInstance, roots: np.ndarray, count: int) -> np.ndarray:
     return np.array(merges, dtype=np.int64).reshape(-1, 2)
 
 
-def _centered_blocks(
-    H: GraphInstance, groups: list[list[int]], atoms=(), roots=()
-) -> Clustering:
+def _centered_blocks(H: GraphInstance, groups: list[list[int]], atoms=()) -> Clustering:
     """The groups as blocks, ordered by their lowest member, each centered
-    at its best 1-center."""
+    at its best 1-center, with the given ``Atoms`` (by default none)."""
     groups = sorted(groups, key=min)
-    members, block = atom_arrays(groups)
     label = np.full(H.n, -1, dtype=np.int64)
-    label[members] = block
+    label[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     centers = [_block_one_center(H, g) for g in groups]
-    return Clustering.from_labels(label, centers, atoms, roots)
+    return Clustering.from_labels(label, centers, atoms)
 
 
 def baseline_moc_path(
@@ -249,9 +244,9 @@ def baseline_moc_path(
         split = np.zeros(len(low))
         split[_pairs_with(blue, purple)] = 1.0
         together = 0.0
-        n_blue = max(1, sum(1 for c in H.colors if c == BLUE))
+        n_blue = max(1, int(H.is_blue.sum()))
     if TF in kinds:
-        experts = np.array(H.experts, dtype=float)
+        experts = H.is_expert.astype(float)
         pair = experts[low] + experts[high]
     out: dict[int, Clustering] = {}
     while True:

@@ -41,8 +41,8 @@ class GraphInstance:
     Nodes are dense ids ``0..n-1``; ``labels`` maps them back to the
     original file ids. The full distance matrix is precomputed once.
     ``edges`` holds E once, as a read-only int64 array of shape (m, 2):
-    each pair ``(u, v)`` with u < v, once, in sorted row order. Both
-    arrays are frozen, so the instance is safe to share.
+    each pair ``(u, v)`` with u < v, once, in sorted row order. It also has
+    masks ``is_blue``, ``is_purple``, ``is_expert``. All are frozen, so it is safe to share.
     """
 
     labels: tuple[str, ...]
@@ -59,8 +59,10 @@ class GraphInstance:
         return len(self.labels)
 
     def __post_init__(self):
-        self.dist.setflags(write=False)
-        self.edges.setflags(write=False)
+        colors, experts = np.array(self.colors, dtype=object), np.array(self.experts, dtype=bool)
+        vars(self).update(is_blue=colors == BLUE, is_purple=colors == PURPLE, is_expert=experts)
+        for a in (self.dist, self.edges, self.is_blue, self.is_purple, self.is_expert):
+            a.setflags(write=False)
 
     def __eq__(self, other):
         if not isinstance(other, GraphInstance):

@@ -53,9 +53,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, InfeasibleError
-from .graph import BLUE, PURPLE, GraphInstance, pair_rows
-from .objectives import F, KM, Clustering, ObjectiveSpec, PairStructure, pair_structure
-from .objectives import atom_arrays, check_positive_int, group_by_block, is_integer
+from .graph import GraphInstance, pair_rows
+from .objectives import F, KM, Atoms, Clustering, ObjectiveSpec, PairStructure, pair_structure
+from .objectives import check_positive_int, group_by_block, is_integer, singleton_clustering
 
 CLOSEST_EXPERT = "closest_expert"
 CLOSEST_CENTER = "closest_center"
@@ -85,23 +85,22 @@ class MakeshiftOptions:
             )
 
 
-def _atoms_of(C_in: Clustering, n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    if C_in.atoms:
-        return C_in.atoms, C_in.roots
-    return tuple((u,) for u in range(n)), tuple(range(n))
+def _atoms_of(C_in: Clustering, n: int) -> Atoms:
+    """The atoms of ``C_in``, or singletons if it has none."""
+    return C_in.atom if len(C_in.atom.starts) else singleton_clustering(n).atom
 
 
-def _atoms_for_k(C_in: Clustering, n: int, k: int):
-    """The atoms and roots of ``C_in``, after checking that k blocks fit them."""
+def _atoms_for_k(C_in: Clustering, n: int, k: int) -> Atoms:
+    """The atoms of ``C_in``, after checking that k blocks fit them."""
     if k > n:
         raise ConfigError(f"k={k} exceeds n={n}")
-    atoms, roots = _atoms_of(C_in, n)
-    if k > len(atoms):
+    atoms = _atoms_of(C_in, n)
+    if k > len(atoms.starts):
         raise InfeasibleError(
-            f"k={k} exceeds the {len(atoms)} cohesion groups; "
+            f"k={k} exceeds the {len(atoms.starts)} cohesion groups; "
             "relax k or the preceding objective"
         )
-    return atoms, roots
+    return atoms
 
 
 def greedy_centers(
@@ -163,11 +162,10 @@ def _settle_centers(H: GraphInstance, label: np.ndarray, centers: list[int]) -> 
     A Gonzalez center still inside its own block is kept; a block whose
     center was moved away gets its best 1-center.
     """
-    members_of = group_by_block(np.arange(len(label)), label, len(centers))
-    return [
-        c if label[c] == b else _block_one_center(H, members_of[b])
-        for b, c in enumerate(centers)
-    ]
+    final = list(centers)
+    for b in np.flatnonzero(label[final] != np.arange(len(final))).tolist():
+        final[b] = _block_one_center(H, np.flatnonzero(label == b))
+    return final
 
 
 def makeshift_kcenter(
@@ -182,15 +180,13 @@ def makeshift_kcenter(
     reads (``greedy_kcenter_value``).
     """
     n = H.n
-    atoms, roots = _atoms_for_k(C_in, n, k)
+    members, atom_of, starts, roots = atoms = _atoms_for_k(C_in, n, k)
     centers = greedy_centers(H, k, opts)
     label = _nearest_assignment(H, centers)
 
     # Cohesion repair. Pair atoms anchor at the member closest to its own
     # assigned center; larger atoms (stars) anchor at their root, which is
     # what keeps the moved leaves within one cover-edge of a center.
-    members, atom_of = atom_arrays(atoms)
-    starts = np.searchsorted(atom_of, np.arange(len(atoms)))
     sizes = np.diff(np.append(starts, n))
     pair = members[sizes[atom_of] == 2]
     d = np.zeros(n)
@@ -211,16 +207,16 @@ def makeshift_kcenter(
         diameter = {b: H.dist[np.ix_(members_of[b], members_of[b])].max() for b in donors}
         donor = max(donors, key=lambda b: (diameter[b], -b))
         ref = _block_one_center(H, members_of[donor])
-        movable = np.flatnonzero((atom_block == donor) & (np.arange(len(atoms)) != atom_at[ref]))
+        movable = np.flatnonzero((atom_block == donor) & (np.arange(len(starts)) != atom_at[ref]))
         # the root farthest from ref, ties to the lowest root
-        r = np.asarray(roots)[movable]
+        r = roots[movable]
         pick = movable[np.lexsort((r, -H.dist[r, ref]))[0]]
         target = empty.pop(0)
         label[members[atom_of == pick]] = target
         atom_block[pick] = target
 
     final = _settle_centers(H, label, centers)
-    return Clustering.from_labels(label, final, atoms, roots), centers
+    return Clustering.from_labels(label, final, atoms), centers
 
 
 def _fragment_clustering(H: GraphInstance, top: np.ndarray) -> Clustering:
@@ -243,10 +239,9 @@ def _rep_pairs(H: GraphInstance, C_in: Clustering, gamma: int):
     pairs that join each to its ``gamma`` nearest of them, ties to the
     lowest id, as ``pair_rows``.
     """
-    atoms, roots = _atoms_of(C_in, H.n)
-    members, atom_of = atom_arrays(atoms)
+    members, atom_of, _, roots = _atoms_of(C_in, H.n)
     rep_of = np.empty(H.n, dtype=np.int64)
-    rep_of[members] = np.asarray(roots)[atom_of]
+    rep_of[members] = roots[atom_of]
     u, v = rep_of[H.edges].T
     u, v = u[u != v], v[u != v]
     rep, nbr = np.concatenate([u, v]), np.concatenate([v, u])
@@ -257,7 +252,7 @@ def _rep_pairs(H: GraphInstance, C_in: Clustering, gamma: int):
     rep, nbr = rep[new], nbr[new]
     # each rep's rows run from its nearest neighbour out
     near = np.arange(len(rep)) - np.searchsorted(rep, rep) < gamma
-    reps = np.array(sorted(roots), dtype=np.int64)
+    reps = np.sort(roots)
     return rep_of, reps, np.bincount(rep, minlength=H.n)[reps], pair_rows(rep[near], nbr[near])
 
 
@@ -388,9 +383,7 @@ def _covers_rows(rows, cols, shape) -> bool:
 def _blue_purple(H: GraphInstance):
     """Blue and Purple node arrays, and the E-edges between them as Blue
     positions, Purple positions and lengths, in row-major order."""
-    is_blue = np.array([c == BLUE for c in H.colors], dtype=bool)
-    is_purple = np.array([c == PURPLE for c in H.colors], dtype=bool)
-    blue, purple = np.flatnonzero(is_blue), np.flatnonzero(is_purple)
+    blue, purple = np.flatnonzero(H.is_blue), np.flatnonzero(H.is_purple)
     if not blue.size:
         raise DegenerateInputError("fairness requires at least one Blue node")
     position = np.empty(H.n, dtype=np.int64)
@@ -398,7 +391,7 @@ def _blue_purple(H: GraphInstance):
     position[purple] = np.arange(len(purple))
     # both orientations of every edge; positions rise with node ids
     ends = np.concatenate([H.edges, H.edges[:, ::-1]])
-    b, p = ends[is_blue[ends[:, 0]] & is_purple[ends[:, 1]]].T
+    b, p = ends[H.is_blue[ends[:, 0]] & H.is_purple[ends[:, 1]]].T
     order = np.lexsort((p, b))
     b, p = b[order], p[order]
     return blue, purple, position[b], position[p], H.dist[b, p]
@@ -744,18 +737,16 @@ def makeshift_kmedian(
     H: GraphInstance, C_in: Clustering, k: int, opts: MakeshiftOptions
 ) -> Clustering:
     """Swap-heuristic k-median over atom representatives, atoms kept whole."""
-    atoms, roots = _atoms_for_k(C_in, H.n, k)
-    reps = sorted(roots)
-    weights = {root: float(len(atom)) for atom, root in zip(atoms, roots)}
-    centers = _kmedian_swap_centers(H, reps, weights, k, opts)
+    members, atom_of, starts, roots = atoms = _atoms_for_k(C_in, H.n, k)
+    weights = dict(zip(roots.tolist(), np.diff(starts, append=len(members)).astype(float).tolist()))
+    centers = _kmedian_swap_centers(H, sorted(weights), weights, k, opts)
 
     # a center's own atom stays in its block, even when a lower-id center
     # lies at distance 0
     nearest = _nearest_assignment(H, centers)
     nearest[centers] = np.arange(k)
-    members, atom_of = atom_arrays(atoms)
-    nearest[members] = nearest[np.asarray(roots)[atom_of]]
-    return Clustering.from_labels(nearest, centers, atoms, roots)
+    nearest[members] = nearest[roots[atom_of]]
+    return Clustering.from_labels(nearest, centers, atoms)
 
 
 def makeshift_tf_kmedian(

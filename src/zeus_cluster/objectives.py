@@ -12,11 +12,13 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ZeusError
-from .graph import BLUE, PURPLE, GraphInstance, pair_rows
+from .graph import GraphInstance, pair_rows
 
 KC = "kc"
 KM = "km"
@@ -28,89 +30,158 @@ KINDS = (KC, KM, RS, F, TF)
 REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+UNSET = np.iinfo(np.int64).min  # the entry of a node or block that a mapping leaves out
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only int64 copy of ``values``."""
+    a = np.array(values, dtype=np.int64)
+    a.setflags(write=False)
+    return a
+
+
+def _dense(mapping) -> np.ndarray:
+    """``mapping`` as an array over 0 up to its largest key, ``UNSET`` where
+    it has no key; negative keys leave one more ``UNSET`` entry instead."""
+    keys = np.fromiter(mapping.keys(), np.int64, len(mapping))
+    a = np.full(keys.max(initial=-1) + 1 + (keys < 0).any(), UNSET)
+    a[keys[keys >= 0]] = np.fromiter(mapping.values(), np.int64, len(mapping))[keys >= 0]
+    return _frozen(a)
+
+
+class Atoms(NamedTuple):
+    """Atoms as read-only int64 arrays: their ``members``, atom after atom,
+    each member's atom, where each atom starts, and each atom's root."""
+
+    members: np.ndarray
+    atom_of: np.ndarray
+    starts: np.ndarray
+    roots: np.ndarray
+
+    @classmethod
+    def of(cls, atoms, roots) -> Atoms:
+        """The arrays of ``atoms``, sequences of members, with their ``roots``."""
+        sizes = [len(a) for a in atoms]
+        members = np.fromiter(chain.from_iterable(atoms), np.int64, sum(sizes))
+        atom_of = np.repeat(np.arange(len(sizes)), sizes)
+        return cls(*map(_frozen, (members, atom_of, np.cumsum(sizes) - sizes, roots)))
+
+
+@dataclass(frozen=True, init=False)
 class Clustering:
     """A partition of the nodes into blocks, with optional centers and atoms.
 
-    ``assignment`` maps node id to block index. ``atoms`` are groups of
-    nodes that must stay co-clustered through later pipeline stages;
-    ``roots`` holds each atom's anchor node (star center, matched-pair
-    representative, or the node itself for singletons). Every producer
-    builds its clustering through ``from_labels``, so its ``assignment``
-    keys run in node order; no value depends on that order.
+    ``atoms`` are groups of nodes that must stay co-clustered through later
+    pipeline stages; ``roots`` holds each atom's anchor node (star center,
+    matched-pair representative, or the node itself for singletons).
+    Stored as read-only int64 arrays: ``label`` (each node's block),
+    ``center`` (each block's center, or None) and ``atom`` (``Atoms``).
+    The fields are views of them, built at first read: read-only mappings
+    in key order and tuples. The constructor turns fields given in those
+    forms, partial mappings too (``UNSET`` fills the gaps), into the arrays.
     """
 
-    assignment: dict[int, int]
+    assignment: MappingProxyType[int, int]
     k: int
-    centers: dict[int, int] | None = None
-    atoms: tuple[tuple[int, ...], ...] = ()
-    roots: tuple[int, ...] = ()
+    centers: MappingProxyType[int, int] | None
+    atoms: tuple[tuple[int, ...], ...]
+    roots: tuple[int, ...]
+
+    def __init__(self, assignment, k, centers=None, atoms=(), roots=()):
+        center = None if centers is None else _dense(centers)
+        vars(self).update(label=_dense(assignment), k=k, center=center, atom=Atoms.of(atoms, roots))
+
+    def __getattr__(self, name):
+        # the views, built from the arrays at their first read
+        if name in ("assignment", "centers"):
+            view = self.label if name == "assignment" else self.center
+            if view is not None:
+                keys = np.flatnonzero(view != UNSET)
+                view = MappingProxyType(dict(zip(keys.tolist(), view[keys].tolist())))
+        elif name == "atoms":
+            members, bounds = self.atom.members.tolist(), self.atom.starts.tolist()
+            view = tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:] + [len(members)]))
+        elif name == "roots":
+            view = tuple(self.atom.roots.tolist())
+        else:
+            raise AttributeError(name)
+        vars(self)[name] = view
+        return view
+
+    def __reduce__(self):  # the arrays alone: the views are rebuilt at first read
+        return Clustering.of_arrays, (self.label, self.k, self.center, self.atom)
 
     @classmethod
-    def from_labels(cls, label, centers, atoms=None, roots=None) -> Clustering:
+    def from_labels(cls, label, centers, atoms=None, roots=()) -> Clustering:
         """The validated clustering with node u in block ``label[u]`` and
-        block b centered at ``centers[b]``; without ``atoms``, each block
+        block b centered at ``centers[b]``. ``atoms`` is an ``Atoms``, or
+        sequences of members with their ``roots``; without it, each block
         is one atom rooted at its center."""
-        label = np.asarray(label, np.int64)
-        centers = np.asarray(centers, np.int64).tolist()
-        k = len(centers)
+        label, center = _frozen(label), _frozen(centers)
         if atoms is None:
-            atoms = tuple(map(tuple, group_by_block(np.arange(len(label)), label, k)))
-            roots = centers
-        C = cls(dict(enumerate(label.tolist())), k, dict(enumerate(centers)), atoms, tuple(roots))
+            members = np.argsort(label, kind="stable")
+            starts = np.searchsorted(label[members], np.arange(len(center)))
+            atoms = Atoms(*map(_frozen, (members, label[members], starts)), center)
+        elif not isinstance(atoms, Atoms):
+            atoms = Atoms.of(atoms, roots)
+        C = cls.of_arrays(label, len(center), center, atoms)
         C.validate(len(label))
+        return C
+
+    @classmethod
+    def of_arrays(cls, label: np.ndarray, k: int, center, atom: Atoms) -> Clustering:
+        """The clustering of these arrays, unchecked; ``label`` is frozen in place."""
+        label.setflags(write=False)
+        C = cls.__new__(cls)
+        vars(C).update(label=label, k=k, center=center, atom=atom)
         return C
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The assigned nodes and their blocks, as int64 arrays."""
-        keys, values = self.assignment.keys(), self.assignment.values()
-        return np.fromiter(keys, np.int64, len(keys)), np.fromiter(values, np.int64, len(keys))
+        nodes = np.flatnonzero(self.label != UNSET)
+        return nodes, self.label[nodes]
+
+    def labels(self, n: int) -> np.ndarray:
+        """Each node's block, over nodes 0..n-1, ``UNSET`` where none is assigned."""
+        return np.concatenate((self.label, np.full(n - len(self.label), UNSET)))
 
     def blocks(self) -> list[list[int]]:
         """The members of each block 0..k-1, in ascending node order."""
         return group_by_block(*self.arrays(), self.k)
 
     def validate(self, n: int) -> None:
-        nodes, blocks = self.arrays()
-        if len(nodes) != n or not np.array_equal(np.sort(nodes), np.arange(n)):
+        label, k, center = self.label, self.k, self.center
+        if len(label) != n or label.min(initial=0) == UNSET:  # the least int64
             raise ZeusError("assignment does not cover all nodes exactly once")
-        if ((blocks < 0) | (blocks >= self.k)).any():
-            raise ZeusError(f"a block index lies outside 0..{self.k - 1}")
-        if not np.bincount(blocks, minlength=self.k).all():
+        if label.min(initial=0) < 0 or label.max(initial=0) >= k:
+            raise ZeusError(f"a block index lies outside 0..{k - 1}")
+        if not np.bincount(label, minlength=k).all():
             raise ZeusError("finalized clustering has an empty block")
-        if self.centers is not None:
-            if self.centers.keys() != set(range(self.k)):
-                raise ZeusError(f"centers must name exactly the blocks 0..{self.k - 1}")
-            for b, c in self.centers.items():
-                if self.assignment.get(c) != b:
-                    raise ZeusError(f"center {c} not inside its block {b}")
-        if len(self.atoms) != len(self.roots):
+        if center is not None:
+            if len(center) != k or center.min(initial=0) == UNSET:
+                raise ZeusError(f"centers must name exactly the blocks 0..{k - 1}")
+            home = label.take(center, mode="clip") == np.arange(k)
+            bad = np.flatnonzero(~home | (center < 0) | (center >= n))
+            if bad.size:
+                raise ZeusError(f"center {center[bad[0]]} not inside its block {bad[0]}")
+        members, atom_of, starts, roots = self.atom
+        if len(starts) != len(roots):
             raise ZeusError("atoms/roots length mismatch")
-        members, atom_of = atom_arrays(self.atoms)
-        outside = (members < 0) | (members >= n)
-        if outside.any():
-            atom = self.atoms[atom_of[np.argmax(outside)]]
+        if members.min(initial=0) < 0 or members.max(initial=0) >= n:
+            atom = self.atoms[atom_of[np.argmax((members < 0) | (members >= n))]]
             raise ZeusError(f"atom {atom} has a member outside 0..{n - 1}")
-        label = _labels(n, nodes, blocks)[members]
-        at_root = members == np.asarray(self.roots, np.int64)[atom_of]
-        rooted = np.bincount(atom_of[at_root], minlength=len(self.atoms)) > 0
-        # each atom's count of distinct (atom, block) pairs
-        pairs = np.unique(atom_of * self.k + label) // self.k
-        bad = np.flatnonzero(~rooted | (np.bincount(pairs, minlength=len(rooted)) > 1))
-        if bad.size:
-            i = bad[0]
-            if not rooted[i]:
+        # an atom is bad without its root among its members, or with two
+        # members next to each other in it that lie in different blocks
+        bad = np.ones(len(roots), dtype=bool)
+        bad[atom_of[members == roots[atom_of]]] = False
+        label = label[members]
+        bad[atom_of[1:][(label[1:] != label[:-1]) & (atom_of[1:] == atom_of[:-1])]] = True
+        if bad.any():
+            i = int(np.argmax(bad))
+            if roots[i] not in members[atom_of == i]:
                 raise ZeusError(f"root {self.roots[i]} outside its atom {self.atoms[i]}")
             spanned = np.unique(label[atom_of == i]).tolist()
             raise ZeusError(f"atom {self.atoms[i]} spans blocks {spanned}")
-
-
-def atom_arrays(atoms) -> tuple[np.ndarray, np.ndarray]:
-    """The members of ``atoms``, atom after atom, and each one's atom index,
-    as int64 arrays."""
-    sizes = [len(a) for a in atoms]
-    members = np.fromiter(chain.from_iterable(atoms), np.int64, sum(sizes))
-    return members, np.repeat(np.arange(len(atoms)), sizes)
 
 
 def group_by_block(nodes: np.ndarray, blocks: np.ndarray, k: int) -> list[list[int]]:
@@ -120,13 +191,6 @@ def group_by_block(nodes: np.ndarray, blocks: np.ndarray, k: int) -> list[list[i
     bounds = np.searchsorted(blocks[order], np.arange(k + 1)).tolist()
     members = nodes[order].tolist()
     return [members[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def _labels(n: int, nodes: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Each node's block, or -1 for a node outside the assignment."""
-    label = np.full(n, -1, dtype=np.int64)
-    label[nodes] = blocks
-    return label
 
 
 def is_integer(value) -> bool:
@@ -142,22 +206,18 @@ def check_positive_int(name: str, value) -> None:
 
 
 def singleton_clustering(n: int) -> Clustering:
-    """Each node in its own block and its own atom."""
-    return Clustering(
-        assignment={u: u for u in range(n)},
-        k=n,
-        centers={u: u for u in range(n)},
-        atoms=tuple((u,) for u in range(n)),
-        roots=tuple(range(n)),
-    )
+    """Each node in its own block and its own atom: every array one ``arange``."""
+    nodes = _frozen(np.arange(n))
+    return Clustering.of_arrays(nodes, n, nodes, Atoms(nodes, nodes, nodes, nodes))
 
 
 def clustering_to_json(H: GraphInstance, C: Clustering) -> str:
     """Canonical JSON form of a clustering (used for determinism checks)."""
+    centers = [] if C.center is None else enumerate(C.center.tolist())
     doc = {
         "k": int(C.k),
         "blocks": [[H.labels[u] for u in b] for b in C.blocks()],
-        "centers": {str(b): H.labels[c] for b, c in sorted((C.centers or {}).items())},
+        "centers": {str(b): H.labels[c] for b, c in centers if c != UNSET},
     }
     return json.dumps(doc, sort_keys=True)
 
@@ -237,11 +297,10 @@ def rel_close(a: float, b: float) -> bool:
 
 def center_distances(H: GraphInstance, C: Clustering, kind: str) -> np.ndarray:
     """Each assigned node's distance to its own block's center."""
-    if C.centers is None:
+    if C.center is None:
         raise ZeusError(f"{kind} evaluation requires centers")
     nodes, blocks = C.arrays()
-    center = np.array([C.centers[b] for b in range(C.k)], dtype=np.int64)
-    return H.dist[nodes, center[blocks]]
+    return H.dist[nodes, C.center[blocks]]
 
 
 def eval_kcenter(H: GraphInstance, C: Clustering) -> float:
@@ -257,22 +316,20 @@ def eval_kmedian(H: GraphInstance, C: Clustering) -> float:
 
 def eval_resource_sharing(H: GraphInstance, C: Clustering) -> float:
     """Fraction of nodes with at least one E-neighbor in their own block."""
-    nodes, blocks = C.arrays()
-    label = _labels(H.n, nodes, blocks)
+    label = C.labels(H.n)
     u, v = H.edges.T
     shared = (label[u] == label[v]) & (label[u] >= 0)
     covered = np.zeros(H.n, dtype=bool)
     covered[u[shared]] = covered[v[shared]] = True
-    return int(covered.sum()) / max(1, len(nodes))
+    return int(covered.sum()) / max(1, int((label != UNSET).sum()))
 
 
 def blue_partners(H: GraphInstance, matched: PairStructure) -> tuple[np.ndarray, np.ndarray]:
     """The Blue nodes of the Blue-Purple pairs, ascending, and each one's
     partner: of several (alpha > 1), the lowest-id one."""
     rows = np.array(list(matched.pairs), dtype=np.int64).reshape(-1, 2)
-    color = np.asarray(H.colors)
-    rows = np.where(color[rows[:, :1]] == BLUE, rows, rows[:, ::-1])  # the Blue end first
-    blue, purple = rows[(color[rows] == [BLUE, PURPLE]).all(axis=1)].T
+    rows = np.where(H.is_blue[rows[:, :1]], rows, rows[:, ::-1])  # the Blue end first
+    blue, purple = rows[H.is_blue[rows[:, 0]] & H.is_purple[rows[:, 1]]].T
     blue, purple = np.divmod(np.unique(blue * H.n + purple), H.n)  # by Blue, then Purple
     first = np.unique(blue, return_index=True)[1]
     return blue[first], purple[first]
@@ -281,22 +338,21 @@ def blue_partners(H: GraphInstance, matched: PairStructure) -> tuple[np.ndarray,
 def eval_fairness(H: GraphInstance, C: Clustering, matched: PairStructure) -> float:
     """Fraction of Blue nodes whose partner (``blue_partners``) shares
     their block; an unassigned Blue node is never counted."""
-    blue = H.colors.count(BLUE)
+    blue = int(H.is_blue.sum())
     if not blue:
         raise DegenerateInputError("fairness objective undefined with no Blue nodes")
     u, v = blue_partners(H, matched)
-    label = _labels(H.n, *C.arrays())
+    label = C.labels(H.n)
     happy = (label[u] == label[v]) & (label[u] >= 0)
     return int(happy.sum()) / blue
 
 
 def eval_team_formation(H: GraphInstance, C: Clustering) -> float:
     """Ratio of max to min per-block expert count; +inf if a block has none."""
-    expert = np.asarray(H.experts, dtype=bool)
-    if not expert.any():
+    if not H.is_expert.any():
         raise DegenerateInputError("team formation requires a non-empty expert set")
     nodes, blocks = C.arrays()
-    counts = np.bincount(blocks[expert[nodes]], minlength=C.k)
+    counts = np.bincount(blocks[H.is_expert[nodes]], minlength=C.k)
     if counts.min() == 0:
         return math.inf
     return int(counts.max()) / int(counts.min())

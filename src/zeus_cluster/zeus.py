@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .objectives import (
     OptimalEstimate,
     PairStructure,
     SlackVector,
-    atom_arrays,
     check_positive_int,
     evaluate,
     singleton_clustering,
@@ -85,10 +84,10 @@ def zeus_run(
     Starts from singleton clusters; each objective's makeshift reshapes
     the current clustering, the slack is checked against an estimated
     optimum, and a local search repairs a violated ``kc`` or ``km`` slack.
-    ``memo`` is handed to ``singletons`` and ``run_makeshift``.
+    ``memo`` is handed to ``run_makeshift``.
     """
     spec.validate()
-    C = singletons(H, memo)
+    C = singleton_clustering(H.n)
     state = PipelineState()
 
     for i, (o, delta) in enumerate(zip(spec.objectives, spec.slacks.deltas)):
@@ -139,16 +138,6 @@ def zeus_run(
     return C, state
 
 
-def singletons(H: GraphInstance, memo: dict | None = None) -> Clustering:
-    """``singleton_clustering(H.n)``, where a pipeline starts. With a
-    ``memo``, which serves one instance, it is built once and stored."""
-    if memo is None:
-        return singleton_clustering(H.n)
-    if "singletons" not in memo:
-        memo["singletons"] = singleton_clustering(H.n)
-    return memo["singletons"]
-
-
 def run_makeshift(
     H: GraphInstance,
     C: Clustering,
@@ -172,7 +161,8 @@ def run_makeshift(
     stored result, which was validated when it was built. A makeshift reads
     nothing of ``C`` but its atoms and roots, never a slack, and otherwise
     only ``o`` and, by kind, the list (``tf``) and ``k`` and ``opts``
-    (``kc``, ``km``, ``tf``); the key is exactly those, so a hit returns what
+    (``kc``, ``km``, ``tf``); the key is exactly those, with the bytes of
+    each ``C.atom`` array for the atoms and roots, so a hit returns what
     the call would have built. ``f`` reads only the list and is stored by
     ``fairness_matching``. A stored result is handed out as is, so no
     caller may change it in place. Nothing is stored for a makeshift that
@@ -185,7 +175,7 @@ def run_makeshift(
     if o.kind == F:
         return *fairness_matching(H, objectives, memo), None
     if memo is not None:
-        key = (o, C.atoms, C.roots)
+        key = (o, *(a.tobytes() for a in C.atom))
         if o.kind == TF:
             key += (tuple(objectives),)
         if o.kind in (KC, KM, TF):
@@ -203,7 +193,7 @@ def run_makeshift(
     elif o.kind == KM:
         C = makeshift_kmedian(H, C, k, opts)
     else:  # tf
-        experts = {u for u in range(H.n) if H.experts[u]}
+        experts = np.flatnonzero(H.is_expert).tolist()
         if any(x.kind == KM for x in objectives):
             C = makeshift_tf_kmedian(H, experts, k, opts)
         else:
@@ -251,7 +241,7 @@ def estimate_optimal(
     if o.kind == KM:
         return OptimalEstimate("lower_bound", value / KMEDIAN_FACTOR)
     # tf
-    experts = sum(H.experts)
+    experts = int(H.is_expert.sum())
     if experts // k == 0:
         raise DegenerateInputError(
             f"team formation needs at least k={k} experts, got {experts}"
@@ -285,33 +275,29 @@ def local_search(
         raise ConfigError(
             f"local search serves kc and km only, not {violated_o.kind!r}"
         )
-    members, atom_of = atom_arrays(C.atoms)
-    n_atoms = len(C.atoms)
-    starts = np.searchsorted(atom_of, np.arange(n_atoms))
+    members, atom_of, starts, _ = C.atom
+    n_atoms = len(starts)
     sizes = np.bincount(atom_of, minlength=n_atoms)
     lowest = np.minimum.reduceat(members, starts)
-    atom_at = np.empty(H.n, dtype=np.int64)
+    atom_at = np.full(H.n, -1, dtype=np.int64)
     atom_at[members] = atom_of
-    center = np.array([C.centers[b] for b in range(C.k)], dtype=np.int64)
     # [i, t]: the distance from the i-th member to block t's center
-    to_center = H.dist[np.ix_(members, center)]
+    to_center = H.dist[np.ix_(members, C.center)]
     farthest = np.maximum.reduceat(to_center, starts)
     moves = 0
     value = evaluate(H, C, violated_o)
     while moves < MOVES_PER_NODE * H.n and slack_violated(value, violated_o, delta, est):
-        nodes, blocks = C.arrays()
-        label = np.empty(H.n, dtype=np.int64)
-        label[nodes] = blocks
-        cost = H.dist[np.arange(H.n), center[label]]
+        label = C.label
+        cost = H.dist[np.arange(H.n), C.center[label]]
         src = label[members[starts]]
         # a move may neither empty its source block nor strip its center
-        movable = (np.bincount(blocks, minlength=C.k)[src] != sizes) & (
-            atom_at[center[src]] != np.arange(n_atoms)
+        movable = (np.bincount(label, minlength=C.k)[src] != sizes) & (
+            atom_at[C.center[src]] != np.arange(n_atoms)
         )
         if violated_o.kind == KM:
             change = np.zeros((n_atoms, C.k))
             np.add.at(change, atom_of, to_center - cost[members, None])
-            score = math.fsum(cost[nodes].tolist()) + change
+            score = math.fsum(cost.tolist()) + change
         else:
             top = np.maximum.reduceat(cost[members], starts)
             # the two largest atom costs; 0.0 stands in for a missing one
@@ -325,8 +311,7 @@ def local_search(
             better &= np.abs(score - value) > tol
         a, t = np.nonzero(movable[:, None] & (np.arange(C.k) != src[:, None]) & better)
         for i in np.lexsort((t, lowest[a], score[a, t])):
-            move = dict.fromkeys(C.atoms[a[i]], int(t[i]))
-            moved = replace(C, assignment={**C.assignment, **move})
+            moved = C.of_arrays(np.where(atom_at == a[i], t[i], label), C.k, C.center, C.atom)
             if not any(_slacks_violated(H, moved, state)):
                 C, value = moved, float(score[a[i], t[i]])
                 moves += 1

@@ -1294,10 +1294,18 @@ def _fragments_by_members(H, fragments):
     )
 
 
+def _atom_tuples(C_in, n):
+    """Reference: the atoms and roots of ``C_in`` as tuples, or singletons
+    if it has none."""
+    if C_in.atoms:
+        return C_in.atoms, C_in.roots
+    return tuple((u,) for u in range(n)), tuple(range(n))
+
+
 def _rep_view_by_sets(H, C_in):
     """Reference: the reps, the reps each is joined to through E, and each
     one's atom, from per-node neighbour sets."""
-    atoms, roots = makeshifts._atoms_of(C_in, H.n)
+    atoms, roots = _atom_tuples(C_in, H.n)
     rep_of = {u: root for atom, root in zip(atoms, roots) for u in atom}
     atom_of = dict(zip(roots, atoms))
     nbrs = {r: {rep_of[v] for u in atom for v in neighbours(H, u)} - {r} for r, atom in atom_of.items()}
@@ -1468,7 +1476,7 @@ class TestEdgeWalkReference:
 def _nearest_pairs_by_sets(H, C_in, gamma):
     """Reference: each rep's gamma nearest neighbour reps, by distance then
     id, as a set of (lower, higher) tuples."""
-    atoms, roots = makeshifts._atoms_of(C_in, H.n)
+    atoms, roots = _atom_tuples(C_in, H.n)
     rep_of = np.empty(H.n, dtype=np.int64)
     for atom, root in zip(atoms, roots):
         rep_of[list(atom)] = root

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -607,3 +608,106 @@ def _clusterings(draw):
 def test_validate_matches_loop(problem):
     n, C = problem
     assert _failure(lambda: C.validate(n)) == _failure(lambda: _validate_by_loop(C, n))
+
+
+def _both_forms(label, centers, atoms, roots):
+    """``Clustering.from_labels`` on the arrays, or its error message, and
+    the same clustering from the dict constructor."""
+    as_dicts = Clustering(dict(enumerate(label)), len(centers), dict(enumerate(centers)), atoms, roots)
+    try:
+        return Clustering.from_labels(np.array(label), centers, atoms, roots), as_dicts
+    except ZeusError as exc:
+        return str(exc), as_dicts
+
+
+@st.composite
+def _labelled(draw):
+    """Labels of n nodes into k blocks, a center per block, and atoms that
+    partition the nodes in random order; members, centers and roots may lie
+    anywhere, so every check of ``validate`` can fail."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 3))
+    anywhere = st.integers(-1, n)
+    label = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    centers = draw(st.lists(st.integers(0, n - 1) | anywhere, min_size=k, max_size=k))
+    order = draw(st.permutations(range(n)))
+    order[draw(st.integers(0, n - 1))] = draw(st.sampled_from(order) | anywhere)
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    atoms = tuple(tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [n]))
+    roots = tuple(draw(st.sampled_from(a) | anywhere) for a in atoms)
+    return n, label, centers, atoms, roots
+
+
+@settings(max_examples=400, deadline=None)
+@given(_labelled())
+def test_from_labels_and_dict_constructor_agree(problem):
+    """Both constructors store the same clustering: every view and array
+    reader agrees, and ``validate`` fails with the same message, also when
+    asked for one node more or fewer."""
+    n, label, centers, atoms, roots = problem
+    C, D = _both_forms(label, centers, atoms, roots)
+    message = _failure(lambda: D.validate(n))
+    assert message == _failure(lambda: _validate_by_loop(D, n))
+    if isinstance(C, str):
+        assert C == message
+        return
+    assert message is None
+    for m in (n - 1, n + 1):
+        assert _failure(lambda: C.validate(m)) == _failure(lambda: D.validate(m)) is not None
+    assert (C.assignment, C.centers, C.atoms, C.roots) == (D.assignment, D.centers, D.atoms, D.roots)
+    assert list(C.assignment.items()) == list(D.assignment.items())
+    assert all(np.array_equal(a, b) for a, b in zip(C.arrays(), D.arrays()))
+    assert C.blocks() == D.blocks() == _blocks_by_dict_loop(D)
+
+
+@pytest.mark.parametrize(
+    "label, centers, atoms, roots, n, message",
+    [
+        ([0, 0, 0], [0, 1], ((0,), (1,), (2,)), (0, 1, 2), 3, "finalized clustering has an empty block"),
+        ([0, 1, 1], [0, 1], ((0,), (1,), (2,)), (0, 1, 2), 4, "assignment does not cover all nodes exactly once"),
+        ([0, 1, 1], [0, 1], ((0,), (1,), (2,)), (0, 1, 2), 2, "assignment does not cover all nodes exactly once"),
+        ([0, 1, 1], [0, 2], ((0, 3), (1, 2)), (0, 1), 3, r"atom \(0, 3\) has a member outside 0..2"),
+        ([0, 1, 1], [1, 2], ((0,), (1, 2)), (0, 1), 3, "center 1 not inside its block 0"),
+        ([0, 1, 1], [0, 1], ((0,), (1, 2)), (0, 0), 3, r"root 0 outside its atom \(1, 2\)"),
+        ([0, 1, 1], [0, 2], ((0, 1), (2,)), (0, 2), 3, r"atom \(0, 1\) spans blocks \[0, 1\]"),
+    ],
+    ids=["empty_block", "node_missing", "node_outside", "member_outside", "center_outside",
+         "root_outside", "split_atom"],
+)
+def test_validate_messages_of_both_constructors(label, centers, atoms, roots, n, message):
+    """Each check fails with its message on the arrays and on the dicts; a
+    clustering of other than n nodes is built for len(label) and checked for n."""
+    as_dicts = Clustering(dict(enumerate(label)), len(centers), dict(enumerate(centers)), atoms, roots)
+    for check in (
+        lambda: Clustering.from_labels(np.array(label), centers, atoms, roots).validate(n),
+        lambda: as_dicts.validate(n),
+    ):
+        with pytest.raises(ZeusError, match=message):
+            check()
+    partial = {u: b for u, b in enumerate(label) if u != 1}
+    with pytest.raises(ZeusError, match="assignment does not cover all nodes exactly once"):
+        Clustering(partial, len(centers), dict(enumerate(centers)), atoms, roots).validate(len(label))
+
+
+def test_negative_keys_fail_validation():
+    """A mapping's negative key names no node or block, so ``validate``
+    rejects it however the other keys cover the nodes and blocks."""
+    with pytest.raises(ZeusError, match="assignment does not cover all nodes exactly once"):
+        Clustering({-1: 0, 0: 0, 1: 0}, 1).validate(2)
+    with pytest.raises(ZeusError, match="centers must name exactly the blocks 0..0"):
+        Clustering({0: 0, 1: 0}, 1, {-1: 1, 0: 0}).validate(2)
+
+
+def test_replace_with_a_dict_rebuilds_the_views():
+    """``dataclasses.replace`` with a new assignment dict gives readers that
+    see it, and keeps the centers and atoms."""
+    H = line_points([0, 1, 10, 11])
+    C = Clustering.from_labels(np.array([0, 0, 1, 1]), [0, 2], ((0,), (1,), (2,), (3,)), (0, 1, 2, 3))
+    assert dict(C.assignment) == {0: 0, 1: 0, 2: 1, 3: 1}
+    moved = dataclasses.replace(C, assignment={0: 0, 1: 0, 2: 1, 3: 0})
+    assert dict(moved.assignment) == {0: 0, 1: 0, 2: 1, 3: 0}
+    assert moved.label.tolist() == [0, 0, 1, 0] and moved.blocks() == [[0, 1, 3], [2]]
+    assert (moved.k, moved.centers, moved.atoms, moved.roots) == (C.k, C.centers, C.atoms, C.roots)
+    assert (eval_kcenter(H, C), eval_kcenter(H, moved)) == (1.0, 11.0)
+    moved.validate(4)
+    assert C.blocks() == [[0, 1], [2, 3]]

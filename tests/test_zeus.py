@@ -459,6 +459,56 @@ class TestPipelinePinned:
         )
 
 
+def _atom_pair_lines():
+    """Over ``_pinned_lines``' grid: one line per Zeus, B1 and B2
+    clustering with its atoms and roots (or error class name), and one per
+    pair structure of a Zeus run with its sorted pairs and radius."""
+    lines = []
+
+    def atoms_line(C):
+        return json.dumps([[list(a) for a in C.atoms], list(C.roots)])
+
+    for kind, lists in _PINNED_LISTS.items():
+        for n in (12, 30):
+            for seed in (0, 1):
+                H = generate_instance(kind, n, seed)
+                rules = [MakeshiftOptions(), MakeshiftOptions(seed=seed)]
+                if kind == "tf":
+                    rules.append(MakeshiftOptions(nonexpert_rule=CLOSEST_EXPERT))
+                for k in range(2, 7):
+                    for opts in rules:
+                        lines.append(atoms_line(baseline_b2(H, k, opts)))
+                        for objectives, slacks in lists:
+                            spec = ProblemSpec(
+                                objectives, SlackVector(slacks), k, opts,
+                                allow_infeasible_slack=True,
+                            )
+                            for run in (lambda: zeus_run(H, spec), lambda: (baseline_b1(H, spec), None)):
+                                try:
+                                    C, state = run()
+                                except ZeusError as exc:
+                                    lines.append(type(exc).__name__)
+                                    continue
+                                lines.append(atoms_line(C))
+                                for i, p in sorted((state.pair_structures if state else {}).items()):
+                                    pairs = sorted(map(list, p.pairs))
+                                    lines.append(json.dumps([i, pairs, float.hex(p.realized_radius)]))
+    return lines
+
+
+class TestAtomsAndPairsPinned:
+    """The atoms, roots and pair structures that ``clustering_to_json``
+    leaves out, over the pipeline grid, pinned by digest."""
+
+    def test_objective_lists_grid(self):
+        lines = _atom_pair_lines()
+        digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
+        assert (digest.hexdigest(), len(lines)) == (
+            "df066f8643839aec84175f5b7781d5aec90bfa3230990f855dc47e955939be2f",
+            1822,
+        )
+
+
 def _local_search_lines():
     """One line per Zeus clustering and per trace entry without its timing,
     over a grid whose k-center and k-median stages relocate atoms; also
