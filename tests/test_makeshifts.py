@@ -1048,6 +1048,26 @@ class TestThresholdSearchPinned:
             656,
         )
 
+    def test_large_k(self):
+        # k of 15 to 20, beyond every k of the grid above
+        lines = []
+        for seed in range(3):
+            H = _large_instance("tf", 550, seed)
+            X = _experts(H)
+            for k in (15, 16, 20):
+                for first_seed in (None, seed):
+                    for mult in (1, 4):
+                        opts = MakeshiftOptions(seed=first_seed, balance_radius_multiplier=mult)
+                        centers, assign, r = balanced_kcenter(H, X, k, opts)
+                        lines.append(json.dumps(
+                            [seed, k, first_seed, mult, centers, sorted(assign.items()), r]
+                        ))
+        digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
+        assert (digest.hexdigest(), len(lines)) == (
+            "6e61f6466e358d582267e618f18b4b4c2f28ede49656694ecdd044a299570ff3",
+            36,
+        )
+
 
 def _first_feasible_from_zero(values, feasible):
     """Reference: the binary search over all of ``values`` that the
