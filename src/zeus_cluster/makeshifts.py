@@ -9,10 +9,11 @@ gamma-cover, alpha:beta b-matching, and k-median variants.
 The cover makeshifts read E from the instance's sorted edge array: each
 edge end maps to its atom's root, and one ``lexsort`` puts a root's nearest
 neighbours first. Every makeshift passes its pairs E' on as node-id arrays,
-and ``objectives.pair_structure`` turns them into sorted rows and the one
-frozenset record. The ``rs`` drop loop leaves every kept pair with an end
-of degree one, so its components are stars, labelled by their hubs; the
-gamma-cover and fairness blocks are the components of their rows
+and ``objectives.pair_structure`` turns them into the one E' record, which
+keeps their sorted rows beside the frozenset. The ``rs`` drop loop leaves
+every kept pair with an end of degree one, so its components are stars,
+labelled by their hubs; a 1:1 matching's blocks are its pairs, and the
+gamma-cover and alpha:beta blocks are the components of their rows
 (``csgraph.connected_components``), each rooted at its lowest node.
 
 Every flow problem among them runs on ``scipy.sparse.csgraph``:
@@ -26,12 +27,15 @@ lower bound and binary-searches the radii above it only if that fails.
 For fairness the bound is the largest, over Blue nodes, of the shortest
 Blue-Purple E-edge; for balanced team formation it is the larger of the
 farthest expert's distance to its nearest center and the largest distance
-from a center to its floor(m/k)-th nearest expert. The test is
+from a center to its floor(m/k)-th nearest expert. The fairness test is
 ``maximum_bipartite_matching`` (Hopcroft and Karp, SIAM J. Comput. 1973),
-or the max-flow value for an alpha:beta b-matching other than 1:1; the
-max-flow or min-cost call that builds the answer runs once per search,
-at the radius found. Every graph is built as CSR straight from entries
-emitted in row-major order (``_csr``).
+or the max-flow value for an alpha:beta b-matching other than 1:1. The
+balanced test checks Hall's condition on both sides of the m x k
+expert-to-center graph by counting experts over center subsets, or for
+many centers takes one max-flow on that graph. The max-flow or min-cost
+call that builds the answer runs once per search, at the radius found.
+Every graph is built as CSR straight from entries emitted in row-major
+order (``_csr``).
 
 The k-median swap search splits each swap's cost as FastPAM1 does
 (Schubert and Rousseeuw, "Faster k-Medoids Clustering", 2019): from every
@@ -123,13 +127,14 @@ def greedy_centers(
     far = 0 if opts.seed is None else random.Random(opts.seed).randrange(len(cand))
     idx = np.asarray(cand)
     centers = [cand[far]]
-    nearest = H.dist[idx, cand[far]].copy()
+    # H.dist is symmetric: a center's row holds its distances, contiguous
+    nearest = H.dist[cand[far], idx]
     nearest[far] = -1.0
     while len(centers) < k:
-        far = int(np.flatnonzero(nearest == nearest.max())[0])
+        far = int(nearest.argmax())
         c = cand[far]
         centers.append(c)
-        np.minimum(nearest, H.dist[idx, c], out=nearest)
+        np.minimum(nearest, H.dist[c, idx], out=nearest)
         nearest[far] = -1.0
     return centers
 
@@ -137,23 +142,33 @@ def greedy_centers(
 def greedy_kcenter_value(H: GraphInstance, centers: list[int]) -> float:
     """Objective value of the plain greedy k-center around ``centers``, the
     Gonzalez centers, on all of V."""
-    return float(H.dist[:, centers].min(axis=1).max())
+    return float(H.dist[centers].min(axis=0).max())
 
 
 def _nearest_assignment(H: GraphInstance, centers) -> np.ndarray:
     """Position in ``centers`` of every node's nearest center; ties go to
     the lowest center id, then to its first position."""
     order = np.argsort(centers, kind="stable")
-    # first occurrence = lowest center id
-    return order[H.dist[:, np.asarray(centers)[order]].argmin(axis=1)]
+    # first occurrence = lowest center id; the centers' rows are their columns
+    return order[H.dist[np.asarray(centers)[order]].argmin(axis=0)]
+
+
+def _square(H: GraphInstance, nodes) -> np.ndarray:
+    """The distances among ``nodes``, taken from ``H.dist`` in one gather."""
+    nodes = np.asarray(nodes)
+    return H.dist.take(nodes[:, None] * H.n + nodes)
+
+
+def _one_center(members: list[int], square: np.ndarray) -> int:
+    """The member of least max distance, first in ``members`` on ties,
+    from the ``square`` of distances among them."""
+    return members[int(square.max(axis=1).argmin())]
 
 
 def _block_one_center(H: GraphInstance, members: list[int]) -> int:
     """Best in-block center: minimizes max distance, ties by lowest id."""
     members = sorted(members)
-    sub = H.dist[np.ix_(members, members)]
-    radii = sub.max(axis=1)
-    return members[int(np.flatnonzero(radii == radii.min())[0])]
+    return _one_center(members, _square(H, members))
 
 
 def _settle_centers(H: GraphInstance, label: np.ndarray, centers: list[int]) -> list[int]:
@@ -204,9 +219,9 @@ def makeshift_kcenter(
     while empty:
         members_of = group_by_block(np.arange(n), label, k)
         donors = np.flatnonzero(np.bincount(atom_block, minlength=k) >= 2).tolist()
-        diameter = {b: H.dist[np.ix_(members_of[b], members_of[b])].max() for b in donors}
-        donor = max(donors, key=lambda b: (diameter[b], -b))
-        ref = _block_one_center(H, members_of[donor])
+        square = {b: _square(H, members_of[b]) for b in donors}
+        donor = max(donors, key=lambda b: (square[b].max(), -b))
+        ref = _one_center(members_of[donor], square[donor])
         movable = np.flatnonzero((atom_block == donor) & (np.arange(len(starts)) != atom_at[ref]))
         # the root farthest from ref, ties to the lowest root
         r = roots[movable]
@@ -288,7 +303,7 @@ def makeshift_rs(
     center = np.where(np.asarray(degree)[v] >= 2, v, u)
     star = np.empty(H.n, dtype=np.int64)
     star[u] = star[v] = center
-    return _fragment_clustering(H, star[rep_of]), pair_structure(H, u, v)[1]
+    return _fragment_clustering(H, star[rep_of]), pair_structure(H, u, v)
 
 
 def makeshift_rs_gamma(
@@ -315,11 +330,20 @@ def makeshift_rs_gamma(
 def _pair_fragments(H: GraphInstance, u, v, rep_of=None) -> tuple[Clustering, PairStructure]:
     """The clustering whose blocks are the connected components of the
     pairs ``(u[i], v[i])``, each rooted at its lowest node, and their E'
-    record; with ``rep_of``, every node joins the block of its rep."""
-    rows, pairs = pair_structure(H, u, v)
-    graph = _csr(np.ones(len(rows), dtype=np.int8), *rows.T, (H.n, H.n))
-    _, label = _sparse().csgraph.connected_components(graph, directed=False)
-    top = np.unique(label, return_index=True)[1][label]
+    record; with ``rep_of``, every node joins the block of its rep.
+
+    When no node is in two pairs (a 1:1 matching) each pair is a
+    component, rooted at its lower end, and every other node is alone.
+    """
+    pairs = pair_structure(H, u, v)
+    lower, higher = pairs.rows.T
+    if np.bincount(pairs.rows.ravel(), minlength=H.n).max(initial=0) <= 1:
+        top = np.arange(H.n)
+        top[higher] = lower
+    else:
+        graph = _csr(np.ones(len(lower), dtype=np.int8), lower, higher, (H.n, H.n))
+        _, label = _sparse().csgraph.connected_components(graph, directed=False)
+        top = np.unique(label, return_index=True)[1][label]
     return _fragment_clustering(H, top if rep_of is None else top[rep_of]), pairs
 
 
@@ -366,10 +390,11 @@ def _csr(data, rows, cols, shape):
     It equals ``csr_matrix((data, (rows, cols)), shape)``, but ``indptr``
     comes from one ``searchsorted`` on the rows instead of a COO-to-CSR
     conversion, which costs several times a Hopcroft-Karp matching on
-    these graphs.
+    these graphs. The indices are handed over as int32, scipy's own index
+    type, so ``csr_matrix`` neither scans nor copies them.
     """
-    indptr = np.searchsorted(rows, np.arange(shape[0] + 1))
-    return _sparse().csr_matrix((data, cols, indptr), shape=shape)
+    indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).astype(np.int32)
+    return _sparse().csr_matrix((data, np.asarray(cols, dtype=np.int32), indptr), shape=shape)
 
 
 def _covers_rows(rows, cols, shape) -> bool:
@@ -543,13 +568,64 @@ def _slot_graph(d: np.ndarray, within: np.ndarray):
     return rows, cols, weights
 
 
+# above this many centers a balanced-assignment test takes one maximum flow
+# instead of counting experts over every one of the 2**k center subsets
+_HALL_MAX_K = 14
+
+
 def _has_balanced_assignment(d: np.ndarray, threshold: float) -> bool:
-    """Whether the slot graph of the distances at most ``threshold`` has a
-    perfect matching."""
+    """Whether the m x k expert-to-center distances at most ``threshold``
+    admit an assignment of every expert with every center's load in
+    [floor(m/k), ceil(m/k)].
+
+    By Hall's theorem on each side, with Mendelsohn and Dulmage's
+    union of the two matchings, one exists exactly when, for every set S
+    of centers, the experts with every allowed center in S number at most
+    ceil(m/k)*|S|, and those with some allowed center in S at least
+    floor(m/k)*|S|. Each expert's allowed centers are a k-bit mask; a
+    subset-sum (zeta) transform of the mask counts gives, for every S, the
+    experts whose mask lies inside S. Above ``_HALL_MAX_K`` centers the
+    test is one maximum flow (``_balanced_flow``).
+    """
     m, k = d.shape
-    size = k * -(-m // k)
-    rows, cols, _ = _slot_graph(d, d <= threshold)
-    return _covers_rows(rows, cols, (size, size))
+    low, high = m // k, -(-m // k)
+    within = d <= threshold
+    if k > _HALL_MAX_K:
+        return _balanced_flow(within, low, high)
+    inside = np.bincount(within @ (1 << np.arange(k)), minlength=1 << k)
+    size = np.zeros(1 << k, dtype=np.int64)
+    for j in range(k):
+        # each set holding center j adds the count of the set without it
+        halves = inside.reshape(-1, 2, 1 << j)
+        halves[:, 1] += halves[:, 0]
+        size[1 << j : 2 << j] = size[: 1 << j] + 1
+    # inside[::-1][S] counts the experts whose mask misses S
+    return bool((inside <= high * size).all() and (m - inside[::-1] >= low * size).all())
+
+
+def _balanced_flow(within: np.ndarray, low: int, high: int) -> bool:
+    """Whether the expert-to-center edges of ``within`` carry an assignment
+    with every center's load in [low, high]: one maximum flow for the
+    circulation with lower bounds.
+
+    The network s -> expert (exactly 1), expert -> center (1), center ->
+    t (between low and high), t -> s has a feasible flow exactly when a
+    super source S' and sink T' carry every lower bound: S' feeds each
+    expert 1 and t k*low, s drains m and each center low into T', and
+    center -> t keeps high - low. Nodes: S', the m experts, the k
+    centers, s, t, T'.
+    """
+    m, k = within.shape
+    s, t, sink = m + k + 1, m + k + 2, m + k + 3
+    experts, centers = 1 + np.arange(m), 1 + m + np.arange(k)
+    rows, cols = np.nonzero(within)
+    tails = np.concatenate([[0] * (m + 1), experts[rows], np.repeat(centers, 2), [s, t]])
+    heads = np.concatenate([experts, [t], centers[cols], np.tile([t, sink], k), [sink, s]])
+    caps = np.concatenate(
+        [np.ones(m), [k * low], np.ones(len(rows)), np.tile([high - low, low], k), [m, m + k * high]]
+    )
+    graph = _csr(caps.astype(np.int32), tails, heads, (sink + 1, sink + 1))
+    return _sparse().csgraph.maximum_flow(graph, 0, sink).flow_value == m + k * low
 
 
 def _balanced_assignment(
@@ -601,9 +677,40 @@ def balanced_kcenter(
     if i == len(thresholds):
         raise InfeasibleError("balanced assignment infeasible even at max radius")
     mult = opts.balance_radius_multiplier
-    sub = H.dist[np.ix_(experts, experts)]
-    r = float(sub[mult * sub + 1e-12 >= thresholds[i]].min())
+    # r is the least distance within X whose limit mult * r + 1e-12
+    # reaches the threshold, the least at or above theta
+    sub = _square(H, experts)
+    theta = _least_reaching(float(thresholds[i]), mult)
+    r = float(np.where(sub >= theta, sub, np.inf).min())
     return centers, _balanced_assignment(H, experts, centers, mult * r), r
+
+
+def _least_reaching(c: float, mult: float) -> float:
+    """The least float x with ``mult * x + 1e-12 >= c``, in float arithmetic.
+
+    The test is monotone in x. Steps that double from one ulp of the
+    estimate (c - 1e-12) / mult bracket the answer between a failing and
+    a passing float, and bisection narrows the bracket to adjacent floats.
+    """
+    def reaches(x):
+        return mult * x + 1e-12 >= c
+
+    lo = hi = (c - 1e-12) / mult
+    step = math.ulp(hi)
+    while reaches(lo):
+        lo -= step
+        step *= 2
+    while not reaches(hi):
+        hi += step
+        step *= 2
+    while True:
+        mid = lo + (hi - lo) / 2
+        if mid in (lo, hi):
+            return hi
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
 
 
 def makeshift_tf(

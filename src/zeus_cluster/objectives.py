@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
 from typing import NamedTuple
@@ -274,17 +274,29 @@ class SlackVector:
 
 @dataclass(frozen=True)
 class PairStructure:
-    """Auxiliary edge set E' produced by a makeshift, with its max weight."""
+    """Auxiliary edge set E' produced by a makeshift, with its max weight.
+
+    ``rows`` holds the same pairs as sorted (lower, higher) int64 rows,
+    read-only (``pair_rows``); built from ``pairs`` when not given, it
+    takes no part in equality or hashing.
+    """
 
     pairs: frozenset[tuple[int, int]]
     realized_radius: float
+    rows: np.ndarray = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.rows is None:
+            ends = np.array(list(self.pairs), dtype=np.int64).reshape(-1, 2)
+            object.__setattr__(self, "rows", pair_rows(ends[:, 0], ends[:, 1]))
+        self.rows.setflags(write=False)
 
 
-def pair_structure(H: GraphInstance, u, v) -> tuple[np.ndarray, PairStructure]:
-    """``pair_rows(u, v)`` and their E' record; its radius is the longest pair, or 0."""
+def pair_structure(H: GraphInstance, u, v) -> PairStructure:
+    """The E' record of the pairs ``{u[i], v[i]}``; its radius is the longest pair, or 0."""
     rows = pair_rows(u, v)
     radius = float(H.dist[rows[:, 0], rows[:, 1]].max(initial=0.0))
-    return rows, PairStructure(frozenset(map(tuple, rows.tolist())), radius)
+    return PairStructure(frozenset(map(tuple, rows.tolist())), radius, rows)
 
 
 def rel_close(a: float, b: float) -> bool:
@@ -327,7 +339,7 @@ def eval_resource_sharing(H: GraphInstance, C: Clustering) -> float:
 def blue_partners(H: GraphInstance, matched: PairStructure) -> tuple[np.ndarray, np.ndarray]:
     """The Blue nodes of the Blue-Purple pairs, ascending, and each one's
     partner: of several (alpha > 1), the lowest-id one."""
-    rows = np.array(list(matched.pairs), dtype=np.int64).reshape(-1, 2)
+    rows = matched.rows
     rows = np.where(H.is_blue[rows[:, :1]], rows, rows[:, ::-1])  # the Blue end first
     blue, purple = rows[H.is_blue[rows[:, 0]] & H.is_purple[rows[:, 1]]].T
     blue, purple = np.divmod(np.unique(blue * H.n + purple), H.n)  # by Blue, then Purple

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import math
 import random
 
 import numpy as np
@@ -494,6 +495,21 @@ class TestBalancedKCenter:
         H = line_points([0, 1, 2])
         with pytest.raises(ConfigError):
             balanced_kcenter(H, {0}, 2, OPTS)
+
+
+class TestLeastReaching:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.floats(0, 10),
+            st.sampled_from([0.0, 1e-12, math.nextafter(1e-12, 0), 5e-13, 2e-12, 1.0]),
+        ),
+        st.one_of(st.floats(1, 10), st.sampled_from([1.0, 1.5, 4.0])),
+    )
+    def test_least_float_whose_limit_reaches(self, c, mult):
+        x = makeshifts._least_reaching(c, mult)
+        assert mult * x + 1e-12 >= c
+        assert not mult * math.nextafter(x, -math.inf) + 1e-12 >= c
 
 
 class TestTeamFormation:
@@ -1220,16 +1236,39 @@ class TestCsr:
         return counts
 
     @pytest.mark.parametrize("m, k", [(12, 3), (13, 3), (10, 4)])
-    def test_slot_graph(self, m, k, checked):
+    def test_slot_graph(self, m, k, checked, monkeypatch):
         # k dividing m, then dummy rows; -1 keeps no edge
         H = _large_instance("tf", 60, 0)
         experts = sorted(_experts(H))[:m]
         d = H.dist[np.ix_(experts, experts[:k])]
+        slot_graphs = []
+        slot_graph = makeshifts._slot_graph
+        monkeypatch.setattr(
+            makeshifts, "_slot_graph", lambda *a: slot_graphs.append(1) or slot_graph(*a)
+        )
         for t in [-1.0, *np.unique(d)]:
             _has_balanced_assignment(d, t)
+        # the search's test builds no slot graph, and no CSR graph below
+        # _HALL_MAX_K centers
+        assert slot_graphs == checked == []
+        assert _balanced_assignment(H, experts, experts[:k], limit=-1.0) is None
         assert _balanced_assignment(H, experts, experts[:k]) is not None
-        # at t = -1 only the dummy rows keep their edges
-        assert min(checked) == (k * -(-m // k) - m) * k
+        # within -1 only the dummy rows keep their edges
+        high = -(-m // k)
+        assert checked == [(k * high - m) * k, m * k * high + (k * high - m) * k]
+        assert len(slot_graphs) == 2
+
+    @pytest.mark.parametrize("m, k", [(30, 15), (37, 16), (45, 20)])
+    def test_balanced_flow(self, m, k, checked):
+        # every threshold from -1, where only the lower-bound arcs are
+        # left, up through the largest distance
+        H = _large_instance("tf", 200, 0)
+        experts = sorted(_experts(H))[:m]
+        d = H.dist[np.ix_(experts, experts[:k])]
+        for t in [-1.0, *np.unique(d)]:
+            _has_balanced_assignment(d, t)
+        assert min(checked) == m + 1 + 2 * k + 2
+        assert max(checked) == m + 1 + m * k + 2 * k + 2
 
     @pytest.mark.parametrize("alpha, beta", [(1, 1), (2, 1), (1, 2)])
     def test_blue_purple(self, alpha, beta, checked):
@@ -1248,19 +1287,58 @@ class TestCsr:
         makeshift_fairness_mincost(H)
 
 
+def _slot_graph_covers(d, threshold):
+    """Reference: the balanced test the search ran before it counted
+    experts over center subsets, a Hopcroft-Karp perfect matching on the
+    slot graph of the distances at most ``threshold``."""
+    m, k = d.shape
+    size = k * -(-m // k)
+    rows, cols, _ = makeshifts._slot_graph(d, d <= threshold)
+    return makeshifts._covers_rows(rows, cols, (size, size))
+
+
+@st.composite
+def _balanced_problems(draw):
+    """An m x k matrix of integer distances, so with ties, where k is
+    small, up to ``_HALL_MAX_K`` or above it, and m is k times 1..3 plus
+    0..k-1 (m = k and k dividing m among them). Each distance is 0..top
+    plus a shift of 0..2 for its center and one for its expert, so at
+    some thresholds a center reaches fewer experts than the floor(m/k) it
+    needs, or some experts reach too few centers to hold them."""
+    k = draw(st.one_of(
+        st.integers(1, 6), st.integers(7, makeshifts._HALL_MAX_K), st.integers(15, 20)
+    ))
+    m = k * draw(st.integers(1, 3)) + draw(st.one_of(st.just(0), st.integers(0, k - 1)))
+    top = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shifts = rng.integers(0, 3, size=k) + rng.integers(0, 3, size=(m, 1))
+    return (rng.integers(0, top + 1, size=(m, k)) + shifts).astype(float)
+
+
+class TestBalancedTestReference:
+    @settings(max_examples=150, deadline=None)
+    @given(_balanced_problems())
+    def test_equals_slot_graph_matching(self, d):
+        # from below every distance, where nothing is allowed, to the largest
+        for t in [-1.0, *np.unique(d)]:
+            assert _has_balanced_assignment(d, t) == _slot_graph_covers(d, t)
+
+
 class TestSearchWorkPinned:
-    """Hopcroft-Karp calls per bottleneck search, counted: with the lower
-    bound most searches need one."""
+    """Feasibility tests per bottleneck search, counted: Hopcroft-Karp
+    calls for fairness, balanced-assignment tests for team formation.
+    With the lower bound most searches need one."""
 
     def test_covers_rows_calls(self, monkeypatch):
         calls = []
-        covers_rows = makeshifts._covers_rows
+        for name in ("_covers_rows", "_has_balanced_assignment"):
+            test = getattr(makeshifts, name)
 
-        def counted(*args):
-            calls.append(1)
-            return covers_rows(*args)
+            def counted(*args, test=test):
+                calls.append(1)
+                return test(*args)
 
-        monkeypatch.setattr(makeshifts, "_covers_rows", counted)
+            monkeypatch.setattr(makeshifts, name, counted)
         per_cell = []
         for kind in ("f", "tf"):
             for seed in range(3):
