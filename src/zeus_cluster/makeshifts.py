@@ -303,7 +303,7 @@ def makeshift_rs(
     center = np.where(np.asarray(degree)[v] >= 2, v, u)
     star = np.empty(H.n, dtype=np.int64)
     star[u] = star[v] = center
-    return _fragment_clustering(H, star[rep_of]), pair_structure(H, u, v)
+    return _fragment_clustering(H, star[rep_of]), pair_structure(H, u, v)[1]
 
 
 def makeshift_rs_gamma(
@@ -335,9 +335,9 @@ def _pair_fragments(H: GraphInstance, u, v, rep_of=None) -> tuple[Clustering, Pa
     When no node is in two pairs (a 1:1 matching) each pair is a
     component, rooted at its lower end, and every other node is alone.
     """
-    pairs = pair_structure(H, u, v)
-    lower, higher = pairs.rows.T
-    if np.bincount(pairs.rows.ravel(), minlength=H.n).max(initial=0) <= 1:
+    rows, pairs = pair_structure(H, u, v)
+    lower, higher = rows.T
+    if np.bincount(rows.ravel(), minlength=H.n).max(initial=0) <= 1:
         top = np.arange(H.n)
         top[higher] = lower
     else:
@@ -677,40 +677,11 @@ def balanced_kcenter(
     if i == len(thresholds):
         raise InfeasibleError("balanced assignment infeasible even at max radius")
     mult = opts.balance_radius_multiplier
-    # r is the least distance within X whose limit mult * r + 1e-12
-    # reaches the threshold, the least at or above theta
     sub = _square(H, experts)
-    theta = _least_reaching(float(thresholds[i]), mult)
-    r = float(np.where(sub >= theta, sub, np.inf).min())
+    limit = sub * mult
+    limit += 1e-12
+    r = float(sub[limit >= thresholds[i]].min())
     return centers, _balanced_assignment(H, experts, centers, mult * r), r
-
-
-def _least_reaching(c: float, mult: float) -> float:
-    """The least float x with ``mult * x + 1e-12 >= c``, in float arithmetic.
-
-    The test is monotone in x. Steps that double from one ulp of the
-    estimate (c - 1e-12) / mult bracket the answer between a failing and
-    a passing float, and bisection narrows the bracket to adjacent floats.
-    """
-    def reaches(x):
-        return mult * x + 1e-12 >= c
-
-    lo = hi = (c - 1e-12) / mult
-    step = math.ulp(hi)
-    while reaches(lo):
-        lo -= step
-        step *= 2
-    while not reaches(hi):
-        hi += step
-        step *= 2
-    while True:
-        mid = lo + (hi - lo) / 2
-        if mid in (lo, hi):
-            return hi
-        if reaches(mid):
-            hi = mid
-        else:
-            lo = mid
 
 
 def makeshift_tf(

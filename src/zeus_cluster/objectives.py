@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 from typing import NamedTuple
@@ -274,29 +275,26 @@ class SlackVector:
 
 @dataclass(frozen=True)
 class PairStructure:
-    """Auxiliary edge set E' produced by a makeshift, with its max weight.
-
-    ``rows`` holds the same pairs as sorted (lower, higher) int64 rows,
-    read-only (``pair_rows``); built from ``pairs`` when not given, it
-    takes no part in equality or hashing.
-    """
+    """Auxiliary edge set E' produced by a makeshift, with its max weight."""
 
     pairs: frozenset[tuple[int, int]]
     realized_radius: float
-    rows: np.ndarray = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.rows is None:
-            ends = np.array(list(self.pairs), dtype=np.int64).reshape(-1, 2)
-            object.__setattr__(self, "rows", pair_rows(ends[:, 0], ends[:, 1]))
-        self.rows.setflags(write=False)
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The pairs as sorted (lower, higher) int64 rows, read-only,
+        built from ``pairs`` on first use."""
+        ends = np.fromiter(chain.from_iterable(self.pairs), np.int64, 2 * len(self.pairs))
+        rows = pair_rows(ends[0::2], ends[1::2])
+        rows.setflags(write=False)
+        return rows
 
 
-def pair_structure(H: GraphInstance, u, v) -> PairStructure:
-    """The E' record of the pairs ``{u[i], v[i]}``; its radius is the longest pair, or 0."""
+def pair_structure(H: GraphInstance, u, v) -> tuple[np.ndarray, PairStructure]:
+    """``pair_rows(u, v)`` and their E' record; its radius is the longest pair, or 0."""
     rows = pair_rows(u, v)
     radius = float(H.dist[rows[:, 0], rows[:, 1]].max(initial=0.0))
-    return PairStructure(frozenset(map(tuple, rows.tolist())), radius, rows)
+    return rows, PairStructure(frozenset(map(tuple, rows.tolist())), radius)
 
 
 def rel_close(a: float, b: float) -> bool:

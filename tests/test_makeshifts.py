@@ -2,7 +2,6 @@ import contextlib
 import functools
 import hashlib
 import json
-import math
 import random
 
 import numpy as np
@@ -495,21 +494,6 @@ class TestBalancedKCenter:
         H = line_points([0, 1, 2])
         with pytest.raises(ConfigError):
             balanced_kcenter(H, {0}, 2, OPTS)
-
-
-class TestLeastReaching:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.one_of(
-            st.floats(0, 10),
-            st.sampled_from([0.0, 1e-12, math.nextafter(1e-12, 0), 5e-13, 2e-12, 1.0]),
-        ),
-        st.one_of(st.floats(1, 10), st.sampled_from([1.0, 1.5, 4.0])),
-    )
-    def test_least_float_whose_limit_reaches(self, c, mult):
-        x = makeshifts._least_reaching(c, mult)
-        assert mult * x + 1e-12 >= c
-        assert not mult * math.nextafter(x, -math.inf) + 1e-12 >= c
 
 
 class TestTeamFormation:
