@@ -9,11 +9,11 @@ gamma-cover, alpha:beta b-matching, and k-median variants.
 The cover makeshifts read E from the instance's sorted edge array: each
 edge end maps to its atom's root, and one ``lexsort`` puts a root's nearest
 neighbours first. Every makeshift passes its pairs E' on as node-id arrays,
-and ``objectives.pair_structure`` turns them into the one E' record, which
-keeps their sorted rows beside the frozenset. The ``rs`` drop loop leaves
-every kept pair with an end of degree one, so its components are stars,
-labelled by their hubs; a 1:1 matching's blocks are its pairs, and the
-gamma-cover and alpha:beta blocks are the components of their rows
+and ``objectives.pair_structure`` turns them into sorted rows and the one
+frozenset record. The ``rs`` drop loop leaves every kept pair with an end
+of degree one, so its components are stars, labelled by their hubs; a 1:1
+matching's blocks are its pairs, and the gamma-cover and alpha:beta blocks
+are the components of their rows
 (``csgraph.connected_components``), each rooted at its lowest node.
 
 Every flow problem among them runs on ``scipy.sparse.csgraph``:

@@ -279,6 +279,14 @@ class TestFairness:
         assert eval_fairness(H, Clustering({0: 0, 3: 0, 1: 0, 2: 1}, 2), matched) == 0.5
         assert eval_fairness(H, Clustering({0: 0, 2: 0, 1: 1, 3: 1}, 2), matched) == 1.0
 
+    def test_replaced_pairs_give_their_own_partners(self):
+        H = self.make()
+        matched = pairs((0, 3), (1, 2))
+        assert [a.tolist() for a in blue_partners(H, matched)] == [[0, 1], [3, 2]]
+        swapped = dataclasses.replace(matched, pairs=frozenset({(0, 2), (1, 3)}))
+        assert [a.tolist() for a in blue_partners(H, swapped)] == [[0, 1], [2, 3]]
+        assert matched.rows.tolist() == [[0, 3], [1, 2]]
+
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     def test_baselines_match_lowest_partner_loop(self, alpha):
         """On B2 and MOC clusterings, with alpha:(alpha + 1) b-matchings,
