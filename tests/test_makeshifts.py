@@ -1068,6 +1068,35 @@ class TestThresholdSearchPinned:
             36,
         )
 
+    def test_flow_sizes(self):
+        # the sizes and k of the benchmark's flow tf cells, where the least
+        # total assignment places experts with a single center first
+        lines = []
+        for n in (550, 700, 850):
+            for seed in range(5):
+                H = _large_instance("tf", n, seed)
+                X = _experts(H)
+                for k in (5, 10):
+                    for first_seed in (None, seed):
+                        opts = MakeshiftOptions(seed=first_seed)
+                        centers, assign, r = balanced_kcenter(H, X, k, opts)
+                        lines.append(json.dumps(
+                            [n, seed, k, first_seed, centers, sorted(assign.items()), r]
+                        ))
+                        objectives = (ObjectiveSpec("tf"), ObjectiveSpec("kc"))
+                        spec = ProblemSpec(objectives, SlackVector((1, 3)), k, opts)
+                        C, state = zeus_run(H, spec)
+                        lines.append(clustering_to_json(H, C))
+                        for entry in state.trace:
+                            entry = dict(entry)
+                            entry.pop("elapsed_ms", None)
+                            lines.append(json.dumps(entry, sort_keys=True))
+        digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
+        assert (digest.hexdigest(), len(lines)) == (
+            "4bc43db6376587ef6e8c1ba9fbf6b8bd72efa518faacda076bd36d4d289f831b",
+            240,
+        )
+
 
 def _first_feasible_from_zero(values, feasible):
     """Reference: the binary search over all of ``values`` that the
