@@ -404,8 +404,8 @@ def load_instance(path: str, fmt: str = "json", fill: float | None = None) -> Gr
     return instance_from_data(data)
 
 
-def instance_to_data(H: GraphInstance) -> dict:
-    """Serialize an instance back to the JSON document schema."""
+def _node_data(H: GraphInstance) -> dict:
+    """The metric and nodes of the JSON document schema."""
     nodes = []
     for i, lab in enumerate(H.labels):
         nd: dict = {"id": lab}
@@ -418,11 +418,13 @@ def instance_to_data(H: GraphInstance) -> dict:
         if H.attr_sets is not None:
             nd["attrs"] = sorted(H.attr_sets[i])
         nodes.append(nd)
-    data: dict = {
-        "metric": H.metric,
-        "nodes": nodes,
-        "edges": [[H.labels[u], H.labels[v]] for u, v in H.edges.tolist()],
-    }
+    return {"metric": H.metric, "nodes": nodes}
+
+
+def instance_to_data(H: GraphInstance) -> dict:
+    """Serialize an instance back to the JSON document schema."""
+    data = _node_data(H)
+    data["edges"] = [[H.labels[u], H.labels[v]] for u, v in H.edges.tolist()]
     if H.metric == EXPLICIT:
         # every pair u < v, row by row, as (label, label, distance) tuples,
         # which json writes as arrays
@@ -434,9 +436,44 @@ def instance_to_data(H: GraphInstance) -> dict:
     return data
 
 
+# rows that _write_json_rows formats per string join
+_JSON_ROWS_CHUNK = 1 << 16
+
+
+def _write_json_rows(fh, key: str, columns) -> None:
+    """Write ``"key": [...],`` one level into the top object as
+    ``json.dump(..., indent=1)`` lays it out, from arrays that hold each
+    row's entries column by column: JSON-encoded labels, or floats, which
+    json writes as their ``repr``."""
+    count = len(columns[0])
+    if not count:
+        fh.write(f' "{key}": [],\n')
+        return
+    row = "  [\n" + ",\n".join(["   {}"] * len(columns)) + "\n  ]"
+    fh.write(f' "{key}": [\n')
+    for start in range(0, count, _JSON_ROWS_CHUNK):
+        chunk = [c[start : start + _JSON_ROWS_CHUNK].tolist() for c in columns]
+        fh.write((",\n" if start else "") + ",\n".join(map(row.format, *chunk)))
+    fh.write("\n ],\n")
+
+
 def save_instance(H: GraphInstance, path: str) -> None:
+    """Write ``instance_to_data(H)`` byte for byte as ``json.dump(...,
+    indent=1, sort_keys=True)`` writes it, plus a newline.
+
+    The distance and edge rows, whose keys sort before the others, are
+    formatted by string joins: ``indent`` selects json's pure-Python
+    encoder, which takes seconds on an explicit instance's n(n-1)/2 rows.
+    """
+    labels = np.array([json.dumps(x) for x in H.labels], dtype=object)
     with open(path, "w") as fh:
-        json.dump(instance_to_data(H), fh, indent=1, sort_keys=True)
+        fh.write("{\n")
+        if H.metric == EXPLICIT:
+            u, v = np.triu_indices(H.n, 1)
+            _write_json_rows(fh, "distances", [labels[u], labels[v], H.dist[u, v]])
+        _write_json_rows(fh, "edges", [labels[H.edges[:, 0]], labels[H.edges[:, 1]]])
+        # the rest of the object, after its opening "{\n"
+        fh.write(json.dumps(_node_data(H), indent=1, sort_keys=True)[2:])
         fh.write("\n")
 
 

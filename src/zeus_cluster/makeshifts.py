@@ -7,8 +7,8 @@ for fairness, a balanced k-center pipeline for team formation, plus the
 gamma-cover, alpha:beta b-matching, and k-median variants.
 
 The cover makeshifts read E from the instance's sorted edge array: each
-edge end maps to its atom's root, and one ``lexsort`` puts a root's nearest
-neighbours first. Every makeshift passes its pairs E' on as node-id arrays,
+edge end maps to its atom's root, and one sort of an exact integer key puts
+a root's nearest neighbours first. Every makeshift passes its pairs E' on as node-id arrays,
 and ``objectives.pair_structure`` turns them into sorted rows and the one
 frozenset record. The ``rs`` drop loop leaves every kept pair with an end
 of degree one, so its components are stars, labelled by their hubs; a 1:1
@@ -33,7 +33,11 @@ or the max-flow value for an alpha:beta b-matching other than 1:1. The
 balanced test checks Hall's condition on both sides of the m x k
 expert-to-center graph by counting experts over center subsets, or for
 many centers takes one max-flow on that graph. The max-flow or min-cost
-call that builds the answer runs once per search, at the radius found.
+call that builds the answer runs once per search, at the radius found. The
+balanced one first places every expert with a single center within the
+radius (such experts sit there in every balanced assignment), again after
+each center those fill to ceil(m/k), and matches the rest on a slot graph
+with per-center bounds, its rows fewest reachable centers first.
 Every graph is built as CSR straight from entries emitted in row-major
 order (``_csr``).
 
@@ -259,12 +263,16 @@ def _rep_pairs(H: GraphInstance, C_in: Clustering, gamma: int):
     rep_of[members] = roots[atom_of]
     u, v = rep_of[H.edges].T
     u, v = u[u != v], v[u != v]
-    rep, nbr = np.concatenate([u, v]), np.concatenate([v, u])
-    order = np.lexsort((nbr, H.dist[rep, nbr], rep))
-    rep, nbr = rep[order], nbr[order]
-    new = np.ones(len(rep), dtype=bool)
-    new[1:] = (rep[1:] != rep[:-1]) | (nbr[1:] != nbr[:-1])
-    rep, nbr = rep[new], nbr[new]
+    # both directions of each pair as one exact int64 key: rep, then the
+    # distance's rank (the count of smaller ones, so equal distances share
+    # it), then nbr; the key stays below n*n*|E|, far inside int64 for
+    # any n x n matrix that fits in memory
+    d = H.dist[u, v]
+    rank = np.searchsorted(np.sort(d), d)
+    key = np.sort((np.concatenate([u, v]) * len(d) + np.tile(rank, 2)) * H.n + np.concatenate([v, u]))
+    key = key[np.diff(key, prepend=-1) != 0]  # each pair once
+    rep, nbr = np.divmod(key, H.n)
+    rep //= len(d)
     # each rep's rows run from its nearest neighbour out
     near = np.arange(len(rep)) - np.searchsorted(rep, rep) < gamma
     reps = np.sort(roots)
@@ -542,29 +550,32 @@ def fairness_pairs(
     return makeshift_fairness_for(H, objectives)[1]
 
 
-def _slot_graph(d: np.ndarray, within: np.ndarray):
-    """Rows, columns and weights of the balanced slot graph of the m x k
-    expert-to-center distances ``d``, with the edges that ``within`` marks.
+def _slot_graph(d: np.ndarray, within: np.ndarray, low: np.ndarray, high: np.ndarray):
+    """Rows, columns and weights of the slot graph of the expert-to-center
+    distances ``d``, with the edges that ``within`` marks, for a load of
+    each center i in [low[i], high[i]].
 
-    Center i owns ceil(m/k) consecutive slots: floor(m/k) that every
-    perfect matching fills and, when k does not divide m, one optional
-    slot. k*ceil(m/k) - m dummy rows, joined to the optional slots only,
-    take up the optional slots no expert fills. A perfect matching is an
-    assignment with every center's load in [floor(m/k), ceil(m/k)].
+    Center i owns high[i] consecutive slots: low[i] that every perfect
+    matching fills, then high[i] - low[i] optional ones. One dummy row
+    per slot beyond the experts, joined to the optional slots only, takes
+    up an optional slot no expert fills. A perfect matching is an
+    assignment with every center's load in its bounds.
     """
     m, k = d.shape
-    low, high = m // k, -(-m // k)
+    starts = np.cumsum(high) - high
     rows, center_of = np.nonzero(within)
     # an expert's edge to center i becomes one edge to each of i's slots
-    weights = np.repeat(d[rows, center_of], high)
-    cols = (center_of[:, None] * high + np.arange(high)).ravel()
-    rows = np.repeat(rows, high)
-    if high > low:
-        dummies = np.arange(m, k * high)
-        optional = np.arange(k) * high + low
-        rows = np.concatenate([rows, np.repeat(dummies, k)])
-        cols = np.concatenate([cols, np.tile(optional, len(dummies))])
-        weights = np.concatenate([weights, np.zeros(len(dummies) * k)])
+    count = high[center_of]
+    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    cols = np.repeat(starts[center_of], count) + offset
+    weights = np.repeat(d[rows, center_of], count)
+    rows = np.repeat(rows, count)
+    slots = high.sum()
+    optional = np.flatnonzero(np.arange(slots) - np.repeat(starts, high) >= np.repeat(low, high))
+    dummies = np.arange(m, slots)
+    rows = np.concatenate([rows, np.repeat(dummies, len(optional))])
+    cols = np.concatenate([cols, np.tile(optional, len(dummies))])
+    weights = np.concatenate([weights, np.zeros(len(dummies) * len(optional))])
     return rows, cols, weights
 
 
@@ -633,15 +644,40 @@ def _balanced_assignment(
 ) -> dict[int, int] | None:
     """Least-total-distance assignment of experts to centers within
     ``limit``, with every center's load in [floor(m/k), ceil(m/k)]; None
-    if there is none."""
+    if there is none.
+
+    An expert with a single center within the limit sits there in every
+    such assignment, and so does one left with a single center once
+    placed experts fill its others to ceil(m/k); these are placed first.
+    The least-total matching (LAPJV) then runs on the slot graph of the
+    other experts, fewest reachable centers first.
+    """
     m, k = len(experts), len(centers)
-    high = -(-m // k)
+    low, high = m // k, -(-m // k)
     d = H.dist[np.ix_(experts, centers)]
-    rows, cols, weights = _slot_graph(d, d <= limit + 1e-12)
-    col_of = _min_weight_matching(rows, cols, weights, (k * high, k * high))
+    reach = d <= limit + 1e-12
+    block = np.full(m, -1)
+    while True:
+        options = reach.sum(axis=1)
+        single = options == 1
+        if not single.any():
+            break
+        block[single] = reach[single].argmax(axis=1)
+        reach[single] = False
+        load = np.bincount(block[block >= 0], minlength=k)
+        if load.max() > high:
+            return None
+        reach[:, load == high] = False
+    load = np.bincount(block[block >= 0], minlength=k)
+    rest = np.flatnonzero(block < 0)
+    rest = rest[np.argsort(options[rest], kind="stable")]
+    slots = high - load
+    rows, cols, weights = _slot_graph(d[rest], reach[rest], np.maximum(low - load, 0), slots)
+    col_of = _min_weight_matching(rows, cols, weights, (slots.sum(), slots.sum()))
     if col_of is None:
         return None
-    return dict(zip(experts, (col_of[:m] // high).tolist()))
+    block[rest] = np.repeat(np.arange(k), slots)[col_of[: len(rest)]]
+    return dict(zip(experts, block.tolist()))
 
 
 def balanced_kcenter(

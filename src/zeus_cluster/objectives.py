@@ -291,10 +291,14 @@ class PairStructure:
 
 
 def pair_structure(H: GraphInstance, u, v) -> tuple[np.ndarray, PairStructure]:
-    """``pair_rows(u, v)`` and their E' record; its radius is the longest pair, or 0."""
+    """``pair_rows(u, v)``, read-only, and their E' record; its radius is
+    the longest pair, or 0. The record's ``rows`` start as these rows."""
     rows = pair_rows(u, v)
+    rows.setflags(write=False)
     radius = float(H.dist[rows[:, 0], rows[:, 1]].max(initial=0.0))
-    return rows, PairStructure(frozenset(map(tuple, rows.tolist())), radius)
+    record = PairStructure(frozenset(map(tuple, rows.tolist())), radius)
+    record.__dict__["rows"] = rows  # the cached_property's slot
+    return rows, record
 
 
 def rel_close(a: float, b: float) -> bool:

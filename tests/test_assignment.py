@@ -14,10 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import neighbours
+from zeus_cluster import makeshifts
 from zeus_cluster.errors import InfeasibleError
 from zeus_cluster.graph import make_instance
 from zeus_cluster.makeshifts import (
     MakeshiftOptions,
+    _balanced_assignment,
     _kmedian_swap_centers,
     balanced_kcenter,
     makeshift_fairness_mincost,
@@ -166,6 +168,110 @@ class TestBalancedKCenter:
                 if all(d[i, b] <= r + 1e-12 for i, b in enumerate(blocks))
             )
             assert sum(H.dist[u, centers[assign[u]]] for u in experts) == want
+
+
+def bipartite_instance(d):
+    """Explicit instance whose experts 0..m-1 lie at the distances ``d``
+    from the centers m..m+k-1, and 9 apart among themselves."""
+    m, k = d.shape
+    matrix = np.full((m + k, m + k), 9.0)
+    matrix[:m, m:] = d
+    matrix[m:, :m] = d.T
+    np.fill_diagonal(matrix, 0.0)
+    return make_instance(m + k, "explicit", matrix=matrix, experts=[True] * m + [False] * k)
+
+
+def least_balanced_total(d, limit):
+    """Exhaustive least total of a balanced assignment within ``limit``, or None."""
+    totals = [
+        sum(d[i, b] for i, b in enumerate(blocks))
+        for blocks in balanced_assignments(*d.shape)
+        if all(d[i, b] <= limit for i, b in enumerate(blocks))
+    ]
+    return min(totals, default=None)
+
+
+# m x k distances with limit 2: an entry of 5 is out of reach. Each case
+# comes with k dividing m (6 experts) and not (7), and the experts the
+# matching should not see, as positions in d.
+_X = 5
+ASSIGNMENT_CASES = {
+    # experts 0 and 2 reach a single center
+    "single-center": (
+        [[1, _X, _X], [2, 1, 2], [_X, _X, 1], [1, 2, 2], [2, 2, 1], [2, 1, 2], [1, 1, 2]],
+        [0, 2],
+    ),
+    # 0 and 1 fill center 0 (with ceil(m/k) = 2), which leaves 2 only
+    # center 1; at m = 7 center 0 takes a third, so 2 keeps two options
+    "placed-fill-a-center": (
+        [[1, _X, _X], [2, _X, _X], [2, 1, _X], [2, 2, 1], [1, 2, 2], [2, 1, 1], [2, 2, _X]],
+        {6: [0, 1, 2], 7: [0, 1]},
+    ),
+    # more experts reach only center 0 than ceil(m/k)
+    "placed-above-ceiling": (
+        [[1, _X, _X], [2, _X, _X], [1, _X, _X], [2, _X, _X], [1, 2, 2], [2, 1, 1], [1, 1, 2]],
+        None,
+    ),
+    # only expert 5 reaches center 2, which needs floor(m/k) = 2
+    "center-below-floor": (
+        [[1, 2, _X], [2, 1, _X], [1, 1, _X], [2, 1, _X], [1, 2, _X], [2, 1, 1], [1, 2, _X]],
+        None,
+    ),
+}
+
+
+class TestBalancedAssignment:
+    """``_balanced_assignment`` against the exhaustive least total, on the
+    cases that place experts before the matching runs."""
+
+    @pytest.mark.parametrize("case", sorted(ASSIGNMENT_CASES))
+    @pytest.mark.parametrize("m", [6, 7])
+    def test_equals_exhaustive(self, case, m, monkeypatch):
+        d = np.array(ASSIGNMENT_CASES[case][0][:m], dtype=float)
+        placed = ASSIGNMENT_CASES[case][1]
+        if isinstance(placed, dict):
+            placed = placed[m]
+        graphs = []
+        slot_graph = makeshifts._slot_graph
+        monkeypatch.setattr(
+            makeshifts, "_slot_graph", lambda *a: graphs.append(a) or slot_graph(*a)
+        )
+        H = bipartite_instance(d)
+        got = _balanced_assignment(H, list(range(m)), list(range(m, m + 3)), 2.0)
+        want = least_balanced_total(d, 2.0)
+        if want is None:
+            assert got is None
+            return
+        blocks = tuple(got[i] for i in range(m))
+        assert blocks in set(balanced_assignments(m, 3))
+        assert all(d[i, b] <= 2 for i, b in enumerate(blocks))
+        assert sum(d[i, b] for i, b in enumerate(blocks)) == want
+        # the matching gets a row for every other expert, fewest centers first
+        [(sub, within, _, _)] = graphs
+        rest = [i for i in range(m) if i not in placed]
+        options = (d[rest] <= 2).sum(axis=1)
+        assert np.array_equal(sub, d[[rest[j] for j in np.argsort(options, kind="stable")]])
+        assert (np.diff(within.sum(axis=1)) >= 0).all()
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_random_limits(self, seed):
+        # few reachable centers per expert, so experts get placed, and
+        # sometimes too many on one center or too few on another
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 4))
+        m = int(rng.integers(k, 8))
+        d = rng.integers(0, 5, size=(m, k)).astype(float)
+        limit = float(rng.integers(0, 5))
+        H = bipartite_instance(d)
+        got = _balanced_assignment(H, list(range(m)), list(range(m, m + k)), limit)
+        want = least_balanced_total(d, limit)
+        if want is None:
+            assert got is None
+            return
+        blocks = tuple(got[i] for i in range(m))
+        assert blocks in set(balanced_assignments(m, k))
+        assert all(d[i, b] <= limit for i, b in enumerate(blocks))
+        assert sum(d[i, b] for i, b in enumerate(blocks)) == want
 
 
 @st.composite

@@ -413,6 +413,48 @@ def test_save_explicit_lists_every_pair_row_by_row(tmp_path):
     assert load_instance(str(path)) == H
 
 
+# ids with quotes, a backslash, control characters, and outside ASCII
+_ESCAPED_IDS = ['a"b', "back\\slash", "tab\tnew\nline", "\x01", "é", "中文", "😀", "</p>", "9"]
+
+
+@pytest.mark.parametrize("metric", ["explicit", "euclidean", "jaccard"])
+@pytest.mark.parametrize("edges", ["some", "none"])
+def test_save_writes_the_bytes_of_json_dump(tmp_path, metric, edges, monkeypatch):
+    # a chunk smaller than the rows, so the rows span several chunks
+    monkeypatch.setattr(graph, "_JSON_ROWS_CHUNK", 7)
+    rng = np.random.default_rng(11)
+    ids = _ESCAPED_IDS
+    pts = rng.random((len(ids), 2)) * 10.0 ** rng.integers(-6, 6, size=(len(ids), 1))
+    nodes = [{"id": x, "color": "BP"[i % 2], "expert": i % 3 == 0} for i, x in enumerate(ids)]
+    doc = {"metric": metric, "nodes": nodes}
+    if metric == "explicit":
+        d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+        doc["distances"] = [
+            [ids[u], ids[v], float(d[u, v])] for u, v in itertools.combinations(range(len(ids)), 2)
+        ]
+    for nd, p in zip(nodes, pts):
+        nd["embedding"] = p.tolist()
+        nd["attrs"] = [nd["id"], "shared", "ü"]
+    doc["edges"] = [[ids[u], ids[v]] for u, v in [(0, 3), (6, 2), (1, 8), (4, 5), (7, 0)]]
+    if edges == "none":
+        doc["edges"] = []
+    H = instance_from_data(doc)
+    path = tmp_path / "instance.json"
+    save_instance(H, path)
+    want = json.dumps(instance_to_data(H), indent=1, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode()
+    assert load_instance(str(path)) == H
+
+
+def test_save_one_node_explicit(tmp_path):
+    # no pair: the distance and edge lists are empty
+    H = make_instance(1, "explicit", matrix=[[0.0]])
+    path = tmp_path / "one.json"
+    save_instance(H, path)
+    assert path.read_text() == json.dumps(instance_to_data(H), indent=1, sort_keys=True) + "\n"
+    assert '"distances": []' in path.read_text()
+
+
 def test_csv_edges_format(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("u,v,weight\na,b,1\nb,c,2\n")

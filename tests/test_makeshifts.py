@@ -1250,26 +1250,41 @@ class TestCsr:
 
     @pytest.mark.parametrize("m, k", [(12, 3), (13, 3), (10, 4)])
     def test_slot_graph(self, m, k, checked, monkeypatch):
-        # k dividing m, then dummy rows; -1 keeps no edge
+        # k dividing m, then dummy rows; every limit from -1, where no
+        # expert has a center, up through the largest distance
         H = _large_instance("tf", 60, 0)
         experts = sorted(_experts(H))[:m]
         d = H.dist[np.ix_(experts, experts[:k])]
-        slot_graphs = []
+        graphs = []
         slot_graph = makeshifts._slot_graph
-        monkeypatch.setattr(
-            makeshifts, "_slot_graph", lambda *a: slot_graphs.append(1) or slot_graph(*a)
-        )
+
+        def recorded(*args):
+            graphs.append((args, slot_graph(*args)))
+            return graphs[-1][1]
+
+        monkeypatch.setattr(makeshifts, "_slot_graph", recorded)
         for t in [-1.0, *np.unique(d)]:
             _has_balanced_assignment(d, t)
         # the search's test builds no slot graph, and no CSR graph below
         # _HALL_MAX_K centers
-        assert slot_graphs == checked == []
-        assert _balanced_assignment(H, experts, experts[:k], limit=-1.0) is None
+        assert graphs == checked == []
+        for t in [-1.0, *np.unique(d)]:
+            _balanced_assignment(H, experts, experts[:k], limit=t)
+        # one CSR graph per slot graph, and each slot graph is the one the
+        # loops build from its rows and per-center bounds
+        assert checked == [len(rows) for _, (rows, _, _) in graphs]
+        for args, graph in graphs:
+            assert list(zip(*(a.tolist() for a in graph))) == _slot_graph_by_loops(*args)
+            # rows come fewest reachable centers first
+            assert (np.diff(args[1].sum(axis=1)) >= 0).all()
+        # some limits place experts first and leave centers unequal bounds;
+        # unlimited, no expert is placed and the bounds are uniform
+        assert any(len(args[0]) < m and len(set(args[3])) > 1 for args, _ in graphs)
+        graphs.clear()
         assert _balanced_assignment(H, experts, experts[:k]) is not None
-        # within -1 only the dummy rows keep their edges
-        high = -(-m // k)
-        assert checked == [(k * high - m) * k, m * k * high + (k * high - m) * k]
-        assert len(slot_graphs) == 2
+        [((sub, within, low, high), _)] = graphs
+        assert np.array_equal(sub, d) and within.all()
+        assert low.tolist() == [m // k] * k and high.tolist() == [-(-m // k)] * k
 
     @pytest.mark.parametrize("m, k", [(30, 15), (37, 16), (45, 20)])
     def test_balanced_flow(self, m, k, checked):
@@ -1305,9 +1320,24 @@ def _slot_graph_covers(d, threshold):
     experts over center subsets, a Hopcroft-Karp perfect matching on the
     slot graph of the distances at most ``threshold``."""
     m, k = d.shape
-    size = k * -(-m // k)
-    rows, cols, _ = makeshifts._slot_graph(d, d <= threshold)
-    return makeshifts._covers_rows(rows, cols, (size, size))
+    low, high = np.full(k, m // k), np.full(k, -(-m // k))
+    rows, cols, _ = makeshifts._slot_graph(d, d <= threshold, low, high)
+    return makeshifts._covers_rows(rows, cols, (high.sum(), high.sum()))
+
+
+def _slot_graph_by_loops(d, within, low, high):
+    """Reference: the slot graph's (row, column, weight) entries, built
+    slot by slot."""
+    m, k = d.shape
+    slots, start = [], 0
+    for c in range(k):
+        slots.append(range(start, start + high[c]))
+        start += high[c]
+    entries = [
+        (i, s, d[i, c]) for i in range(m) for c in range(k) if within[i, c] for s in slots[c]
+    ]
+    optional = [s for c in range(k) for s in slots[c][low[c]:]]
+    return entries + [(r, s, 0.0) for r in range(m, start) for s in optional]
 
 
 @st.composite

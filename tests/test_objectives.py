@@ -35,6 +35,7 @@ from zeus_cluster.objectives import (
     eval_team_formation,
     evaluate,
     lex_better,
+    pair_structure,
     singleton_clustering,
     slack_violated,
 )
@@ -286,6 +287,17 @@ class TestFairness:
         swapped = dataclasses.replace(matched, pairs=frozenset({(0, 2), (1, 3)}))
         assert [a.tolist() for a in blue_partners(H, swapped)] == [[0, 1], [2, 3]]
         assert matched.rows.tolist() == [[0, 3], [1, 2]]
+
+    def test_pair_structure_record_starts_with_its_rows(self):
+        # the record reads the rows pair_structure built, read-only; one
+        # replaced from it builds its own from its pairs
+        H = self.make()
+        rows, matched = pair_structure(H, np.array([3, 1]), np.array([0, 2]))
+        assert matched.rows is rows and not rows.flags.writeable
+        assert rows.tolist() == PairStructure(matched.pairs, 0.0).rows.tolist() == [[0, 3], [1, 2]]
+        swapped = dataclasses.replace(matched, pairs=frozenset({(0, 2), (1, 3)}))
+        assert swapped.rows.tolist() == [[0, 2], [1, 3]]
+        assert [a.tolist() for a in blue_partners(H, swapped)] == [[0, 1], [2, 3]]
 
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     def test_baselines_match_lowest_partner_loop(self, alpha):
