@@ -155,9 +155,13 @@ def flow(seeds: list[int], repeats: int) -> dict:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("report", choices=("grid", "flow"))
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="tree to import the program from")
+    parser.add_argument(
+        "--src", default=os.path.join(ROOT, "src"), help="tree to import the program from"
+    )
     parser.add_argument("--seeds", default="1-40", help="flow seeds, such as 1-40 or 4,8,15")
-    parser.add_argument("--repeats", type=int, default=5, help="timed calls per assignment; the best counts")
+    parser.add_argument(
+        "--repeats", type=int, default=5, help="timed calls per assignment; the best counts"
+    )
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     out = grid() if args.report == "grid" else flow(_seeds(args.seeds), args.repeats)

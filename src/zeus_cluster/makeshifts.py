@@ -7,10 +7,10 @@ for fairness, a balanced k-center pipeline for team formation, plus the
 gamma-cover, alpha:beta b-matching, and k-median variants.
 
 The cover makeshifts read E from the instance's sorted edge array: each
-edge end maps to its atom's root, and one sort of an exact integer key puts
-a root's nearest neighbours first. Every makeshift passes its pairs E' on as node-id arrays,
-and ``objectives.pair_structure`` turns them into sorted rows and the one
-frozenset record. The ``rs`` drop loop leaves every kept pair with an end
+edge end maps to its atom's root, and one sort of an exact integer key
+puts a root's nearest neighbours first. Every makeshift passes its pairs
+E' on as node-id arrays, and ``objectives.pair_structure`` turns them
+into sorted rows and the one frozenset record. The ``rs`` drop loop leaves every kept pair with an end
 of degree one, so its components are stars, labelled by their hubs; a 1:1
 matching's blocks are its pairs, and the gamma-cover and alpha:beta blocks
 are the components of their rows
@@ -269,7 +269,8 @@ def _rep_pairs(H: GraphInstance, C_in: Clustering, gamma: int):
     # any n x n matrix that fits in memory
     d = H.dist[u, v]
     rank = np.searchsorted(np.sort(d), d)
-    key = np.sort((np.concatenate([u, v]) * len(d) + np.tile(rank, 2)) * H.n + np.concatenate([v, u]))
+    rep, nbr = np.concatenate([u, v]), np.concatenate([v, u])
+    key = np.sort((rep * len(d) + np.tile(rank, 2)) * H.n + nbr)
     key = key[np.diff(key, prepend=-1) != 0]  # each pair once
     rep, nbr = np.divmod(key, H.n)
     rep //= len(d)
@@ -656,7 +657,7 @@ def _balanced_assignment(
     low, high = m // k, -(-m // k)
     d = H.dist[np.ix_(experts, centers)]
     reach = d <= limit + 1e-12
-    block = np.full(m, -1)
+    block, load = np.full(m, -1), np.zeros(k, dtype=np.int64)
     while True:
         options = reach.sum(axis=1)
         single = options == 1
@@ -668,7 +669,6 @@ def _balanced_assignment(
         if load.max() > high:
             return None
         reach[:, load == high] = False
-    load = np.bincount(block[block >= 0], minlength=k)
     rest = np.flatnonzero(block < 0)
     rest = rest[np.argsort(options[rest], kind="stable")]
     slots = high - load
