@@ -181,14 +181,18 @@ def bipartite_instance(d):
     return make_instance(m + k, "explicit", matrix=matrix, experts=[True] * m + [False] * k)
 
 
-def least_balanced_total(d, limit):
-    """Exhaustive least total of a balanced assignment within ``limit``, or None."""
-    totals = [
-        sum(d[i, b] for i, b in enumerate(blocks))
-        for blocks in balanced_assignments(*d.shape)
+def is_least_balanced(d, limit, got) -> bool:
+    """Whether ``got`` (expert -> block) is a balanced assignment within
+    ``limit`` of the exhaustive least total, or None where none exists."""
+    within = [
+        blocks for blocks in balanced_assignments(*d.shape)
         if all(d[i, b] <= limit for i, b in enumerate(blocks))
     ]
-    return min(totals, default=None)
+    if not within or got is None:
+        return not within and got is None
+    blocks = tuple(got[i] for i in range(len(d)))
+    total = min(sum(d[i, b] for i, b in enumerate(other)) for other in within)
+    return blocks in within and sum(d[i, b] for i, b in enumerate(blocks)) == total
 
 
 # m x k distances with limit 2: an entry of 5 is out of reach. Each case
@@ -238,14 +242,9 @@ class TestBalancedAssignment:
         )
         H = bipartite_instance(d)
         got = _balanced_assignment(H, list(range(m)), list(range(m, m + 3)), 2.0)
-        want = least_balanced_total(d, 2.0)
-        if want is None:
-            assert got is None
+        assert is_least_balanced(d, 2.0, got)
+        if got is None:
             return
-        blocks = tuple(got[i] for i in range(m))
-        assert blocks in set(balanced_assignments(m, 3))
-        assert all(d[i, b] <= 2 for i, b in enumerate(blocks))
-        assert sum(d[i, b] for i, b in enumerate(blocks)) == want
         # the matching gets a row for every other expert, fewest centers first
         [(sub, within, _, _)] = graphs
         rest = [i for i in range(m) if i not in placed]
@@ -264,14 +263,7 @@ class TestBalancedAssignment:
         limit = float(rng.integers(0, 5))
         H = bipartite_instance(d)
         got = _balanced_assignment(H, list(range(m)), list(range(m, m + k)), limit)
-        want = least_balanced_total(d, limit)
-        if want is None:
-            assert got is None
-            return
-        blocks = tuple(got[i] for i in range(m))
-        assert blocks in set(balanced_assignments(m, k))
-        assert all(d[i, b] <= limit for i, b in enumerate(blocks))
-        assert sum(d[i, b] for i, b in enumerate(blocks)) == want
+        assert is_least_balanced(d, limit, got)
 
 
 @st.composite

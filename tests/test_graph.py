@@ -413,17 +413,14 @@ def test_save_explicit_lists_every_pair_row_by_row(tmp_path):
     assert load_instance(str(path)) == H
 
 
-# ids with quotes, a backslash, control characters, and outside ASCII
-_ESCAPED_IDS = ['a"b', "back\\slash", "tab\tnew\nline", "\x01", "é", "中文", "😀", "</p>", "9"]
-
-
 @pytest.mark.parametrize("metric", ["explicit", "euclidean", "jaccard"])
 @pytest.mark.parametrize("edges", ["some", "none"])
 def test_save_writes_the_bytes_of_json_dump(tmp_path, metric, edges, monkeypatch):
     # a chunk smaller than the rows, so the rows span several chunks
     monkeypatch.setattr(graph, "_JSON_ROWS_CHUNK", 7)
     rng = np.random.default_rng(11)
-    ids = _ESCAPED_IDS
+    # ids with quotes, a backslash, control characters, and outside ASCII
+    ids = ['a"b', "back\\slash", "tab\tnew\nline", "\x01", "é", "中文", "😀", "</p>", "9"]
     pts = rng.random((len(ids), 2)) * 10.0 ** rng.integers(-6, 6, size=(len(ids), 1))
     nodes = [{"id": x, "color": "BP"[i % 2], "expert": i % 3 == 0} for i, x in enumerate(ids)]
     doc = {"metric": metric, "nodes": nodes}
