@@ -562,7 +562,7 @@ def _slot_graph(d: np.ndarray, within: np.ndarray, low: np.ndarray, high: np.nda
     up an optional slot no expert fills. A perfect matching is an
     assignment with every center's load in its bounds.
     """
-    m, k = d.shape
+    m = len(d)
     starts = np.cumsum(high) - high
     rows, center_of = np.nonzero(within)
     # an expert's edge to center i becomes one edge to each of i's slots
