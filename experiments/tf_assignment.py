@@ -1,6 +1,6 @@
-"""Check and time team formation's least-total balanced assignment.
+"""Check and time the makeshifts behind the benchmark's Zeus workloads.
 
-Two reports, each printed as one JSON object:
+Three reports, each printed as one JSON object:
 
 ``grid``
     ``balanced_kcenter`` and the ``tf,kc`` (slack 1, 3) and ``tf,km``
@@ -16,6 +16,12 @@ Two reports, each printed as one JSON object:
     ``zeus_run``. Prints the sha256 of every cell's clustering and trace
     without ``elapsed_ms``, and for every ``tf`` cell the time of its
     ``_balanced_assignment`` calls, each the best of ``--repeats``.
+``kmedian``
+    The same for the cells of the ``kmedian`` workload (``rs,km`` and
+    ``f,km``): the sha256 of their clusterings and traces, and the
+    time of every ``_kmedian_swap_centers`` and ``makeshift_rs`` call,
+    each the best of ``--repeats``, as a count, total, median and slowest
+    call per function.
 
 Two trees give the same outputs on a grid when their digests agree. Run
 from the root of a checkout; ``--src`` takes the program from another
@@ -25,12 +31,14 @@ always come from this checkout's ``perfbench``:
     python experiments/tf_assignment.py grid
     python experiments/tf_assignment.py flow --seeds 1-40 --repeats 5
     python experiments/tf_assignment.py flow --src ../parent/src
+    python experiments/tf_assignment.py kmedian --seeds 1-40 --repeats 7
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import statistics
@@ -96,52 +104,83 @@ def grid() -> dict:
     return {"report": "grid", "records": count, "sha256": digest.hexdigest()}
 
 
-def flow(seeds: list[int], repeats: int) -> dict:
+def _best_ms(fn, args, kwargs, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn(*args, **kwargs)
+        best = min(best, time.perf_counter() - start)
+    return 1e3 * best
+
+
+def _workload_cells(name: str, seeds: list[int], repeats: int, callees: dict) -> tuple[str, list]:
+    """Run every cell of the benchmark workload ``name`` at ``seeds`` once
+    through ``zeus_run``, built as ``perfbench/workloads.py`` builds them.
+
+    ``callees`` maps a label to the module and name of a function the run
+    calls; each of its calls is recorded and then timed again, best of
+    ``repeats``. Returns the sha256 of every cell's clustering and trace
+    without ``elapsed_ms``, and one record per cell: its seed, kind, n, k
+    and, per label, the time of each call in ms.
+    """
     sys.path.insert(0, ROOT)
     from perfbench.inputs import build
     from perfbench.workloads import ZeusWorkload
-    from zeus_cluster import makeshifts
     from zeus_cluster.graph import make_instance
     from zeus_cluster.objectives import ObjectiveSpec, SlackVector, clustering_to_json
     from zeus_cluster.zeus import ProblemSpec, zeus_run
 
-    assignment = makeshifts._balanced_assignment
-    calls = []
+    owners = {label: (importlib.import_module(module), attr) for label, (module, attr) in callees.items()}
+    originals = {label: getattr(owner, attr) for label, (owner, attr) in owners.items()}
+    calls = {label: [] for label in callees}
 
-    def recorded(*args, **kwargs):
-        calls.append((args, kwargs))
-        return assignment(*args, **kwargs)
+    def recorder(label):
+        def recorded(*args, **kwargs):
+            calls[label].append((args, kwargs))
+            return originals[label](*args, **kwargs)
 
-    makeshifts._balanced_assignment = recorded
+        return recorded
+
+    for label, (owner, attr) in owners.items():
+        setattr(owner, attr, recorder(label))
     digest = hashlib.sha256()
     cells = []
-    for seed in seeds:
-        workload = ZeusWorkload("flow", seed)
-        instances = [build(make_instance, raw) for raw in workload.raws]
-        for cell in workload.cells:
-            H = instances[cell.instance]
-            objectives = tuple(ObjectiveSpec(o) for o in cell.objectives)
-            calls.clear()
-            C, state = zeus_run(H, ProblemSpec(objectives, SlackVector(cell.slack), cell.k))
-            for line in _trace_lines(C, state, clustering_to_json, H):
-                digest.update((line + "\n").encode())
-            if cell.objectives[0] != "tf":
-                continue
-            ms = 0.0
-            for args, kwargs in calls:
-                best = float("inf")
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    assignment(*args, **kwargs)
-                    best = min(best, time.perf_counter() - start)
-                ms += 1e3 * best
-            cells.append({"seed": seed, "n": H.n, "k": cell.k, "ms": ms})
-    makeshifts._balanced_assignment = assignment
+    try:
+        for seed in seeds:
+            workload = ZeusWorkload(name, seed)
+            instances = [build(make_instance, raw) for raw in workload.raws]
+            for cell in workload.cells:
+                H = instances[cell.instance]
+                objectives = tuple(ObjectiveSpec(o) for o in cell.objectives)
+                for made in calls.values():
+                    made.clear()
+                C, state = zeus_run(H, ProblemSpec(objectives, SlackVector(cell.slack), cell.k))
+                for line in _trace_lines(C, state, clustering_to_json, H):
+                    digest.update((line + "\n").encode())
+                record = {"seed": seed, "kind": cell.objectives[0], "n": H.n, "k": cell.k}
+                for label, made in calls.items():
+                    record[label] = [_best_ms(originals[label], *call, repeats) for call in made]
+                cells.append(record)
+    finally:
+        for label, (owner, attr) in owners.items():
+            setattr(owner, attr, originals[label])
+    return digest.hexdigest(), cells
+
+
+def flow(seeds: list[int], repeats: int) -> dict:
+    sha256, records = _workload_cells(
+        "flow", seeds, repeats, {"ms": ("zeus_cluster.makeshifts", "_balanced_assignment")}
+    )
+    cells = [
+        {"seed": c["seed"], "n": c["n"], "k": c["k"], "ms": sum(c["ms"])}
+        for c in records
+        if c["kind"] == "tf"
+    ]
     times = [c["ms"] for c in cells]
     return {
         "report": "flow",
         "seeds": seeds,
-        "sha256": digest.hexdigest(),
+        "sha256": sha256,
         "tf_cells": len(cells),
         "assignment_ms": {
             "total": sum(times),
@@ -152,19 +191,43 @@ def flow(seeds: list[int], repeats: int) -> dict:
     }
 
 
+def kmedian(seeds: list[int], repeats: int) -> dict:
+    callees = {
+        "_kmedian_swap_centers": ("zeus_cluster.makeshifts", "_kmedian_swap_centers"),
+        "makeshift_rs": ("zeus_cluster.zeus", "makeshift_rs"),
+    }
+    sha256, records = _workload_cells("kmedian", seeds, repeats, callees)
+    per_call = {}
+    for label in callees:
+        times = [(ms, c) for c in records for ms in c[label]]
+        worst_ms, worst = max(times, key=lambda t: t[0]) if times else (None, None)
+        per_call[label] = {
+            "calls": len(times),
+            "total": sum(ms for ms, _ in times),
+            "median": statistics.median(ms for ms, _ in times) if times else None,
+            "worst": None if worst is None else {
+                "seed": worst["seed"], "kind": worst["kind"], "n": worst["n"], "k": worst["k"], "ms": worst_ms
+            },
+        }
+    return {"report": "kmedian", "seeds": seeds, "sha256": sha256, "cells": len(records), "per_call_ms": per_call}
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("report", choices=("grid", "flow"))
+    parser.add_argument("report", choices=("grid", "flow", "kmedian"))
     parser.add_argument(
         "--src", default=os.path.join(ROOT, "src"), help="tree to import the program from"
     )
-    parser.add_argument("--seeds", default="1-40", help="flow seeds, such as 1-40 or 4,8,15")
+    parser.add_argument("--seeds", default="1-40", help="workload seeds, such as 1-40 or 4,8,15")
     parser.add_argument(
-        "--repeats", type=int, default=5, help="timed calls per assignment; the best counts"
+        "--repeats", type=int, default=5, help="timed repeats of each recorded call; the best counts"
     )
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    out = grid() if args.report == "grid" else flow(_seeds(args.seeds), args.repeats)
+    if args.report == "grid":
+        out = grid()
+    else:
+        out = {"flow": flow, "kmedian": kmedian}[args.report](_seeds(args.seeds), args.repeats)
     print(json.dumps(out))
 
 

@@ -813,6 +813,49 @@ class TestKmedianSwapPinned:
         )
 
 
+def _kmedian_workload_lines():
+    """At the sizes of the benchmark's ``kmedian`` cells: one line per swap
+    k-median center list over the ``rs`` or ``f`` makeshift's atom reps,
+    and one per ``zeus_run`` of ``rs,km`` or ``f,km`` at slack (1, 5), its
+    clustering and its trace without ``elapsed_ms``; an error is recorded
+    by its class name."""
+    lines = []
+    for kind, n in (("rs", 300), ("f", 220)):
+        objectives = (ObjectiveSpec(kind), ObjectiveSpec("km"))
+        for seed in range(5):
+            H = generate_instance(kind, n, seed)
+            reps, weights = _atom_reps(H, kind)
+            for k in (2, 6, 10):
+                for rule, opts in (("lowest", OPTS), ("seeded", MakeshiftOptions(seed=seed))):
+                    centers = _kmedian_swap_centers(H, reps, weights, k, opts)
+                    lines.append(json.dumps([kind, seed, k, rule, centers]))
+                    spec = ProblemSpec(objectives, SlackVector((1, 5)), k, opts)
+                    try:
+                        C, state = zeus_run(H, spec)
+                    except ZeusError as exc:
+                        lines.append(json.dumps([kind, seed, k, rule, type(exc).__name__]))
+                        continue
+                    lines.append(clustering_to_json(H, C))
+                    for entry in state.trace:
+                        entry = {key: v for key, v in entry.items() if key != "elapsed_ms"}
+                        lines.append(json.dumps(entry, sort_keys=True))
+    return lines
+
+
+class TestKmedianWorkloadPinned:
+    """The swap k-median's centers and the ``rs,km`` and ``f,km`` runs at
+    the benchmark's ``kmedian`` sizes, where a round weighs 120-150 reps,
+    pinned by digest."""
+
+    def test_workload_grid(self):
+        lines = _kmedian_workload_lines()
+        digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
+        assert (digest.hexdigest(), len(lines)) == (
+            "b95d7284a9b2d8402da139c91fc334e43fe293645f5d0e5d19945e070b905d15",
+            240,
+        )
+
+
 def _swap_centers_by_position(H, reps, weights, k, opts):
     """Reference: the swap search that scored all swaps of one center
     position per whole R x R array pass, k passes a round."""
