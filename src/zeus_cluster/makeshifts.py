@@ -48,8 +48,8 @@ pass over the representatives approximates the cost of every (center
 position, representative) swap. The approximations sum non-negative terms,
 so each lies within a proven rounding bound of the exact cost. Only the
 swaps whose approximation could make them the round's first record get an
-exact, whole-row cost, so a round takes the swap that exact costs for
-every swap would pick.
+exact, whole-row cost, all in one batch, so a round takes the swap that
+exact costs for every swap would pick.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, InfeasibleError
-from .graph import GraphInstance, pair_rows
+from .graph import GraphInstance, pair_rows, sorted_unique
 from .objectives import F, KM, Atoms, Clustering, ObjectiveSpec, PairStructure, pair_structure
 from .objectives import check_positive_int, group_by_block, is_integer, singleton_clustering
 
@@ -244,7 +244,10 @@ def _fragment_clustering(H: GraphInstance, top: np.ndarray) -> Clustering:
 
     Blocks are ordered by their lowest member for determinism.
     """
-    roots = top[np.sort(np.unique(top, return_index=True)[1])]
+    nodes = np.arange(H.n)
+    lowest = np.full(H.n, H.n)
+    np.minimum.at(lowest, top, nodes)
+    roots = top[lowest[top] == nodes]
     rank = np.empty(H.n, dtype=np.int64)
     rank[roots] = np.arange(len(roots))
     return Clustering.from_labels(rank[top], roots)
@@ -270,14 +273,15 @@ def _rep_pairs(H: GraphInstance, C_in: Clustering, gamma: int):
     d = H.dist[u, v]
     rank = np.searchsorted(np.sort(d), d)
     rep, nbr = np.concatenate([u, v]), np.concatenate([v, u])
-    key = np.sort((rep * len(d) + np.tile(rank, 2)) * H.n + nbr)
-    key = key[np.diff(key, prepend=-1) != 0]  # each pair once
+    key = sorted_unique((rep * len(d) + np.tile(rank, 2)) * H.n + nbr)  # each pair once
     rep, nbr = np.divmod(key, H.n)
     rep //= len(d)
-    # each rep's rows run from its nearest neighbour out
-    near = np.arange(len(rep)) - np.searchsorted(rep, rep) < gamma
+    # each rep's rows run from its nearest neighbour out, after the rows
+    # of every lower rep
+    count = np.bincount(rep, minlength=H.n)
+    near = np.arange(len(rep)) - (np.cumsum(count) - count)[rep] < gamma
     reps = np.sort(roots)
-    return rep_of, reps, np.bincount(rep, minlength=H.n)[reps], pair_rows(rep[near], nbr[near])
+    return rep_of, reps, count[reps], pair_rows(rep[near], nbr[near])
 
 
 def makeshift_rs(
@@ -296,15 +300,19 @@ def makeshift_rs(
             f"node {H.labels[u]} has no E-neighbor; no edge cover exists"
         )
     u, v = rows.T
-    u, v = rows[np.lexsort((v, u, -H.dist[u, v]))].T  # longest first, ties by (u, v)
-    degree = np.bincount(np.concatenate([u, v]), minlength=H.n).tolist()
+    # longest first; the rows come sorted, so equal lengths go by (u, v)
+    order = np.argsort(-H.dist[u, v], kind="stable")
+    degree = np.bincount(rows.ravel(), minlength=H.n)
+    # degrees only fall, so a pair with an end of degree one always stays
+    order = order[(degree[u[order]] > 1) & (degree[v[order]] > 1)]
+    degree = degree.tolist()
     dropped = []
-    for i, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
+    for i, a, b in zip(order.tolist(), u[order].tolist(), v[order].tolist()):
         if degree[a] > 1 and degree[b] > 1:
             dropped.append(i)
             degree[a] -= 1
             degree[b] -= 1
-    u, v = np.delete(u, dropped), np.delete(v, dropped)
+    u, v = np.delete(rows, dropped, axis=0).T
 
     # an edge is kept only while one of its ends has no other, so every
     # component is a star: a hub of degree >= 2 and its leaves, or a lone
@@ -502,7 +510,7 @@ def makeshift_fairness_ab(
     check_positive_int("beta", beta)
     bp = _blue_purple(H)
     blue, _, rows, _, weights = bp
-    radii = np.unique(weights)
+    radii = sorted_unique(weights)
     # every Blue node needs an edge within the radius, whatever alpha:beta
     nearest = np.full(len(blue), np.inf)
     np.minimum.at(nearest, rows, weights)
@@ -704,7 +712,7 @@ def balanced_kcenter(
         raise ConfigError(f"k={k} exceeds expert count {m}")
     centers = greedy_centers(H, k, opts, candidates=experts)
     d = H.dist[np.ix_(experts, centers)]
-    thresholds = np.unique(d)
+    thresholds = sorted_unique(d)
     # every expert needs a center within the threshold, and every center
     # its floor(m/k) nearest experts
     low = m // k
@@ -751,7 +759,7 @@ def _extend_tf(
     return Clustering.from_labels(label, _settle_centers(H, label, centers))
 
 
-def _approx_swap_costs(D, w, d1, d2, nearest, k, buf) -> np.ndarray:
+def _approx_swap_costs(D, w, d1, d2, nearest, W, buf) -> np.ndarray:
     """Approximate cost of every swap, ``[p, j]`` for rep j put at center
     position p, from one pass over the reps (FastPAM1's split).
 
@@ -761,6 +769,7 @@ def _approx_swap_costs(D, w, d1, d2, nearest, k, buf) -> np.ndarray:
     takes its nearest center away. Every term is non-negative, so each
     approximation is within 2 * gamma_{R+2} * cost of the exact sum, where
     gamma_m = m * eps / (2 - m * eps) bounds the rounding of m-term sums.
+    ``W`` (R x k, all zero, and left so) and ``buf`` (R x R) are scratch.
     """
     np.minimum(D, d1, out=buf)
     base = buf @ w
@@ -768,15 +777,18 @@ def _approx_swap_costs(D, w, d1, d2, nearest, k, buf) -> np.ndarray:
     # each term is rounded once, as the subtraction on the left would be
     np.subtract(D, buf, out=buf)
     np.minimum(buf, d2 - d1, out=buf)
-    W = np.zeros((len(w), k))
-    W[np.arange(len(w)), nearest] = w
-    return (base[:, None] + buf @ W).T
+    at = np.arange(len(w)), nearest
+    W[at] = w
+    loss = buf @ W
+    W[at] = 0.0
+    return (base[:, None] + loss).T
 
 
 def _swap_candidates(approx, cols, current: float, stop: float):
     """Center positions and reps of the swaps that could be a round's
     records, in position then rep order, from the approximate costs
-    ``approx[p, j]`` of rep j put at center position p.
+    ``approx[p, j]`` of rep j put at center position p; the columns
+    ``cols`` of ``approx`` are overwritten.
 
     A record is a swap whose exact cost beats the best so far by ``stop``;
     the first beats ``current``. Each approximation is within half of
@@ -788,19 +800,19 @@ def _swap_candidates(approx, cols, current: float, stop: float):
     """
     R = approx.shape[1]
     tol = 4 * (R + 2) * np.finfo(float).eps * max(1.0, current)
-    masked = approx.copy()
-    masked[:, cols] = np.inf
-    flat = masked.ravel()
+    approx[:, cols] = np.inf
+    flat = approx.ravel()
     # below the minimum of the earlier swaps plus 2 tol, or below all of
     # them, so below the minimum up to itself plus 2 tol
     could_win = (flat < current - stop + tol) & (flat < np.minimum.accumulate(flat) + 2 * tol)
-    return np.divmod(np.flatnonzero(could_win), R)
+    return np.nonzero(could_win.reshape(approx.shape))
 
 
 def _swap_costs(D, w, excl, rows) -> np.ndarray:
-    """Exact cost of bringing in each rep of ``rows``, with ``excl`` every
-    rep's distance to its nearest center that stays: summed whole, so each
-    is the same float as a from-scratch sum and ties break alike."""
+    """Exact cost of bringing in each rep of ``rows``, with row i of
+    ``excl`` every rep's distance to its nearest center that stays when
+    ``rows[i]`` comes in: each summed whole, along its contiguous row, so
+    it is the same float as a from-scratch sum and ties break alike."""
     return (np.minimum(D[rows], excl) * w).sum(axis=1)
 
 
@@ -815,31 +827,36 @@ def _kmedian_swap_centers(
 
     Each round takes the first (center position, rep) swap, in position
     then rep order, whose exact cost beats the best so far by the stop
-    margin. One pass approximates every swap's cost; only the swaps that
-    could be such a record, by those approximations, get an exact cost.
+    margin. One pass approximates every swap's cost; the swaps that could
+    be such a record, by those approximations, get their exact costs in
+    one batch, and the search ends when there are none.
     """
     centers = greedy_centers(H, k, opts, candidates=reps)
-    D = H.dist[np.ix_(reps, reps)]  # symmetric: row j holds d(., reps[j])
+    idx = np.asarray(reps)
+    D = H.dist[idx][:, idx]  # symmetric: row j holds d(., reps[j])
     w = np.asarray([weights[r] for r in reps])
-    buf = np.empty_like(D)
-    cols = [reps.index(c) for c in centers]
+    buf, W = np.empty_like(D), np.zeros((len(reps), k))
+    cols = np.array([reps.index(c) for c in centers])
     current = float((D[:, cols].min(axis=1) * w).sum())
+    every = np.arange(len(reps))
     while True:
-        # nearest and second-nearest center distance of every rep; the
-        # inf row stands in for the missing second center when k = 1
-        dc = np.vstack([D[cols], np.full(len(reps), np.inf)])
-        d1, d2 = np.partition(dc, 1, axis=0)[:2]
+        # nearest and second-nearest center distance of every rep: the
+        # nearest masked, the least left; with k = 1 that is inf
+        dc = D[cols]
         nearest = dc.argmin(axis=0)
+        d1 = dc[nearest, every]
+        dc[nearest, every] = np.inf
+        d2 = dc.min(axis=0)
         stop = _SWAP_REL_STOP * max(1.0, current)
-        approx = _approx_swap_costs(D, w, d1, d2, nearest, k, buf)
+        approx = _approx_swap_costs(D, w, d1, d2, nearest, W, buf)
         positions, rows = _swap_candidates(approx, cols, current, stop)
+        if not len(rows):
+            return centers
+        excl = np.where(nearest == positions[:, None], d2, d1)
         best_cost, best_swap = current, None
-        for p in sorted(set(positions.tolist())):
-            js = rows[positions == p]
-            excl = np.where(nearest == p, d2, d1)
-            for j, c in zip(js.tolist(), _swap_costs(D, w, excl, js).tolist()):
-                if c < best_cost - stop:
-                    best_cost, best_swap = c, (p, j)
+        for p, j, c in zip(positions.tolist(), rows.tolist(), _swap_costs(D, w, excl, rows).tolist()):
+            if c < best_cost - stop:
+                best_cost, best_swap = c, (p, j)
         if best_swap is None:
             return centers
         p, j = best_swap

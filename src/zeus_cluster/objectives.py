@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ZeusError
-from .graph import GraphInstance, pair_rows
+from .graph import GraphInstance, pair_rows, sorted_unique
 
 KC = "kc"
 KM = "km"
@@ -296,7 +296,7 @@ def pair_structure(H: GraphInstance, u, v) -> tuple[np.ndarray, PairStructure]:
     rows = pair_rows(u, v)
     rows.setflags(write=False)
     radius = float(H.dist[rows[:, 0], rows[:, 1]].max(initial=0.0))
-    record = PairStructure(frozenset(map(tuple, rows.tolist())), radius)
+    record = PairStructure(frozenset(zip(*rows.T.tolist())), radius)
     record.__dict__["rows"] = rows  # the cached_property's slot
     return rows, record
 
@@ -344,7 +344,7 @@ def blue_partners(H: GraphInstance, matched: PairStructure) -> tuple[np.ndarray,
     rows = matched.rows
     rows = np.where(H.is_blue[rows[:, :1]], rows, rows[:, ::-1])  # the Blue end first
     blue, purple = rows[H.is_blue[rows[:, 0]] & H.is_purple[rows[:, 1]]].T
-    blue, purple = np.divmod(np.unique(blue * H.n + purple), H.n)  # by Blue, then Purple
+    blue, purple = np.divmod(sorted_unique(blue * H.n + purple), H.n)  # by Blue, then Purple
     first = np.unique(blue, return_index=True)[1]
     return blue[first], purple[first]
 

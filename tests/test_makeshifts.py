@@ -24,6 +24,7 @@ from zeus_cluster.makeshifts import (
     _has_balanced_assignment,
     _kmedian_swap_centers,
     _swap_candidates,
+    _swap_costs,
     balanced_kcenter,
     greedy_centers,
     greedy_kcenter_value,
@@ -992,6 +993,37 @@ class TestSwapCandidates:
         assert kept == sorted(kept)
         assert set(records) <= set(kept)
         assert not set(rows.tolist()) & set(cols)
+
+
+@st.composite
+def _swap_cost_blocks(draw):
+    """A rep distance square of R rows, weights, and a block of candidate
+    rows, each with its own distances to the nearest staying center; R
+    runs past numpy's pairwise-summation block of 128 terms, on and off
+    its multiples, and the values span six decades so that the order of
+    the sum shows in its last bits."""
+    R = draw(st.one_of(st.integers(1, 300), st.sampled_from([127, 128, 129, 255, 256, 257])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    D = rng.random((R, R)) * 10.0 ** rng.uniform(-3, 3, (R, R))
+    w = rng.integers(1, 6, R).astype(float)
+    rows = rng.integers(0, R, draw(st.integers(1, 12)))
+    excl = rng.random((len(rows), R)) * 10.0 ** rng.uniform(-3, 3, (len(rows), R))
+    return D, w, excl, rows
+
+
+class TestSwapCostsBatch:
+    """A round's exact costs come from one ``_swap_costs`` call over all
+    its candidates, each row with its own ``excl``: every cost is the
+    float of the call for that row alone, and of a plain row sum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_swap_cost_blocks())
+    def test_block_equals_rows(self, block):
+        D, w, excl, rows = block
+        together = _swap_costs(D, w, excl, rows)
+        alone = [_swap_costs(D, w, e, [j])[0] for e, j in zip(excl, rows.tolist())]
+        plain = [(np.minimum(D[j], e) * w).sum() for e, j in zip(excl, rows.tolist())]
+        assert together.tobytes() == np.array(alone).tobytes() == np.array(plain).tobytes()
 
 
 class TestSwapWorkPinned:
