@@ -1,6 +1,6 @@
-"""Check and time the makeshifts behind the benchmark's Zeus workloads.
+"""Check and time the makeshifts and the MOC baseline behind the benchmark's workloads.
 
-Three reports, each printed as one JSON object:
+Four reports, each printed as one JSON object:
 
 ``grid``
     ``balanced_kcenter`` and the ``tf,kc`` (slack 1, 3) and ``tf,km``
@@ -22,6 +22,13 @@ Three reports, each printed as one JSON object:
     time of every ``_kmedian_swap_centers`` and ``makeshift_rs`` call,
     each the best of ``--repeats``, as a count, total, median and slowest
     call per function.
+``compare``
+    The ``compare`` workload's ``run_experiment`` at the given seeds,
+    built as ``perfbench/workloads.py`` builds it: the sha256 of every
+    record without ``wall_ms`` and trace ``elapsed_ms``, and the time of
+    every ``baseline_moc_path`` call, each the best of ``--repeats``. Then
+    one ``rs,kc`` MOC pass for k = 2..6 on ``generate_instance("rs", 1000,
+    0)``, its clusterings' sha256 and its best-of-``--repeats`` time.
 
 Two trees give the same outputs on a grid when their digests agree. Run
 from the root of a checkout; ``--src`` takes the program from another
@@ -32,11 +39,13 @@ always come from this checkout's ``perfbench``:
     python experiments/tf_assignment.py flow --seeds 1-40 --repeats 5
     python experiments/tf_assignment.py flow --src ../parent/src
     python experiments/tf_assignment.py kmedian --seeds 1-40 --repeats 7
+    python experiments/tf_assignment.py compare --seeds 1-20 --repeats 5
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib
 import json
@@ -130,22 +139,9 @@ def _workload_cells(name: str, seeds: list[int], repeats: int, callees: dict) ->
     from zeus_cluster.objectives import ObjectiveSpec, SlackVector, clustering_to_json
     from zeus_cluster.zeus import ProblemSpec, zeus_run
 
-    owners = {label: (importlib.import_module(module), attr) for label, (module, attr) in callees.items()}
-    originals = {label: getattr(owner, attr) for label, (owner, attr) in owners.items()}
-    calls = {label: [] for label in callees}
-
-    def recorder(label):
-        def recorded(*args, **kwargs):
-            calls[label].append((args, kwargs))
-            return originals[label](*args, **kwargs)
-
-        return recorded
-
-    for label, (owner, attr) in owners.items():
-        setattr(owner, attr, recorder(label))
     digest = hashlib.sha256()
     cells = []
-    try:
+    with _recording(callees) as (originals, calls):
         for seed in seeds:
             workload = ZeusWorkload(name, seed)
             instances = [build(make_instance, raw) for raw in workload.raws]
@@ -161,10 +157,32 @@ def _workload_cells(name: str, seeds: list[int], repeats: int, callees: dict) ->
                 for label, made in calls.items():
                     record[label] = [_best_ms(originals[label], *call, repeats) for call in made]
                 cells.append(record)
+    return digest.hexdigest(), cells
+
+
+@contextlib.contextmanager
+def _recording(callees: dict):
+    """Record every call of each function in ``callees`` (a label to its
+    module and name) while the block runs. Yields the original functions
+    and the calls, each as its args and kwargs, by label."""
+    owners = {label: (importlib.import_module(module), attr) for label, (module, attr) in callees.items()}
+    originals = {label: getattr(owner, attr) for label, (owner, attr) in owners.items()}
+    calls = {label: [] for label in callees}
+
+    def recorder(label):
+        def recorded(*args, **kwargs):
+            calls[label].append((args, kwargs))
+            return originals[label](*args, **kwargs)
+
+        return recorded
+
+    for label, (owner, attr) in owners.items():
+        setattr(owner, attr, recorder(label))
+    try:
+        yield originals, calls
     finally:
         for label, (owner, attr) in owners.items():
             setattr(owner, attr, originals[label])
-    return digest.hexdigest(), cells
 
 
 def flow(seeds: list[int], repeats: int) -> dict:
@@ -212,9 +230,57 @@ def kmedian(seeds: list[int], repeats: int) -> dict:
     return {"report": "kmedian", "seeds": seeds, "sha256": sha256, "cells": len(records), "per_call_ms": per_call}
 
 
+def compare(seeds: list[int], repeats: int) -> dict:
+    sys.path.insert(0, ROOT)
+    import networkx
+    import zeus_cluster.bench as bench
+    import zeus_cluster.zeus as zeus
+    from perfbench.inputs import build
+    from perfbench.workloads import CompareWorkload, Program
+    from zeus_cluster.graph import make_instance
+    from zeus_cluster.objectives import ObjectiveSpec, SlackVector, clustering_to_json
+    from zeus_cluster.synth import generate_instance
+
+    program = Program(zeus, bench, networkx, make_instance, ObjectiveSpec, SlackVector)
+    digest = hashlib.sha256()
+    records = 0
+    callees = {"moc": ("zeus_cluster.bench", "baseline_moc_path")}
+    with _recording(callees) as (originals, calls):
+        for seed in seeds:
+            workload = CompareWorkload(seed)
+            instances = [build(make_instance, raw) for raw in workload.raws]
+            workload.prepare(program, instances)
+            for rec in bench.run_experiment(workload.config, workload.instance):
+                trace = [{key: v for key, v in e.items() if key != "elapsed_ms"} for e in rec.trace or ()]
+                line = json.dumps(
+                    [rec.algorithm, rec.k, rec.slack, rec.seed, rec.values,
+                     rec.error, rec.clustering_json, trace],
+                    sort_keys=True,
+                )
+                digest.update((line + "\n").encode())
+                records += 1
+    moc_ms = [_best_ms(originals["moc"], *call, repeats) for call in calls["moc"]]
+    H = generate_instance("rs", 1000, 0)
+    args = (H, (ObjectiveSpec("rs"), ObjectiveSpec("kc")), range(2, 7))
+    path = originals["moc"](*args)
+    large = hashlib.sha256("".join(clustering_to_json(H, C) + "\n" for C in path.values()).encode())
+    return {
+        "report": "compare",
+        "seeds": seeds,
+        "sha256": digest.hexdigest(),
+        "records": records,
+        "moc_ms": {
+            "calls": len(moc_ms),
+            "total": sum(moc_ms),
+            "median": statistics.median(moc_ms) if moc_ms else None,
+        },
+        "moc_rs_kc_n1000": {"sha256": large.hexdigest(), "ms": _best_ms(originals["moc"], args, {}, repeats)},
+    }
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("report", choices=("grid", "flow", "kmedian"))
+    parser.add_argument("report", choices=("grid", "flow", "kmedian", "compare"))
     parser.add_argument(
         "--src", default=os.path.join(ROOT, "src"), help="tree to import the program from"
     )
@@ -227,7 +293,7 @@ def main(argv=None) -> None:
     if args.report == "grid":
         out = grid()
     else:
-        out = {"flow": flow, "kmedian": kmedian}[args.report](_seeds(args.seeds), args.repeats)
+        out = {"flow": flow, "kmedian": kmedian, "compare": compare}[args.report](_seeds(args.seeds), args.repeats)
     print(json.dumps(out))
 
 

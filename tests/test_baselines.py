@@ -475,6 +475,17 @@ class TestMocReference:
             assert len(lines) == n
             assert lines == _path_lines(rebuild_moc_path, H, objectives), (a, b)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_rebuild_at_n100(self, seed):
+        # the size of the benchmark's compare grid; the duplicate points
+        # tie on many rounds' least score
+        for H in (generate_instance("rs", 100, seed), duplicate_points(100, seed)):
+            for a, b in (("rs", "kc"), ("kc", "rs")):
+                objectives = (ObjectiveSpec(a), ObjectiveSpec(b))
+                assert _path_lines(baseline_moc_path, H, objectives) == _path_lines(
+                    rebuild_moc_path, H, objectives
+                ), (a, b)
+
 
 class TestPairPositions:
     """The condensed pair tables list the pairs x < y column by column."""

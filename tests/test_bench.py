@@ -364,29 +364,61 @@ def _pinned_config(tmp_path):
     )
 
 
+def _record_lines(records):
+    """One JSON line per run_experiment record, without its timings."""
+    lines = []
+    for rec in records:
+        trace = [
+            {key: v for key, v in entry.items() if key != "elapsed_ms"}
+            for entry in rec.trace or ()
+        ]
+        lines.append(
+            json.dumps(
+                [rec.algorithm, rec.k, rec.slack, rec.seed, rec.values,
+                 rec.error, rec.clustering_json, trace],
+                sort_keys=True,
+            )
+        )
+    return lines
+
+
+def _lines_digest(lines):
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
+    return digest.hexdigest(), len(lines)
+
+
 class TestRunPinned:
     """Every run_experiment record, without its timings, pinned by digest."""
 
     def test_five_algorithms_two_slacks(self, tmp_path):
         H = generate_instance("rs", 10, 4)
-        lines = []
-        for rec in run_experiment(_pinned_config(tmp_path), H):
-            trace = [
-                {key: v for key, v in entry.items() if key != "elapsed_ms"}
-                for entry in rec.trace or ()
-            ]
-            lines.append(
-                json.dumps(
-                    [rec.algorithm, rec.k, rec.slack, rec.seed, rec.values,
-                     rec.error, rec.clustering_json, trace],
-                    sort_keys=True,
-                )
-            )
-        digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
-        assert (digest.hexdigest(), len(lines)) == (
+        lines = _record_lines(run_experiment(_pinned_config(tmp_path), H))
+        assert _lines_digest(lines) == (
             "ec0014cb950499e9ff863c699cd7345740405fef85601780f57a50e77b93fb59",
             60,
         )
+
+    def test_compare_workload_shape(self, tmp_path):
+        # the shape of the benchmark's compare grid at its n = 100: B1
+        # reads the memo run_experiment shares across its cells, and MOC
+        # makes one pass for every k
+        config = ExperimentConfig(
+            instance_path="",
+            objectives=(ObjectiveSpec("rs"), ObjectiveSpec("kc")),
+            slacks=((1.0, 3.0), (0.5, 2.0)),
+            ks=(2, 3, 4, 5, 6),
+            seeds=(0,),
+            algorithms=("zeus", "b1", "b2", "moc"),
+            output_dir=str(tmp_path),
+        )
+        lines = []
+        for seed in range(3):
+            lines += _record_lines(run_experiment(config, generate_instance("rs", 100, seed)))
+        assert _lines_digest(lines) == (
+            "0f7f01b1c29fdd39520ec69f6d92e3d0c1d6f2a9ef6da1f224b13b29402cfa81",
+            120,
+        )
+
     def test_slack_free_algorithms_run_once_per_k_and_seed(self, tmp_path, monkeypatch):
         calls = []
         for name in ("baseline_b1", "baseline_b2", "oracle_lmoc"):
