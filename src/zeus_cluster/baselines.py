@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -68,7 +69,9 @@ def _consolidated(H: GraphInstance, C: Clustering, k: int, memo: dict | None) ->
     """``consolidate_fragments(H, C, k)``. With ``memo``, which serves one
     instance, the merge order down to one block is stored there under the
     roots it was made from, all that the scan reads of ``C``, and later
-    calls for any k replay a prefix of it."""
+    calls for any k replay a prefix of it. The blocks' 1-centers are kept
+    there too: the merges are nested from one k to the next, so most
+    blocks of one k are blocks of another."""
     check_positive_int("k", k)
     if C.k < k:
         raise InfeasibleError(f"cannot split {C.k} fragments into k={k} blocks")
@@ -87,7 +90,8 @@ def _consolidated(H: GraphInstance, C: Clustering, k: int, memo: dict | None) ->
     while (to[to] != to).any():
         to = to[to]
     groups = group_by_block(np.arange(len(C.label)), to[C.label], C.k)
-    return _centered_blocks(H, [g for g in groups if g], C.atom)
+    known = None if memo is None else memo.setdefault("block centers", {})
+    return _centered_blocks(H, [g for g in groups if g], C.atom, known)
 
 
 def _merge_order(H: GraphInstance, roots: np.ndarray, count: int) -> np.ndarray:
@@ -158,13 +162,23 @@ def _merge_order(H: GraphInstance, roots: np.ndarray, count: int) -> np.ndarray:
     return np.array(merges, dtype=np.int64).reshape(-1, 2)
 
 
-def _centered_blocks(H: GraphInstance, groups: list[list[int]], atoms=()) -> Clustering:
+def _centered_blocks(
+    H: GraphInstance, groups: list[list[int]], atoms=(), known: dict | None = None
+) -> Clustering:
     """The groups as blocks, ordered by their lowest member, each centered
-    at its best 1-center, with the given ``Atoms`` (by default none)."""
+    at its best 1-center, with the given ``Atoms`` (by default none).
+
+    ``known`` maps a group's members, ascending, to its 1-center: groups
+    found there are not centered again, and the others are added.
+    """
     groups = sorted(groups, key=min)
     label = np.full(H.n, -1, dtype=np.int64)
     label[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    centers = [_block_one_center(H, g) for g in groups]
+    known = {} if known is None else known
+    for g in groups:
+        if tuple(g) not in known:
+            known[tuple(g)] = _block_one_center(H, g)
+    centers = [known[tuple(g)] for g in groups]
     return Clustering.from_labels(label, centers, atoms)
 
 
@@ -191,8 +205,16 @@ def baseline_moc_path(
     column by column (``_pair_position``), so a round reads it whole. A
     merge of i and j keeps the pairs without i and j, still in column
     order, and appends the merged block's column, the only one computed
-    anew. A round does O(B^2) array work, plus O(n) and the merged block's
-    rows of the eccentricity and E tables.
+    anew. The E table is slot-major, one row per block, so a merge ORs
+    one row into another and reads the new cover from it. A round does
+    O(B^2) array work, plus O(n) and the merged block's rows of the
+    eccentricity table.
+
+    A maximized objective's normalized value is subtracted, which gives
+    the floats of adding its negation. A single least score is decoded
+    from the list of column starts. The merges are nested, so a block at
+    one requested k is often a block at the next: each block's 1-center
+    is computed once per pass.
     """
     if len(objectives) != 2:
         raise ConfigError("the MOC baseline requires exactly two objectives")
@@ -207,7 +229,7 @@ def baseline_moc_path(
     n = H.n
     kinds = {o.kind for o in objectives}
     # live blocks in creation order, each with its sorted members, and the
-    # slot that labels it in node_slot and the eccentricity columns
+    # slot that labels it in node_slot and the eccentricity and E tables
     blocks = [[u] for u in range(n)]
     slot = np.arange(n)
     node_slot = np.arange(n)
@@ -215,6 +237,12 @@ def baseline_moc_path(
     # column y, the pairs (0, y) .. (y - 1, y), starts
     high, low = np.tril_indices(n, -1)
     start = _pair_position(0, np.arange(n + 1))
+    starts = start.tolist()
+    # sorted members -> 1-center, of every block centered in this pass
+    centers: dict = {}
+    # a score adds the normalized values and subtracts a maximized one, so
+    # a minimized one goes first: (-a) + b is b - a in IEEE arithmetic
+    order = sorted(objectives, key=lambda o: o.maximize)
     if KC in kinds:
         radius = np.zeros(n)
         # [t]: 1-center radius of pair t's blocks merged
@@ -223,13 +251,14 @@ def baseline_moc_path(
         # block in slot s, and [c]: that of c's own block
         ecc = H.dist.copy()
         own = np.zeros(n)
+        reach = np.empty(n)
     if KM in kinds:
         kmcost = np.zeros(n)
         merged_kmcost = H.dist[low, high]
     if RS in kinds:
         # covered: the nodes with an E-neighbour in their own block;
         # [t]: uncovered nodes of one block of pair t with an E-neighbour
-        # in the other, both ways; near[c, s]: whether node c has an
+        # in the other, both ways; near[s, c]: whether node c has an
         # E-neighbour in the block in slot s
         covered = np.zeros(n, dtype=bool)
         gain = np.zeros(len(low))
@@ -248,72 +277,87 @@ def baseline_moc_path(
     if TF in kinds:
         experts = H.is_expert.astype(float)
         pair = experts[low] + experts[high]
+    keep_buffer = np.empty(len(low), dtype=bool)
     out: dict[int, Clustering] = {}
     while True:
         B = len(blocks)
         if B in wanted:
-            out[B] = _centered_blocks(H, blocks)
+            out[B] = _centered_blocks(H, blocks, known=centers)
         if B == wanted[0]:
             return out
         score = None
         # [t]: the objective's value for the whole clustering after merging
         # pair t's blocks
-        for o in objectives:
+        for o in order:
             if o.kind == KC:
-                value = _with_others(merged_radius, radius, np.maximum, 0.0, start)
+                value = _with_others(merged_radius, radius, True, 0.0, start)
             elif o.kind == KM:
                 total = math.fsum(kmcost.tolist())
                 P = len(merged_kmcost)
                 value = total - kmcost[low[:P]] - kmcost[high[:P]] + merged_kmcost
             elif o.kind == RS:
-                value = (covered.sum() + gain) / n
+                value = (np.count_nonzero(covered) + gain) / n
             elif o.kind == F:
                 value = (together + split) / n_blue
             else:  # tf
-                hi = _with_others(pair, experts, np.maximum, -np.inf, start)
-                lo = _with_others(pair, experts, np.minimum, np.inf, start)
+                hi = _with_others(pair, experts, True, -np.inf, start)
+                lo = _with_others(pair, experts, False, np.inf, start)
                 value = np.divide(hi, lo, out=np.full(lo.shape, np.inf), where=lo > 0)
-            norm = _normalized(value, o.maximize)
-            score = norm if score is None else score + norm
+            norm = _normalized(value)
+            if score is not None:
+                (np.subtract if o.maximize else np.add)(score, norm, out=score)
+            else:
+                score = np.negative(norm, out=norm) if o.maximize else norm
         # equal least scores go to the least x and, of its pairs, to the
-        # first, with the least y; column order may list other pairs first
-        best = (score == score.min()).nonzero()[0]
-        x, y = _pair_at(best, start)
-        first = x.argmin()
-        i, j, t = int(x[first]), int(y[first]), int(best[first])
+        # least y; column order may list other pairs first
+        best = (score == np.minimum.reduce(score)).nonzero()[0]
+        if len(best) == 1:
+            t = int(best[0])
+            j = bisect_right(starts, t) - 1
+            i = t - starts[j]
+        else:
+            x, y = _pair_at(best, start)
+            f = int(x.argmin())
+            i, j, t = int(x[f]), int(y[f]), int(best[f])
         # the pairs without i and j: all but their columns and rows
-        keep = np.ones(len(score), dtype=bool)
-        keep[start[i] : start[i + 1]] = keep[start[j] : start[j + 1]] = False
+        keep = keep_buffer[: len(score)]
+        keep.fill(True)
+        keep[starts[i] : starts[i + 1]] = keep[starts[j] : starts[j + 1]] = False
         keep[start[i + 1 : B] + i] = keep[start[j + 1 : B] + j] = False
         merged = sorted(blocks[i] + blocks[j])
         del blocks[j], blocks[i]
         blocks.append(merged)
         members = np.array(merged)
-        si, sj = slot[i], slot[j]
-        slot = _without(slot, i, j, si)
+        si, sj = int(slot[i]), int(slot[j])
+        slot = _without(slot, i, j, slot[i : i + 1])
         node_slot[members] = si
         older = slot[:-1]
         if KC in kinds:
-            radius = _without(radius, i, j, merged_radius[t])
-            np.maximum(ecc[:, si], ecc[:, sj], out=ecc[:, si])
-            own[members] = ecc[members, si]
+            radius = _without(radius, i, j, merged_radius[t : t + 1])
+            far = np.maximum(ecc[:, si], ecc[:, sj], out=ecc[:, si])
+            own[members] = far[members]
             # the merged block with each older one: the least, over the
             # nodes of both, of the larger eccentricity to either
-            reach = np.full(n, np.inf)
-            np.minimum.at(reach, node_slot, np.maximum(ecc[:, si], own))
-            inside = np.maximum(ecc[members[:, None], older], own[members][:, None])
-            inside = inside.min(axis=0)
-            merged_radius = np.concatenate((merged_radius[keep], np.minimum(reach[older], inside)))
+            reach.fill(np.inf)
+            np.minimum.at(reach, node_slot, np.maximum(far, own))
+            inside = ecc.take(members, 0).take(older, 1)
+            np.maximum(inside, own[members][:, None], out=inside)
+            merged_radius = np.concatenate(
+                (merged_radius[keep], np.minimum(reach[older], np.minimum.reduce(inside)))
+            )
         if KM in kinds:
-            kmcost = _without(kmcost, i, j, merged_kmcost[t])
+            kmcost = _without(kmcost, i, j, merged_kmcost[t : t + 1])
             merged_kmcost = np.concatenate((merged_kmcost[keep], _merged_one_median(H, blocks)))
         if RS in kinds:
-            near[:, si] |= near[:, sj]
-            covered[members] = near[members, si]
+            near[si] |= near[sj]
+            reached = near[si]
+            now = reached[members]
+            covered[members] = now
             # uncovered members by the older blocks they reach, and
             # uncovered older nodes by their blocks, if they reach the merged one
-            counts = near[members[~covered[members]][:, None], older].sum(axis=0)
-            outside = near[:, si] & ~covered & (node_slot != si)
+            counts = np.add.reduce(near.take(members[~now], 1).take(older, 0), axis=1)
+            outside = reached & ~covered
+            outside[members] = False
             counts += np.bincount(node_slot[outside], minlength=n)[older]
             gain = np.concatenate((gain[keep], counts))
         if F in kinds:
@@ -322,7 +366,7 @@ def baseline_moc_path(
             tail = split[_pairs_with(i, rest)] + split[_pairs_with(j, rest)]
             split = np.concatenate((split[keep], tail))
         if TF in kinds:
-            experts = _without(experts, i, j, experts[i] + experts[j])
+            experts = _without(experts, i, j, experts[i : i + 1] + experts[j : j + 1])
             pair = np.concatenate((pair[keep], experts[:-1] + experts[-1]))
 
 
@@ -343,29 +387,34 @@ def _merged_one_median(H: GraphInstance, blocks: list[list[int]]) -> np.ndarray:
     return out
 
 
-def _with_others(pair: np.ndarray, v: np.ndarray, op, empty: float, start) -> np.ndarray:
-    """[t]: op (np.maximum or np.minimum) of pair[t] and the largest (or
+def _with_others(pair: np.ndarray, v: np.ndarray, largest: bool, empty: float, start) -> np.ndarray:
+    """[t]: the larger (or smaller) of pair[t] and the largest (or
     smallest) entry of v other than those of pair t's two blocks.
 
-    Only the top three entries of v matter. With a and b the positions of
-    the first two, pairs without a take the first, a's column and row (see
+    Only the top three entries of v matter, each the first of its value,
+    as a stable sort lists them. With a and b the positions of the first
+    two, pairs without a take the first, a's column and row (see
     ``baseline_moc_path``) the second, and the pair of a and b the third.
     """
-    order = np.argsort(-v if op is np.maximum else v, kind="stable")[:3].tolist()
-    top = v[order].tolist() + [empty] * 2
-    a, b = order[:2]
-    out = op(pair, top[0])
+    op, pick = (np.maximum, max) if largest else (np.minimum, min)
+    w = v.copy() if largest else -v
+    top = []
+    for _ in range(min(3, len(v))):
+        top.append(int(w.argmax()))
+        w[top[-1]] = -np.inf
+    a, b = top[:2]
+    out = op(pair, float(v[a]))
     column, row = slice(start[a], start[a + 1]), start[a + 1 : len(v)] + a
-    op(pair[column], top[1], out=out[column])
-    out[row] = op(pair[row], top[1])
+    op(pair[column], float(v[b]), out=out[column])
+    out[row] = op(pair[row], float(v[b]))
     ab = _pair_position(min(a, b), max(a, b))
-    out[ab] = op(pair[ab], top[2])
+    out[ab] = pick(float(pair[ab]), float(v[top[2]]) if len(v) > 2 else empty)
     return out
 
 
-def _normalized(value: np.ndarray, maximize: bool) -> np.ndarray:
+def _normalized(value: np.ndarray) -> np.ndarray:
     """Min-max scale value in place over its finite entries; +inf scores an off-scale 2."""
-    lo, hi = value.min(), value.max()
+    lo, hi = np.minimum.reduce(value), np.maximum.reduce(value)
     infinite = None
     if hi == np.inf:
         infinite = value == np.inf
@@ -376,7 +425,7 @@ def _normalized(value: np.ndarray, maximize: bool) -> np.ndarray:
         value /= hi - lo
     if infinite is not None:
         value[infinite] = 2.0
-    return np.negative(value, out=value) if maximize else value
+    return value
 
 
 def _pair_position(x, y):
@@ -396,6 +445,6 @@ def _pairs_with(i, others):
     return _pair_position(np.minimum(others, i), np.maximum(others, i))
 
 
-def _without(v: np.ndarray, i: int, j: int, *last) -> np.ndarray:
-    """v without entries i < j, followed by the values last."""
+def _without(v: np.ndarray, i: int, j: int, last: np.ndarray) -> np.ndarray:
+    """v without entries i < j, followed by the entries of last."""
     return np.concatenate((v[:i], v[i + 1 : j], v[j + 1 :], last))

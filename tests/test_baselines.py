@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zeus_cluster.baselines as baselines
 from conftest import explicit, line_points
 from zeus_cluster.baselines import (
     _centered_blocks,
@@ -127,6 +128,27 @@ class TestB1:
         H = generate_instance("tf", 16, 3)
         C = baseline_b1(H, spec_of(["tf", "kc"], [1.0, 3.0], 2))
         assert C.k == 2
+
+    def test_shared_memo_centers_each_block_once(self, monkeypatch):
+        H = generate_instance("rs", 30, 0)
+        alone = [
+            clustering_to_json(H, baseline_b1(H, spec_of(["rs", "kc"], [1.0, 3.0], k)))
+            for k in range(1, 11)
+        ]
+        calls = []
+
+        def counted(H, members, _fn=baselines._block_one_center):
+            calls.append(tuple(members))
+            return _fn(H, members)
+
+        monkeypatch.setattr(baselines, "_block_one_center", counted)
+        memo = {}
+        shared = [
+            clustering_to_json(H, baseline_b1(H, spec_of(["rs", "kc"], [1.0, 3.0], k), memo))
+            for k in range(1, 11)
+        ]
+        assert shared == alone
+        assert len(calls) == len(set(calls)) and len(calls) < sum(range(1, 11))
 
     def test_kc_first_rejected(self):
         H = line_points([0, 1, 2])
@@ -279,6 +301,20 @@ class TestMoc:
         assert (
             moc(H, ["rs", "kc"], 4).assignment == moc(H, ["rs", "kc"], 4).assignment
         )
+
+    def test_each_block_centered_once(self, monkeypatch):
+        # the merges are nested, so a pass over every k meets 2n - 1
+        # blocks, the n singletons and one per merge, and centers each once
+        calls = []
+
+        def counted(H, members, _fn=baselines._block_one_center):
+            calls.append(tuple(members))
+            return _fn(H, members)
+
+        monkeypatch.setattr(baselines, "_block_one_center", counted)
+        H = generate_instance("rs", 20, 0)
+        baseline_moc_path(H, (ObjectiveSpec("rs"), ObjectiveSpec("kc")), range(1, 21))
+        assert len(calls) == len(set(calls)) == 2 * 20 - 1
 
     def test_k_equals_n(self):
         H = line_points([0, 2, 5])
