@@ -308,14 +308,12 @@ def emit_report(records: list[RunRecord], formats, outdir: str) -> list[str]:
     return written
 
 
-def _median(xs: list[float]) -> float:
-    ys = sorted(xs)
-    m = len(ys)
-    return ys[m // 2] if m % 2 else 0.5 * (ys[m // 2 - 1] + ys[m // 2])
-
-
 def _write_line_chart(path: str, records: list[RunRecord], col: str, slack) -> None:
     """Minimal deterministic SVG line chart: x = k, one series per algorithm."""
+    # imported at first use: statistics loads fractions and decimal, about
+    # 5 ms of the package's import time
+    from statistics import median
+
     width, height, pad = 480, 320, 48
     series: dict[str, dict[int, list[float]]] = {}
     for rec in records:
@@ -325,7 +323,7 @@ def _write_line_chart(path: str, records: list[RunRecord], col: str, slack) -> N
             rec.values[col]
         )
     points = {
-        alg: sorted((k, _median(vs)) for k, vs in by_k.items())
+        alg: sorted((k, median(vs)) for k, vs in by_k.items())
         for alg, by_k in series.items()
     }
     xs = sorted({k for pts in points.values() for k, _ in pts})

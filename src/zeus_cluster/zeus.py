@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,18 +63,34 @@ class ProblemSpec:
         self.slacks.validate(self.objectives, self.allow_infeasible_slack)
 
 
+@dataclass(frozen=True)
+class Stage:
+    """A processed objective with its slack, its estimated optimum, and the ``rs``
+    cover or ``f`` matching its makeshift returned (None for the other kinds)."""
+
+    objective: ObjectiveSpec
+    slack: float
+    estimate: OptimalEstimate
+    pairs: PairStructure | None = None
+
+    def violated(self, H: GraphInstance, C: Clustering) -> bool:
+        """Whether the objective, scored on ``C`` with the stage's own pairs,
+        is outside its slack."""
+        value = evaluate(H, C, self.objective, pairs=self.pairs)
+        return slack_violated(value, self.objective, self.slack, self.estimate)
+
+
 @dataclass
 class PipelineState:
-    """Everything accumulated while the pipeline runs."""
+    """One ``Stage`` per processed objective and one trace entry per outcome."""
 
-    # each processed objective with its estimated optimum and slack
-    processed: list[tuple[ObjectiveSpec, OptimalEstimate, float]] = field(
-        default_factory=list
-    )
-    pair_structures: dict[int, PairStructure] = field(default_factory=dict)
-    # the matching that defines f, set by the latest f stage
-    fairness_pairs: PairStructure | None = None
+    stages: list[Stage] = field(default_factory=list)
     trace: list[dict] = field(default_factory=list)
+
+    @cached_property
+    def pair_structures(self) -> dict[int, PairStructure]:
+        """Each stage's pairs by stage index, built once on first read."""
+        return {i: s.pairs for i, s in enumerate(self.stages) if s.pairs is not None}
 
 
 def zeus_run(
@@ -90,25 +107,19 @@ def zeus_run(
     C = singleton_clustering(H.n)
     state = PipelineState()
 
-    for i, (o, delta) in enumerate(zip(spec.objectives, spec.slacks.deltas)):
+    for o, delta in zip(spec.objectives, spec.slacks.deltas):
         t0 = time.perf_counter()
-        C, pairs, centers = run_makeshift(
-            H, C, o, spec.objectives, spec.k, spec.options, memo
-        )
-        if pairs is not None:
-            state.pair_structures[i] = pairs
-        if o.kind == F:
-            state.fairness_pairs = pairs
-
-        value = evaluate(H, C, o, pairs=state.fairness_pairs)
+        C, pairs, centers = run_makeshift(H, C, o, spec.objectives, spec.k, spec.options, memo)
+        value = evaluate(H, C, o, pairs=pairs)
         est = estimate_optimal(H, o, value, spec.k, centers)
+        stage = Stage(o, delta, est, pairs)
         violated = slack_violated(value, o, delta, est)
         moves = 0
         if violated and o.kind in (KC, KM):
-            C, moves = local_search(H, C, state, o, delta, est)
+            C, moves = local_search(H, C, state.stages, stage)
             value = evaluate(H, C, o)
             violated = slack_violated(value, o, delta, est)
-        state.processed.append((o, est, delta))
+        state.stages.append(stage)
         state.trace.append(
             {
                 "objective": o.kind,
@@ -124,8 +135,8 @@ def zeus_run(
     # a later makeshift or repair can break an earlier slack; the last
     # stage was already checked on the returned clustering
     *earlier, last = state.trace
-    for entry, violated in zip(earlier, _slacks_violated(H, C, state)):
-        entry["violated_at_end"] = violated
+    for entry, stage in zip(earlier, state.stages):
+        entry["violated_at_end"] = stage.violated(H, C)
     last["violated_at_end"] = last["violated"]
 
     if C.k != spec.k:
@@ -250,19 +261,14 @@ def estimate_optimal(
 
 
 def local_search(
-    H: GraphInstance,
-    C: Clustering,
-    state: PipelineState,
-    violated_o: ObjectiveSpec,
-    delta: float,
-    est: OptimalEstimate,
+    H: GraphInstance, C: Clustering, earlier: list[Stage], stage: Stage
 ) -> tuple[Clustering, int]:
     """Best-improvement single-atom relocation until a ``kc`` or ``km``
     slack holds.
 
-    A move is admissible only if all previously processed objectives stay
-    within their slack, atoms move whole, no block empties, and no block
-    loses its center. Stops on slack satisfaction, no improving move, or
+    A move is admissible only if every ``earlier`` stage stays within its
+    slack, atoms move whole, no block empties, and no block loses its
+    center. Stops on slack satisfaction, no improving move, or
     ``MOVES_PER_NODE`` moves per node. Only ``kc`` and ``km`` makeshifts
     leave an atom that can move: the others make every atom a whole block,
     and these two leave atoms that partition the nodes.
@@ -271,10 +277,9 @@ def local_search(
     the exact total cost plus the atom's cost changes, summed in atom
     order. Moves are tried by score, then lowest atom member, then target.
     """
-    if violated_o.kind not in (KC, KM):
-        raise ConfigError(
-            f"local search serves kc and km only, not {violated_o.kind!r}"
-        )
+    o = stage.objective
+    if o.kind not in (KC, KM):
+        raise ConfigError(f"local search serves kc and km only, not {o.kind!r}")
     members, atom_of, starts, _ = C.atom
     n_atoms = len(starts)
     sizes = np.bincount(atom_of, minlength=n_atoms)
@@ -285,8 +290,8 @@ def local_search(
     to_center = H.dist[np.ix_(members, C.center)]
     farthest = np.maximum.reduceat(to_center, starts)
     moves = 0
-    value = evaluate(H, C, violated_o)
-    while moves < MOVES_PER_NODE * H.n and slack_violated(value, violated_o, delta, est):
+    value = evaluate(H, C, o)
+    while moves < MOVES_PER_NODE * H.n and slack_violated(value, o, stage.slack, stage.estimate):
         label = C.label
         cost = H.dist[np.arange(H.n), C.center[label]]
         src = label[members[starts]]
@@ -294,7 +299,7 @@ def local_search(
         movable = (np.bincount(label, minlength=C.k)[src] != sizes) & (
             atom_at[C.center[src]] != np.arange(n_atoms)
         )
-        if violated_o.kind == KM:
+        if o.kind == KM:
             change = np.zeros((n_atoms, C.k))
             np.add.at(change, atom_of, to_center - cost[members, None])
             score = math.fsum(cost.tolist()) + change
@@ -312,7 +317,7 @@ def local_search(
         a, t = np.nonzero(movable[:, None] & (np.arange(C.k) != src[:, None]) & better)
         for i in np.lexsort((t, lowest[a], score[a, t])):
             moved = C.of_arrays(np.where(atom_at == a[i], t[i], label), C.k, C.center, C.atom)
-            if not any(_slacks_violated(H, moved, state)):
+            if not any(s.violated(H, moved) for s in earlier):
                 C, value = moved, float(score[a[i], t[i]])
                 moves += 1
                 break
@@ -320,9 +325,3 @@ def local_search(
             break
     return C, moves
 
-
-def _slacks_violated(H: GraphInstance, C: Clustering, state: PipelineState):
-    """Whether each processed objective is outside its slack on ``C``, in order."""
-    for o, est, delta in state.processed:
-        value = evaluate(H, C, o, pairs=state.fairness_pairs)
-        yield slack_violated(value, o, delta, est)

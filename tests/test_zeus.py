@@ -16,6 +16,7 @@ from zeus_cluster.graph import make_instance
 from zeus_cluster.makeshifts import (
     CLOSEST_EXPERT,
     MakeshiftOptions,
+    fairness_pairs,
     makeshift_fairness_ab,
     makeshift_rs_gamma,
     makeshift_tf,
@@ -35,7 +36,7 @@ from zeus_cluster.objectives import (
 )
 from zeus_cluster import zeus
 from zeus_cluster.synth import generate_instance
-from zeus_cluster.zeus import PipelineState, ProblemSpec, local_search, zeus_run
+from zeus_cluster.zeus import ProblemSpec, Stage, local_search, zeus_run
 
 
 def spec_of(kinds, slacks, k, **kw):
@@ -99,7 +100,7 @@ class TestPipeline:
         assert C.k == 3
         assert state.trace[0]["value"] == 1.0
         # matched pairs survive the k-center stage
-        pairs = state.fairness_pairs
+        pairs = state.stages[0].pairs
         assert pairs is not None
         for u, v in pairs.pairs:
             assert C.assignment[u] == C.assignment[v]
@@ -171,6 +172,38 @@ class TestPipeline:
         assert C_b.k != 4 or C_a.assignment != C_b.assignment
 
 
+class TestViolatedAtEnd:
+    """Every stage's ``violated_at_end`` is its slack recomputed on the
+    returned clustering, from the traced estimate and the pairs that
+    define ``f``, without the pipeline's own stage records."""
+
+    def test_flags_match_a_recomputation(self):
+        grid = [
+            ("f", 60, ("rs", "f", "kc"), (1.0, 1.0, 3.0)),
+            ("rs", 200, ("kc", "km"), (2.0, 5.0)),
+        ]
+        earlier_flags = []
+        for kind, n, kinds, slacks in grid:
+            objectives = tuple(ObjectiveSpec(x) for x in kinds)
+            paired = [i for i, x in enumerate(kinds) if x in ("rs", "f")]
+            for seed in range(5):
+                H = generate_instance(kind, n, seed)
+                pairs = fairness_pairs(H, objectives)
+                for k in range(2, 11):
+                    C, state = zeus_run(H, spec_of(kinds, slacks, k))
+                    entries = [e for e in state.trace if "objective" in e]
+                    for o, delta, entry in zip(objectives, slacks, entries):
+                        est = OptimalEstimate(**entry["estimate"])
+                        value = evaluate(H, C, o, pairs=pairs)
+                        assert entry["violated_at_end"] is slack_violated(value, o, delta, est)
+                    assert entries[-1]["violated_at_end"] is entries[-1]["violated"]
+                    earlier_flags += [e["violated_at_end"] for e in entries[:-1]]
+                    assert state.pair_structures is state.pair_structures
+                    assert sorted(state.pair_structures) == paired
+        assert len(earlier_flags) == 135
+        assert True in earlier_flags and False in earlier_flags
+
+
 class TestLocalSearch:
     def make_bad_clustering(self):
         H = line_points([0, 1, 10, 11])
@@ -187,8 +220,7 @@ class TestLocalSearch:
         H, C = self.make_bad_clustering()
         o = ObjectiveSpec("kc")
         est = OptimalEstimate("lower_bound", 1.0)
-        state = PipelineState()
-        fixed, moves = local_search(H, C, state, o, 2.0, est)
+        fixed, moves = local_search(H, C, [], Stage(o, 2.0, est))
         assert moves == 1
         assert eval_kcenter(H, fixed) == 1.0
 
@@ -197,8 +229,7 @@ class TestLocalSearch:
         o = ObjectiveSpec("kc")
         before = eval_kcenter(H, C)
         est = OptimalEstimate("lower_bound", 1.0)
-        state = PipelineState()
-        fixed, _ = local_search(H, C, state, o, 2.0, est)
+        fixed, _ = local_search(H, C, [], Stage(o, 2.0, est))
         assert eval_kcenter(H, fixed) <= before
 
     def test_respects_move_cap(self, monkeypatch):
@@ -206,8 +237,7 @@ class TestLocalSearch:
         H, C = self.make_bad_clustering()
         o = ObjectiveSpec("kc")
         est = OptimalEstimate("lower_bound", 0.01)
-        state = PipelineState()
-        fixed, moves = local_search(H, C, state, o, 2.0, est)
+        fixed, moves = local_search(H, C, [], Stage(o, 2.0, est))
         assert moves == 0
         assert fixed.assignment == C.assignment
 
@@ -222,8 +252,7 @@ class TestLocalSearch:
         )
         o = ObjectiveSpec("kc")
         est = OptimalEstimate("lower_bound", 0.1)
-        state = PipelineState()
-        fixed, _ = local_search(H, C, state, o, 2.0, est)
+        fixed, _ = local_search(H, C, [], Stage(o, 2.0, est))
         assert set(fixed.assignment.values()) == {0, 1}
 
     def test_rejects_move_that_breaks_earlier_slack(self):
@@ -239,25 +268,23 @@ class TestLocalSearch:
         )
         kc, km = ObjectiveSpec("kc"), ObjectiveSpec("km")
         est = OptimalEstimate("lower_bound", 1.0)
-        free = PipelineState()
-        moved, moves = local_search(H, C, free, kc, 2.0, est)
+        moved, moves = local_search(H, C, [], Stage(kc, 2.0, est))
         assert moves == 1 and moved.assignment[2] == moved.assignment[3] == 1
         km_before = evaluate(H, C, km)
         assert evaluate(H, moved, km) > km_before
 
         # with km processed at exactly its slack, the one move is refused
         km_est = OptimalEstimate("lower_bound", km_before)
-        bound = PipelineState(processed=[(km, km_est, 1.0)])
-        kept, moves = local_search(H, C, bound, kc, 2.0, est)
+        bound = [Stage(km, 1.0, km_est)]
+        kept, moves = local_search(H, C, bound, Stage(kc, 2.0, est))
         assert moves == 0 and kept.assignment == C.assignment
 
     @pytest.mark.parametrize("kind", ["rs", "f", "tf"])
     def test_serves_kc_and_km_only(self, kind):
         H, C = self.make_bad_clustering()
-        state = PipelineState()
         est = OptimalEstimate("exact", 1.0)
         with pytest.raises(ConfigError, match="kc and km only"):
-            local_search(H, C, state, ObjectiveSpec(kind), 1.0, est)
+            local_search(H, C, [], Stage(ObjectiveSpec(kind), 1.0, est))
 
     def test_violated_rs_stage_makes_no_move(self):
         H = generate_instance("rs", 30, 0)
@@ -313,7 +340,7 @@ class TestDispatchRoutes:
         )
         C, state = zeus_run(H, spec)
         assert state.trace[0]["violated_at_end"] is False
-        assert evaluate(H, C, ObjectiveSpec("f"), pairs=state.fairness_pairs) == 1.0
+        assert evaluate(H, C, ObjectiveSpec("f"), pairs=state.stages[0].pairs) == 1.0
 
     def test_f_b_matching(self):
         H = generate_instance("f", 30, 1)
@@ -556,9 +583,10 @@ def _sum_left_to_right(values):
     return functools.reduce(operator.add, values, 0)
 
 
-def _local_search_by_dict_loop(H, C, state, violated_o, delta, est):
+def _local_search_by_dict_loop(H, C, earlier, stage):
     """Reference: ``local_search`` as it walked the assignment dict and
     scored each (atom, target) move in turn."""
+    violated_o, delta, est = stage.objective, stage.slack, stage.estimate
     moves = 0
     value = evaluate(H, C, violated_o)
     while moves < zeus.MOVES_PER_NODE * H.n and slack_violated(value, violated_o, delta, est):
@@ -595,7 +623,10 @@ def _local_search_by_dict_loop(H, C, state, violated_o, delta, est):
             for u in atom:
                 assign[u] = target
             moved = dataclasses.replace(C, assignment=assign)
-            if not any(zeus._slacks_violated(H, moved, state)):
+            if not any(
+                slack_violated(evaluate(H, moved, s.objective, pairs=s.pairs), s.objective, s.slack, s.estimate)
+                for s in earlier
+            ):
                 C, value = moved, new_value
                 moves += 1
                 break
@@ -626,12 +657,12 @@ class TestLocalSearchReference:
         real = zeus.local_search
         moves = {"kc": 0, "km": 0}
 
-        def checked(H, C, state, o, delta, est):
-            got = real(H, C, state, o, delta, est)
-            want = _local_search_by_dict_loop(H, C, state, o, delta, est)
+        def checked(H, C, earlier, stage):
+            got = real(H, C, earlier, stage)
+            want = _local_search_by_dict_loop(H, C, earlier, stage)
             assert list(got[0].assignment.items()) == list(want[0].assignment.items())
             assert got[1] == want[1]
-            moves[o.kind] += got[1]
+            moves[stage.objective.kind] += got[1]
             return got
 
         monkeypatch.setattr(zeus, "local_search", checked)
@@ -686,23 +717,22 @@ def _local_search_problems(draw):
             members = members[size:]
     C = Clustering(assignment, k, centers, tuple(atoms), tuple(a[0] for a in atoms))
     kind, other = draw(st.sampled_from([("kc", "km"), ("km", "kc")]))
-    processed = []
+    earlier = []
     if draw(st.booleans()):
         bound = OptimalEstimate("lower_bound", evaluate(H, C, _O(other)))
-        processed.append((_O(other), bound, draw(st.sampled_from([1.0, 1.1, 1.5]))))
-    state = PipelineState(processed=processed)
+        earlier.append(Stage(_O(other), draw(st.sampled_from([1.0, 1.1, 1.5])), bound))
     # at slack 2 the search stops below this share of the value, often
     # after one of several moves that tie
     share = draw(st.sampled_from([0.0, 0.6, 0.9, 0.97]))
     est = OptimalEstimate("lower_bound", share * evaluate(H, C, _O(kind)) / 2)
-    return H, C, state, _O(kind), est
+    return H, C, earlier, Stage(_O(kind), 2.0, est)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_local_search_problems())
 def test_local_search_matches_dict_loop(problem):
-    H, C, state, o, est = problem
-    got = local_search(H, C, state, o, 2.0, est)
-    want = _local_search_by_dict_loop(H, C, state, o, 2.0, est)
+    H, C, earlier, stage = problem
+    got = local_search(H, C, earlier, stage)
+    want = _local_search_by_dict_loop(H, C, earlier, stage)
     assert list(got[0].assignment.items()) == list(want[0].assignment.items())
     assert got[1] == want[1]
